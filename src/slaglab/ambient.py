@@ -46,9 +46,15 @@ class ConstantForm:
                 continue
             self.coeffs[key] = self.coeffs.get(key, 0) + sign * val
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
+        # one row of component indices per coefficient, for evaluating all minors at once
+        self._index = np.array(list(self.coeffs), dtype=int).reshape(len(self.coeffs), degree)
+        self._values = np.array(list(self.coeffs.values()))
 
     def __call__(self, vectors: np.ndarray):
-        """Evaluate on k vectors: array (..., k, dim) or a sequence of k vectors."""
+        """Evaluate on k vectors: array (..., k, dim) or a sequence of k vectors.
+
+        Complex coefficients give complex values, real ones real values.
+        """
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1 and self.degree == 1:
             vectors = vectors[None, :]
@@ -56,13 +62,15 @@ class ConstantForm:
             raise ArityMismatchError(
                 f"need {self.degree} vectors in R^{self.dim}, got shape {vectors.shape}"
             )
-        out = np.zeros(vectors.shape[:-2], dtype=complex)
-        for idx, val in self.coeffs.items():
-            sub = vectors[..., :, idx]
-            out = out + val * np.linalg.det(sub)
-        if np.iscomplexobj(np.array(list(self.coeffs.values()))):
-            return out
-        return out.real
+        cols = vectors[..., self._index]  # (..., vector, coefficient, column)
+        if self.degree == 1:
+            minors = cols[..., 0, :, 0]
+        elif self.degree == 2:
+            u, v = cols[..., 0, :, :], cols[..., 1, :, :]
+            minors = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        else:
+            minors = np.linalg.det(np.moveaxis(cols, -2, -3))
+        return (minors * self._values).sum(axis=-1)
 
     def scaled(self, factor) -> "ConstantForm":
         return ConstantForm(self.dim, self.degree, {k: factor * v for k, v in self.coeffs.items()})
@@ -151,13 +159,10 @@ class BoundaryLagrangian:
     basepoint: np.ndarray
     span: np.ndarray  # (n, 2n), rows are spanning directions
 
-    def distances(self, points: np.ndarray, lattice: np.ndarray | None) -> np.ndarray:
+    def distances(self, points: np.ndarray, model: "AmbientModel") -> np.ndarray:
         """Distance from each point to the subspace, lattice-aware on a torus."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = points - self.basepoint
-        if lattice is not None:
-            coords = np.linalg.solve(lattice.T, rel.T).T
-            rel = rel - np.round(coords) @ lattice
+        rel = model.wrap_displacement(points - self.basepoint)
         q, _ = np.linalg.qr(self.span.T)
         perp = rel - (rel @ q) @ q.T
         return np.linalg.norm(perp, axis=1)
@@ -170,6 +175,7 @@ class AmbientModel:
         self.n = n
         self.topology = topology
         self.lattice = lattice
+        self._lattice_inv = None if lattice is None else np.linalg.inv(lattice)
         self.omega = omega
         self.J = J
         self.Omega = Omega
@@ -272,26 +278,23 @@ class AmbientModel:
         return float(forms[which](vectors))
 
     def wrap_displacement(self, disp: np.ndarray) -> np.ndarray:
-        """Minimal-image representative of a displacement, identity on R^{2n}."""
+        """Minimal-image representative of displacements (..., 2n), identity on R^{2n}."""
         if self.lattice is None:
             return disp
-        coords = np.linalg.solve(self.lattice.T, np.atleast_2d(disp).T).T
-        wrapped = np.atleast_2d(disp) - np.round(coords) @ self.lattice
+        flat = np.reshape(disp, (-1, 2 * self.n))
+        wrapped = flat - np.round(flat @ self._lattice_inv) @ self.lattice
         return wrapped.reshape(np.shape(disp))
 
     def reduce_points(self, points: np.ndarray) -> np.ndarray:
         if self.lattice is None:
             return points
-        coords = np.linalg.solve(self.lattice.T, np.atleast_2d(points).T).T
+        coords = np.atleast_2d(points) @ self._lattice_inv
         return (coords - np.floor(coords)) @ self.lattice
 
     def lagrangian_residual(self, lagrangian: BoundaryLagrangian) -> float:
-        span = lagrangian.span
-        worst = 0.0
-        for i in range(span.shape[0]):
-            for j in range(i + 1, span.shape[0]):
-                worst = max(worst, abs(float(self.omega(np.stack([span[i], span[j]])))))
-        return worst
+        pairs = list(itertools.combinations(lagrangian.span, 2))
+        pairs = np.array(pairs).reshape(-1, 2, 2 * self.n)
+        return float(np.abs(self.omega(pairs)).max(initial=0.0))
 
     def check_disjoint(self, lagrangians, tol=1e-9) -> None:
         offsets = [np.zeros(2 * self.n)]

@@ -29,7 +29,7 @@ from .errors import (
     SingularJacobianError,
     SlagError,
 )
-from .flux import ImmersionPath, relative_flux, special_flux
+from .flux import ImmersionPath, path_fluxes
 from .immersion import ImmersionFamily
 from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
 
@@ -158,8 +158,7 @@ def evaluate_chart(
         derivative=lambda t: u,
         n_samples=n_samples,
     )
-    rf = relative_flux(model, path, rel_cycles)
-    sf = special_flux(model, path, abs_cycles)
+    rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
     return ChartSample(u, rf.period_vector, sf.period_vector, family.label)
 
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
     slag run <scenario.json> [...] [--jobs K] [--out DIR] [--tol-scale X]
-    slag converge <scenario.json> --levels 1,2,4 [--out DIR]
+    slag converge <scenario.json> --levels 1,2,4 [--quadrature 9,17,33] [--out DIR]
     slag fixtures list
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
@@ -104,8 +104,10 @@ def main(argv=None) -> int:
                     f"{nm}={table.orders[nm]:g}" for nm in table.quantity_names
                 ))
             if args.out:
-                for written in emit_convergence(tables[0], args.out):
-                    print(f"wrote {written}")
+                names = ("convergence.csv", "quadrature.csv")
+                for table, name in zip(tables, names):
+                    for written in emit_convergence(table, args.out, name):
+                        print(f"wrote {written}")
             return 0
         # run
         if args.jobs > 1 and len(args.files) > 1:

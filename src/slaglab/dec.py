@@ -515,7 +515,6 @@ def hodge_decompose(
 
     scale = max(float(np.linalg.norm(mass @ cochain.values, ord=np.inf)), 1e-300)
     diag = {
-        "resum_residual": 0.0,
         "ortho_exact_coexact": abs(float(exact.values @ (mass @ coexact.values))) / scale,
         "ortho_exact_harmonic": abs(float(exact.values @ (mass @ harmonic.values))) / scale,
         "ortho_coexact_harmonic": abs(float(coexact.values @ (mass @ harmonic.values))) / scale,

@@ -6,6 +6,12 @@ imaginary part of the unit-length top form.  Both are integrated exactly per
 simplex (the integrand is affine in barycentric coordinates when the velocity
 is piecewise linear), and in time by composite Simpson quadrature.
 
+`path_fluxes` computes both in one pass over blocks of stacked sample
+positions (B, V, 2n), B bounded by a fixed budget of top-simplex samples.  Per
+block it builds the wrapped frames of degrees 1, 2 and n once, checks the
+Lagrangian and special residuals once and evaluates both integrands; the
+Richardson estimate reuses the even samples' cochains from the same pass.
+
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
 surface integrals of the constant ambient forms over the piecewise-linear
@@ -22,17 +28,28 @@ import numpy as np
 from .ambient import AmbientModel, ConstantForm
 from .dec import Cochain, period_matrix
 from .errors import (
+    DegenerateSimplexError,
     EndpointMismatchError,
     NonLagrangianSampleError,
     NonSpecialSampleError,
     SlagError,
     VelocityUnavailableError,
 )
-from .immersion import Immersion, ImmersionFamily
+from .immersion import (
+    TOO_LARGE_TO_LIFT,
+    Immersion,
+    ImmersionFamily,
+    calibration_residuals,
+    wrapped_frames,
+)
 from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
 
 _LAGRANGIAN_TOL = 1e-9
 _SPECIAL_TOL = 1e-9
+# Top-simplex samples stacked in one block of a flux pass.  It bounds the
+# memory of the stacked frames whatever the mesh size and the number of
+# samples; larger blocks saved no time and raised the peak memory.
+_BLOCK_SIMPLEX_SAMPLES = 2048
 
 
 class ImmersionPath:
@@ -112,34 +129,36 @@ class FluxClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contract_pullback(model: AmbientModel, immersion: Immersion, velocity: np.ndarray,
-                       form: ConstantForm, degree: int) -> Cochain:
-    """Exact per-simplex integral of the pullback of (velocity -| form).
+def _contract(mesh, velocities: np.ndarray, frames: np.ndarray, form: ConstantForm,
+              degree: int) -> np.ndarray:
+    """(B, N_k) exact per-simplex integrals of the pullback of (velocity -| form).
 
-    The velocity is affine over each simplex, so the integrand is affine in
-    barycentric coordinates and the integral is the centroid value times the
-    simplex volume fraction 1/degree!.
+    velocities is (B, V, 2n) and frames (B, N_k, k, 2n).  The velocity is
+    affine over each simplex, so the integrand is affine in barycentric
+    coordinates and the integral is the centroid value times the simplex
+    volume fraction 1/degree!.
     """
-    mesh = immersion.mesh
     simp = mesh.simplices[degree]
-    frames = immersion.simplex_frames(model, degree)
-    vmean = velocity[simp].mean(axis=1)
-    stacked = np.concatenate([vmean[:, None, :], frames], axis=1)
-    vals = form(stacked) / math.factorial(degree)
-    return Cochain(mesh, degree, vals)
+    vmean = sum(velocities[:, simp[:, i]] for i in range(degree + 1)) / (degree + 1)
+    stacked = np.concatenate([vmean[:, :, None, :], frames], axis=2)
+    return form(stacked) / math.factorial(degree)
+
+
+def _sample_cochain(model, path, j, form, degree) -> Cochain:
+    mesh = path.family.mesh
+    frames = path.immersion_at(j).simplex_frames(model, degree)
+    return Cochain(mesh, degree, _contract(mesh, path.velocity_at(j)[None], frames[None],
+                                           form, degree)[0])
 
 
 def tangent_one_form(model: AmbientModel, path: ImmersionPath, j: int) -> Cochain:
     """Edge cochain of the velocity contracted into the symplectic form at sample j."""
-    return _contract_pullback(model, path.immersion_at(j), path.velocity_at(j),
-                              model.omega, 1)
+    return _sample_cochain(model, path, j, model.omega, 1)
 
 
 def dual_form(model: AmbientModel, path: ImmersionPath, j: int) -> Cochain:
     """(n-1)-cochain of the velocity contracted into the imaginary calibration form."""
-    n = model.n
-    return _contract_pullback(model, path.immersion_at(j), path.velocity_at(j),
-                              model.im_omega_hat, n - 1)
+    return _sample_cochain(model, path, j, model.im_omega_hat, model.n - 1)
 
 
 def _quadrature_weights(n_samples: int):
@@ -154,99 +173,129 @@ def _quadrature_weights(n_samples: int):
     return w * h, "trapezoid"
 
 
-def _sample_residuals(model: AmbientModel, immersion: Immersion):
-    """Sup norms of the symplectic and calibration pullbacks, volume normalized."""
-    mesh = immersion.mesh
-    n = mesh.dim
-    frames = immersion.simplex_frames(model, n)
-    vols = np.sqrt(np.abs(np.linalg.det(
-        np.einsum("tia,ab,tjb->tij", frames, model.metric_matrix(), frames)
-    ))) / math.factorial(n)
-    vols = np.maximum(vols, 1e-300)
-    special = float(np.max(np.abs(model.im_omega_hat(frames)) / math.factorial(n) / vols))
-    if n >= 2:
-        f2 = immersion.simplex_frames(model, 2)
-        a2 = np.sqrt(np.abs(np.linalg.det(
-            np.einsum("tia,ab,tjb->tij", f2, model.metric_matrix(), f2)
-        ))) / 2.0
-        lagrangian = float(np.max(np.abs(model.omega(f2)) / 2.0 / np.maximum(a2, 1e-300)))
-    else:
-        lagrangian = 0.0
-    return lagrangian, special
+def _sup(values) -> float:
+    return float(np.abs(values).max(initial=0.0))
 
 
-def _integrate_path(model, path, cycles, integrand, check, tol, space):
-    mesh = path.family.mesh
-    weights, rule = _quadrature_weights(path.n_samples)
-    degree = 1 if space.startswith("relative") else mesh.dim - 1
-    raw = np.zeros(mesh.n_simplices(degree))
+# The failure of each check, indexed like the residuals: (Lagrangian, special).
+_SAMPLE_FAILURES = (
+    (NonLagrangianSampleError, "sample {j} has symplectic residual {r:.3e} > {tol:.1e}; "
+                               "closedness of the tangent form is not guaranteed"),
+    (NonSpecialSampleError, "sample {j} has calibration residual {r:.3e} > {tol:.1e}"),
+)
+
+
+class _FluxPass:
+    """Time quadrature of one integrand over a path, fed one block of samples at a time.
+
+    Keeps the per-sample closedness and boundary sups, the same rule over the
+    even samples for the Richardson estimate, and the first failing sample.
+    """
+
+    def __init__(self, mesh, n_samples, space, degree, form, cycles, residual, tol):
+        self.mesh, self.space, self.degree, self.form = mesh, space, degree, form
+        self.cycles, self.residual, self.tol, self.failure = cycles, residual, tol, None
+        self.weights, self.rule = _quadrature_weights(n_samples)
+        richardson = n_samples % 4 == 1 and n_samples >= 5
+        self.halves = _quadrature_weights((n_samples + 1) // 2)[0] if richardson else None
+        self.raw, self.coarse = np.zeros((2, mesh.n_simplices(degree)))
+        self.d_op = (mesh.coboundary_operator(degree) if degree < mesh.dim
+                     else np.zeros((0, mesh.n_simplices(degree))))
+        self.boundary = mesh.in_boundary(degree)
+        self.closedness = self.boundary_sup = 0.0
+
+    def check(self, start, degenerate, residuals, integrand_degenerate) -> None:
+        """Keep the first failure in the order of a per-sample pass.
+
+        Within a sample, a simplex too large to lift fails it before the
+        residual is read, and one among the integrand's simplices after.
+        """
+        residual = residuals[self.residual]
+        over = residual > self.tol
+        failed = np.flatnonzero(degenerate | over | integrand_degenerate)
+        if self.failure is None and failed.size:
+            i = failed[0]
+            error, message = _SAMPLE_FAILURES[self.residual]
+            self.failure = (error(message.format(j=start + i, r=residual[i], tol=self.tol))
+                            if over[i] and not degenerate[i]
+                            else DegenerateSimplexError(TOO_LARGE_TO_LIFT))
+
+    def add(self, start, vals: np.ndarray) -> None:
+        """Fold the (B, N_k) cochains of samples start, start + 1, ... into the sums."""
+        for j, row in enumerate(vals, start):
+            self.raw += self.weights[j] * row
+            if self.halves is not None and j % 2 == 0:
+                self.coarse += self.halves[j // 2] * row
+        self.closedness = max(self.closedness, _sup(self.d_op @ vals.T))
+        self.boundary_sup = max(self.boundary_sup, _sup(vals[:, self.boundary]))
+
+    def result(self, max_lag: float, max_special: float) -> FluxClass:
+        raw = Cochain(self.mesh, self.degree, self.raw)
+        periods = period_matrix([raw], self.cycles)[:, 0]
+        diag = {
+            "rule": self.rule,
+            "max_lagrangian_residual": max_lag,
+            "max_special_residual": max_special,
+            "max_sample_closedness": self.closedness,
+            "max_sample_boundary_value": self.boundary_sup,
+            "raw_closedness": _sup(self.d_op @ self.raw),
+            "raw_boundary_value": _sup(self.raw[self.boundary]),
+        }
+        if self.halves is not None:
+            coarse = period_matrix([Cochain(self.mesh, self.degree, self.coarse)], self.cycles)
+            diag["richardson_error"] = float(np.abs(periods - coarse[:, 0]).max() / 15.0)
+        return FluxClass(self.space, periods, raw, diag)
+
+
+def path_fluxes(model: AmbientModel, path: ImmersionPath,
+                rel_cycles: RelativeCycleBasis | None = None,
+                abs_cycles: AbsoluteCycleBasis | None = None,
+                lagrangian_tol: float = _LAGRANGIAN_TOL,
+                special_tol: float = _SPECIAL_TOL):
+    """Relative and dual flux classes of one path, from one pass over its samples.
+
+    Returns (relative, dual); a flux whose cycle basis is None is skipped and
+    comes back as None.  The relative flux needs Lagrangian samples, the dual
+    flux calibrated ones.  Failures are raised as two separate passes would
+    raise them: the relative flux's first failing sample before the dual's.
+    """
+    mesh, n, count = path.family.mesh, path.family.mesh.dim, path.n_samples
+    rel_pass = None if rel_cycles is None else _FluxPass(
+        mesh, count, "relative-1", 1, model.omega, rel_cycles, 0, lagrangian_tol)
+    abs_pass = None if abs_cycles is None else _FluxPass(
+        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles, 1, special_tol)
+    passes = [p for p in (rel_pass, abs_pass) if p is not None]
+    degrees = {n, min(n, 2)} | {p.degree for p in passes}
+    block = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(n))
     max_lag = max_special = 0.0
-    closedness = boundary_sup = 0.0
-    d_op = mesh.coboundary_operator(degree) if degree < mesh.dim else None
-    boundary_mask = mesh.in_boundary(degree)
-    for j in range(path.n_samples):
-        immersion = path.immersion_at(j)
-        lag, special = _sample_residuals(model, immersion)
-        max_lag, max_special = max(max_lag, lag), max(max_special, special)
-        check(lag, special, j)
-        coch = integrand(model, path, j)
-        raw += weights[j] * coch.values
-        if d_op is not None:
-            closedness = max(closedness, float(np.abs(d_op @ coch.values).max()))
-        if boundary_mask.any():
-            vals = np.abs(coch.values[boundary_mask])
-            boundary_sup = max(boundary_sup, float(vals.max()) if vals.size else 0.0)
-    raw_cochain = Cochain(mesh, degree, raw)
-    periods = period_matrix([raw_cochain], cycles)[:, 0]
-    diag = {
-        "rule": rule,
-        "max_lagrangian_residual": max_lag,
-        "max_special_residual": max_special,
-        "max_sample_closedness": closedness,
-        "max_sample_boundary_value": boundary_sup,
-        "raw_closedness": float(np.abs(d_op @ raw).max()) if d_op is not None else 0.0,
-        "raw_boundary_value": (
-            float(np.abs(raw[boundary_mask]).max()) if boundary_mask.any() else 0.0
-        ),
-    }
-    if path.n_samples % 4 == 1 and path.n_samples >= 5:
-        halves, _ = _quadrature_weights((path.n_samples + 1) // 2)
-        coarse = np.zeros_like(raw)
-        for jj, w in enumerate(halves):
-            coarse += w * integrand(model, path, 2 * jj).values
-        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles)[:, 0]
-        diag["richardson_error"] = float(np.abs(periods - coarse_periods).max() / 15.0)
-    return FluxClass(space, periods, raw_cochain, diag)
+    for start in range(0, count, block):
+        samples = range(start, min(start + block, count))
+        positions = np.stack([path._positions[j] for j in samples])
+        velocities = np.stack([path.velocity_at(j) for j in samples])
+        frames = {k: wrapped_frames(model, mesh, positions, k) for k in degrees}
+        (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
+        residuals = calibration_residuals(model, top, two if n >= 2 else None)
+        max_lag = max(max_lag, float(residuals[0].max()))
+        max_special = max(max_special, float(residuals[1].max()))
+        for p in passes:
+            p.check(start, top_large | two_large, residuals, frames[p.degree][1])
+            p.add(start, _contract(mesh, velocities, frames[p.degree][0], p.form, p.degree))
+    for p in passes:
+        if p.failure is not None:
+            raise p.failure
+    return tuple(p and p.result(max_lag, max_special) for p in (rel_pass, abs_pass))
 
 
 def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: RelativeCycleBasis,
                   lagrangian_tol: float = _LAGRANGIAN_TOL) -> FluxClass:
     """Time quadrature of the tangent one-form, projected to periods over relative cycles."""
-
-    def check(lag, special, j):
-        if lag > lagrangian_tol:
-            raise NonLagrangianSampleError(
-                f"sample {j} has symplectic residual {lag:.3e} > {lagrangian_tol:.1e}; "
-                "closedness of the tangent form is not guaranteed"
-            )
-
-    return _integrate_path(model, path, cycles, tangent_one_form, check,
-                           lagrangian_tol, "relative-1")
+    return path_fluxes(model, path, cycles, None, lagrangian_tol=lagrangian_tol)[0]
 
 
 def special_flux(model: AmbientModel, path: ImmersionPath, cycles: AbsoluteCycleBasis,
-                 special_tol: float = _SPECIAL_TOL,
-                 lagrangian_tol: float = _LAGRANGIAN_TOL) -> FluxClass:
+                 special_tol: float = _SPECIAL_TOL) -> FluxClass:
     """Time quadrature of the dual (n-1)-form, projected to periods over absolute cycles."""
-
-    def check(lag, special, j):
-        if special > special_tol:
-            raise NonSpecialSampleError(
-                f"sample {j} has calibration residual {special:.3e} > {special_tol:.1e}"
-            )
-
-    return _integrate_path(model, path, cycles, dual_form, check,
-                           special_tol, f"absolute-{model.n - 1}")
+    return path_fluxes(model, path, None, cycles, special_tol=special_tol)[1]
 
 
 # -- swept-surface oracles -----------------------------------------------------------
@@ -359,10 +408,12 @@ def homotopy_invariance_harness(
     )
     if gap > endpoint_tol:
         raise EndpointMismatchError(f"paths differ at endpoints by {gap:.3e}")
-    rf_a = relative_flux(model, path_a, rel_cycles)
-    rf_b = relative_flux(model, path_b, rel_cycles)
-    sf_a = special_flux(model, path_a, abs_cycles)
-    sf_b = special_flux(model, path_b, abs_cycles)
+    try:
+        rf_a, sf_a = path_fluxes(model, path_a, rel_cycles, abs_cycles)
+    except NonSpecialSampleError:
+        relative_flux(model, path_b, rel_cycles)  # a failure of path b's relative flux comes first
+        raise
+    rf_b, sf_b = path_fluxes(model, path_b, rel_cycles, abs_cycles)
     report = HomotopyReport(
         rf_a, rf_b, sf_a, sf_b,
         rf_discrepancy=float(np.abs(rf_a.period_vector - rf_b.period_vector).max()),

@@ -40,28 +40,53 @@ class Immersion:
 
     def simplex_frames(self, model: AmbientModel, k: int) -> np.ndarray:
         """(N_k, k, 2n) lifted edge vectors of every canonical k-simplex."""
-        simp = self.mesh.simplices[k]
-        disp = self.positions[simp[:, 1:]] - self.positions[simp[:, :1]]
-        return _wrap_frames(model, disp)
-
-    def vertex_frame_of(self, model: AmbientModel, vertices) -> np.ndarray:
-        verts = np.asarray(vertices)
-        disp = self.positions[verts[1:]] - self.positions[verts[0]]
-        return _wrap_frames(model, disp[None, :, :])[0]
+        frames, too_large = wrapped_frames(model, self.mesh, self.positions, k)
+        if too_large:
+            raise DegenerateSimplexError(TOO_LARGE_TO_LIFT)
+        return frames
 
 
-def _wrap_frames(model: AmbientModel, disp: np.ndarray) -> np.ndarray:
+TOO_LARGE_TO_LIFT = "simplex too large for minimal-image lifting on the torus"
+
+
+def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndarray, k: int):
+    """Lifted edge vectors (..., N_k, k, 2n) of every canonical k-simplex.
+
+    positions is (..., V, 2n), one immersion per leading index.  Also returns
+    a (...) mask of the immersions with an edge vector longer than half the
+    shortest lattice vector, where the minimal-image lift cannot be trusted.
+    """
+    simp = mesh.simplices[k]
+    disp = positions[..., simp[:, 1:], :] - positions[..., simp[:, :1], :]
     if model.lattice is None:
-        return disp
-    shape = disp.shape
-    flat = disp.reshape(-1, shape[-1])
-    wrapped = model.wrap_displacement(flat)
-    widths = np.linalg.norm(model.lattice, axis=1)
-    if wrapped.size and np.linalg.norm(wrapped, axis=1).max() > 0.5 * widths.min():
-        raise DegenerateSimplexError(
-            "simplex too large for minimal-image lifting on the torus"
-        )
-    return wrapped.reshape(shape)
+        return disp, np.zeros(disp.shape[:-3], dtype=bool)
+    wrapped = model.wrap_displacement(disp)
+    limit = 0.5 * np.linalg.norm(model.lattice, axis=1).min()
+    return wrapped, (np.linalg.norm(wrapped, axis=-1) > limit).any(axis=(-2, -1))
+
+
+def calibration_residuals(model: AmbientModel, top: np.ndarray, two: np.ndarray | None):
+    """Sup norms of the symplectic and calibration pullbacks, volume normalized.
+
+    top holds the (..., N_n, n, 2n) frames of the top simplices and two the
+    (..., N_2, 2, 2n) frames of the 2-simplices (None on curves).  Returns the
+    Lagrangian and the special residual, each of shape (...).
+    """
+    n = top.shape[-2]
+    g = model.metric_matrix()
+    vols = np.maximum(_gram_volumes(top, g) / math.factorial(n), 1e-300)
+    special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / vols, axis=-1)
+    if two is None:
+        return np.zeros_like(special), special
+    # on surfaces the 2-simplices are the top simplices, whose areas are the volumes above
+    areas = vols if two is top else np.maximum(_gram_volumes(two, g) / 2.0, 1e-300)
+    return np.max(np.abs(model.omega(two)) / 2.0 / areas, axis=-1), special
+
+
+def _gram_volumes(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt |det| of the Gram matrix of every (..., k, 2n) frame under the metric g."""
+    gram = np.einsum("...ia,ab,...jb->...ij", frames, g, frames, optimize=True)
+    return np.sqrt(np.abs(np.linalg.det(gram)))
 
 
 # -- pullbacks -----------------------------------------------------------------------
@@ -143,26 +168,10 @@ def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=
            "lagrangian": 1e-10, "special": 1e-10}
     tol.update(tolerances or {})
 
-    frames = immersion.simplex_frames(model, n)
-    svals = np.linalg.svd(frames, compute_uv=False)
+    frames = {k: immersion.simplex_frames(model, k) for k in {n, min(n, 2)}}
+    svals = np.linalg.svd(frames[n], compute_uv=False)
     immersion_margin = float(svals[:, -1].min())
-
-    metric_vols = np.sqrt(np.abs(np.linalg.det(
-        np.einsum("tia,ab,tjb->tij", frames, model.metric_matrix(), frames)
-    ))) / math.factorial(n)
-    metric_vols = np.maximum(metric_vols, 1e-300)
-
-    if n >= 2:
-        f2 = immersion.simplex_frames(model, 2)
-        areas2 = np.sqrt(np.abs(np.linalg.det(
-            np.einsum("tia,ab,tjb->tij", f2, model.metric_matrix(), f2)
-        ))) / 2.0
-        lag = float(np.max(np.abs(model.omega(f2)) / 2.0 / np.maximum(areas2, 1e-300)))
-    else:
-        lag = 0.0
-    special = float(np.max(
-        np.abs(model.im_omega_hat(frames)) / math.factorial(n) / metric_vols
-    ))
+    lag, special = calibration_residuals(model, frames[n], frames[2] if n >= 2 else None)
 
     by_comp = {lam.index: 0.0 for lam in lagrangians}
     lam_by_index = {lam.index: lam for lam in lagrangians}
@@ -172,46 +181,32 @@ def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=
         lam = lam_by_index.get(comp)
         if lam is None:
             raise SlagError(f"no boundary Lagrangian supplied for component {comp}")
-        dists = lam.distances(immersion.positions[verts], model.lattice)
+        dists = lam.distances(immersion.positions[verts], model)
         by_comp[comp] = float(dists.max()) if dists.size else 0.0
     boundary_distance = max(by_comp.values()) if by_comp else 0.0
 
-    trans = math.inf
+    margins = []
     if n >= 1 and mesh.n_components:
-        faces = mesh.simplices[n - 1]
-        labels = mesh.boundary_labels
-        coface_of = _boundary_coface_table(mesh)
-        for fid in mesh.boundary_face_ids():
-            top = coface_of[int(fid)]
-            frame = frames[top]
-            lam = lam_by_index[int(labels[fid])]
-            stacked = np.vstack([frame, lam.span])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            trans = min(trans, float(s[n]) if len(s) > n else 0.0)
-    if trans is math.inf:
-        trans = float("nan")
+        table = mesh.face_table(n - 1)
+        tops, slots = np.nonzero(mesh.boundary_labels[table] > 0)  # one coface per boundary face
+        labels = mesh.boundary_labels[table[tops, slots]]
+        for label in np.unique(labels):
+            span = lam_by_index[int(label)].span
+            top_frames = frames[n][tops[labels == label]]
+            spans = np.broadcast_to(span, (len(top_frames),) + span.shape)
+            s = np.linalg.svd(np.concatenate([top_frames, spans], axis=1), compute_uv=False)
+            margins.append(float(s[:, n].min()) if s.shape[1] > n else 0.0)
+    trans = min(margins) if margins else float("nan")
 
     return ValidationReport(
         immersion_margin=immersion_margin,
         boundary_distance=boundary_distance,
         transversality_margin=trans,
-        lagrangian_residual=lag,
-        special_residual=special,
+        lagrangian_residual=float(lag),
+        special_residual=float(special),
         per_component_distance=by_comp,
         tolerances=tol,
     )
-
-
-def _boundary_coface_table(mesh: SimplicialMesh) -> dict[int, int]:
-    """Boundary (n-1)-face id -> the unique adjacent top simplex id."""
-    out: dict[int, int] = {}
-    table = mesh.face_table(mesh.dim - 1)
-    is_boundary = mesh.boundary_labels > 0
-    for t in range(table.shape[0]):
-        for fid in table[t]:
-            if is_boundary[fid]:
-                out[int(fid)] = t
-    return out
 
 
 # -- reparametrization ---------------------------------------------------------------

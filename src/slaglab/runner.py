@@ -41,8 +41,7 @@ from .flux import (
     ImmersionPath,
     dual_form,
     homotopy_invariance_harness,
-    relative_flux,
-    special_flux,
+    path_fluxes,
     swept_rf_oracle,
     swept_sf_oracle,
     tangent_one_form,
@@ -216,6 +215,8 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
         raise ConfigError("fixture.level must be >= 1")
     if scenario.n_samples < 3:
         raise ConfigError("path.samples must be >= 3")
+    if scenario.grid_points < 3:
+        raise ConfigError("grid.points must be >= 3")
     return scenario
 
 
@@ -268,6 +269,7 @@ class _Workspace:
         self._structure = None
         self._cycles = None
         self._pairing = None
+        self._straight_fluxes = None
         self.atlas_parts: dict = {}
 
     @property
@@ -310,6 +312,22 @@ class _Workspace:
         return ImmersionPath.straight(
             self.fixture.family, amp, n_samples=n_samples or self.scenario.n_samples
         )
+
+    def straight_fluxes(self):
+        """(relative, dual) flux classes of the straight path, computed once.
+
+        A failed pass is kept too and raised again for every suite that asks.
+        """
+        if self._straight_fluxes is None:
+            rel, ab = self.rel_abs
+            path = self.straight_path()
+            try:
+                self._straight_fluxes = path_fluxes(self.fixture.model, path, rel, ab)
+            except SlagError as exc:
+                self._straight_fluxes = exc
+        if isinstance(self._straight_fluxes, SlagError):
+            raise self._straight_fluxes
+        return self._straight_fluxes
 
     def s_curve_path(self, n_samples=None, strength=None):
         amp = self.amplitudes()
@@ -356,7 +374,6 @@ def _suite_topology(ws: _Workspace, report: RunReport, scenario: Scenario):
 def _suite_tangent_laws(ws: _Workspace, report: RunReport, scenario: Scenario):
     from .immersion import validate
 
-    rel, ab = ws.rel_abs
     path = ws.straight_path()
     endpoint_reports = [
         validate(ws.fixture.model, path.immersion_at(j), ws.fixture.lagrangians)
@@ -368,8 +385,7 @@ def _suite_tangent_laws(ws: _Workspace, report: RunReport, scenario: Scenario):
         all(r.ok for r in endpoint_reports),
         detail=f"worst containment {max(r.boundary_distance for r in endpoint_reports):.2e}",
     )
-    rf = relative_flux(ws.fixture.model, path, rel)
-    sf = special_flux(ws.fixture.model, path, ab)
+    rf, sf = ws.straight_fluxes()
     report.add(
         "tangent_laws/theta_closed",
         "tangent one-form of a constrained Lagrangian path is closed",
@@ -506,8 +522,7 @@ def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
     rel, ab = ws.rel_abs
     model = ws.fixture.model
     path = ws.straight_path()
-    rf = relative_flux(model, path, rel)
-    sf = special_flux(model, path, ab)
+    rf, sf = ws.straight_fluxes()
     worst_rf = max(
         abs(swept_rf_oracle(model, path, g) - rf.period_vector[j])
         for j, g in enumerate(rel.cycles)
@@ -530,8 +545,7 @@ def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
     worst_rand = 0.0
     for _ in range(scenario.n_random_paths):
         rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
-        rrf = relative_flux(model, rpath, rel)
-        rsf = special_flux(model, rpath, ab)
+        rrf, rsf = path_fluxes(model, rpath, rel, ab)
         for j, g in enumerate(rel.cycles):
             worst_rand = max(
                 worst_rand, abs(swept_rf_oracle(model, rpath, g) - rrf.period_vector[j])
@@ -576,11 +590,8 @@ def _suite_homotopy(ws: _Workspace, report: RunReport, scenario: Scenario):
 
 def _suite_closed_form(ws: _Workspace, report: RunReport, scenario: Scenario):
     fx = ws.fixture
-    rel, ab = ws.rel_abs
-    path = ws.straight_path()
-    rf = relative_flux(fx.model, path, rel)
-    sf = special_flux(fx.model, path, ab)
-    amp = np.asarray(scenario.amplitudes, dtype=float)
+    amp = ws.amplitudes()
+    rf, sf = ws.straight_fluxes()
     if fx.name == "two_handle":
         widths = np.asarray(fx.expected["widths"])
         rf_expect = -widths * amp
@@ -728,6 +739,8 @@ def run(scenario: Scenario) -> RunReport:
             continue
         try:
             _SUITE_FUNCS[suite](ws, report, scenario)
+        except ConfigError:
+            raise
         except SlagError as exc:
             report.add_flag(
                 f"{suite}/error", "suite executed without module errors", False,
@@ -792,7 +805,7 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     rel, ab = ws.rel_abs
     model = ws.fixture.model
     amp = ws.amplitudes()
-    reference = relative_flux(model, ws.straight_path(), rel).period_vector
+    rf_reference, sf_reference = (f.period_vector for f in ws.straight_fluxes())
     ramp = (
         lambda t: (math.exp(t) - 1.0) / (math.e - 1.0),
         lambda t: math.exp(t) / (math.e - 1.0),
@@ -800,13 +813,11 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     rows = []
     for n in sample_counts:
         path = ImmersionPath.straight(ws.fixture.family, amp, n_samples=n, profile=ramp)
-        rf = relative_flux(model, path, rel)
-        sf = special_flux(model, path, ab)
-        sf_reference = special_flux(model, ws.straight_path(), ab).period_vector
+        rf, sf = path_fluxes(model, path, rel, ab)
         rows.append(ConvergenceRow(
             n, 1.0 / (n - 1),
             {
-                "rf_quadrature_error": float(np.abs(rf.period_vector - reference).max()),
+                "rf_quadrature_error": float(np.abs(rf.period_vector - rf_reference).max()),
                 "sf_quadrature_error": float(np.abs(sf.period_vector - sf_reference).max()),
             },
         ))
@@ -913,11 +924,11 @@ def emit(report: RunReport, out_dir, formats=("json", "csv")) -> list:
     return written
 
 
-def emit_convergence(table: ConvergenceTable, out_dir) -> list:
+def emit_convergence(table: ConvergenceTable, out_dir, filename="convergence.csv") -> list:
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "convergence.csv")
+    path = os.path.join(out_dir, filename)
     lines = ["level,h," + ",".join(table.quantity_names)]
     for row in table.rows:
         vals = ",".join(_float_repr(row.residuals[nm]) for nm in table.quantity_names)

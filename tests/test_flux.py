@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from slaglab.dec import HodgeStructure, hodge_star
+from slaglab import flux
+from slaglab.dec import Cochain, HodgeStructure, hodge_star, period_matrix
 from slaglab.errors import (
+    DegenerateSimplexError,
     EndpointMismatchError,
     NonLagrangianSampleError,
     NonSpecialSampleError,
@@ -13,6 +17,7 @@ from slaglab.flux import (
     ImmersionPath,
     dual_form,
     homotopy_invariance_harness,
+    path_fluxes,
     relative_flux,
     special_flux,
     swept_rf_oracle,
@@ -269,3 +274,209 @@ def test_interval_flux_and_oracles():
     assert swept_sf_oracle(fx.model, path, ab.cycles[0]) == pytest.approx(
         sf.period_vector[0], abs=1e-14
     )
+
+
+# -- batched pass against a per-sample reference ------------------------------------
+
+
+def _reference_residuals(model, immersion):
+    """Lagrangian and special residuals of one immersion, one Gram determinant per simplex."""
+    n = immersion.mesh.dim
+    g = model.metric_matrix()
+
+    def volumes(frames):
+        gram = np.einsum("tia,ab,tjb->tij", frames, g, frames)
+        vols = np.sqrt(np.abs(np.linalg.det(gram))) / math.factorial(frames.shape[1])
+        return np.maximum(vols, 1e-300)
+
+    top = immersion.simplex_frames(model, n)
+    special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / volumes(top))
+    if n < 2:
+        return 0.0, special
+    two = immersion.simplex_frames(model, 2)
+    return np.max(np.abs(model.omega(two)) / 2.0 / volumes(two)), special
+
+
+def _rule(count):
+    h = 1.0 / (count - 1)
+    if count % 2:
+        w = np.full(count, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        return w * h / 3.0, "simpson"
+    w = np.ones(count)
+    w[0] = w[-1] = 0.5
+    return w * h, "trapezoid"
+
+
+def _reference_flux(model, path, cycles, integrand, degree):
+    """Periods, raw cochain and diagnostics from a loop over the per-sample integrand."""
+    mesh = path.family.mesh
+    samples = range(path.n_samples)
+    values = [integrand(model, path, j).values for j in samples]
+    residuals = np.array([_reference_residuals(model, path.immersion_at(j)) for j in samples])
+    weights, rule = _rule(path.n_samples)
+    raw = sum(w * v for w, v in zip(weights, values))
+    periods = period_matrix([Cochain(mesh, degree, raw)], cycles)[:, 0]
+    d_op = mesh.coboundary_operator(degree) if degree < mesh.dim else None
+    boundary = mesh.in_boundary(degree)
+    diag = {
+        "rule": rule,
+        "max_lagrangian_residual": residuals[:, 0].max(),
+        "max_special_residual": residuals[:, 1].max(),
+        "max_sample_closedness": (
+            max(np.abs(d_op @ v).max() for v in values) if d_op is not None else 0.0
+        ),
+        "max_sample_boundary_value": (
+            max(np.abs(v[boundary]).max() for v in values) if boundary.any() else 0.0
+        ),
+        "raw_closedness": np.abs(d_op @ raw).max() if d_op is not None else 0.0,
+        "raw_boundary_value": np.abs(raw[boundary]).max() if boundary.any() else 0.0,
+    }
+    if path.n_samples % 4 == 1:
+        halves, _ = _rule((path.n_samples + 1) // 2)
+        coarse = sum(w * v for w, v in zip(halves, values[::2]))
+        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles)[:, 0]
+        diag["richardson_error"] = np.abs(periods - coarse_periods).max() / 15.0
+    return periods, raw, diag
+
+
+_S_CURVE = (lambda t: t - 0.4 * math.sin(2 * math.pi * t) / (2 * math.pi),
+            lambda t: 1 - 0.4 * math.cos(2 * math.pi * t))
+
+def _straight(make_fixture, target, count, **kwargs):
+    fx = make_fixture(1, **kwargs)
+    return fx, ImmersionPath.straight(fx.family, target, n_samples=count, profile=_S_CURVE)
+
+
+def _sheared(count):
+    """A shear growing along x2: neither Lagrangian nor closed, and different at every sample."""
+    fx = cylinder_translation(1)
+
+    def positions(u):
+        out = fx.base.positions.copy()
+        out[:, 1] += u[0] * (1.0 + 0.5 * out[:, 2]) + u[0] ** 2 * out[:, 0]
+        return out
+
+    family = ImmersionFamily(fx.mesh, 1, positions, None)
+    return fx, ImmersionPath(family, lambda t: np.array([0.2 * math.sin(math.pi * t)]),
+                             n_samples=count, velocity_mode="fd")
+
+
+_PATHS = {
+    "cylinder-17": lambda: _straight(cylinder_translation, [0.3], 17),
+    "cylinder-almost-cy-13": lambda: _straight(cylinder_translation, [0.3], 13, almost_cy=True),
+    "cylinder-sheared-10": lambda: _sheared(10),
+    "cylinder-sheared-17": lambda: _sheared(17),
+    "two-handle-13": lambda: _straight(two_handle, [0.3, -0.2], 13),
+    "interval-17": lambda: _straight(interval_c1, [0.25], 17),
+}
+
+
+@pytest.mark.parametrize("block", [None, 3, 1])
+@pytest.mark.parametrize("key", sorted(_PATHS))
+def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
+    fx, path = _PATHS[key]()
+    if block is not None:  # blocks of `block` samples; 17, 13 and 10 are not multiples of 3
+        monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES",
+                            block * fx.mesh.n_simplices(fx.mesh.dim))
+    rel = relative_cycle_basis(fx.mesh)
+    ab = absolute_cycle_basis(fx.mesh)
+    # no residual gate, so the sheared paths reach the diagnostics
+    rf, sf = path_fluxes(fx.model, path, rel, ab, lagrangian_tol=np.inf, special_tol=np.inf)
+    checks = [
+        (rf, _reference_flux(fx.model, path, rel, tangent_one_form, 1)),
+        (sf, _reference_flux(fx.model, path, ab, dual_form, fx.mesh.dim - 1)),
+    ]
+    for got, (periods, raw, diag) in checks:
+        np.testing.assert_allclose(got.period_vector, periods, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.raw_cochain.values, raw, rtol=1e-12, atol=0)
+        assert got.diagnostics.keys() == diag.keys()
+        assert got.diagnostics["rule"] == diag.pop("rule")
+        for name, value in diag.items():
+            np.testing.assert_allclose(got.diagnostics[name], value, rtol=1e-12, atol=0,
+                                       err_msg=name)
+    # the single-space wrappers run the same pass
+    rf_only = relative_flux(fx.model, path, rel, lagrangian_tol=np.inf)
+    sf_only = special_flux(fx.model, path, ab, special_tol=np.inf)
+    np.testing.assert_array_equal(rf_only.period_vector, rf.period_vector)
+    np.testing.assert_array_equal(sf_only.period_vector, sf.period_vector)
+
+
+def _bend(p):  # the graph y1 = 0.1 x1 stays Lagrangian but is not calibrated
+    p[:, 1] += 0.1 * p[:, 0]
+
+
+def _tilt(p):  # a shear growing along x2 breaks the Lagrangian condition
+    p[:, 1] += 0.01 * (1.0 + 0.5 * p[:, 2])
+
+
+def _tear(p):  # one vertex moved too far for the minimal-image lift
+    p[0] += [0.4, 0.0, 0.4, 0.0]
+
+
+def _faulty_path(fx, faults, n_samples=9):
+    """Translation-free path that applies faults[j] to the base positions at sample j."""
+
+    def positions(u):
+        out = fx.base.positions.copy()
+        fault = faults.get(int(round(u[0] * (n_samples - 1))))
+        if fault is not None:
+            fault(out)
+        return out
+
+    family = ImmersionFamily(fx.mesh, 1, positions, None)
+    return ImmersionPath(family, lambda t: np.array([t]), n_samples=n_samples,
+                         velocity_mode="fd")
+
+
+# (faults by sample, relative-pass failure, dual-pass failure), as two separate
+# per-sample passes raise them: within a sample a simplex too large to lift
+# comes before the residual, and a sample comes before every later one.
+_FAULT_CASES = [
+    ({2: _bend, 6: _tilt}, (NonLagrangianSampleError, "sample 6 "),
+     (NonSpecialSampleError, "sample 2 ")),
+    ({1: _tilt, 3: _tear}, (NonLagrangianSampleError, "sample 1 "),
+     (DegenerateSimplexError, "too large")),
+    ({1: _tear, 3: _tilt}, (DegenerateSimplexError, "too large"),
+     (DegenerateSimplexError, "too large")),
+    ({1: _bend, 5: _tear}, (DegenerateSimplexError, "too large"),
+     (NonSpecialSampleError, "sample 1 ")),
+    ({4: _bend}, None, (NonSpecialSampleError, "sample 4 ")),
+    ({2: lambda p: (_tilt(p), _bend(p), _tear(p))}, (DegenerateSimplexError, "too large"),
+     (DegenerateSimplexError, "too large")),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("faults, rel_failure, abs_failure", _FAULT_CASES)
+def test_failures_keep_the_order_of_separate_passes(cyl, faults, rel_failure, abs_failure,
+                                                   block, monkeypatch):
+    fx, rel, ab = cyl
+    if block is not None:
+        monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES",
+                            block * fx.mesh.n_simplices(fx.mesh.dim))
+    path = _faulty_path(fx, faults)
+    calls = [
+        (lambda: relative_flux(fx.model, path, rel), rel_failure),
+        (lambda: special_flux(fx.model, path, ab), abs_failure),
+        (lambda: path_fluxes(fx.model, path, rel, ab), rel_failure or abs_failure),
+    ]
+    for call, failure in calls:
+        if failure is None:
+            call()
+            continue
+        error, message = failure
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_homotopy_harness_reports_relative_failures_first(cyl):
+    """Path a fails only the dual check, path b the relative one: b's comes first."""
+    fx, rel, ab = cyl
+    path_a = _faulty_path(fx, {2: _bend})
+    path_b = _faulty_path(fx, {6: _tilt})
+    with pytest.raises(NonLagrangianSampleError, match="sample 6 "):
+        homotopy_invariance_harness(fx.model, path_a, path_b, rel, ab)
+    with pytest.raises(NonSpecialSampleError, match="sample 2 "):
+        homotopy_invariance_harness(fx.model, path_a, path_a, rel, ab)

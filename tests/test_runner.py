@@ -161,6 +161,50 @@ def test_scenario_lagrangian_block():
     assert report.passed
 
 
+def test_grid_points_below_three_is_config_error(tmp_path, capsys):
+    data = minimal_scenario(grid={"radius": 0.1, "points": 2})
+    with pytest.raises(ConfigError, match="grid.points"):
+        scenario_from_dict(data)
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    assert "grid.points" in capsys.readouterr().err
+
+
+def test_wrong_amplitude_count_is_config_error(tmp_path, capsys):
+    data = minimal_scenario(path={"amplitudes": [0.3, 0.1]}, suites=["closed_form"])
+    with pytest.raises(ConfigError, match="path.amplitudes"):
+        run(scenario_from_dict(data))
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    assert "path.amplitudes" in capsys.readouterr().err
+
+
+def test_straight_path_fluxes_computed_once(monkeypatch):
+    import slaglab.runner as runner_module
+
+    calls = []
+    original = runner_module.path_fluxes
+
+    def counting(model, path, *args, **kwargs):
+        calls.append(path.n_samples)
+        return original(model, path, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "path_fluxes", counting)
+    report = run(scenario_from_dict(minimal_scenario(suites=["tangent_laws", "closed_form"])))
+    assert report.passed
+    assert calls == [33]
+
+
+def test_cached_straight_path_failure_fails_every_suite():
+    # y1 = y1 + u1 * x1 keeps the path Lagrangian but not calibrated
+    data = minimal_scenario(
+        suites=["tangent_laws", "flux_oracles", "closed_form"],
+        family={"expressions": {"y1": "y1 + u1*x1"}, "parameters": ["u1"]},
+    )
+    report = run(scenario_from_dict(data))
+    errors = {c.name: c.detail for c in report.checks if c.name.endswith("/error")}
+    assert sorted(errors) == ["closed_form/error", "flux_oracles/error", "tangent_laws/error"]
+    assert all(d.startswith("NonSpecialSampleError") for d in errors.values())
+
+
 def test_scenario_lagrangian_block_missing_field_named():
     lams = [{"index": 1, "basepoint": [0, 0, 0, 0]}]
     with pytest.raises(ConfigError, match=r"lagrangians\[0\].span"):
@@ -190,9 +234,15 @@ def test_quadrature_study_shows_simpson_order():
 
 def test_cli_converge_with_quadrature(tmp_path, capsys):
     p = write_scenario(tmp_path, minimal_scenario())
-    assert cli_main(["converge", p, "--levels", "1", "--quadrature", "9,17,33"]) == 0
+    assert cli_main(["converge", p, "--levels", "1", "--quadrature", "9,17,33",
+                     "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "rf_quadrature_error" in out
+    with open(tmp_path / "quadrature.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "level,h,rf_quadrature_error,sf_quadrature_error"
+    assert [line.split(",")[0] for line in lines[1:]] == ["9", "17", "33", "order"]
+    assert os.path.exists(tmp_path / "convergence.csv")
 
 
 def test_convergence_emit(tmp_path):
