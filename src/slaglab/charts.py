@@ -67,19 +67,6 @@ class PairingStructure:
             and np.abs(np.abs(P).sum(axis=1) - 1).max() == 0
         )
 
-    def dual_coordinates(self, S: np.ndarray) -> np.ndarray:
-        return self.P @ S
-
-    def B(self, tau1, tau2) -> float:
-        r1, s1 = tau1
-        r2, s2 = tau2
-        return 0.5 * float(r1 @ self.P @ s2 + r2 @ self.P @ s1)
-
-    def W(self, tau1, tau2) -> float:
-        r1, s1 = tau1
-        r2, s2 = tau2
-        return float(r1 @ self.P @ s2 - r2 @ self.P @ s1)
-
 
 def pairing_structure(
     structure: HodgeStructure,
@@ -342,8 +329,6 @@ class EmbeddingReport:
     B_gram: np.ndarray          # parameter-coordinate B Gram at the grid center
     W_max: float                # max |W| over all interior points and pairs
     B_gram_field: np.ndarray
-    l2_gram: np.ndarray | None = None
-    l2_relative_error: float | None = None
 
 
 def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport:

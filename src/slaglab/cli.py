@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 
@@ -110,6 +111,8 @@ def main(argv=None) -> int:
                         print(f"wrote {written}")
             return 0
         # run
+        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+            raise ConfigError(f"--tol-scale must be a positive finite number, got {args.tol_scale}")
         if args.jobs > 1 and len(args.files) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(

@@ -38,7 +38,7 @@ from .errors import (
     RankDeficientError,
     SolverFailureError,
 )
-from .meshes import Chain, SimplicialMesh
+from .meshes import SimplicialMesh
 
 _KERNEL_GAP = 1e-8
 _SOLVER_TOL = 1e-12
@@ -149,13 +149,6 @@ class HodgeStructure:
                 raise SolverFailureError(f"mass factorization failed in degree {k}") from exc
         return self._factors[k]
 
-    def stiffness_matrix(self, k: int) -> sp.csr_matrix:
-        """Weak form of d* d on degree-k cochains: d_k^T M_{k+1} d_k."""
-        if not 0 <= k < self.mesh.dim:
-            raise DegreeOutOfRangeError(f"no stiffness in degree {k}")
-        d = self.mesh.coboundary_operator(k).astype(float)
-        return (d.T @ self.mass_matrix(k + 1) @ d).tocsr()
-
     def _assemble_mass(self, k: int) -> sp.csr_matrix:
         mesh, n = self.mesh, self.mesh.dim
         faces = list(itertools.combinations(range(n + 1), k + 1))
@@ -235,20 +228,6 @@ class HodgeStructure:
         return math.sqrt(max(self.inner(a, a), 0.0))
 
 
-def dump_diagnostics(structure: HodgeStructure, path) -> None:
-    """CSV dump of solver diagnostics (kernel spectra, pairing conditions)."""
-    lines = ["key,index,value"]
-    for key in sorted(structure.diagnostics):
-        value = structure.diagnostics[key]
-        if np.ndim(value) == 0:
-            lines.append(f"{key},0,{float(value)!r}")
-        else:
-            for i, v in enumerate(np.asarray(value).ravel()):
-                lines.append(f"{key},{i},{float(v)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def exterior_derivative(mesh: SimplicialMesh, k: int) -> sp.csr_matrix:
     """Signed coboundary C^k -> C^{k+1}; composition of two of these vanishes."""
     if not 0 <= k < mesh.dim:
@@ -300,10 +279,6 @@ def period_matrix(cochains, cycles) -> np.ndarray:
                 )
             out[j, kk] = sum(c * coch.values[i] for i, c in chain.coeffs.items())
     return out
-
-
-def chain_period(cochain: Cochain, chain: Chain) -> float:
-    return float(period_matrix([cochain], [chain])[0, 0])
 
 
 # -- harmonic fields -----------------------------------------------------------------

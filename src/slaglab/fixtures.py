@@ -40,11 +40,6 @@ class Fixture:
     positions_2d: np.ndarray | None = None  # planar test meshes only
 
 
-def _grid_strip_mesh(n_axial, n_circ, keep=None, label_of_hole=None):
-    """Product triangulation helper shared by the cylinder builders."""
-    raise NotImplementedError
-
-
 def _cylinder_mesh(n_axial: int, n_circ: int, vertex_offset: int = 0,
                    labels=(1, 2)):
     """Triangulated [0,1]_axial x S^1 strip; returns (tops, boundary_labels, n_vertices).

@@ -326,47 +326,56 @@ def _swept_edge_integral(model: AmbientModel, form: ConstantForm,
     return 0.5 * float(np.sum(form(tri1)) + np.sum(form(tri2)))
 
 
-def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, gamma: Chain,
-                    n_steps: int = 256) -> float:
-    """Integral of the symplectic form over the surface swept by a relative 1-chain."""
-    if gamma.degree != 1:
-        raise SlagError("relative sweep oracle needs a 1-chain")
-    return _swept_chain_integral(model, path, gamma, model.omega, n_steps)
+def _swept_point_integral(model: AmbientModel, form: ConstantForm, p: np.ndarray) -> float:
+    """Integral of a constant 1-form along the PL curve traced by one vertex."""
+    steps = p[1:] - p[:-1]
+    return float(form(steps[:, None, :]).sum())
 
 
-def _swept_chain_integral(model, path, chain, form, n_steps):
-    edges = path.family.mesh.simplices[1]
-    items = sorted(chain.coeffs.items())
-    vertex_ids = sorted({int(v) for eid, _ in items for v in edges[eid]})
+def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
+                    n_steps: int = 256):
+    """Integral of the symplectic form over the surface swept by relative 1-chains.
+
+    cycles: one Chain, giving one float, or a cycle basis or sequence of
+    chains, giving an array with one integral per chain.
+    """
+    return _swept_integrals(model, path, cycles, model.omega, 1, n_steps,
+                            "relative sweep oracle needs a 1-chain")
+
+
+def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
+                    n_steps: int = 256):
+    """Integral of the imaginary calibration form over the cylinders swept by cycles.
+
+    cycles: one Chain or a basis / sequence of chains, as in `swept_rf_oracle`.
+    """
+    dim = path.family.mesh.dim
+    if dim not in (1, 2):
+        raise SlagError("sweep oracle implemented for dim <= 2")
+    return _swept_integrals(model, path, cycles, model.im_omega_hat, dim - 1, n_steps,
+                            f"sweep oracle needs a {dim - 1}-chain on a {dim}-complex")
+
+
+def _swept_integrals(model, path, cycles, form, degree, n_steps, degree_error):
+    """Swept integrals of each chain, from one trajectory of all their vertices."""
+    single = isinstance(cycles, Chain)
+    chains = [cycles] if single else list(getattr(cycles, "cycles", cycles))
+    if any(c.degree != degree for c in chains):
+        raise SlagError(degree_error)
+    simplices = path.family.mesh.simplices[degree]
+    integral = _swept_edge_integral if degree == 1 else _swept_point_integral
+    items = [sorted(chain.coeffs.items()) for chain in chains]
+    vertex_ids = sorted({int(v) for chain in items for sid, _ in chain for v in simplices[sid]})
     vpos = {v: i for i, v in enumerate(vertex_ids)}
     traj = _chain_trajectories(path, vertex_ids, n_steps)
-    total = 0.0
-    for eid, coeff in items:
-        a, b = int(edges[eid][0]), int(edges[eid][1])
-        total += coeff * _swept_edge_integral(model, form, traj[:, vpos[a]], traj[:, vpos[b]])
-    return total
-
-
-def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, sigma: Chain,
-                    n_steps: int = 256) -> float:
-    """Integral of the imaginary calibration form over the cylinder swept by a cycle."""
-    mesh = path.family.mesh
-    form = model.im_omega_hat
-    if mesh.dim == 1:
-        if sigma.degree != 0:
-            raise SlagError("sweep oracle needs a 0-chain on a 1-complex")
-        items = sorted(sigma.coeffs.items())
-        traj = _chain_trajectories(path, [vid for vid, _ in items], n_steps)
+    totals = []
+    for chain in items:
         total = 0.0
-        for col, (vid, coeff) in enumerate(items):
-            steps = traj[1:, col] - traj[:-1, col]
-            total += coeff * float(form(steps[:, None, :]).sum())
-        return total
-    if mesh.dim == 2:
-        if sigma.degree != 1:
-            raise SlagError("sweep oracle needs a 1-chain on a 2-complex")
-        return _swept_chain_integral(model, path, sigma, form, n_steps)
-    raise SlagError("sweep oracle implemented for dim <= 2")
+        for sid, coeff in chain:
+            corners = [traj[:, vpos[int(v)]] for v in simplices[sid]]
+            total += coeff * integral(model, form, *corners)
+        totals.append(total)
+    return totals[0] if single else np.array(totals)
 
 
 # -- homotopy harness ------------------------------------------------------------------

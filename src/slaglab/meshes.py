@@ -6,9 +6,18 @@ additionally carry an orientation flag (+1/-1) relative to their canonical
 order; boundary operators act on canonical simplices and therefore satisfy
 boundary-of-boundary = 0 in exact integer arithmetic.
 
-Homology ranks are computed over GF(p) for a large prime p, which agrees with
-the rank over the rationals for the torsion-free desk-scale complexes used
-here; the test suite cross-checks against a Smith-normal-form oracle.
+The edge boundary is the incidence matrix of the edge graph, and, since every
+mesh is an oriented pseudomanifold, the top boundary is (up to column signs)
+the incidence matrix of the dual graph: top simplices plus one ground node,
+joined across each interior face and from each boundary face to the ground.
+Their ranks are graph ranks over every field (nodes minus components, counted
+by union-find), so the Betti numbers of curves and surfaces take near-linear
+time.  Cycle bases come
+from a tree-cotree decomposition (Eppstein, SODA 2003; Erickson & Whittlesey,
+SODA 2005).  Only the middle ranks of complexes of dimension >= 3 use column
+elimination over GF(p) for a large prime p, which agrees with the rank over
+the rationals for the torsion-free desk-scale complexes used here; the test
+suite cross-checks the ranks against a Smith-normal-form oracle.
 """
 
 from __future__ import annotations
@@ -97,9 +106,6 @@ class SimplicialMesh:
         self.simplices = simplices          # tuple over k of (N_k, k+1) int arrays
         self.top_orientation = top_orientation  # (N_n,) of +-1
         self.boundary_labels = boundary_labels  # (N_{n-1},) int, 0 = interior
-        self._index = [
-            {tuple(row): i for i, row in enumerate(simp)} for simp in simplices
-        ]
         self._boundary_ops: dict[int, sp.csr_matrix] = {}
         self._betti: BettiProfile | None = None
         self._face_tables: dict[int, np.ndarray] = {}
@@ -110,9 +116,6 @@ class SimplicialMesh:
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices[k])
-
-    def simplex_id(self, k: int, vertices) -> int:
-        return self._index[k][tuple(sorted(vertices))]
 
     @property
     def n_components(self) -> int:
@@ -146,13 +149,11 @@ class SimplicialMesh:
         masks = [np.zeros(self.n_simplices(k), dtype=bool) for k in range(self.dim + 1)]
         if self.dim == 0:
             return masks
-        faces = self.simplices[self.dim - 1]
-        for fid in np.nonzero(self.boundary_labels > 0)[0]:
-            fverts = tuple(faces[fid])
-            masks[self.dim - 1][fid] = True
-            for k in range(self.dim - 1):
-                for sub in itertools.combinations(fverts, k + 1):
-                    masks[k][self._index[k][sub]] = True
+        masks[self.dim - 1] = self.boundary_labels > 0
+        faces = self.simplices[self.dim - 1][masks[self.dim - 1]]
+        for k in range(self.dim - 1):
+            for combo in itertools.combinations(range(self.dim), k + 1):
+                masks[k][self._ids_of(k, faces[:, list(combo)])] = True
         return masks
 
     # -- chain complex ---------------------------------------------------------
@@ -162,19 +163,16 @@ class SimplicialMesh:
         if not 1 <= k <= self.dim:
             raise SlagError(f"no boundary operator in degree {k}")
         if k not in self._boundary_ops:
-            rows, cols, vals = [], [], []
-            lower = self._index[k - 1]
-            for j, simplex in enumerate(self.simplices[k]):
-                for i in range(k + 1):
-                    face = tuple(np.delete(simplex, i))
-                    rows.append(lower[face])
-                    cols.append(j)
-                    vals.append((-1) ** i)
-            mat = sp.csr_matrix(
-                (np.array(vals, dtype=np.int64), (rows, cols)),
+            simp = self.simplices[k]
+            rows = np.stack(
+                [self._ids_of(k - 1, np.delete(simp, i, axis=1)) for i in range(k + 1)], axis=1
+            )
+            vals = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), len(simp))
+            cols = np.repeat(np.arange(len(simp)), k + 1)
+            self._boundary_ops[k] = sp.csr_matrix(
+                (vals, (rows.ravel(), cols)),
                 shape=(self.n_simplices(k - 1), self.n_simplices(k)),
             )
-            self._boundary_ops[k] = mat
         return self._boundary_ops[k]
 
     def coboundary_operator(self, k: int) -> sp.csr_matrix:
@@ -187,14 +185,24 @@ class SimplicialMesh:
         Column order matches itertools.combinations over local vertex slots.
         """
         if k not in self._face_tables:
-            combos = list(itertools.combinations(range(self.dim + 1), k + 1))
-            table = np.empty((self.n_simplices(self.dim), len(combos)), dtype=np.int64)
-            index = self._index[k]
-            for t, simplex in enumerate(self.simplices[self.dim]):
-                for c, combo in enumerate(combos):
-                    table[t, c] = index[tuple(simplex[list(combo)])]
-            self._face_tables[k] = table
+            tops = self.simplices[self.dim]
+            combos = itertools.combinations(range(self.dim + 1), k + 1)
+            self._face_tables[k] = np.stack(
+                [self._ids_of(k, tops[:, list(combo)]) for combo in combos], axis=1
+            ).astype(np.int64)
         return self._face_tables[k]
+
+    def _ids_of(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Ids of the k-simplices given as rows of sorted vertex ids.
+
+        A row's mixed-radix code in base n_vertices orders rows the way the
+        lexicographic simplex order does, so ids are found by binary search.
+        The codes must fit in int64 (n_vertices ** (k + 1) < 2 ** 63); numpy
+        raises ValueError beyond that.
+        """
+        shape = (self.n_vertices,) * (k + 1)
+        codes = np.ravel_multi_index(self.simplices[k].T, shape)
+        return np.searchsorted(codes, np.ravel_multi_index(rows.T, shape))
 
     def chain_boundary(self, chain: Chain) -> Chain:
         if chain.degree == 0:
@@ -213,30 +221,55 @@ class SimplicialMesh:
     def betti_profile(self) -> BettiProfile:
         if self._betti is None:
             n = self.dim
-            ranks = [0] * (n + 2)
-            for k in range(1, n + 1):
-                ranks[k] = _rank_mod_p(_matrix_columns(self.boundary_operator(k)))
+            ranks = [0] + [self._boundary_rank(k) for k in range(1, n + 1)] + [0]
             betti = tuple(
                 self.n_simplices(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)
             )
             self._betti = BettiProfile(betti, self._relative_b1())
         return self._betti
 
+    def _boundary_rank(self, k: int) -> int:
+        if k == 1:
+            return _graph_rank(self.n_vertices, self.simplices[1])
+        if k == self.dim:
+            return _graph_rank(self.n_simplices(k) + 1, self._dual_edges())
+        return _rank_mod_p(self.boundary_operator(k))
+
     def _relative_b1(self) -> int:
+        """Rank of H_1 relative to the boundary: interior edges only, with the
+        boundary vertices merged into one node and no ground node in the dual."""
         if self.dim == 0:
             return 0
-        keep = [~self._in_boundary[k] for k in range(self.dim + 1)]
-        n1 = int(keep[1].sum())
-        rank1 = _rank_mod_p(
-            _matrix_columns(self.boundary_operator(1), row_mask=keep[0], col_mask=keep[1])
-        )
-        if self.dim >= 2:
-            rank2 = _rank_mod_p(
-                _matrix_columns(self.boundary_operator(2), row_mask=keep[1], col_mask=keep[2])
-            )
-        else:
+        interior = ~self._in_boundary[1]
+        rank1 = _graph_rank(self.n_vertices + 1, self._merged_edges()[interior])
+        if self.dim == 1:
             rank2 = 0
-        return n1 - rank1 - rank2
+        elif self.dim == 2:
+            rank2 = _graph_rank(self.n_simplices(2), self._dual_edges()[interior])
+        else:
+            rank2 = _rank_mod_p(self.boundary_operator(2)[interior][:, ~self._in_boundary[2]])
+        return int(interior.sum()) - rank1 - rank2
+
+    def _merged_edges(self) -> np.ndarray:
+        """(N_1, 2) edge ends with every boundary vertex replaced by node n_vertices."""
+        edges = self.simplices[1]
+        return np.where(self._in_boundary[0][edges], self.n_vertices, edges)
+
+    def _dual_edges(self) -> np.ndarray:
+        """(N_{n-1}, 2) top simplices on the two sides of each (n-1)-face.
+
+        A boundary face has one side; its second end is the ground node N_n.
+        """
+        table = self.face_table(self.dim - 1)
+        faces = table.ravel()
+        tops = np.repeat(np.arange(len(table)), table.shape[1])
+        order = np.argsort(faces, kind="stable")
+        faces, tops = faces[order], tops[order]
+        second = np.r_[False, faces[1:] == faces[:-1]]
+        ends = np.full((self.n_simplices(self.dim - 1), 2), len(table))
+        ends[faces[~second], 0] = tops[~second]
+        ends[faces[second], 1] = tops[second]
+        return ends
 
 
 # -- construction ---------------------------------------------------------------
@@ -367,13 +400,6 @@ def _validate_boundary_components(mesh: SimplicialMesh) -> None:
         raise UnlabeledBoundaryError(f"labels must be exactly 1..d, got {used}")
     # connected components of the boundary complex via shared (n-2)-faces
     parent = {int(i): int(i) for i in face_ids}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     faces = mesh.simplices[mesh.dim - 1]
     subface_map: dict[tuple, int] = {}
     for fid in face_ids:
@@ -383,14 +409,14 @@ def _validate_boundary_components(mesh: SimplicialMesh) -> None:
         keys = [fverts[:i] + fverts[i + 1 :] for i in range(len(fverts))] if mesh.dim >= 2 else []
         for key in keys:
             if key in subface_map:
-                ra, rb = find(subface_map[key]), find(fid)
+                ra, rb = _find(parent, subface_map[key]), _find(parent, fid)
                 if ra != rb:
                     parent[ra] = rb
             else:
                 subface_map[key] = fid
     comps: dict[int, set[int]] = {}
     for fid in face_ids:
-        comps.setdefault(find(int(fid)), set()).add(int(labels[fid]))
+        comps.setdefault(_find(parent, int(fid)), set()).add(int(labels[fid]))
     if len(comps) != d:
         raise UnlabeledBoundaryError(
             f"boundary has {len(comps)} connected components but {d} labels"
@@ -400,49 +426,51 @@ def _validate_boundary_components(mesh: SimplicialMesh) -> None:
             raise UnlabeledBoundaryError(f"one boundary component carries labels {sorted(members)}")
 
 
-# -- betti numbers over GF(p) -------------------------------------------------------
+# -- ranks: graphs by components, the rest over GF(p) ---------------------------------
 
 
-def _matrix_columns(mat: sp.csr_matrix, row_mask=None, col_mask=None):
-    """Columns of an integer sparse matrix as dicts, with optional submatrix masks."""
-    csc = mat.tocsc()
-    if row_mask is not None:
-        row_keep = row_mask
-    else:
-        row_keep = np.ones(mat.shape[0], dtype=bool)
-    cols = range(mat.shape[1]) if col_mask is None else np.nonzero(col_mask)[0]
-    out = []
-    for j in cols:
-        start, end = csc.indptr[j], csc.indptr[j + 1]
-        col = {
-            int(i): int(v)
-            for i, v in zip(csc.indices[start:end], csc.data[start:end])
-            if row_keep[i]
-        }
-        out.append(col)
-    return out
+def _find(parent, a):
+    """Root of a in a union-find parent map, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
-class _ModReducer:
-    """Incremental column reduction over GF(p) with lowest-row pivoting."""
+def _unite(parent, ends: np.ndarray) -> list[bool]:
+    """Union the two ends of each edge (row) in turn; True where it joined two classes."""
+    joined = []
+    for a, b in zip(*ends.T.tolist()):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+        joined.append(ra != rb)
+    return joined
 
-    def __init__(self, p: int = _PRIME):
-        self.p = p
-        self.pivots: dict[int, dict[int, int]] = {}
-        self.rank = 0
 
-    def add(self, column: dict[int, int]) -> bool:
-        """Reduce a column against current pivots; True if it increases rank."""
-        p = self.p
-        col = {r: v % p for r, v in column.items() if v % p}
+def _graph_rank(n_nodes: int, ends: np.ndarray) -> int:
+    """Rank of a multigraph's incidence matrix over any field: the edge count of
+    a spanning forest, i.e. nodes minus components.
+
+    Deleting the row of one node per component (a ground node) keeps the rank.
+    """
+    return sum(_unite(list(range(n_nodes)), ends))
+
+
+def _rank_mod_p(mat: sp.spmatrix, p: int = _PRIME) -> int:
+    """Rank over GF(p) by incremental column reduction with lowest-row pivots."""
+    csc = sp.csc_matrix(mat)
+    pivots: dict[int, dict[int, int]] = {}
+    for start, end in zip(csc.indptr[:-1], csc.indptr[1:]):
+        col = {r: v % p for r, v in zip(csc.indices[start:end].tolist(),
+                                        csc.data[start:end].tolist()) if v % p}
         while col:
             r = min(col)
-            piv = self.pivots.get(r)
+            piv = pivots.get(r)
             if piv is None:
                 inv = pow(col[r], p - 2, p)
-                self.pivots[r] = {rr: (vv * inv) % p for rr, vv in col.items()}
-                self.rank += 1
-                return True
+                pivots[r] = {rr: (vv * inv) % p for rr, vv in col.items()}
+                break
             c = col[r]
             for rr, vv in piv.items():
                 nv = (col.get(rr, 0) - c * vv) % p
@@ -450,14 +478,7 @@ class _ModReducer:
                     col[rr] = nv
                 else:
                     col.pop(rr, None)
-        return False
-
-
-def _rank_mod_p(columns, p: int = _PRIME) -> int:
-    red = _ModReducer(p)
-    for col in columns:
-        red.add(col)
-    return red.rank
+    return len(pivots)
 
 
 def betti_profile(mesh: SimplicialMesh) -> BettiProfile:
@@ -475,36 +496,18 @@ def betti_profile(mesh: SimplicialMesh) -> BettiProfile:
 def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
     """Independent relative 1-cycles: 1-chains with boundary on boundary vertices.
 
-    Construction: merge all boundary vertices into one virtual node, take the
-    fundamental cycles of a breadth-first spanning forest (lowest simplex id
-    first), and keep those that stay independent modulo interior 2-boundaries.
+    Construction: merge all boundary vertices into one virtual node, take a
+    breadth-first spanning forest of the interior edges (lowest simplex id
+    first), and keep the fundamental cycles whose non-tree edge lies outside
+    the cotree of the dual graph on the triangles (see `_cycle_generators`).
     """
+    if mesh.dim > 2:
+        raise SlagError("relative cycle basis implemented for dim <= 2")
     m = mesh.betti_profile().b_rel_1
-    edges = mesh.simplices[1]
-    interior_edge_ids = mesh.interior_simplex_ids(1)
-    on_boundary = mesh._in_boundary[0]
-    star = mesh.n_vertices  # virtual merged node
-
-    def node(v):
-        return star if on_boundary[v] else int(v)
-
-    candidates = _fundamental_cycles(
-        [(int(e), node(edges[e][0]), node(edges[e][1])) for e in interior_edge_ids],
-        n_nodes=mesh.n_vertices + 1,
-        roots=[star],
-    )
-    reducer = _ModReducer()
-    if mesh.dim >= 2:
-        keep1 = ~mesh._in_boundary[1]
-        for col in _matrix_columns(mesh.boundary_operator(2), row_mask=keep1,
-                                   col_mask=~mesh._in_boundary[2]):
-            reducer.add(col)
-    chosen = []
-    for chain in candidates:
-        if reducer.add(dict(chain)):
-            chosen.append(Chain(1, dict(chain)))
-            if len(chosen) == m:
-                break
+    ids = mesh.interior_simplex_ids(1)
+    edge_list = list(zip(ids.tolist(), *mesh._merged_edges()[ids].T.tolist()))
+    dual = mesh._dual_edges() if mesh.dim == 2 else None
+    chosen = _cycle_generators(edge_list, [mesh.n_vertices], dual, m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} relative cycles, expected {m}")
     return RelativeCycleBasis(tuple(chosen))
@@ -516,61 +519,60 @@ def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
     m = profile.betti[mesh.dim - 1] if mesh.dim >= 1 else profile.betti[0]
     if mesh.dim == 1:
         # one interior vertex per connected component, lowest id first
-        comp = _vertex_components(mesh)
+        parent = list(range(mesh.n_vertices))
+        _unite(parent, mesh.simplices[1])
+        members: dict[int, list[int]] = {}
+        for v in range(mesh.n_vertices):
+            members.setdefault(_find(parent, v), []).append(v)
         chosen: list[Chain] = []
-        for root in sorted(set(comp)):
-            members = np.nonzero(comp == root)[0]
-            interior = [int(v) for v in members if not mesh._in_boundary[0][v]]
-            pick = interior[0] if interior else int(members[0])
-            chosen.append(Chain(0, {pick: 1}))
+        for group in members.values():
+            interior = [v for v in group if not mesh._in_boundary[0][v]]
+            chosen.append(Chain(0, {(interior or group)[0]: 1}))
         if len(chosen) != m:
             raise RankDeficientError(f"found {len(chosen)} 0-cycles, expected {m}")
         return AbsoluteCycleBasis(tuple(chosen), degree=0)
     if mesh.dim != 2:
         raise SlagError("absolute cycle basis implemented for dim <= 2")
-    edges = mesh.simplices[1]
-    candidates = _fundamental_cycles(
-        [(i, int(e[0]), int(e[1])) for i, e in enumerate(edges)],
-        n_nodes=mesh.n_vertices,
-        roots=[],
-    )
-    reducer = _ModReducer()
-    for col in _matrix_columns(mesh.boundary_operator(2)):
-        reducer.add(col)
-    chosen = []
-    for chain in candidates:
-        if reducer.add(dict(chain)):
-            chosen.append(Chain(1, dict(chain)))
-            if len(chosen) == m:
-                break
+    edge_list = list(zip(range(mesh.n_simplices(1)), *mesh.simplices[1].T.tolist()))
+    chosen = _cycle_generators(edge_list, [], mesh._dual_edges(), m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} cycles, expected {m}")
     return AbsoluteCycleBasis(tuple(chosen), degree=1)
 
 
-def _vertex_components(mesh: SimplicialMesh) -> np.ndarray:
-    parent = np.arange(mesh.n_vertices)
+def _cycle_generators(edge_list, roots, dual_ends, m: int) -> list[Chain]:
+    """First m fundamental cycles of a BFS forest that are independent modulo
+    2-boundaries, by tree-cotree decomposition.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    dual_ends[e] are the dual-graph nodes (triangles, or the ground node)
+    joined by edge e, or None when there are no 2-boundaries.  The cotree is
+    the forest that Kruskal's algorithm grows in the dual graph from the
+    non-tree edges in descending id; the generators are the remaining non-tree
+    edges in ascending id.  A cycle is fixed by its non-tree coefficients, so
+    this is the lexicographically first complement of the dual graph's
+    (regular, hence field-independent) matroid on the non-tree edges: the same
+    cycles, signs and order that greedy elimination of candidates in
+    ascending id keeps.
+    """
+    parent_edge = _bfs_forest(edge_list, roots)
+    tree_edges = {pe[0] for pe in parent_edge.values() if pe is not None}
+    non_tree = sorted(e for e in edge_list if e[0] not in tree_edges)
+    cotree = set()
+    if dual_ends is not None:
+        order = [eid for eid, _, _ in reversed(non_tree)]
+        joined = _unite(list(range(int(dual_ends.max()) + 1)), dual_ends[order])
+        cotree = {eid for eid, j in zip(order, joined) if j}
+    generators = [e for e in non_tree if e[0] not in cotree][:m]
+    return [Chain(1, _fundamental_cycle(parent_edge, *e)) for e in generators]
 
-    for u, v in mesh.simplices[1]:
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return np.array([find(int(v)) for v in range(mesh.n_vertices)])
 
+def _bfs_forest(edge_list, roots):
+    """Parent edge (edge_id, parent node, sign) of every node of a BFS forest.
 
-def _fundamental_cycles(edge_list, n_nodes, roots):
-    """Fundamental cycles of a BFS spanning forest of a multigraph.
-
-    edge_list: (edge_id, node_a, node_b) with node ids < n_nodes; the chain
-    convention is +1 for traversal a -> b of edge_id.  Forest roots are taken
-    from `roots` first, then lowest remaining node id; neighbors are visited in
-    ascending edge id.  Candidate cycles come out ordered by non-tree edge id.
+    edge_list: (edge_id, node_a, node_b); the chain convention is +1 for
+    traversal a -> b of edge_id.  Forest roots are taken from `roots` first,
+    then lowest remaining node id; neighbors are visited in ascending edge id.
+    Roots map to None.
     """
     adjacency: dict[int, list[tuple[int, int, int]]] = {}
     for eid, a, b in edge_list:
@@ -581,7 +583,6 @@ def _fundamental_cycles(edge_list, n_nodes, roots):
 
     parent_edge: dict[int, tuple[int, int, int] | None] = {}
     order = list(roots) + sorted(set(adjacency) - set(roots))
-    tree_edges = set()
     for root in order:
         if root in parent_edge or root not in adjacency:
             continue
@@ -593,35 +594,28 @@ def _fundamental_cycles(edge_list, n_nodes, roots):
                 for eid, b, sgn in adjacency[a]:
                     if b not in parent_edge:
                         parent_edge[b] = (eid, a, sgn)
-                        tree_edges.add(eid)
                         nxt.append(b)
             queue = nxt
+    return parent_edge
+
+
+def _fundamental_cycle(parent_edge, eid, a, b) -> dict[int, int]:
+    """Non-tree edge a -> b closed by the forest paths b -> root -> a."""
 
     def path_to_root(v):
         out = {}
         while parent_edge.get(v) is not None:
-            eid, up, sgn = parent_edge[v]
-            out[eid] = out.get(eid, 0) - sgn  # traverse v -> up = reverse of up -> v
+            e, up, sgn = parent_edge[v]
+            out[e] = out.get(e, 0) - sgn  # traverse v -> up = reverse of up -> v
             v = up
-        return out, v
+        return out
 
-    cycles = []
-    for eid, a, b in sorted(edge_list):
-        if eid in tree_edges:
-            continue
-        chain = {eid: 1}
-        up_b, root_b = path_to_root(b)
-        down_a, root_a = path_to_root(a)
-        if root_a != root_b:
-            continue  # connects two forest components: not a cycle
-        for k, v in up_b.items():
-            chain[k] = chain.get(k, 0) + v
-        for k, v in down_a.items():
-            chain[k] = chain.get(k, 0) - v
-        chain = {k: v for k, v in chain.items() if v}
-        if chain:
-            cycles.append(chain)
-    return cycles
+    chain = {eid: 1}
+    for k, v in path_to_root(b).items():
+        chain[k] = chain.get(k, 0) + v
+    for k, v in path_to_root(a).items():
+        chain[k] = chain.get(k, 0) - v
+    return {k: v for k, v in chain.items() if v}
 
 
 # -- serialization --------------------------------------------------------------------

@@ -160,18 +160,41 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data, default_name=str(path))
 
 
+# Keys a scenario may use, per section; anything else is a typo, not a default.
+_SCENARIO_KEYS = {
+    "scenario": {"name", "fixture", "path", "suites", "tolerances", "grid", "lagrangians",
+                 "family", "model", "random_paths", "seed", "out"},
+    "fixture": {"name", "level", "almost_cy", "mesh_file"},
+    "path": {"amplitudes", "samples", "samples_smooth", "s_curve_strength"},
+    "grid": {"points", "radius"},
+}
+
+
+def _check_keys(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(section) - _SCENARIO_KEYS[where]
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} keys {sorted(unknown)}; allowed {sorted(_SCENARIO_KEYS[where])}"
+        )
+    return section
+
+
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
+    _check_keys(data, "scenario")
     if "fixture" not in data:
         raise ConfigError("missing field 'fixture'")
     fix = data["fixture"]
     if isinstance(fix, str):
         fix = {"name": fix}
+    _check_keys(fix, "fixture")
     mesh_file = fix.get("mesh_file")
     if mesh_file is None and "name" not in fix:
         raise ConfigError("missing field 'fixture.name'")
     if mesh_file is None and fix["name"] not in FIXTURES:
         raise ConfigError(f"fixture.name {fix['name']!r} unknown; available {sorted(FIXTURES)}")
-    path_spec = data.get("path", {})
+    path_spec = _check_keys(data.get("path", {}), "path")
     suites = data.get("suites", list(SUITES))
     unknown = set(suites) - set(SUITES)
     if unknown:
@@ -183,7 +206,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     for key, value in tolerances.items():
         if not isinstance(value, (int, float)) or value < 0:
             raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
-    grid = data.get("grid", {})
+    grid = _check_keys(data.get("grid", {}), "grid")
     lagrangians = data.get("lagrangians")
     if lagrangians is not None:
         for i, lam in enumerate(lagrangians):
@@ -523,14 +546,8 @@ def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
     model = ws.fixture.model
     path = ws.straight_path()
     rf, sf = ws.straight_fluxes()
-    worst_rf = max(
-        abs(swept_rf_oracle(model, path, g) - rf.period_vector[j])
-        for j, g in enumerate(rel.cycles)
-    )
-    worst_sf = max(
-        abs(swept_sf_oracle(model, path, s) - sf.period_vector[j])
-        for j, s in enumerate(ab.cycles)
-    )
+    worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
+    worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
     report.add(
         "flux_oracles/relative_fixture",
         "relative flux periods equal swept-surface integrals over basis chains",
@@ -546,14 +563,11 @@ def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
     for _ in range(scenario.n_random_paths):
         rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
         rrf, rsf = path_fluxes(model, rpath, rel, ab)
-        for j, g in enumerate(rel.cycles):
-            worst_rand = max(
-                worst_rand, abs(swept_rf_oracle(model, rpath, g) - rrf.period_vector[j])
-            )
-        for j, s in enumerate(ab.cycles):
-            worst_rand = max(
-                worst_rand, abs(swept_sf_oracle(model, rpath, s) - rsf.period_vector[j])
-            )
+        worst_rand = max(
+            worst_rand,
+            np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
+            np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
+        )
     report.add(
         "flux_oracles/random_paths",
         "flux periods match sweep oracles on seeded random analytic paths",

@@ -97,6 +97,23 @@ def test_oracle_matches_periods_on_fixture(cyl):
     )
 
 
+@pytest.mark.parametrize("build", [two_handle, interval_c1])
+def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
+    fx = build(1)
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    amp = [0.3, -0.2][:fx.family.n_params]
+    path = ImmersionPath.straight(fx.family, amp, n_samples=9)
+    per_chain_rf = [swept_rf_oracle(fx.model, path, g, n_steps=16) for g in rel.cycles]
+    per_chain_sf = [swept_sf_oracle(fx.model, path, s, n_steps=16) for s in ab.cycles]
+    calls = []
+    positions = fx.family.positions
+    monkeypatch.setattr(fx.family, "positions", lambda u: calls.append(u) or positions(u))
+    rf = swept_rf_oracle(fx.model, path, rel, n_steps=16)
+    sf = swept_sf_oracle(fx.model, path, ab, n_steps=16)
+    assert len(calls) == 2 * 17
+    assert rf.tolist() == per_chain_rf and sf.tolist() == per_chain_sf
+
+
 def test_concatenation_additivity_and_reversal(cyl):
     fx, rel, _ = cyl
     a = 0.3

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from slaglab import meshes
 from slaglab.errors import (
     NonManifoldError,
     NonOrientableError,
     SlagError,
     UnlabeledBoundaryError,
 )
-from slaglab.fixtures import cylinder_translation, mobius, pair_of_pants
+from slaglab.fixtures import FIXTURES, build_fixture, cylinder_translation, mobius, pair_of_pants
 from slaglab.meshes import (
     absolute_cycle_basis,
     betti_profile,
@@ -184,3 +188,187 @@ def test_mesh_from_dict_missing_field():
 def test_vertices_must_be_referenced():
     with pytest.raises(SlagError):
         build_mesh(10, [(0, 1)], {(0,): 1, (1,): 2})
+
+
+# -- union-find ranks and tree-cotree bases against the former GF(p) elimination --
+
+_P = 2_147_483_647
+
+
+def _gfp_reducer():
+    """Incremental column reduction over GF(p) with lowest-row pivots."""
+    pivots = {}
+
+    def add(column):
+        col = {r: v % _P for r, v in column.items() if v % _P}
+        while col:
+            r = min(col)
+            if r not in pivots:
+                inv = pow(col[r], _P - 2, _P)
+                pivots[r] = {rr: vv * inv % _P for rr, vv in col.items()}
+                return True
+            c = col[r]
+            for rr, vv in pivots[r].items():
+                nv = (col.get(rr, 0) - c * vv) % _P
+                if nv:
+                    col[rr] = nv
+                else:
+                    col.pop(rr, None)
+        return False
+
+    return add, pivots
+
+
+def _columns(mat, rows=None, cols=None):
+    csc = sp.csc_matrix(mat)
+    rows = np.ones(mat.shape[0], bool) if rows is None else rows
+    cols = range(mat.shape[1]) if cols is None else np.nonzero(cols)[0]
+    ends = zip(csc.indptr[cols], csc.indptr[np.asarray(cols) + 1])
+    return [{int(i): int(v) for i, v in zip(csc.indices[lo:hi], csc.data[lo:hi]) if rows[i]}
+            for lo, hi in ends]
+
+
+def _gfp_rank(mat, rows=None, cols=None):
+    add, pivots = _gfp_reducer()
+    for col in _columns(mat, rows, cols):
+        add(col)
+    return len(pivots)
+
+
+def _greedy_cycles(edge_list, roots, boundaries, m):
+    """The former selection: fundamental cycles in ascending non-tree edge id,
+    kept while independent modulo the 2-boundaries over GF(p)."""
+    add, _ = _gfp_reducer()
+    for col in boundaries:
+        add(col)
+    parent_edge = meshes._bfs_forest(edge_list, roots)
+    tree = {pe[0] for pe in parent_edge.values() if pe is not None}
+    chosen = []
+    for eid, a, b in sorted(edge_list):
+        if eid not in tree and len(chosen) < m:
+            chain = meshes._fundamental_cycle(parent_edge, eid, a, b)
+            if add(chain):
+                chosen.append(list(chain.items()))
+    return chosen
+
+
+def _elimination_profile(mesh):
+    n = mesh.dim
+    ranks = [0] + [_gfp_rank(mesh.boundary_operator(k)) for k in range(1, n + 1)] + [0]
+    betti = tuple(mesh.n_simplices(k) - ranks[k] - ranks[k + 1] for k in range(n + 1))
+    inner = [~mesh.in_boundary(k) for k in range(n + 1)]
+    rank1 = _gfp_rank(mesh.boundary_operator(1), inner[0], inner[1])
+    rank2 = _gfp_rank(mesh.boundary_operator(2), inner[1], inner[2]) if n >= 2 else 0
+    return betti, int(inner[1].sum()) - rank1 - rank2
+
+
+@pytest.mark.parametrize("name", ["interval_c1", "cylinder_translation", "two_handle",
+                                  "pair_of_pants"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_tree_cotree_bases_equal_greedy_elimination(name, level):
+    mesh = build_fixture(name, level).mesh
+    profile = betti_profile(mesh)
+    assert (profile.betti, profile.b_rel_1) == _elimination_profile(mesh)
+
+    edges = mesh.simplices[1]
+    node = np.where(mesh.in_boundary(0), mesh.n_vertices, np.arange(mesh.n_vertices))
+    interior = mesh.interior_simplex_ids(1)
+    rel_edges = [(int(e), int(node[edges[e][0]]), int(node[edges[e][1]])) for e in interior]
+    rel_bd = (_columns(mesh.boundary_operator(2), ~mesh.in_boundary(1))
+              if mesh.dim == 2 else [])
+    rel = relative_cycle_basis(mesh)
+    assert [list(c.coeffs.items()) for c in rel.cycles] == _greedy_cycles(
+        rel_edges, [mesh.n_vertices], rel_bd, profile.b_rel_1)
+
+    ab = absolute_cycle_basis(mesh)
+    if mesh.dim == 2:
+        abs_edges = [(i, int(a), int(b)) for i, (a, b) in enumerate(edges)]
+        expected = _greedy_cycles(abs_edges, [], _columns(mesh.boundary_operator(2)),
+                                  profile.betti[1])
+        assert [list(c.coeffs.items()) for c in ab.cycles] == expected
+    else:
+        assert [c.coeffs for c in ab.cycles] == [{1: 1}]
+
+
+def test_absolute_basis_of_curve_takes_lowest_interior_vertex_per_component():
+    # components {0,1,2} and {3,4}; the second has no interior vertex
+    mesh = build_mesh(5, [(0, 1), (1, 2), (3, 4)],
+                      {(0,): 1, (2,): 2, (3,): 3, (4,): 4})
+    basis = absolute_cycle_basis(mesh)
+    assert [c.coeffs for c in basis.cycles] == [{1: 1}, {3: 1}]
+
+
+def _boundary_of_4_simplex():
+    return build_mesh(5, [tuple(v for v in range(5) if v != i) for i in range(5)], {})
+
+
+def _labelled_tetrahedron():
+    return build_mesh(4, [(0, 1, 2, 3)],
+                      {f: 1 for f in itertools.combinations(range(4), 3)})
+
+
+@pytest.mark.parametrize("build, betti", [
+    (_boundary_of_4_simplex, (1, 0, 0, 1)),
+    (_labelled_tetrahedron, (1, 0, 0, 0)),
+])
+def test_dim3_betti_vs_smith_oracle(build, betti):
+    mesh = build()
+    profile = betti_profile(mesh)
+    ranks = [0] + [_snf_rank(mesh.boundary_operator(k)) for k in (1, 2, 3)] + [0]
+    assert profile.betti == betti
+    assert profile.betti == tuple(
+        mesh.n_simplices(k) - ranks[k] - ranks[k + 1] for k in range(4)
+    )
+    inner = [~mesh.in_boundary(k) for k in range(3)]
+    rel1 = _snf_rank(mesh.boundary_operator(1)[inner[0]][:, inner[1]])
+    rel2 = _snf_rank(mesh.boundary_operator(2)[inner[1]][:, inner[2]])
+    assert profile.b_rel_1 == int(inner[1].sum()) - rel1 - rel2 == 0
+
+
+def _loop_boundary_operator(mesh, k):
+    index = {tuple(row): i for i, row in enumerate(mesh.simplices[k - 1])}
+    rows, cols, vals = [], [], []
+    for j, simplex in enumerate(mesh.simplices[k]):
+        for i in range(k + 1):
+            rows.append(index[tuple(np.delete(simplex, i))])
+            cols.append(j)
+            vals.append((-1) ** i)
+    return sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)),
+                         shape=(mesh.n_simplices(k - 1), mesh.n_simplices(k)))
+
+
+def _loop_face_table(mesh, k):
+    index = {tuple(row): i for i, row in enumerate(mesh.simplices[k])}
+    combos = list(itertools.combinations(range(mesh.dim + 1), k + 1))
+    table = np.empty((mesh.n_simplices(mesh.dim), len(combos)), dtype=np.int64)
+    for t, simplex in enumerate(mesh.simplices[mesh.dim]):
+        for c, combo in enumerate(combos):
+            table[t, c] = index[tuple(simplex[list(combo)])]
+    return table
+
+
+@pytest.mark.parametrize("mesh", [build_fixture(name).mesh for name in sorted(FIXTURES)]
+                         + [interval_mesh(), _boundary_of_4_simplex(), _labelled_tetrahedron()],
+                         ids=sorted(FIXTURES) + ["interval", "s3", "tetrahedron"])
+def test_vectorized_operators_equal_loop_construction(mesh):
+    for k in range(1, mesh.dim + 1):
+        new, ref = mesh.boundary_operator(k), _loop_boundary_operator(mesh, k)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(new, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (k, attr)
+    for k in range(mesh.dim + 1):
+        new, ref = mesh.face_table(k), _loop_face_table(mesh, k)
+        assert new.dtype == ref.dtype and np.array_equal(new, ref), k
+
+
+def test_surface_topology_needs_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("GF(p) elimination used")
+
+    monkeypatch.setattr(meshes, "_rank_mod_p", refuse)
+    mesh = build_fixture("two_handle", 1).mesh
+    assert betti_profile(mesh).betti == (2, 2, 0)
+    assert relative_cycle_basis(mesh).m == 2
+    assert absolute_cycle_basis(mesh).m == 2
+    with pytest.raises(AssertionError, match="elimination"):
+        betti_profile(_boundary_of_4_simplex())  # middle ranks of dim 3 still eliminate

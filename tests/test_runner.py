@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ def test_wrong_amplitude_count_is_config_error(tmp_path, capsys):
         run(scenario_from_dict(data))
     assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
     assert "path.amplitudes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"suite": ["topology"]}, "suite"),
+    ({"tolerance": {"flux_oracle": 1.0}}, "tolerance"),
+    ({"fixture": {"name": "cylinder_translation", "levle": 2}}, "levle"),
+    ({"path": {"amplitudes": [0.3], "sample": 9}}, "sample"),
+    ({"grid": {"points": 7, "raduis": 0.1}}, "raduis"),
+])
+def test_unknown_scenario_key_is_config_error(tmp_path, capsys, overrides, key):
+    data = minimal_scenario(**overrides)
+    with pytest.raises(ConfigError, match=re.escape(f"['{key}']")):
+        scenario_from_dict(data)
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert f"'{key}'" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_tol_scale_must_be_positive_and_finite(tmp_path, capsys, value):
+    p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form"]))
+    assert cli_main(["run", p, f"--tol-scale={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol-scale" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_straight_path_fluxes_computed_once(monkeypatch):
