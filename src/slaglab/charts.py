@@ -29,7 +29,7 @@ from .errors import (
     SingularJacobianError,
     SlagError,
 )
-from .flux import ImmersionPath, path_fluxes
+from .flux import ImmersionPath, path_fluxes, tangent_one_form
 from .immersion import ImmersionFamily
 from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
 
@@ -39,7 +39,6 @@ class ChartSample:
     u: np.ndarray
     R: np.ndarray
     S: np.ndarray
-    basepoint_label: str = ""
 
 
 @dataclass
@@ -75,15 +74,17 @@ def pairing_structure(
     dirichlet=None,
     neumann=None,
 ) -> PairingStructure:
-    dirichlet = dirichlet or harmonic_fields(structure, "dirichlet", cycles=rel_cycles)
-    neumann = neumann or harmonic_fields(structure, "neumann", cycles=abs_cycles)
+    if dirichlet is None:
+        dirichlet = harmonic_fields(structure, "dirichlet", cycles=rel_cycles)
+    if neumann is None:
+        neumann = harmonic_fields(structure, "neumann", cycles=abs_cycles)
     mesh = structure.mesh
     A = np.stack([c.values for c in dirichlet], axis=1)
     Bv = np.stack([c.values for c in neumann], axis=1)
     A = A @ np.linalg.inv(period_matrix(dirichlet, rel_cycles))
     Bv = Bv @ np.linalg.inv(period_matrix(neumann, abs_cycles))
     wedge = structure.wedge_matrix(1 if mesh.dim >= 1 else 0)
-    raw = A.T @ (wedge @ Bv) if mesh.dim >= 2 else A.T @ (wedge @ Bv)
+    raw = A.T @ (wedge @ Bv)
     P = np.round(raw)
     residual = float(np.abs(raw - P).max())
     if residual > 1e-6:
@@ -138,7 +139,7 @@ def evaluate_chart(
     base_shift = np.atleast_1d(np.asarray(base_shift, dtype=float))
     if not np.any(np.abs(u) > 0):
         m = rel_cycles.m
-        return ChartSample(u, np.zeros(m), np.zeros(m), family.label)
+        return ChartSample(u, np.zeros(m), np.zeros(m))
     path = ImmersionPath(
         family,
         lambda t: base_shift + t * u,
@@ -146,25 +147,17 @@ def evaluate_chart(
         n_samples=n_samples,
     )
     rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
-    return ChartSample(u, rf.period_vector, sf.period_vector, family.label)
+    return ChartSample(u, rf.period_vector, sf.period_vector)
 
 
-def tangent_cochains(model: AmbientModel, family: ImmersionFamily, at=None,
+def tangent_cochains(model: AmbientModel, family: ImmersionFamily,
                      directions=None) -> list[Cochain]:
-    """Tangent one-form cochains of the coordinate directions at a parameter point."""
-    m = family.n_params
-    at = np.zeros(m) if at is None else np.atleast_1d(np.asarray(at, dtype=float))
-    dirs = np.eye(m) if directions is None else np.asarray(directions, dtype=float)
+    """Tangent one-form cochains of the given directions (default: coordinates) at 0."""
+    dirs = np.eye(family.n_params) if directions is None else np.asarray(directions, dtype=float)
     out = []
-    for i in range(dirs.shape[0]):
-        path = ImmersionPath(
-            family,
-            lambda t, d=dirs[i]: at + t * d,
-            derivative=lambda t, d=dirs[i]: d,
-            n_samples=3,
-        )
-        from .flux import tangent_one_form
-
+    for d in dirs:
+        path = ImmersionPath(family, lambda t, d=d: t * d, derivative=lambda t, d=d: d,
+                             n_samples=3)
         out.append(tangent_one_form(model, path, 0))
     return out
 
@@ -188,14 +181,13 @@ def chart_jacobian(
     step: float = 1e-3,
     n_samples: int = 17,
     cond_limit: float = 1e12,
-    richardson: bool = True,
 ) -> JacobianReport:
     """Central-difference Jacobians of (R, S) at 0 against their period-matrix predictions.
 
     dR columns should be the periods of the coordinate tangent one-forms over
     the relative cycles; dS columns the periods of their discrete stars over
-    the absolute cycles.  With `richardson` the step is halved once and the
-    fourth-order extrapolation (4 J_{h/2} - J_h) / 3 is returned.
+    the absolute cycles.  The step is halved once and the fourth-order
+    extrapolation (4 J_{h/2} - J_h) / 3 is returned.
     """
 
     def central(h):
@@ -211,10 +203,9 @@ def chart_jacobian(
         return dR, dS
 
     dR, dS = central(step)
-    if richardson:
-        dR2, dS2 = central(step / 2)
-        dR = (4 * dR2 - dR) / 3
-        dS = (4 * dS2 - dS) / 3
+    dR2, dS2 = central(step / 2)
+    dR = (4 * dR2 - dR) / 3
+    dS = (4 * dS2 - dS) / 3
     thetas = tangent_cochains(model, family)
     dR_expected = period_matrix(thetas, rel_cycles)
     stars = [hodge_star(structure, th) for th in thetas]
@@ -328,7 +319,6 @@ def _central_differences(values: np.ndarray, spacing: np.ndarray):
 class EmbeddingReport:
     B_gram: np.ndarray          # parameter-coordinate B Gram at the grid center
     W_max: float                # max |W| over all interior points and pairs
-    B_gram_field: np.ndarray
 
 
 def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport:
@@ -336,18 +326,11 @@ def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport
     dR, inner = _central_differences(grid.R, grid.spacing)
     dS, _ = _central_differences(grid.S, grid.spacing)
     inner_shape = dR.shape[:-2]
-    m = grid.u.shape[-1]
-    B_field = np.zeros(inner_shape + (m, m))
-    W_max = 0.0
-    P = pairing.P
-    for idx in itertools.product(*(range(s) for s in inner_shape)):
-        r = dR[idx]
-        s = dS[idx]
-        B_field[idx] = 0.5 * (r.T @ P @ s + (r.T @ P @ s).T)
-        W = r.T @ P @ s - (r.T @ P @ s).T
-        W_max = max(W_max, float(np.abs(W).max()))
-    center = tuple(s // 2 for s in inner_shape)
-    return EmbeddingReport(B_field[center], W_max, B_field)
+    rps = {idx: dR[idx].T @ pairing.P @ dS[idx]
+           for idx in itertools.product(*(range(s) for s in inner_shape))}
+    W_max = max(float(np.abs(g - g.T).max()) for g in rps.values())
+    g = rps[tuple(s // 2 for s in inner_shape)]
+    return EmbeddingReport(0.5 * (g + g.T), W_max)
 
 
 def l2_gram(structure: HodgeStructure, tangents) -> np.ndarray:

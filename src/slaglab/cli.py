@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import math
 import os
 import sys
@@ -115,10 +116,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--tol-scale must be a positive finite number, got {args.tol_scale}")
         if args.jobs > 1 and len(args.files) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(
-                    _run_one_star,
-                    [(f, args.out, args.tol_scale) for f in args.files],
-                ))
+                results = list(pool.map(_run_one, args.files, itertools.repeat(args.out),
+                                        itertools.repeat(args.tol_scale)))
         else:
             results = [_run_one(f, args.out, args.tol_scale) for f in args.files]
         return 0 if all(results) else 1
@@ -128,10 +127,6 @@ def main(argv=None) -> int:
     except SlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _run_one_star(args):
-    return _run_one(*args)
 
 
 if __name__ == "__main__":

@@ -423,14 +423,10 @@ class Decomposition:
     harmonic: Cochain
     diagnostics: dict = field(default_factory=dict)
 
-    def parts(self):
-        return self.exact, self.coexact, self.harmonic
-
 
 def hodge_decompose(
     structure: HodgeStructure,
     cochain: Cochain,
-    harmonic_span=None,
     cycles_rel=None,
     cycles_abs=None,
     solver_tol: float = _SOLVER_TOL,
@@ -445,12 +441,11 @@ def hodge_decompose(
     """
     mesh = structure.mesh
     k = cochain.degree
-    if harmonic_span is None:
-        harmonic_span = []
-        if k == 1:
-            harmonic_span += harmonic_fields(structure, "dirichlet", cycles=cycles_rel)
-        if k == mesh.dim - 1 and mesh.dim >= 1:
-            harmonic_span += harmonic_fields(structure, "neumann", cycles=cycles_abs)
+    harmonic_span = []
+    if k == 1:
+        harmonic_span += harmonic_fields(structure, "dirichlet", cycles=cycles_rel)
+    if k == mesh.dim - 1 and mesh.dim >= 1:
+        harmonic_span += harmonic_fields(structure, "neumann", cycles=cycles_abs)
     mass = structure.mass_matrix(k)
     if harmonic_span:
         basis = np.stack([c.values for c in harmonic_span], axis=1)

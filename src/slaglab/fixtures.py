@@ -12,11 +12,23 @@ the frozen signs).
   two_handle           n=2 torus, two disjoint flat cylinders,    m=2
   pair_of_pants        planar mesh (topology/metric tests only)
   mobius               non-orientable negative control
+
+Closed form: each translation fixture moves handle k of axial width w_k
+rigidly by a_k along y1.  In the pairing-normalized bases the relative flux
+period over the axial cycle of handle k is -w_k a_k and the dual flux period
+over its absolute cycle (the circumference; a boundary point for the
+interval) is -a_k (`Fixture.expected_fluxes`); w_k is also the squared L2
+norm of the unit tangent form of handle k.
+
+Slides: translating a cylinder along its own circumference (x2) keeps it
+calibrated and on its boundary Lagrangians and changes neither flux, so the
+cylinder fixtures list e_x2 in `Fixture.slides`; the random oracle paths
+move along the family and these slides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +48,28 @@ class Fixture:
     lagrangians: list[BoundaryLagrangian]
     family: ImmersionFamily | None
     m: int
-    expected: dict = field(default_factory=dict)
-    positions_2d: np.ndarray | None = None  # planar test meshes only
+    widths: tuple = ()  # axial width of each translating handle
+    slides: tuple = ()  # flux-neutral rigid directions, as 2n-vectors
+
+    def expected_fluxes(self, amplitudes):
+        """(relative, dual) flux periods of the straight path 0 -> amplitudes."""
+        amp = np.asarray(amplitudes, dtype=float)
+        if amp.shape != (len(self.widths),):
+            raise ConfigError(
+                f"path.amplitudes: the closed form of fixture {self.name!r} takes "
+                f"{len(self.widths)} amplitudes, got shape {amp.shape}"
+            )
+        return -np.asarray(self.widths) * amp, -amp
+
+
+_E_X2 = np.array([0.0, 0.0, 1.0, 0.0])
+
+
+def _torus_model(n: int, almost_cy: bool) -> AmbientModel:
+    """Flat square torus; almost_cy rescales the top form by 2 with rho = 2."""
+    if almost_cy:
+        return make_model(n, topology="torus", Omega_scale=2.0, rho_expr=2.0)
+    return make_model(n, topology="torus")
 
 
 def _cylinder_mesh(n_axial: int, n_circ: int, vertex_offset: int = 0,
@@ -76,11 +108,7 @@ def _cylinder_positions(n_axial, n_circ, width, y1, y2):
 def cylinder_translation(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> Fixture:
     """Flat calibrated cylinder in a 4-torus moving by vertical translation."""
     n_axial, n_circ = 8 * level, 16 * level
-    model = (
-        make_model(2, topology="torus", Omega_scale=2.0, rho_expr=2.0)
-        if almost_cy
-        else make_model(2, topology="torus")
-    )
+    model = _torus_model(2, almost_cy)
     tops, labels, n_vertices = _cylinder_mesh(n_axial, n_circ)
     mesh = build_mesh(n_vertices, tops, labels)
     base = Immersion(mesh, _cylinder_positions(n_axial, n_circ, width, 0.0, 0.0),
@@ -93,25 +121,16 @@ def cylinder_translation(level: int = 1, almost_cy: bool = False, width: float =
         BoundaryLagrangian(2, np.array([width, 0.0, 0.0, 0.0]),
                            np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)),
     ]
-    expected = {
-        "width": width,
-        "rf_per_unit": -width,  # period of the tangent form over the axial cycle
-        "sf_per_unit": 1.0,     # period of the dual form over the circumference
-        "l2_per_unit": width,   # squared L2 norm of the unit tangent form
-    }
     return Fixture("cylinder_translation", level, mesh, model, base, lams, family, 1,
-                   expected)
+                   widths=(width,), slides=(_E_X2,))
 
 
 def interval_c1(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> Fixture:
     """Straight segment in a 2-torus moving by vertical translation."""
     n_seg = 8 * level
-    model = (
-        make_model(1, topology="torus", Omega_scale=2.0, rho_expr=2.0)
-        if almost_cy
-        else make_model(1, topology="torus")
-    )
-    segs = [(i, i + 1) for i in range(n_seg)]
+    model = _torus_model(1, almost_cy)
+    # segments point toward decreasing x, the orientation convention above
+    segs = [(i + 1, i) for i in range(n_seg)]
     mesh = build_mesh(n_seg + 1, segs, {(0,): 1, (n_seg,): 2})
     pos = np.zeros((n_seg + 1, 2))
     pos[:, 0] = np.linspace(0.0, width, n_seg + 1)
@@ -122,9 +141,8 @@ def interval_c1(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> 
         BoundaryLagrangian(1, np.array([0.0, 0.0]), np.array([[0.0, 1.0]])),
         BoundaryLagrangian(2, np.array([width, 0.0]), np.array([[0.0, 1.0]])),
     ]
-    expected = {"width": width, "rf_per_unit": -width, "sf_per_unit": 1.0,
-                "l2_per_unit": width}
-    return Fixture("interval_c1", level, mesh, model, base, lams, family, 1, expected)
+    return Fixture("interval_c1", level, mesh, model, base, lams, family, 1,
+                   widths=(width,))
 
 
 def two_handle(level: int = 1, almost_cy: bool = False,
@@ -138,11 +156,7 @@ def two_handle(level: int = 1, almost_cy: bool = False,
     w1, w2 = widths
     a1, c1 = 8 * level, 16 * level
     a2, c2 = 4 * level, 16 * level
-    model = (
-        make_model(2, topology="torus", Omega_scale=2.0, rho_expr=2.0)
-        if almost_cy
-        else make_model(2, topology="torus")
-    )
+    model = _torus_model(2, almost_cy)
     tops1, labels1, nv1 = _cylinder_mesh(a1, c1, vertex_offset=0, labels=(1, 2))
     tops2, labels2, nv2 = _cylinder_mesh(a2, c2, vertex_offset=nv1, labels=(3, 4))
     labels = dict(labels1)
@@ -165,8 +179,8 @@ def two_handle(level: int = 1, almost_cy: bool = False,
         BoundaryLagrangian(3, np.array([0.0, 0.5, 0.0, 0.5]), span),
         BoundaryLagrangian(4, np.array([w2, 0.5, 0.0, 0.5]), span),
     ]
-    expected = {"widths": list(widths), "l2_gram_diag": [w1, w2]}
-    return Fixture("two_handle", level, mesh, model, base, lams, family, 2, expected)
+    return Fixture("two_handle", level, mesh, model, base, lams, family, 2,
+                   widths=(w1, w2), slides=(_E_X2,))
 
 
 def pair_of_pants(level: int = 1) -> Fixture:
@@ -214,9 +228,7 @@ def pair_of_pants(level: int = 1) -> Fixture:
                 label = 2 + idx
         labels[e] = label
     mesh = build_mesh(len(used), tops, labels)
-    pos = np.array([divmod(inv[remap[v]], N + 1) for v in used], dtype=float) / level
-    return Fixture("pair_of_pants", level, mesh, None, None, [], None, 2,
-                   {"b1": 2, "b_rel_1": 2, "euler": -1}, positions_2d=pos)
+    return Fixture("pair_of_pants", level, mesh, None, None, [], None, 2)
 
 
 def mobius() -> list[tuple]:

@@ -383,13 +383,8 @@ def _swept_integrals(model, path, cycles, form, degree, n_steps, degree_error):
 
 @dataclass
 class HomotopyReport:
-    rf_a: FluxClass
-    rf_b: FluxClass
-    sf_a: FluxClass
-    sf_b: FluxClass
     rf_discrepancy: float
     sf_discrepancy: float
-    sweep_curve: np.ndarray | None = None
     sweep_deviation: float | None = None
 
 
@@ -424,7 +419,6 @@ def homotopy_invariance_harness(
         raise
     rf_b, sf_b = path_fluxes(model, path_b, rel_cycles, abs_cycles)
     report = HomotopyReport(
-        rf_a, rf_b, sf_a, sf_b,
         rf_discrepancy=float(np.abs(rf_a.period_vector - rf_b.period_vector).max()),
         sf_discrepancy=float(np.abs(sf_a.period_vector - sf_b.period_vector).max()),
     )
@@ -434,6 +428,5 @@ def homotopy_invariance_harness(
         curve = np.array([
             swept_rf_oracle(model, homotopy(u), gamma) for u in us
         ])
-        report.sweep_curve = curve
         report.sweep_deviation = float(curve.max() - curve.min())
     return report

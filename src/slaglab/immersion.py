@@ -142,7 +142,6 @@ class ValidationReport:
     transversality_margin: float     # smallest (n+1)-th singular value at the boundary
     lagrangian_residual: float       # max |omega over 2-simplex| / metric volume
     special_residual: float          # max |Im Omega-hat over top simplex| / metric volume
-    per_component_distance: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
     @property
@@ -204,7 +203,6 @@ def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=
         transversality_margin=trans,
         lagrangian_residual=float(lag),
         special_residual=float(special),
-        per_component_distance=by_comp,
         tolerances=tol,
     )
 

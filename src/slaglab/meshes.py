@@ -46,9 +46,6 @@ class Chain:
     degree: int
     coeffs: dict[int, int]
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def __neg__(self) -> "Chain":
         return Chain(self.degree, {i: -c for i, c in self.coeffs.items()})
 
@@ -124,9 +121,6 @@ class SimplicialMesh:
 
     def boundary_face_ids(self) -> np.ndarray:
         return np.nonzero(self.boundary_labels > 0)[0]
-
-    def boundary_vertex_ids(self) -> np.ndarray:
-        return np.nonzero(self._in_boundary[0])[0]
 
     def interior_simplex_ids(self, k: int) -> np.ndarray:
         return np.nonzero(~self._in_boundary[k])[0]

@@ -14,6 +14,7 @@ for constant-coefficient data, so the error has nothing to decrease from.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .ambient import BoundaryLagrangian, make_model
 from .charts import (
     chart_jacobian,
     evaluate_chart,
@@ -46,7 +48,7 @@ from .flux import (
     swept_sf_oracle,
     tangent_one_form,
 )
-from .immersion import pullback_metric
+from .immersion import ImmersionFamily, pullback_metric
 from .meshes import absolute_cycle_basis, betti_profile, relative_cycle_basis
 
 _EXACTNESS_FLOOR = 1e-10
@@ -167,18 +169,28 @@ _SCENARIO_KEYS = {
     "fixture": {"name", "level", "almost_cy", "mesh_file"},
     "path": {"amplitudes", "samples", "samples_smooth", "s_curve_strength"},
     "grid": {"points", "radius"},
+    "model": set(inspect.signature(make_model).parameters),
+    "family": {"expressions", "parameters", "constants"},
+    "lagrangians": {"index", "basepoint", "span"},
 }
 
 
-def _check_keys(section, where: str) -> dict:
+def _check_keys(section, kind: str, where: str | None = None) -> dict:
+    where = where or kind
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - _SCENARIO_KEYS[where]
+    unknown = set(section) - _SCENARIO_KEYS[kind]
     if unknown:
         raise ConfigError(
-            f"unknown {where} keys {sorted(unknown)}; allowed {sorted(_SCENARIO_KEYS[where])}"
+            f"unknown {where} keys {sorted(unknown)}; allowed {sorted(_SCENARIO_KEYS[kind])}"
         )
     return section
+
+
+def _check_fields(section, fields, where: str):
+    for fieldname in fields:
+        if fieldname not in section:
+            raise ConfigError(f"missing field '{where}.{fieldname}'")
 
 
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
@@ -207,12 +219,19 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
         if not isinstance(value, (int, float)) or value < 0:
             raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
     grid = _check_keys(data.get("grid", {}), "grid")
+    if "model" in data:
+        _check_keys(data["model"], "model")
+    if "family" in data:
+        _check_fields(_check_keys(data["family"], "family"), ("expressions", "parameters"),
+                      "family")
     lagrangians = data.get("lagrangians")
     if lagrangians is not None:
+        if not isinstance(lagrangians, list):
+            raise ConfigError("lagrangians must be a JSON list")
         for i, lam in enumerate(lagrangians):
-            for fieldname in ("index", "basepoint", "span"):
-                if fieldname not in lam:
-                    raise ConfigError(f"missing field 'lagrangians[{i}].{fieldname}'")
+            where = f"lagrangians[{i}]"
+            _check_fields(_check_keys(lam, "lagrangians", where), ("index", "basepoint", "span"),
+                          where)
     scenario = Scenario(
         name=data.get("name", default_name),
         fixture=fix.get("name", "mesh_file"),
@@ -259,8 +278,6 @@ class _Workspace:
                 scenario.fixture, level or scenario.level, almost_cy=scenario.almost_cy
             )
         if scenario.model_spec is not None and self.fixture.model is not None:
-            from .ambient import make_model
-
             spec = dict(scenario.model_spec)
             if int(spec.get("n", self.fixture.model.n)) != self.fixture.model.n:
                 raise ConfigError("model.n must match the fixture dimension")
@@ -268,8 +285,6 @@ class _Workspace:
             spec.setdefault("topology", self.fixture.model.topology)
             self.fixture.model = make_model(**spec)
         if scenario.lagrangian_spec is not None and self.fixture.model is not None:
-            from .ambient import BoundaryLagrangian
-
             self.fixture.lagrangians = [
                 BoundaryLagrangian(
                     int(lam["index"]),
@@ -279,11 +294,7 @@ class _Workspace:
                 for lam in scenario.lagrangian_spec
             ]
         if scenario.family_spec is not None and self.fixture.base is not None:
-            from .immersion import ImmersionFamily
-
             spec = scenario.family_spec
-            if "expressions" not in spec or "parameters" not in spec:
-                raise ConfigError("family spec needs 'expressions' and 'parameters' fields")
             self.fixture.family = ImmersionFamily.from_expressions(
                 self.fixture.base, self.fixture.model.n,
                 spec["expressions"], spec["parameters"],
@@ -292,6 +303,7 @@ class _Workspace:
         self._structure = None
         self._cycles = None
         self._pairing = None
+        self._harmonic = None
         self._straight_fluxes = None
         self.atlas_parts: dict = {}
 
@@ -301,9 +313,11 @@ class _Workspace:
             rel = relative_cycle_basis(self.fixture.mesh)
             ab = absolute_cycle_basis(self.fixture.mesh)
             if self.fixture.model is not None:
-                pair = pairing_structure(self.structure, rel, ab)
+                harmonic = (harmonic_fields(self.structure, "dirichlet", cycles=rel),
+                            harmonic_fields(self.structure, "neumann", cycles=ab))
+                pair = pairing_structure(self.structure, rel, ab, *harmonic)
                 ab, pair = normalize_cycles_to_identity(pair, ab)
-                self._pairing = pair
+                self._pairing, self._harmonic = pair, harmonic
             self._cycles = (rel, ab)
         return self._cycles
 
@@ -311,6 +325,12 @@ class _Workspace:
     def pairing(self):
         self.rel_abs
         return self._pairing
+
+    @property
+    def harmonic(self):
+        """(Dirichlet, Neumann) harmonic bases behind the pairing."""
+        self.rel_abs
+        return self._harmonic
 
     @property
     def structure(self) -> HodgeStructure:
@@ -383,9 +403,7 @@ def _suite_topology(ws: _Workspace, report: RunReport, scenario: Scenario):
     report.add("topology/boundary_squared", "boundary of boundary vanishes (exact)",
                dd, 0.0)
     if ws.fixture.model is not None:
-        rel, ab = ws.rel_abs
-        dirichlet = harmonic_fields(ws.structure, "dirichlet", cycles=rel)
-        neumann = harmonic_fields(ws.structure, "neumann", cycles=ab)
+        dirichlet, neumann = ws.harmonic
         report.add_flag(
             "topology/harmonic_counts",
             "constrained harmonic field counts match homology ranks",
@@ -482,62 +500,41 @@ def _suite_duality(ws: _Workspace, report: RunReport, scenario: Scenario):
 
 
 def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int):
-    """Smooth random profile through rigid constraint-preserving translations."""
+    """Smooth random profile through the fixture family and its flux-neutral slides.
+
+    Parameter k follows amps[k] * t + coefs[k, 0] sin(pi t) + coefs[k, 1] sin(2 pi t).
+    """
     fx = ws.fixture
-    comp_count = fx.m
-    # per-handle vertical translations reuse the family directions; add a
-    # circumference slide, which is flux-neutral but exercises the oracles
-    n2 = 2 * fx.model.n
-    if fx.model.n >= 2:
-        slide = np.zeros(n2)
-        slide[2] = 1.0
-        directions_extra = [slide]
-    else:
-        directions_extra = []
-    amps = rng.uniform(-0.2, 0.2, size=comp_count)
-    coefs = rng.uniform(-0.05, 0.05, size=(comp_count + len(directions_extra), 2))
-    slide_amp = rng.uniform(-0.2, 0.2, size=len(directions_extra))
-
-    def profile(t, k, amp):
-        return amp * t + coefs[k, 0] * math.sin(math.pi * t) + coefs[k, 1] * math.sin(
-            2 * math.pi * t
-        )
-
-    def dprofile(t, k, amp):
-        return (
-            amp
-            + coefs[k, 0] * math.pi * math.cos(math.pi * t)
-            + coefs[k, 1] * 2 * math.pi * math.cos(2 * math.pi * t)
-        )
-
-    from .immersion import ImmersionFamily
-
-    base_family = fx.family
+    m, slides = fx.m, fx.slides
+    amps = rng.uniform(-0.2, 0.2, size=m)
+    coefs = rng.uniform(-0.05, 0.05, size=(m + len(slides), 2))
+    amps = np.concatenate([amps, rng.uniform(-0.2, 0.2, size=len(slides))])
 
     def pos_fn(u):
-        out = base_family.positions(u[:comp_count])
-        for k, d in enumerate(directions_extra):
-            out = out + u[comp_count + k] * d
+        out = fx.family.positions(u[:m])
+        for k, d in enumerate(slides):
+            out = out + u[m + k] * d
         return out
 
     def vel_fn(u, wdir):
-        out = base_family.velocity(u[:comp_count], wdir[:comp_count])
-        for k, d in enumerate(directions_extra):
-            out = out + wdir[comp_count + k] * d
+        out = fx.family.velocity(u[:m], wdir[:m])
+        for k, d in enumerate(slides):
+            out = out + wdir[m + k] * d
         return out
 
-    family = ImmersionFamily(fx.mesh, comp_count + len(directions_extra), pos_fn, vel_fn)
-
     def curve(t):
-        u = [profile(t, k, amps[k]) for k in range(comp_count)]
-        u += [profile(t, comp_count + k, slide_amp[k]) for k in range(len(directions_extra))]
-        return np.array(u)
+        return amps * t + coefs[:, 0] * math.sin(math.pi * t) + coefs[:, 1] * math.sin(
+            2 * math.pi * t
+        )
 
     def dcurve(t):
-        u = [dprofile(t, k, amps[k]) for k in range(comp_count)]
-        u += [dprofile(t, comp_count + k, slide_amp[k]) for k in range(len(directions_extra))]
-        return np.array(u)
+        return (
+            amps
+            + coefs[:, 0] * math.pi * math.cos(math.pi * t)
+            + coefs[:, 1] * 2 * math.pi * math.cos(2 * math.pi * t)
+        )
 
+    family = ImmersionFamily(fx.mesh, m + len(slides), pos_fn, vel_fn)
     return ImmersionPath(family, curve, derivative=dcurve, n_samples=n_samples)
 
 
@@ -603,16 +600,8 @@ def _suite_homotopy(ws: _Workspace, report: RunReport, scenario: Scenario):
 
 
 def _suite_closed_form(ws: _Workspace, report: RunReport, scenario: Scenario):
-    fx = ws.fixture
-    amp = ws.amplitudes()
+    rf_expect, sf_expect = ws.fixture.expected_fluxes(ws.amplitudes())
     rf, sf = ws.straight_fluxes()
-    if fx.name == "two_handle":
-        widths = np.asarray(fx.expected["widths"])
-        rf_expect = -widths * amp
-        sf_expect = -amp
-    else:
-        rf_expect = np.array([fx.expected["rf_per_unit"] * amp[0]])
-        sf_expect = np.array([-amp[0]])  # sign in the pairing-normalized basis
     report.add(
         "closed_form/relative_flux",
         "relative flux periods match the translation closed form",
@@ -683,22 +672,27 @@ def _suite_transitions(ws: _Workspace, report: RunReport, scenario: Scenario):
     )
 
 
-def _suite_embedding(ws: _Workspace, report: RunReport, scenario: Scenario):
+def _b_vs_l2(ws: _Workspace, points_per_axis: int):
+    """Chart grid, its B/W pullback, the tangent-form L2 Gram and their relative gap."""
     fx = ws.fixture
     rel, ab = ws.rel_abs
     grid = sample_grid(
         fx.model, fx.family, rel, ab,
-        radius=scenario.grid_radius, points_per_axis=scenario.grid_points,
+        radius=ws.scenario.grid_radius, points_per_axis=points_per_axis,
     )
     emb = pullback_BW(grid, ws.pairing)
+    L2 = l2_gram(ws.structure, tangent_cochains(fx.model, fx.family))
+    rel_err = float(np.abs(emb.B_gram - L2).max() / max(np.abs(L2).max(), 1e-300))
+    return grid, emb, L2, rel_err
+
+
+def _suite_embedding(ws: _Workspace, report: RunReport, scenario: Scenario):
+    grid, emb, L2, rel_err = _b_vs_l2(ws, scenario.grid_points)
     report.add(
         "embedding/W_vanishes",
         "pullback of the symplectic pairing vanishes on the chart image",
         emb.W_max, scenario.tol("w_pullback"),
     )
-    thetas = tangent_cochains(fx.model, fx.family)
-    L2 = l2_gram(ws.structure, thetas)
-    rel_err = float(np.abs(emb.B_gram - L2).max() / max(np.abs(L2).max(), 1e-300))
     report.add(
         "embedding/B_matches_l2",
         "pullback of the duality metric equals the tangent-form L2 Gram matrix",
@@ -790,9 +784,6 @@ class ConvergenceTable:
     rows: list
     orders: dict
 
-    def order_of(self, name: str) -> float:
-        return self.orders[name]
-
 
 def fit_order(hs, residuals, floor: float = _EXACTNESS_FLOOR):
     """Least-squares slope of log(residual) vs log(h); inf when pinned at the floor."""
@@ -805,6 +796,13 @@ def fit_order(hs, residuals, floor: float = _EXACTNESS_FLOOR):
     safe = np.maximum(res, 1e-300)
     slope, _ = np.polyfit(np.log(hs), np.log(safe), 1)
     return float(slope)
+
+
+def _convergence_table(rows) -> ConvergenceTable:
+    names = sorted(rows[0].residuals)
+    hs = [r.h for r in rows]
+    orders = {nm: fit_order(hs, [r.residuals[nm] for r in rows]) for nm in names}
+    return ConvergenceTable(names, rows, orders)
 
 
 def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
@@ -835,10 +833,7 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
                 "sf_quadrature_error": float(np.abs(sf.period_vector - sf_reference).max()),
             },
         ))
-    names = sorted(rows[0].residuals)
-    hs = [r.h for r in rows]
-    orders = {nm: fit_order(hs, [r.residuals[nm] for r in rows]) for nm in names}
-    return ConvergenceTable(names, rows, orders)
+    return _convergence_table(rows)
 
 
 def convergence_study(scenario: Scenario, levels) -> ConvergenceTable:
@@ -848,23 +843,10 @@ def convergence_study(scenario: Scenario, levels) -> ConvergenceTable:
         residuals = {
             "duality_error": _duality_residual(ws),
             "star_involution": _involution_residual(ws) or 0.0,
+            "b_vs_l2": _b_vs_l2(ws, 5)[3],
         }
-        thetas = tangent_cochains(ws.fixture.model, ws.fixture.family)
-        rel, ab = ws.rel_abs
-        grid = sample_grid(
-            ws.fixture.model, ws.fixture.family, rel, ab,
-            radius=scenario.grid_radius, points_per_axis=5,
-        )
-        emb = pullback_BW(grid, ws.pairing)
-        L2 = l2_gram(ws.structure, thetas)
-        residuals["b_vs_l2"] = float(
-            np.abs(emb.B_gram - L2).max() / max(np.abs(L2).max(), 1e-300)
-        )
         rows.append(ConvergenceRow(level, 1.0 / level, residuals))
-    names = sorted(rows[0].residuals)
-    hs = [r.h for r in rows]
-    orders = {nm: fit_order(hs, [r.residuals[nm] for r in rows]) for nm in names}
-    return ConvergenceTable(names, rows, orders)
+    return _convergence_table(rows)
 
 
 # -- emission ------------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_bw_pullback_two_handles(handles):
     assert emb.W_max < 1e-14
     thetas = tangent_cochains(fx.model, fx.family)
     L2 = l2_gram(hs, thetas)
-    assert np.allclose(np.diag(L2), fx.expected["l2_gram_diag"], atol=1e-12)
+    assert np.allclose(np.diag(L2), fx.widths, atol=1e-12)
     assert np.abs(emb.B_gram - L2).max() < 1e-12
 
 

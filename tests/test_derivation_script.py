@@ -36,5 +36,8 @@ def test_symbolic_derivation_matches_pipeline():
     sf = special_flux(fx.model, path, ab).period_vector[0]
     assert rf == pytest.approx(float(symbolic["rf"]), abs=1e-14)
     assert sf == pytest.approx(float(symbolic["sf"]), abs=1e-14)
+    rf_expect, sf_expect = fx.expected_fluxes([0.3])
+    assert rf_expect.tolist() == pytest.approx([float(symbolic["rf"])], abs=1e-15)
+    assert sf_expect.tolist() == pytest.approx([float(symbolic["sf"])], abs=1e-15)
     L2 = l2_gram(hs, tangent_cochains(fx.model, fx.family))
     assert L2[0, 0] == pytest.approx(float(symbolic["l2"]), abs=1e-12)

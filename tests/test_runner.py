@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
 from slaglab.meshes import mesh_to_dict
 from slaglab.runner import (
+    SUITES,
     convergence_study,
     emit,
     emit_convergence,
@@ -184,6 +186,11 @@ def test_wrong_amplitude_count_is_config_error(tmp_path, capsys):
     ({"fixture": {"name": "cylinder_translation", "levle": 2}}, "levle"),
     ({"path": {"amplitudes": [0.3], "sample": 9}}, "sample"),
     ({"grid": {"points": 7, "raduis": 0.1}}, "raduis"),
+    ({"model": {"Omega_scal": 2.0}}, "Omega_scal"),
+    ({"family": {"expressions": {"y1": "y1 + u1"}, "parameters": ["u1"],
+                 "constant": {"c": 1.0}}}, "constant"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0],
+                       "span": [[0, 1, 0, 0], [0, 0, 1, 0]], "spn": []}]}, "spn"),
 ])
 def test_unknown_scenario_key_is_config_error(tmp_path, capsys, overrides, key):
     data = minimal_scenario(**overrides)
@@ -230,6 +237,44 @@ def test_cached_straight_path_failure_fails_every_suite():
     errors = {c.name: c.detail for c in report.checks if c.name.endswith("/error")}
     assert sorted(errors) == ["closed_form/error", "flux_oracles/error", "tangent_laws/error"]
     assert all(d.startswith("NonSpecialSampleError") for d in errors.values())
+
+
+@pytest.mark.parametrize("fixture, amplitudes", [
+    ({"name": "interval_c1"}, [0.25]),
+    ({"name": "two_handle"}, [0.3, -0.2]),
+    ({"name": "cylinder_translation", "almost_cy": True}, [0.3]),
+])
+def test_closed_form_oracles_and_duality_on_each_fixture(fixture, amplitudes):
+    data = minimal_scenario(fixture=fixture, path={"amplitudes": amplitudes, "samples": 17},
+                            suites=["closed_form", "flux_oracles", "duality", "chart_derivative"])
+    report = run(scenario_from_dict(data))
+    names = sorted(c.name for c in report.checks)
+    assert names == ["chart_derivative/dR_periods", "chart_derivative/dS_periods",
+                     "closed_form/relative_flux", "closed_form/special_flux",
+                     "duality/star_theta_equals_phi",
+                     "flux_oracles/random_paths", "flux_oracles/relative_fixture",
+                     "flux_oracles/special_fixture"]
+    assert report.passed, [(c.name, c.residual, c.detail) for c in report.checks]
+
+
+def test_full_run_builds_each_harmonic_basis_once(monkeypatch):
+    import slaglab.dec as dec_module
+
+    calls = []
+    original = dec_module.harmonic_fields
+
+    def counting(structure, flavor, *args, **kwargs):
+        calls.append(flavor)
+        return original(structure, flavor, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slaglab"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    report = run(scenario_from_dict(minimal_scenario(suites=list(SUITES))))
+    assert report.passed
+    assert sorted(calls) == ["dirichlet", "neumann"]
 
 
 def test_scenario_lagrangian_block_missing_field_named():
