@@ -2,9 +2,8 @@
 
 Coordinates are ordered (x1, y1, x2, y2, ...), so index 2j is the j-th real
 axis and 2j+1 the j-th imaginary axis.  All structure tensors are constant;
-the conformal weight rho may be supplied as an expression but must agree with
-the top-form normalization pointwise, which with constant coefficients pins it
-to a constant.
+so is the conformal weight rho, a positive number that must agree with the
+top-form normalization.
 
 A model validates
 
@@ -19,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatchError, NormalizationFailureError, NotKaehlerError
-from .expressions import ScalarExpression
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -74,9 +73,6 @@ class ConstantForm:
 
     def scaled(self, factor) -> "ConstantForm":
         return ConstantForm(self.dim, self.degree, {k: factor * v for k, v in self.coeffs.items()})
-
-    def real(self) -> "ConstantForm":
-        return ConstantForm(self.dim, self.degree, {k: np.real(v) for k, v in self.coeffs.items()})
 
     def imag(self) -> "ConstantForm":
         return ConstantForm(self.dim, self.degree, {k: np.imag(v) for k, v in self.coeffs.items()})
@@ -171,7 +167,10 @@ class BoundaryLagrangian:
 class AmbientModel:
     """Validated flat (almost) Calabi-Yau background."""
 
-    def __init__(self, n, topology, lattice, omega, J, Omega, rho_expr=None):
+    def __init__(self, n, topology, lattice, omega, J, Omega, rho=1.0):
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) \
+                or not (math.isfinite(rho) and rho > 0):
+            raise NormalizationFailureError(f"rho must be a positive finite number, got {rho!r}")
         self.n = n
         self.topology = topology
         self.lattice = lattice
@@ -179,15 +178,11 @@ class AmbientModel:
         self.omega = omega
         self.J = J
         self.Omega = Omega
-        self.rho = ScalarExpression(rho_expr, 2 * n) if rho_expr is not None else None
+        self.rho = float(rho)
         self._validate_kaehler()
-        self.rho_value, self.normalization_residual = self._validate_normalization()
+        self.normalization_residual = self._validate_normalization()
         self.metric = self.omega.as_matrix() @ self.J  # g = omega(. , J .)
-        self.omega_hat = Omega.scaled(1.0 / self.rho_value)
-        self.re_omega_hat = self.omega_hat.real()
-        self.im_omega_hat = self.omega_hat.imag()
-        self.re_omega = Omega.real()
-        self.im_omega = Omega.imag()
+        self.im_omega_hat = Omega.scaled(1.0 / self.rho).imag()
 
     # -- validation ----------------------------------------------------------
 
@@ -207,18 +202,7 @@ class AmbientModel:
         if np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= 0:
             raise NotKaehlerError("omega(., J.) is not positive definite")
 
-    def _sample_points(self) -> np.ndarray:
-        n2 = 2 * self.n
-        grid = np.linspace(0.0, 1.0, 4, endpoint=False)
-        pts = np.stack(np.meshgrid(*([grid] * min(n2, 2)), indexing="ij"), axis=-1)
-        pts = pts.reshape(-1, min(n2, 2))
-        full = np.zeros((pts.shape[0], n2))
-        full[:, : pts.shape[1]] = pts
-        if self.lattice is not None:
-            full = full @ self.lattice
-        return full
-
-    def _validate_normalization(self):
+    def _validate_normalization(self) -> float:
         n = self.n
         lhs_form = self.Omega.wedge(self.Omega.conjugate()).scaled(
             (-1) ** (n * (n - 1) // 2) * (1j / 2) ** n
@@ -231,51 +215,21 @@ class AmbientModel:
         for _ in range(n - 1):
             omega_n = omega_n.wedge(self.omega)
         rhs = float(np.real(omega_n.coeffs.get(top_key, 0.0))) / float(math.factorial(n))
-        points = self._sample_points()
-        rho = self.rho(points) if self.rho is not None else np.ones(len(points))
-        if np.any(rho <= 0):
-            raise NormalizationFailureError("rho must be positive")
-        residuals = np.abs(lhs.real - rho**2 * rhs)
-        residual = float(residuals.max())
+        residual = abs(lhs.real - self.rho**2 * rhs)
         scale = max(abs(lhs.real), abs(rhs), 1.0)
         if residual > _NORMALIZATION_TOL * scale:
-            hint = "" if self.rho is not None else " (no rho supplied)"
+            hint = " (no rho supplied)" if self.rho == 1.0 else ""
             raise NormalizationFailureError(
                 f"normalization residual {residual:.3e}{hint}"
             )
-        return float(np.sqrt(np.median(rho**2))), residual
+        return residual
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def is_conformal(self) -> bool:
-        return abs(self.rho_value - 1.0) > 1e-14
-
-    def conformal_factor(self) -> float:
-        """Scale relating the minimal-surface metric to g."""
-        return float(self.rho_value ** (-2.0 / self.n))
-
     def metric_matrix(self, conformal: bool | None = None) -> np.ndarray:
-        use = self.is_conformal if conformal is None else conformal
-        return self.conformal_factor() * self.metric if use else self.metric.copy()
-
-    def eval_form(self, which: str, point, vectors) -> float:
-        vectors = np.asarray(vectors, dtype=float)
-        if which in ("g", "gtilde"):
-            if vectors.shape != (2, 2 * self.n):
-                raise ArityMismatchError("metric evaluation needs exactly two vectors")
-            g = self.metric_matrix(conformal=(which == "gtilde"))
-            return float(vectors[0] @ g @ vectors[1])
-        forms = {
-            "omega": self.omega,
-            "ReOmega": self.re_omega,
-            "ImOmega": self.im_omega,
-            "ReOmegaHat": self.re_omega_hat,
-            "ImOmegaHat": self.im_omega_hat,
-        }
-        if which not in forms:
-            raise KeyError(f"unknown form {which!r}")
-        return float(forms[which](vectors))
+        """g, or the conformal metric rho^{-2/n} g; by default the latter iff rho != 1."""
+        use = abs(self.rho - 1.0) > 1e-14 if conformal is None else conformal
+        return float(self.rho ** (-2.0 / self.n)) * self.metric if use else self.metric.copy()
 
     def wrap_displacement(self, disp: np.ndarray) -> np.ndarray:
         """Minimal-image representative of displacements (..., 2n), identity on R^{2n}."""
@@ -285,13 +239,8 @@ class AmbientModel:
         wrapped = flat - np.round(flat @ self._lattice_inv) @ self.lattice
         return wrapped.reshape(np.shape(disp))
 
-    def reduce_points(self, points: np.ndarray) -> np.ndarray:
-        if self.lattice is None:
-            return points
-        coords = np.atleast_2d(points) @ self._lattice_inv
-        return (coords - np.floor(coords)) @ self.lattice
-
     def lagrangian_residual(self, lagrangian: BoundaryLagrangian) -> float:
+        """Max |omega(u, v)| over pairs of spanning directions."""
         pairs = list(itertools.combinations(lagrangian.span, 2))
         pairs = np.array(pairs).reshape(-1, 2, 2 * self.n)
         return float(np.abs(self.omega(pairs)).max(initial=0.0))
@@ -326,7 +275,7 @@ def make_model(
     J=None,
     Omega=None,
     Omega_scale: complex = 1.0,
-    rho_expr=None,
+    rho: float = 1.0,
 ) -> AmbientModel:
     """Build and validate an ambient model; defaults give the standard flat structure."""
     if topology not in ("euclidean", "torus"):
@@ -353,9 +302,4 @@ def make_model(
         top = ConstantForm(2 * n, n, {tuple(k): v for k, v in dict(Omega).items()})
         if Omega_scale != 1.0:
             top = top.scaled(Omega_scale)
-    return AmbientModel(n, topology, lat, omega_form, Jmat, top, rho_expr=rho_expr)
-
-
-def lagrangian_check(model: AmbientModel, lagrangian: BoundaryLagrangian) -> float:
-    """Max |omega(u, v)| over pairs of spanning directions."""
-    return model.lagrangian_residual(lagrangian)
+    return AmbientModel(n, topology, lat, omega_form, Jmat, top, rho=rho)

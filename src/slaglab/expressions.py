@@ -9,8 +9,6 @@ exact for analytic families.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 import sympy as sym
 
@@ -39,25 +37,6 @@ def parse_expression(text, allowed_symbols):
     if extra:
         raise ConfigError(f"expression {text!r} uses unknown symbols {sorted(extra)}")
     return expr
-
-
-class ScalarExpression:
-    """Scalar field on R^{2n} given by a constant or an expression in x_j, y_j."""
-
-    def __init__(self, spec, dim: int):
-        self.dim = dim
-        names = coordinate_names(dim // 2)
-        if isinstance(spec, numbers.Number):
-            self.expr = sym.Float(float(spec))
-        else:
-            self.expr = parse_expression(spec, names)
-        syms = [sym.Symbol(nm) for nm in names]
-        self._fn = sym.lambdify(syms, self.expr, modules="numpy")
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self._fn(*[pts[:, i] for i in range(self.dim)])
-        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 
 class CoordinateMap:

@@ -68,7 +68,7 @@ _E_X2 = np.array([0.0, 0.0, 1.0, 0.0])
 def _torus_model(n: int, almost_cy: bool) -> AmbientModel:
     """Flat square torus; almost_cy rescales the top form by 2 with rho = 2."""
     if almost_cy:
-        return make_model(n, topology="torus", Omega_scale=2.0, rho_expr=2.0)
+        return make_model(n, topology="torus", Omega_scale=2.0, rho=2.0)
     return make_model(n, topology="torus")
 
 

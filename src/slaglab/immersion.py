@@ -23,7 +23,6 @@ from .errors import (
     NotAutomorphismError,
     SlagError,
 )
-from .expressions import CoordinateMap
 from .meshes import SimplicialMesh
 
 
@@ -116,20 +115,6 @@ def pullback_form(model: AmbientModel, immersion: Immersion, form: ConstantForm,
     frames = immersion.simplex_frames(model, degree)
     vals = form(frames) / math.factorial(degree)
     return Cochain(mesh, degree, vals)
-
-
-def pullback_two_form(model: AmbientModel, immersion: Immersion, which: str = "omega") -> Cochain:
-    forms = {"omega": model.omega, "ImOmega": model.im_omega_hat}
-    return pullback_form(model, immersion, forms[which], 2)
-
-
-def pullback_n_form(model: AmbientModel, immersion: Immersion, which: str = "ImOmega") -> Cochain:
-    forms = {
-        "omega": model.omega,
-        "ImOmega": model.im_omega_hat,
-        "ReOmega": model.re_omega_hat,
-    }
-    return pullback_form(model, immersion, forms[which], model.n)
 
 
 # -- validation ------------------------------------------------------------------------
@@ -295,6 +280,9 @@ class ImmersionFamily:
     @classmethod
     def from_expressions(cls, base: Immersion, n: int, exprs: dict, parameters,
                          constants=None, label: str = "") -> "ImmersionFamily":
+        """Closed-form family from coordinate expressions; the only path that loads sympy."""
+        from .expressions import CoordinateMap
+
         cmap = CoordinateMap(exprs, n, list(parameters), constants)
         base_pos = base.positions
 

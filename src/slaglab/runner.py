@@ -69,7 +69,6 @@ DEFAULT_TOLERANCES = {
     "w_pullback": 1e-6,
     "b_vs_l2": 5e-2,
     "hessian_symmetry": 1e-6,
-    "solver": 1e-12,
 }
 
 SUITES = (
@@ -193,6 +192,26 @@ def _check_fields(section, fields, where: str):
             raise ConfigError(f"missing field '{where}.{fieldname}'")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_model(spec: dict) -> None:
+    """Types and ranges of the scalar model keys; make_model checks the tensors."""
+    n = spec.get("n", 1)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"model.n must be a positive integer, got {n!r}")
+    topology = spec.get("topology", "torus")
+    if topology not in ("euclidean", "torus"):
+        raise ConfigError(f"model.topology must be 'euclidean' or 'torus', got {topology!r}")
+    scale = spec.get("Omega_scale", 1.0)
+    if not _is_number(scale):
+        raise ConfigError(f"model.Omega_scale must be a finite number, got {scale!r}")
+    rho = spec.get("rho", 1.0)
+    if not (_is_number(rho) and rho > 0):
+        raise ConfigError(f"model.rho must be a positive finite number, got {rho!r}")
+
+
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     _check_keys(data, "scenario")
     if "fixture" not in data:
@@ -220,7 +239,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
     grid = _check_keys(data.get("grid", {}), "grid")
     if "model" in data:
-        _check_keys(data["model"], "model")
+        _check_model(_check_keys(data["model"], "model"))
     if "family" in data:
         _check_fields(_check_keys(data["family"], "family"), ("expressions", "parameters"),
                       "family")
@@ -279,11 +298,13 @@ class _Workspace:
             )
         if scenario.model_spec is not None and self.fixture.model is not None:
             spec = dict(scenario.model_spec)
-            if int(spec.get("n", self.fixture.model.n)) != self.fixture.model.n:
+            if spec.setdefault("n", self.fixture.model.n) != self.fixture.model.n:
                 raise ConfigError("model.n must match the fixture dimension")
-            spec.setdefault("n", self.fixture.model.n)
             spec.setdefault("topology", self.fixture.model.topology)
-            self.fixture.model = make_model(**spec)
+            try:
+                self.fixture.model = make_model(**spec)
+            except (SlagError, TypeError, ValueError) as exc:
+                raise ConfigError(f"model: {exc}") from exc
         if scenario.lagrangian_spec is not None and self.fixture.model is not None:
             self.fixture.lagrangians = [
                 BoundaryLagrangian(

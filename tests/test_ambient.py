@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from slaglab.ambient import (
-    BoundaryLagrangian,
-    lagrangian_check,
-    make_model,
-    standard_top_form,
-)
+from slaglab.ambient import BoundaryLagrangian, make_model, standard_top_form
 from slaglab.errors import (
     ArityMismatchError,
     NormalizationFailureError,
@@ -22,63 +17,69 @@ def test_standard_models_normalize_exactly():
     for n in (1, 2, 3):
         model = make_model(n)
         assert model.normalization_residual < 1e-15
-        assert model.rho_value == 1.0
+        assert model.rho == 1.0
 
 
 def test_scaled_top_form_needs_rho():
     with pytest.raises(NormalizationFailureError):
         make_model(2, Omega_scale=2.0)
-    model = make_model(2, Omega_scale=2.0, rho_expr=2.0)
-    assert model.rho_value == pytest.approx(2.0)
+    model = make_model(2, Omega_scale=2.0, rho=2.0)
+    assert model.rho == 2.0
 
 
-def test_varying_rho_with_constant_forms_fails():
-    with pytest.raises(NormalizationFailureError):
-        make_model(1, topology="torus", rho_expr="1 + x1/2")
+@pytest.mark.parametrize(
+    "rho", ["2", "1 + x1/2", 0.0, -2.0, float("inf"), float("nan"), True],
+    ids=["string", "expression", "zero", "negative", "inf", "nan", "bool"],
+)
+def test_rho_must_be_a_positive_finite_number(rho):
+    with pytest.raises(NormalizationFailureError, match="rho"):
+        make_model(2, topology="torus", Omega_scale=2.0, rho=rho)
 
 
 def test_omega_values():
     model = make_model(2)
-    assert model.eval_form("omega", None, [vec(1, 0, 0, 0), vec(0, 1, 0, 0)]) == 1.0
-    assert model.eval_form("omega", None, [vec(1, 0, 0, 0), vec(0, 0, 1, 0)]) == 0.0
+    assert model.omega([vec(1, 0, 0, 0), vec(0, 1, 0, 0)]) == 1.0
+    assert model.omega([vec(1, 0, 0, 0), vec(0, 0, 1, 0)]) == 0.0
 
 
 def test_im_omega_values_from_expansion():
     # dz1 ^ dz2 = (dx1 + i dy1) ^ (dx2 + i dy2)
-    model = make_model(2)
+    Omega = make_model(2).Omega
     dx1, dy1, dx2, dy2 = np.eye(4)
-    assert model.eval_form("ImOmega", None, [dx1, dx2]) == 0.0
-    assert model.eval_form("ImOmega", None, [dx1, dy2]) == 1.0
-    assert model.eval_form("ImOmega", None, [dy1, dx2]) == 1.0
-    assert model.eval_form("ReOmega", None, [dx1, dx2]) == 1.0
-    assert model.eval_form("ReOmega", None, [dy1, dy2]) == -1.0
+    assert Omega([dx1, dx2]) == 1.0
+    assert Omega([dx1, dy2]) == 1j
+    assert Omega([dy1, dx2]) == 1j
+    assert Omega([dy1, dy2]) == -1.0
 
 
 def test_metric_and_conformal_metric():
-    model = make_model(2, Omega_scale=2.0, rho_expr=2.0, topology="torus")
+    model = make_model(2, Omega_scale=2.0, rho=2.0, topology="torus")
     u = vec(1, 0, 0, 0)
-    g = model.eval_form("g", None, [u, u])
-    gt = model.eval_form("gtilde", None, [u, u])
+    g = u @ model.metric_matrix(conformal=False) @ u
+    gt = u @ model.metric_matrix(conformal=True) @ u
     assert g == pytest.approx(1.0)
-    assert gt == pytest.approx(model.rho_value ** (-2.0 / model.n) * g, rel=1e-14)
+    assert gt == pytest.approx(model.rho ** (-2.0 / model.n) * g, rel=1e-14)
+    assert np.array_equal(model.metric_matrix(), model.metric_matrix(conformal=True))
+    # the unit calibration Omega / rho
+    dx1, dy1, dx2, dy2 = np.eye(4)
+    assert model.im_omega_hat([dx1, dy2]) == pytest.approx(1.0)
 
 
 def test_gtilde_equals_g_when_rho_is_one():
     model = make_model(2)
+    g, gt = model.metric_matrix(conformal=False), model.metric_matrix(conformal=True)
     rng = np.random.default_rng(0)
     for _ in range(5):
         u, v = rng.normal(size=(2, 4))
-        assert model.eval_form("g", None, [u, v]) == pytest.approx(
-            model.eval_form("gtilde", None, [u, v]), abs=1e-14
-        )
+        assert u @ g @ v == pytest.approx(u @ gt @ v, abs=1e-14)
 
 
 def test_arity_mismatch():
     model = make_model(2)
     with pytest.raises(ArityMismatchError):
-        model.eval_form("omega", None, [vec(1, 0, 0, 0)])
+        model.omega([vec(1, 0, 0, 0)])
     with pytest.raises(ArityMismatchError):
-        model.eval_form("g", None, [vec(1, 0, 0, 0)])
+        model.omega.wedge(model.omega).as_matrix()
 
 
 def test_j_compatibility_enforced():
@@ -90,25 +91,13 @@ def test_j_compatibility_enforced():
 def test_omega_j_invariance_and_spd_on_random_frames():
     model = make_model(2)
     rng = np.random.default_rng(1)
-    J = model.J
+    J, g = model.J, model.metric_matrix()
     for _ in range(100):
         u, v = rng.normal(size=(2, 4))
-        lhs = model.eval_form("omega", None, [J @ u, J @ v])
-        rhs = model.eval_form("omega", None, [u, v])
+        lhs = model.omega([J @ u, J @ v])
+        rhs = model.omega([u, v])
         assert lhs == pytest.approx(rhs, abs=1e-14)
-        assert model.eval_form("g", None, [u, u]) > 0
-
-
-def test_torus_periodicity_of_evaluations():
-    model = make_model(2, topology="torus")
-    rng = np.random.default_rng(2)
-    point = rng.normal(size=4)
-    shift = point + model.lattice[0] + 2 * model.lattice[3]
-    frames = rng.normal(size=(2, 4))
-    assert model.eval_form("omega", point, frames) == model.eval_form(
-        "omega", shift, frames
-    )
-    assert np.allclose(model.reduce_points(point), model.reduce_points(shift))
+        assert u @ g @ u > 0
 
 
 def test_lagrangian_check_examples():
@@ -116,14 +105,14 @@ def test_lagrangian_check_examples():
     good = BoundaryLagrangian(
         1, np.zeros(4), np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
     )
-    assert lagrangian_check(model, good) == 0.0
+    assert model.lagrangian_residual(good) == 0.0
     bad = BoundaryLagrangian(
         1, np.zeros(4), np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     )
-    assert lagrangian_check(model, bad) == 1.0
+    assert model.lagrangian_residual(bad) == 1.0
     line_model = make_model(1)
     line = BoundaryLagrangian(1, np.zeros(2), np.array([[0.3, 0.7]]))
-    assert lagrangian_check(line_model, line) == 0.0
+    assert line_model.lagrangian_residual(line) == 0.0
 
 
 def test_disjointness_lattice_aware():

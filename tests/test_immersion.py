@@ -8,15 +8,14 @@ from slaglab.errors import (
     LabelViolationError,
     NotAutomorphismError,
 )
-from slaglab.expressions import CoordinateMap, ScalarExpression, parse_expression
+from slaglab.expressions import CoordinateMap, parse_expression
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import (
     Immersion,
     ImmersionFamily,
     permutation_on_cochains,
+    pullback_form,
     pullback_metric,
-    pullback_n_form,
-    pullback_two_form,
     reparametrize,
     validate,
 )
@@ -103,8 +102,8 @@ def test_pullback_metric_conformal_mode():
 
 
 def test_pullback_forms_vanish_on_fixture(cyl):
-    omega = pullback_two_form(cyl.model, cyl.base, "omega")
-    im = pullback_n_form(cyl.model, cyl.base, "ImOmega")
+    omega = pullback_form(cyl.model, cyl.base, cyl.model.omega, 2)
+    im = pullback_form(cyl.model, cyl.base, cyl.model.im_omega_hat, cyl.model.n)
     assert np.abs(omega.values).max() <= 1e-14
     assert np.abs(im.values).max() <= 1e-14
 
@@ -115,7 +114,7 @@ def test_shear_has_nonzero_symplectic_pullback(cyl):
     kappa = 0.1
     positions[:, 1] += kappa * positions[:, 2]
     sheared = Immersion(cyl.mesh, positions)
-    omega = pullback_two_form(cyl.model, sheared, "omega")
+    omega = pullback_form(cyl.model, sheared, cyl.model.omega, 2)
     vals = np.abs(omega.values)
     assert vals.max() > 0
     # away from the wrap seam the 2x2 determinant formula gives kappa times
@@ -127,7 +126,7 @@ def test_shear_has_nonzero_symplectic_pullback(cyl):
 def test_two_form_rejected_on_curves():
     fx = interval_c1(1)
     with pytest.raises(DegreeMismatchError):
-        pullback_two_form(fx.model, fx.base, "omega")
+        pullback_form(fx.model, fx.base, fx.model.omega, 2)
 
 
 def test_identity_reparametrization(cyl):
@@ -202,14 +201,6 @@ def test_expression_velocity_chain_rule(cyl):
 def test_expression_rejects_unknown_symbols():
     with pytest.raises(ConfigError):
         parse_expression("y1 + q*t", ["y1", "t"])
-
-
-def test_scalar_expression_constant_and_field():
-    rho = ScalarExpression(2.0, 4)
-    assert np.allclose(rho(np.zeros((3, 4))), 2.0)
-    field = ScalarExpression("1 + x1", 2)
-    pts = np.array([[0.0, 0.0], [0.5, 1.0]])
-    assert np.allclose(field(pts), [1.0, 1.5])
 
 
 def test_coordinate_map_defaults_keep_coordinates():

@@ -1,11 +1,14 @@
+import glob
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import slaglab
 from slaglab.cli import main as cli_main
 from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
@@ -68,6 +71,8 @@ def test_unknown_suite_and_tolerance_rejected():
         scenario_from_dict(minimal_scenario(suites=["nope"]))
     with pytest.raises(ConfigError, match="tolerance"):
         scenario_from_dict(minimal_scenario(tolerances={"bogus": 1.0}))
+    with pytest.raises(ConfigError, match="solver"):
+        scenario_from_dict(minimal_scenario(tolerances={"solver": 1}))
     with pytest.raises(ConfigError, match="nonnegative"):
         scenario_from_dict(minimal_scenario(tolerances={"flux_oracle": -1.0}))
 
@@ -139,7 +144,7 @@ def test_scenario_model_block_override():
     # the conformal model with rescaled top form leaves all checks passing
     data = minimal_scenario(
         suites=["closed_form", "tangent_laws"],
-        model={"Omega_scale": 2.0, "rho_expr": 2.0},
+        model={"Omega_scale": 2.0, "rho": 2.0},
     )
     report = run(scenario_from_dict(data))
     assert report.passed
@@ -149,6 +154,24 @@ def test_scenario_model_block_dimension_checked():
     data = minimal_scenario(suites=["closed_form"], model={"n": 3})
     with pytest.raises(ConfigError, match="model.n"):
         run(scenario_from_dict(data))
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"n": "x"}, "model.n"),
+    ({"Omega_scale": "abc"}, "model.Omega_scale"),
+    ({"lattice": 3}, "model: lattice"),
+    ({"topology": "sphere"}, "model.topology"),
+    ({"Omega_scale": 2.0}, "(no rho supplied)"),
+    ({"Omega_scale": 2.0, "rho": "2"}, "model.rho"),
+    ({"rho": 0}, "model.rho"),
+    ({"omega": [[0, 1], [-1]]}, "model:"),
+])
+def test_bad_model_value_is_config_error_naming_it(tmp_path, capsys, model, field):
+    p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form"], model=model))
+    assert cli_main(["run", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model")
+    assert field in err
 
 
 def test_scenario_lagrangian_block():
@@ -365,6 +388,40 @@ def test_cli_tol_scale(tmp_path, capsys):
     assert cli_main(["run", bad]) == 1
     assert cli_main(["run", bad, "--tol-scale", "1e6"]) == 0
     capsys.readouterr()
+
+
+def test_cli_run_jobs_matches_serial(tmp_path, capsys):
+    files = [
+        write_scenario(tmp_path, minimal_scenario(fixture={"name": name}, suites=["topology"]),
+                       name=f"{name}.json")
+        for name in ("cylinder_translation", "two_handle")
+    ]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli_main(["run", *files, "--jobs", "1", "--out", str(serial)]) == 0
+    assert cli_main(["run", *files, "--jobs", "2", "--out", str(pooled)]) == 0
+    capsys.readouterr()
+    trees = [{str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+             for root in (serial, pooled)]
+    assert len(trees[0]) == 4 and trees[0] == trees[1]
+
+
+def test_shipped_scenarios_run_without_sympy():
+    code = (
+        "import sys\n"
+        "import slaglab.cli\n"
+        "from slaglab import runner\n"
+        "for path in sys.argv[1:]:\n"
+        "    runner.run(runner.load_scenario(path))\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenarios = sorted(glob.glob(os.path.join(repo, "scenarios", "*.json")))
+    assert scenarios
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slaglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *scenarios], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_fixtures_list(capsys):
