@@ -90,16 +90,6 @@ class ConstantForm:
                 out[key] = out.get(key, 0) + sign * va * vb
         return ConstantForm(self.dim, self.degree + other.degree, out)
 
-    def contract(self, vector: np.ndarray) -> "ConstantForm":
-        """Interior product into the first slot with a constant vector."""
-        vector = np.asarray(vector, dtype=float)
-        out: dict = {}
-        for idx, val in self.coeffs.items():
-            for pos, i in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1 :]
-                out[rest] = out.get(rest, 0) + ((-1) ** pos) * val * vector[i]
-        return ConstantForm(self.dim, self.degree - 1, out)
-
     def as_matrix(self) -> np.ndarray:
         """Degree-2 form as the antisymmetric matrix A with form(u, v) = u^T A v."""
         if self.degree != 2:

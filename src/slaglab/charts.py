@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientModel
-from .dec import Cochain, HodgeStructure, harmonic_fields, hodge_star, period_matrix
+from .dec import Cochain, HodgeStructure, hodge_star, period_matrix
 from .errors import (
     AsymmetricJacobianError,
     InsufficientSamplesError,
@@ -45,10 +45,12 @@ class ChartSample:
 class PairingStructure:
     """Integer duality pairing of the cycle-dual cohomology bases.
 
-    P[j, k] is the integral over the fundamental class of a_j ^ b_k, where a_j
-    has unit period over relative cycle j and b_k unit period over absolute
-    cycle k.  Computed from closed Whitney representatives, the value is a
-    topological integer up to roundoff; it is certified and rounded.
+    P[j, k] is the integral over the fundamental class of a_j ^ b_k, where
+    a_j = rel.dual[:, j] and b_k = ab.dual[:, k] are the integer cocycles with
+    periods delta over the relative and absolute cycles.  Their Whitney forms
+    are closed and the wedge integral obeys Stokes exactly, so P depends only
+    on the cohomology classes: an integer up to roundoff, certified and
+    rounded.
     """
 
     P: np.ndarray
@@ -71,20 +73,8 @@ def pairing_structure(
     structure: HodgeStructure,
     rel_cycles: RelativeCycleBasis,
     abs_cycles: AbsoluteCycleBasis,
-    dirichlet=None,
-    neumann=None,
 ) -> PairingStructure:
-    if dirichlet is None:
-        dirichlet = harmonic_fields(structure, "dirichlet", cycles=rel_cycles)
-    if neumann is None:
-        neumann = harmonic_fields(structure, "neumann", cycles=abs_cycles)
-    mesh = structure.mesh
-    A = np.stack([c.values for c in dirichlet], axis=1)
-    Bv = np.stack([c.values for c in neumann], axis=1)
-    A = A @ np.linalg.inv(period_matrix(dirichlet, rel_cycles))
-    Bv = Bv @ np.linalg.inv(period_matrix(neumann, abs_cycles))
-    wedge = structure.wedge_matrix(1 if mesh.dim >= 1 else 0)
-    raw = A.T @ (wedge @ Bv)
+    raw = rel_cycles.dual.T @ (structure.wedge_matrix(1) @ abs_cycles.dual)
     P = np.round(raw)
     residual = float(np.abs(raw - P).max())
     if residual > 1e-6:
@@ -97,7 +87,7 @@ def pairing_structure(
 def normalize_cycles_to_identity(
     pairing: PairingStructure, abs_cycles: AbsoluteCycleBasis
 ):
-    """Reorder/flip absolute cycles so the pairing becomes the identity.
+    """Reorder/flip absolute cycles and their duals so the pairing becomes the identity.
 
     Only applies when P is a signed permutation; returns (new basis, identity
     pairing).  Otherwise the original data is returned unchanged.
@@ -107,12 +97,13 @@ def normalize_cycles_to_identity(
     P = pairing.P
     m = pairing.m
     new_cycles: list[Chain] = [None] * m  # type: ignore[list-item]
+    dual = np.empty_like(abs_cycles.dual)
     for k in range(m):
         j = int(np.nonzero(P[:, k])[0][0])
         sign = int(P[j, k])
-        chain = abs_cycles.cycles[k]
-        new_cycles[j] = chain if sign > 0 else -chain
-    basis = AbsoluteCycleBasis(tuple(new_cycles), degree=abs_cycles.degree)
+        new_cycles[j] = abs_cycles.cycles[k] if sign > 0 else -abs_cycles.cycles[k]
+        dual[:, j] = sign * abs_cycles.dual[:, k]
+    basis = AbsoluteCycleBasis(tuple(new_cycles), abs_cycles.degree, dual)
     return basis, PairingStructure(np.eye(m), pairing.certification_residual)
 
 
@@ -489,20 +480,3 @@ class AtlasReport:
         rows.append(f"w_max,,{self.w_max!r}")
         rows.append(f"hessian_symmetry,,{self.hessian.symmetry_residual!r}")
         return rows
-
-
-def synthetic_grid(u_axis, v_of_u) -> GridSamples:
-    """Grid with prescribed v(u) map and identity pairing; for negative controls."""
-    m = 2
-    pts = len(u_axis)
-    shape = (pts,) * m
-    u = np.zeros(shape + (m,))
-    R = np.zeros(shape + (m,))
-    S = np.zeros(shape + (m,))
-    for idx in itertools.product(range(pts), repeat=m):
-        uu = np.array([u_axis[i] for i in idx])
-        u[idx] = uu
-        R[idx] = uu
-        S[idx] = v_of_u(uu)
-    spacing = np.full(m, u_axis[1] - u_axis[0])
-    return GridSamples(shape, spacing, u, R, S)

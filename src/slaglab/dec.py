@@ -17,14 +17,15 @@ star(a) = M_{n-k}^{-1} P_k^T a.  Dirichlet harmonic 1-fields are the kernel of
 {closedness on interior edges} + {M_1-orthogonality to differentials of
 interior-vertex functions}; Neumann (n-1)-fields test against all functions.
 Both kernels have exactly the corresponding Betti dimensions at the discrete
-level, so a dimension mismatch signals solver failure, not discretization.
+level, so a dimension mismatch signals solver failure, not discretization;
+counting them cross-checks the combinatorial Betti numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,13 +36,11 @@ from .errors import (
     DegreeMismatchError,
     DegreeOutOfRangeError,
     DimensionMismatchError,
-    RankDeficientError,
     SolverFailureError,
 )
 from .meshes import SimplicialMesh
 
 _KERNEL_GAP = 1e-8
-_SOLVER_TOL = 1e-12
 
 
 @dataclass
@@ -63,9 +62,6 @@ class Cochain:
     @classmethod
     def zeros(cls, mesh: SimplicialMesh, degree: int) -> "Cochain":
         return cls(mesh, degree, np.zeros(mesh.n_simplices(degree)))
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.mesh, self.degree, self.values.copy())
 
 
 class MetricField:
@@ -100,7 +96,7 @@ class MetricField:
 
 
 class HodgeStructure:
-    """Mass matrices, wedge pairings, harmonic bases and solver caches."""
+    """Mass matrices, wedge pairings and solver caches."""
 
     def __init__(self, mesh: SimplicialMesh, metric: MetricField):
         if metric.mesh is not mesh:
@@ -287,7 +283,6 @@ def period_matrix(cochains, cycles) -> np.ndarray:
 def harmonic_fields(
     structure: HodgeStructure,
     flavor: str,
-    cycles=None,
     expected_dim: int | None = None,
     kernel_gap: float = _KERNEL_GAP,
 ):
@@ -298,11 +293,11 @@ def harmonic_fields(
     flavor "neumann": degree-(n-1) closed fields M-orthogonal to differentials
     of all (n-2)-cochains.
 
-    The returned basis is M-orthonormal and deterministic: eigenvectors of the
-    constraint normal matrix are period-normalized against `cycles` (when
-    given) before Gram-Schmidt, and signs are fixed by the first nonzero
-    period.  Raises DimensionMismatchError when the numerical kernel dimension
-    disagrees with the Betti prediction.
+    The basis is the kernel eigenvectors of the constraint normal matrix,
+    neither M-orthonormal nor normalized against any cycles: only its size is
+    used.  The spectrum lands in structure.diagnostics.  Raises
+    DimensionMismatchError when the numerical kernel dimension disagrees with
+    the Betti prediction.
     """
     mesh = structure.mesh
     n = mesh.dim
@@ -348,27 +343,7 @@ def harmonic_fields(
     structure.diagnostics[f"{flavor}_spectrum"] = lam
     basis = np.zeros((mesh.n_simplices(degree), m_expected))
     basis[col_ids] = vecs[:, :m_expected]
-    cochains = [Cochain(mesh, degree, basis[:, j]) for j in range(m_expected)]
-    if m_expected == 0:
-        return []
-    if cycles is not None:
-        pm = period_matrix(cochains, cycles)
-        cond = np.linalg.cond(pm)
-        structure.diagnostics[f"{flavor}_period_condition"] = float(cond)
-        if not np.isfinite(cond) or cond > 1e10:
-            raise RankDeficientError(
-                f"period pairing of {flavor} fields nearly singular (cond {cond:.2e})"
-            )
-        dual = basis @ np.linalg.inv(pm)
-        cochains = [Cochain(mesh, degree, dual[:, j]) for j in range(m_expected)]
-    ortho = _gram_schmidt(structure, cochains)
-    if cycles is not None:
-        for coch in ortho:
-            periods = period_matrix([coch], cycles)[:, 0]
-            lead = periods[np.abs(periods) > 1e-10]
-            if lead.size and lead[0] < 0:
-                coch.values *= -1.0
-    return ortho
+    return [Cochain(mesh, degree, basis[:, j]) for j in range(m_expected)]
 
 
 def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int):
@@ -397,96 +372,3 @@ def _kernel_dimension(lam: np.ndarray, m_expected: int, kernel_gap: float = _KER
         return -1
     count = int(np.sum(lam < kernel_gap * gap_ref))
     return count
-
-
-def _gram_schmidt(structure: HodgeStructure, cochains):
-    out = []
-    for coch in cochains:
-        v = coch.copy()
-        for e in out:
-            v.values -= structure.inner(v, e) * e.values
-        nrm = structure.norm(v)
-        if nrm < 1e-14:
-            raise RankDeficientError("harmonic basis became degenerate during orthonormalization")
-        v.values /= nrm
-        out.append(v)
-    return out
-
-
-# -- decomposition --------------------------------------------------------------------
-
-
-@dataclass
-class Decomposition:
-    exact: Cochain
-    coexact: Cochain
-    harmonic: Cochain
-    diagnostics: dict = field(default_factory=dict)
-
-
-def hodge_decompose(
-    structure: HodgeStructure,
-    cochain: Cochain,
-    cycles_rel=None,
-    cycles_abs=None,
-    solver_tol: float = _SOLVER_TOL,
-) -> Decomposition:
-    """Split a cochain into (exact, remainder, harmonic) M-orthogonal parts.
-
-    The exact part is d of a least-squares potential supported on interior
-    (k-1)-simplices; the harmonic part is the M-projection onto the span of
-    the flavor bases matching the degree (Dirichlet in degree 1, Neumann in
-    degree n-1, both when these coincide); the remainder collects what is
-    M-orthogonal to both, which for consistent inputs is the coexact part.
-    """
-    mesh = structure.mesh
-    k = cochain.degree
-    harmonic_span = []
-    if k == 1:
-        harmonic_span += harmonic_fields(structure, "dirichlet", cycles=cycles_rel)
-    if k == mesh.dim - 1 and mesh.dim >= 1:
-        harmonic_span += harmonic_fields(structure, "neumann", cycles=cycles_abs)
-    mass = structure.mass_matrix(k)
-    if harmonic_span:
-        basis = np.stack([c.values for c in harmonic_span], axis=1)
-        gram = basis.T @ (mass @ basis)
-        lam, U = np.linalg.eigh(gram)
-        keep = lam > 1e-12 * max(lam.max(), 1.0)
-        ortho = basis @ (U[:, keep] / np.sqrt(lam[keep]))
-        h_vals = ortho @ (ortho.T @ (mass @ cochain.values))
-    else:
-        h_vals = np.zeros_like(cochain.values)
-    harmonic = Cochain(mesh, k, h_vals)
-
-    remainder = cochain.values - h_vals
-    if k >= 1:
-        cols = mesh.interior_simplex_ids(k - 1)
-        A = exterior_derivative(mesh, k - 1)[:, cols]
-        AtM = A.T @ mass
-
-        def op(x):
-            return AtM @ (A @ x)
-
-        linop = spla.LinearOperator((len(cols), len(cols)), matvec=op)
-        rhs = AtM @ remainder
-        scale = np.linalg.norm(rhs)
-        if scale == 0:
-            x = np.zeros(len(cols))
-        else:
-            x, info = spla.cg(linop, rhs, rtol=solver_tol * 1e-2,
-                              atol=solver_tol * 1e-4 * scale, maxiter=5000)
-            if info > 0:
-                raise SolverFailureError(f"potential solve stalled (cg info {info})")
-        exact_vals = A @ x
-    else:
-        exact_vals = np.zeros_like(remainder)
-    exact = Cochain(mesh, k, exact_vals)
-    coexact = Cochain(mesh, k, cochain.values - h_vals - exact_vals)
-
-    scale = max(float(np.linalg.norm(mass @ cochain.values, ord=np.inf)), 1e-300)
-    diag = {
-        "ortho_exact_coexact": abs(float(exact.values @ (mass @ coexact.values))) / scale,
-        "ortho_exact_harmonic": abs(float(exact.values @ (mass @ harmonic.values))) / scale,
-        "ortho_coexact_harmonic": abs(float(coexact.values @ (mass @ harmonic.values))) / scale,
-    }
-    return Decomposition(exact, coexact, harmonic, diag)

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import AmbientModel, ConstantForm
-from .dec import Cochain, MetricField
+from .ambient import AmbientModel
+from .dec import MetricField
 from .errors import (
     DegenerateSimplexError,
-    DegreeMismatchError,
     LabelViolationError,
     NotAutomorphismError,
     SlagError,
@@ -102,21 +101,6 @@ def pullback_metric(model: AmbientModel, immersion: Immersion, conformal=None) -
         raise DegenerateSimplexError(f"pullback metric degenerate: {exc}") from exc
 
 
-def pullback_form(model: AmbientModel, immersion: Immersion, form: ConstantForm,
-                  degree: int) -> Cochain:
-    """Exact integral of a constant degree-k form over every image k-simplex."""
-    mesh = immersion.mesh
-    if not 0 < degree <= mesh.dim:
-        raise DegreeMismatchError(
-            f"cannot pull a {degree}-form back to a {mesh.dim}-complex"
-        )
-    if form.degree != degree:
-        raise DegreeMismatchError(f"form degree {form.degree} != requested {degree}")
-    frames = immersion.simplex_frames(model, degree)
-    vals = form(frames) / math.factorial(degree)
-    return Cochain(mesh, degree, vals)
-
-
 # -- validation ------------------------------------------------------------------------
 
 
@@ -138,10 +122,6 @@ class ValidationReport:
             and self.transversality_margin > tol.get("transversality", 1e-10)
             and self.lagrangian_residual <= tol.get("lagrangian", 1e-10)
         )
-
-    @property
-    def special_ok(self) -> bool:
-        return self.ok and self.special_residual <= self.tolerances.get("special", 1e-10)
 
 
 def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=None) -> ValidationReport:

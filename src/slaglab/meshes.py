@@ -23,10 +23,11 @@ suite cross-checks the ranks against a Smith-normal-form oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     NonManifoldError,
@@ -52,9 +53,14 @@ class Chain:
 
 @dataclass(frozen=True)
 class RelativeCycleBasis:
-    """1-chains whose boundary is supported on boundary vertices."""
+    """1-chains whose boundary is supported on boundary vertices.
+
+    dual[:, j] is an integer 1-cocycle vanishing on boundary edges with
+    period delta_jk over cycle k.
+    """
 
     cycles: tuple[Chain, ...]
+    dual: np.ndarray = field(compare=False)
 
     @property
     def m(self) -> int:
@@ -67,10 +73,12 @@ class RelativeCycleBasis:
 
 @dataclass(frozen=True)
 class AbsoluteCycleBasis:
-    """Closed (n-1)-chains."""
+    """Closed (n-1)-chains; dual[:, j] is an integer (n-1)-cocycle with period
+    delta_jk over cycle k."""
 
     cycles: tuple[Chain, ...]
-    degree: int = 0
+    degree: int
+    dual: np.ndarray = field(compare=False)
 
     @property
     def m(self) -> int:
@@ -197,18 +205,6 @@ class SimplicialMesh:
         shape = (self.n_vertices,) * (k + 1)
         codes = np.ravel_multi_index(self.simplices[k].T, shape)
         return np.searchsorted(codes, np.ravel_multi_index(rows.T, shape))
-
-    def chain_boundary(self, chain: Chain) -> Chain:
-        if chain.degree == 0:
-            return Chain(-1, {})
-        op = self.boundary_operator(chain.degree)
-        out: dict[int, int] = {}
-        for j, c in chain.coeffs.items():
-            col = op.getcol(j).tocoo()
-            for i, v in zip(col.row, col.data):
-                i = int(i)
-                out[i] = out.get(i, 0) + c * int(v)
-        return Chain(chain.degree - 1, {i: v for i, v in out.items() if v})
 
     # -- homology ------------------------------------------------------------------
 
@@ -500,11 +496,10 @@ def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
     m = mesh.betti_profile().b_rel_1
     ids = mesh.interior_simplex_ids(1)
     edge_list = list(zip(ids.tolist(), *mesh._merged_edges()[ids].T.tolist()))
-    dual = mesh._dual_edges() if mesh.dim == 2 else None
-    chosen = _cycle_generators(edge_list, [mesh.n_vertices], dual, m)
+    chosen, dual = _cycle_generators(mesh, edge_list, [mesh.n_vertices], m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} relative cycles, expected {m}")
-    return RelativeCycleBasis(tuple(chosen))
+    return RelativeCycleBasis(tuple(chosen), dual)
 
 
 def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
@@ -512,52 +507,97 @@ def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
     profile = mesh.betti_profile()
     m = profile.betti[mesh.dim - 1] if mesh.dim >= 1 else profile.betti[0]
     if mesh.dim == 1:
-        # one interior vertex per connected component, lowest id first
+        # one interior vertex per connected component, lowest id first; its
+        # dual is the indicator of the component
         parent = list(range(mesh.n_vertices))
         _unite(parent, mesh.simplices[1])
         members: dict[int, list[int]] = {}
         for v in range(mesh.n_vertices):
             members.setdefault(_find(parent, v), []).append(v)
         chosen: list[Chain] = []
-        for group in members.values():
+        dual = np.zeros((mesh.n_vertices, len(members)), dtype=np.int64)
+        for j, group in enumerate(members.values()):
             interior = [v for v in group if not mesh._in_boundary[0][v]]
             chosen.append(Chain(0, {(interior or group)[0]: 1}))
+            dual[group, j] = 1
         if len(chosen) != m:
             raise RankDeficientError(f"found {len(chosen)} 0-cycles, expected {m}")
-        return AbsoluteCycleBasis(tuple(chosen), degree=0)
+        return AbsoluteCycleBasis(tuple(chosen), 0, dual)
     if mesh.dim != 2:
         raise SlagError("absolute cycle basis implemented for dim <= 2")
     edge_list = list(zip(range(mesh.n_simplices(1)), *mesh.simplices[1].T.tolist()))
-    chosen = _cycle_generators(edge_list, [], mesh._dual_edges(), m)
+    chosen, dual = _cycle_generators(mesh, edge_list, [], m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} cycles, expected {m}")
-    return AbsoluteCycleBasis(tuple(chosen), degree=1)
+    return AbsoluteCycleBasis(tuple(chosen), 1, dual)
 
 
-def _cycle_generators(edge_list, roots, dual_ends, m: int) -> list[Chain]:
+def _cycle_generators(mesh: SimplicialMesh, edge_list, roots, m: int):
     """First m fundamental cycles of a BFS forest that are independent modulo
-    2-boundaries, by tree-cotree decomposition.
+    2-boundaries, by tree-cotree decomposition, and the cocycles dual to them.
 
-    dual_ends[e] are the dual-graph nodes (triangles, or the ground node)
-    joined by edge e, or None when there are no 2-boundaries.  The cotree is
-    the forest that Kruskal's algorithm grows in the dual graph from the
+    The dual graph joins triangles, or a triangle and the ground node, across
+    each edge (`_dual_edges`); a curve has none.  The cotree is the forest
+    that Kruskal's algorithm grows in the dual graph from the
     non-tree edges in descending id; the generators are the remaining non-tree
     edges in ascending id.  A cycle is fixed by its non-tree coefficients, so
     this is the lexicographically first complement of the dual graph's
     (regular, hence field-independent) matroid on the non-tree edges: the same
     cycles, signs and order that greedy elimination of candidates in
     ascending id keeps.
+
+    Returns the cycles and an (N_1, m) integer array whose column j is 1 on
+    generator j and 0 on the tree, on the other generators and on every edge
+    outside edge_list, with cotree values fixed by closedness (Erickson &
+    Whittlesey, SODA 2005); its period over cycle k is therefore delta_jk.
     """
     parent_edge = _bfs_forest(edge_list, roots)
     tree_edges = {pe[0] for pe in parent_edge.values() if pe is not None}
     non_tree = sorted(e for e in edge_list if e[0] not in tree_edges)
-    cotree = set()
-    if dual_ends is not None:
+    cotree = []
+    if mesh.dim == 2:
         order = [eid for eid, _, _ in reversed(non_tree)]
-        joined = _unite(list(range(int(dual_ends.max()) + 1)), dual_ends[order])
-        cotree = {eid for eid, j in zip(order, joined) if j}
-    generators = [e for e in non_tree if e[0] not in cotree][:m]
-    return [Chain(1, _fundamental_cycle(parent_edge, *e)) for e in generators]
+        joined = _unite(list(range(mesh.n_simplices(2) + 1)), mesh._dual_edges()[order])
+        cotree = [eid for eid, j in zip(order, joined) if j]
+    in_cotree = set(cotree)
+    generators = [e for e in non_tree if e[0] not in in_cotree][:m]
+    dual = np.zeros((mesh.n_simplices(1), len(generators)), dtype=np.int64)
+    dual[[e[0] for e in generators], range(len(generators))] = 1
+    if cotree:
+        _close_over_cotree(mesh, dual, cotree)
+    return [Chain(1, _fundamental_cycle(parent_edge, *e)) for e in generators], dual
+
+
+def _close_over_cotree(mesh: SimplicialMesh, dual: np.ndarray, cotree: list[int]) -> None:
+    """Fill the cotree rows of `dual` so that its coboundary vanishes.
+
+    Each cotree component is rooted at the ground node where it reaches it,
+    else at its lowest triangle.  Leaves first, each triangle solves for the
+    edge to its parent, the only one of its edges still unset; incidences are
+    +-1, so the values stay integers.  A root triangle's equation is the sum
+    of the others in its component, which the final check confirms.
+    """
+    ground = mesh.n_simplices(2)
+    ends = mesh._dual_edges()[cotree]
+    graph = sp.coo_matrix((np.ones(len(cotree)), ends.T), shape=(ground + 1,) * 2)
+    _, comp = connected_components(graph, directed=False)
+    firsts = np.unique(comp, return_index=True)[1]
+    roots = [ground, *firsts[comp[firsts] != comp[ground]].tolist()]
+    order = np.concatenate([breadth_first_order(graph, root, directed=False,
+                                                return_predecessors=False) for root in roots])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))  # a parent comes before its children
+    child = np.where(rank[ends[:, 0]] > rank[ends[:, 1]], ends[:, 0], ends[:, 1])
+    leaves_first = np.argsort(-rank[child])
+    tri = mesh.face_table(1).tolist()  # edges ab, ac, bc; d = x_ab - x_ac + x_bc
+    values = dual.tolist()
+    for e, t in zip(np.asarray(cotree)[leaves_first].tolist(), child[leaves_first].tolist()):
+        ab, ac, bc = tri[t]
+        sign = -1 if e == ac else 1
+        values[e] = [sign * (y - x - z) for x, y, z in zip(values[ab], values[ac], values[bc])]
+    dual[:] = values
+    if np.any(mesh.coboundary_operator(1) @ dual):
+        raise RankDeficientError("cycle-dual cochains are not closed")
 
 
 def _bfs_forest(edge_list, roots):
@@ -613,26 +653,6 @@ def _fundamental_cycle(parent_edge, eid, a, b) -> dict[int, int]:
 
 
 # -- serialization --------------------------------------------------------------------
-
-
-def mesh_to_dict(mesh: SimplicialMesh) -> dict:
-    faces = mesh.simplices[mesh.dim - 1] if mesh.dim else np.empty((0, 0))
-    labels = [
-        [faces[i].tolist(), int(mesh.boundary_labels[i])]
-        for i in mesh.boundary_face_ids()
-    ]
-    tops = []
-    for row, flag in zip(mesh.simplices[mesh.dim], mesh.top_orientation):
-        t = row.tolist()
-        if flag < 0:
-            t[0], t[1] = t[1], t[0]
-        tops.append(t)
-    return {
-        "dim": mesh.dim,
-        "vertices": mesh.n_vertices,
-        "simplices": tops,
-        "boundary_labels": labels,
-    }
 
 
 def mesh_from_dict(data: dict) -> SimplicialMesh:

@@ -212,6 +212,36 @@ def _check_model(spec: dict) -> None:
         raise ConfigError(f"model.rho must be a positive finite number, got {rho!r}")
 
 
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(_is_number(x) for x in value)
+
+
+def _check_family(spec: dict) -> None:
+    """Types of the family values; the expressions themselves are parsed later."""
+    _check_fields(spec, ("expressions", "parameters"), "family")
+    exprs, params = spec["expressions"], spec["parameters"]
+    if not (isinstance(exprs, dict) and all(isinstance(v, str) for v in exprs.values())):
+        raise ConfigError(f"family.expressions must map coordinates to strings, got {exprs!r}")
+    if not (isinstance(params, list) and all(isinstance(p, str) for p in params)):
+        raise ConfigError(f"family.parameters must be a list of names, got {params!r}")
+    consts = spec.get("constants", {})
+    if not (isinstance(consts, dict) and all(_is_number(v) for v in consts.values())):
+        raise ConfigError(f"family.constants must map names to finite numbers, got {consts!r}")
+
+
+def _check_lagrangian(lam: dict, where: str) -> None:
+    _check_fields(lam, ("index", "basepoint", "span"), where)
+    index, span = lam["index"], lam["span"]
+    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+        raise ConfigError(f"{where}.index must be a positive integer, got {index!r}")
+    if not _is_vector(lam["basepoint"]):
+        raise ConfigError(f"{where}.basepoint must be a list of finite numbers, "
+                          f"got {lam['basepoint']!r}")
+    if not (isinstance(span, list) and span and all(_is_vector(row) for row in span)
+            and len({len(row) for row in span}) == 1):
+        raise ConfigError(f"{where}.span must be a list of number lists, got {span!r}")
+
+
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     _check_keys(data, "scenario")
     if "fixture" not in data:
@@ -241,16 +271,14 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     if "model" in data:
         _check_model(_check_keys(data["model"], "model"))
     if "family" in data:
-        _check_fields(_check_keys(data["family"], "family"), ("expressions", "parameters"),
-                      "family")
+        _check_family(_check_keys(data["family"], "family"))
     lagrangians = data.get("lagrangians")
     if lagrangians is not None:
         if not isinstance(lagrangians, list):
             raise ConfigError("lagrangians must be a JSON list")
         for i, lam in enumerate(lagrangians):
             where = f"lagrangians[{i}]"
-            _check_fields(_check_keys(lam, "lagrangians", where), ("index", "basepoint", "span"),
-                          where)
+            _check_lagrangian(_check_keys(lam, "lagrangians", where), where)
     scenario = Scenario(
         name=data.get("name", default_name),
         fixture=fix.get("name", "mesh_file"),
@@ -306,14 +334,19 @@ class _Workspace:
             except (SlagError, TypeError, ValueError) as exc:
                 raise ConfigError(f"model: {exc}") from exc
         if scenario.lagrangian_spec is not None and self.fixture.model is not None:
-            self.fixture.lagrangians = [
-                BoundaryLagrangian(
-                    int(lam["index"]),
-                    np.asarray(lam["basepoint"], dtype=float),
-                    np.asarray(lam["span"], dtype=float),
-                )
-                for lam in scenario.lagrangian_spec
-            ]
+            n = self.fixture.model.n
+            self.fixture.lagrangians = []
+            for i, lam in enumerate(scenario.lagrangian_spec):
+                basepoint = np.asarray(lam["basepoint"], dtype=float)
+                span = np.asarray(lam["span"], dtype=float)
+                if basepoint.shape != (2 * n,) or span.shape != (n, 2 * n):
+                    raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
+                                      f"and {n} span rows of {2 * n}")
+                self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
+            try:
+                self.fixture.model.check_disjoint(self.fixture.lagrangians)
+            except SlagError as exc:
+                raise ConfigError(f"lagrangians: {exc}") from exc
         if scenario.family_spec is not None and self.fixture.base is not None:
             spec = scenario.family_spec
             self.fixture.family = ImmersionFamily.from_expressions(
@@ -324,7 +357,6 @@ class _Workspace:
         self._structure = None
         self._cycles = None
         self._pairing = None
-        self._harmonic = None
         self._straight_fluxes = None
         self.atlas_parts: dict = {}
 
@@ -334,11 +366,8 @@ class _Workspace:
             rel = relative_cycle_basis(self.fixture.mesh)
             ab = absolute_cycle_basis(self.fixture.mesh)
             if self.fixture.model is not None:
-                harmonic = (harmonic_fields(self.structure, "dirichlet", cycles=rel),
-                            harmonic_fields(self.structure, "neumann", cycles=ab))
-                pair = pairing_structure(self.structure, rel, ab, *harmonic)
-                ab, pair = normalize_cycles_to_identity(pair, ab)
-                self._pairing, self._harmonic = pair, harmonic
+                pair = pairing_structure(self.structure, rel, ab)
+                ab, self._pairing = normalize_cycles_to_identity(pair, ab)
             self._cycles = (rel, ab)
         return self._cycles
 
@@ -346,12 +375,6 @@ class _Workspace:
     def pairing(self):
         self.rel_abs
         return self._pairing
-
-    @property
-    def harmonic(self):
-        """(Dirichlet, Neumann) harmonic bases behind the pairing."""
-        self.rel_abs
-        return self._harmonic
 
     @property
     def structure(self) -> HodgeStructure:
@@ -424,7 +447,9 @@ def _suite_topology(ws: _Workspace, report: RunReport, scenario: Scenario):
     report.add("topology/boundary_squared", "boundary of boundary vanishes (exact)",
                dd, 0.0)
     if ws.fixture.model is not None:
-        dirichlet, neumann = ws.harmonic
+        ws.rel_abs  # builds the cycle bases and certifies their pairing
+        dirichlet = harmonic_fields(ws.structure, "dirichlet")
+        neumann = harmonic_fields(ws.structure, "neumann")
         report.add_flag(
             "topology/harmonic_counts",
             "constrained harmonic field counts match homology ranks",
@@ -467,7 +492,6 @@ def _suite_tangent_laws(ws: _Workspace, report: RunReport, scenario: Scenario):
 
 def _duality_residual(ws: _Workspace, n_probe: int = 5):
     """Max relative mass-norm error of star(theta) - phi over probe times."""
-    rel, ab = ws.rel_abs
     path = ws.straight_path()
     structure = ws.structure
     worst = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slaglab.ambient import BoundaryLagrangian, make_model, standard_top_form
+from slaglab.ambient import BoundaryLagrangian, ConstantForm, make_model, standard_top_form
 from slaglab.errors import (
     ArityMismatchError,
     NormalizationFailureError,
@@ -11,6 +11,17 @@ from slaglab.errors import (
 
 def vec(*entries):
     return np.array(entries, dtype=float)
+
+
+def contract(form: ConstantForm, vector: np.ndarray) -> ConstantForm:
+    """Interior product into the first slot with a constant vector."""
+    vector = np.asarray(vector, dtype=float)
+    out: dict = {}
+    for idx, val in form.coeffs.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1 :]
+            out[rest] = out.get(rest, 0) + ((-1) ** pos) * val * vector[i]
+    return ConstantForm(form.dim, form.degree - 1, out)
 
 
 def test_standard_models_normalize_exactly():
@@ -129,7 +140,7 @@ def test_disjointness_lattice_aware():
 def test_wedge_and_contraction():
     form = standard_top_form(2)
     dx1, dy1 = np.eye(4)[0], np.eye(4)[1]
-    contracted = form.imag().contract(np.eye(4)[1])  # i_{dy1} Im(Omega)
+    contracted = contract(form.imag(), np.eye(4)[1])  # i_{dy1} Im(Omega)
     # Im(Omega) = dx1^dy2 + dy1^dx2, so contraction gives dx2
     assert contracted(np.eye(4)[2][None, :]) == pytest.approx(1.0)
     assert contracted(np.eye(4)[3][None, :]) == pytest.approx(0.0)

@@ -1,7 +1,11 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from slaglab.charts import (
+    GridSamples,
     PairingStructure,
     chart_jacobian,
     evaluate_chart,
@@ -11,7 +15,6 @@ from slaglab.charts import (
     pairing_structure,
     pullback_BW,
     sample_grid,
-    synthetic_grid,
     tangent_cochains,
     transition_affine_fit,
 )
@@ -24,6 +27,23 @@ from slaglab.errors import (
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import ImmersionFamily, pullback_metric, reparametrize
 from slaglab.meshes import absolute_cycle_basis, relative_cycle_basis
+
+
+def synthetic_grid(u_axis, v_of_u) -> GridSamples:
+    """Grid with prescribed v(u) map and identity pairing; for negative controls."""
+    m = 2
+    pts = len(u_axis)
+    shape = (pts,) * m
+    u = np.zeros(shape + (m,))
+    R = np.zeros(shape + (m,))
+    S = np.zeros(shape + (m,))
+    for idx in itertools.product(range(pts), repeat=m):
+        uu = np.array([u_axis[i] for i in idx])
+        u[idx] = uu
+        R[idx] = uu
+        S[idx] = v_of_u(uu)
+    spacing = np.full(m, u_axis[1] - u_axis[0])
+    return GridSamples(shape, spacing, u, R, S)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +81,24 @@ def test_pairing_interval():
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     pair = pairing_structure(hs, rel, ab)
     assert pair.is_signed_permutation
+
+
+@pytest.mark.parametrize("build", [cylinder_translation, two_handle])
+def test_pairing_sees_only_cohomology_classes(build):
+    """Adding exact cochains to the cycle duals leaves P unchanged (Stokes)."""
+    fx = build(1)
+    mesh = fx.mesh
+    rel, ab = relative_cycle_basis(mesh), absolute_cycle_basis(mesh)
+    hs = HodgeStructure(mesh, pullback_metric(fx.model, fx.base))
+    d0 = mesh.coboundary_operator(0)
+    rng = np.random.default_rng(5)
+    f_rel = rng.normal(size=(mesh.n_vertices, rel.m))
+    f_rel[mesh.in_boundary(0)] = 0.0
+    f_abs = rng.normal(size=(mesh.n_vertices, ab.m))
+    shifted = pairing_structure(hs, replace(rel, dual=rel.dual + d0 @ f_rel),
+                                replace(ab, dual=ab.dual + d0 @ f_abs))
+    assert np.array_equal(shifted.P, pairing_structure(hs, rel, ab).P)
+    assert shifted.certification_residual < 1e-12
 
 
 def test_chart_at_origin_is_zero(cyl):

@@ -9,7 +9,6 @@ from slaglab.dec import (
     codifferential,
     exterior_derivative,
     harmonic_fields,
-    hodge_decompose,
     hodge_star,
     period_matrix,
 )
@@ -218,25 +217,19 @@ def test_adjointness_of_d_and_codifferential(cylinder):
 
 def test_harmonic_dimensions(interval, cylinder):
     fxi, hsi = interval
-    rel = relative_cycle_basis(fxi.mesh)
-    ab = absolute_cycle_basis(fxi.mesh)
-    assert len(harmonic_fields(hsi, "dirichlet", cycles=rel)) == 1
-    assert len(harmonic_fields(hsi, "neumann", cycles=ab)) == 1
+    assert len(harmonic_fields(hsi, "dirichlet")) == 1
+    assert len(harmonic_fields(hsi, "neumann")) == 1
     fxc, hsc = cylinder
-    relc = relative_cycle_basis(fxc.mesh)
-    abc = absolute_cycle_basis(fxc.mesh)
-    assert len(harmonic_fields(hsc, "dirichlet", cycles=relc)) == 1
-    assert len(harmonic_fields(hsc, "neumann", cycles=abc)) == 1
+    assert len(harmonic_fields(hsc, "dirichlet")) == 1
+    assert len(harmonic_fields(hsc, "neumann")) == 1
 
 
 def test_harmonic_fields_separate_product_directions(cylinder):
     """Flat product metric: the constrained fields align with the two factors."""
     fx, hs = cylinder
-    rel = relative_cycle_basis(fx.mesh)
-    ab = absolute_cycle_basis(fx.mesh)
     frames = fx.base.simplex_frames(fx.model, 1)
-    dirichlet = harmonic_fields(hs, "dirichlet", cycles=rel)[0]
-    neumann = harmonic_fields(hs, "neumann", cycles=ab)[0]
+    dirichlet = harmonic_fields(hs, "dirichlet")[0]
+    neumann = harmonic_fields(hs, "neumann")[0]
     ds = frames[:, 0, 0]
     dtheta = frames[:, 0, 2]
     for field_vals, pattern in ((dirichlet.values, ds), (neumann.values, dtheta)):
@@ -266,8 +259,7 @@ def test_dimension_mismatch_detected(cylinder):
 
 def test_dirichlet_fields_vanish_on_boundary_edges(cylinder):
     fx, hs = cylinder
-    rel = relative_cycle_basis(fx.mesh)
-    theta = harmonic_fields(hs, "dirichlet", cycles=rel)[0]
+    theta = harmonic_fields(hs, "dirichlet")[0]
     assert np.abs(theta.values[fx.mesh.in_boundary(1)]).max() == 0.0
     d1 = fx.mesh.coboundary_operator(1)
     assert np.abs(d1 @ theta.values).max() < 1e-10
@@ -303,36 +295,6 @@ def test_period_degree_mismatch(cylinder):
 def test_period_pairing_invertible_with_condition(cylinder):
     fx, hs = cylinder
     rel = relative_cycle_basis(fx.mesh)
-    basis = harmonic_fields(hs, "dirichlet", cycles=rel)
+    basis = harmonic_fields(hs, "dirichlet")
     pm = period_matrix(basis, rel)
     assert abs(np.linalg.det(pm)) > 1e-12
-    assert "dirichlet_period_condition" in hs.diagnostics
-
-
-def test_decomposition_examples(cylinder):
-    fx, hs = cylinder
-    rel = relative_cycle_basis(fx.mesh)
-    ab = absolute_cycle_basis(fx.mesh)
-    theta = harmonic_fields(hs, "dirichlet", cycles=rel)[0]
-    dec = hodge_decompose(hs, theta, cycles_rel=rel, cycles_abs=ab)
-    assert np.abs(dec.exact.values).max() < 1e-10
-    assert np.abs(dec.coexact.values).max() < 1e-10
-    assert np.abs(dec.harmonic.values - theta.values).max() < 1e-10
-
-    rng = np.random.default_rng(3)
-    f = np.zeros(fx.mesh.n_vertices)
-    interior = fx.mesh.interior_simplex_ids(0)
-    f[interior] = rng.normal(size=len(interior))
-    exact_in = apply_d(Cochain(fx.mesh, 0, f))
-    dec2 = hodge_decompose(hs, exact_in, cycles_rel=rel, cycles_abs=ab)
-    assert np.abs(dec2.exact.values - exact_in.values).max() < 1e-9
-    assert np.abs(dec2.harmonic.values).max() < 1e-10
-
-    noise = Cochain(fx.mesh, 1, rng.normal(size=fx.mesh.n_simplices(1)))
-    dec3 = hodge_decompose(hs, noise, cycles_rel=rel, cycles_abs=ab)
-    resum = dec3.exact.values + dec3.coexact.values + dec3.harmonic.values
-    assert np.abs(resum - noise.values).max() < 1e-10 * max(
-        1.0, np.abs(noise.values).max()
-    )
-    for key, value in dec3.diagnostics.items():
-        assert value < 1e-9, key

@@ -7,6 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from slaglab import meshes
+from slaglab.dec import Cochain, period_matrix
 from slaglab.errors import (
     NonManifoldError,
     NonOrientableError,
@@ -15,13 +16,47 @@ from slaglab.errors import (
 )
 from slaglab.fixtures import FIXTURES, build_fixture, cylinder_translation, mobius, pair_of_pants
 from slaglab.meshes import (
+    Chain,
     absolute_cycle_basis,
     betti_profile,
     build_mesh,
     mesh_from_dict,
-    mesh_to_dict,
     relative_cycle_basis,
 )
+
+
+def mesh_to_dict(mesh) -> dict:
+    """Inverse of `meshes.mesh_from_dict`: oriented top simplices and labelled boundary."""
+    faces = mesh.simplices[mesh.dim - 1] if mesh.dim else np.empty((0, 0))
+    labels = [
+        [faces[i].tolist(), int(mesh.boundary_labels[i])]
+        for i in mesh.boundary_face_ids()
+    ]
+    tops = []
+    for row, flag in zip(mesh.simplices[mesh.dim], mesh.top_orientation):
+        t = row.tolist()
+        if flag < 0:
+            t[0], t[1] = t[1], t[0]
+        tops.append(t)
+    return {
+        "dim": mesh.dim,
+        "vertices": mesh.n_vertices,
+        "simplices": tops,
+        "boundary_labels": labels,
+    }
+
+
+def chain_boundary(mesh, chain: Chain) -> Chain:
+    if chain.degree == 0:
+        return Chain(-1, {})
+    op = mesh.boundary_operator(chain.degree)
+    out: dict[int, int] = {}
+    for j, c in chain.coeffs.items():
+        col = op.getcol(j).tocoo()
+        for i, v in zip(col.row, col.data):
+            i = int(i)
+            out[i] = out.get(i, 0) + c * int(v)
+    return Chain(chain.degree - 1, {i: v for i, v in out.items() if v})
 
 
 def interval_mesh(n_seg=8):
@@ -121,7 +156,7 @@ def test_relative_basis_interval():
     mesh = interval_mesh()
     basis = relative_cycle_basis(mesh)
     assert basis.m == 1
-    boundary = mesh.chain_boundary(basis.cycles[0])
+    boundary = chain_boundary(mesh, basis.cycles[0])
     assert all(mesh.in_boundary(0)[v] for v in boundary.coeffs)
 
 
@@ -129,7 +164,7 @@ def test_relative_basis_cylinder_boundary_to_boundary():
     mesh = cylinder_translation(1).mesh
     basis = relative_cycle_basis(mesh)
     assert basis.m == 1
-    boundary = mesh.chain_boundary(basis.cycles[0])
+    boundary = chain_boundary(mesh, basis.cycles[0])
     assert boundary.coeffs, "a relative generator joins the two boundary circles"
     assert all(mesh.in_boundary(0)[v] for v in boundary.coeffs)
 
@@ -140,7 +175,7 @@ def test_absolute_basis_closed():
         for cycle in basis.cycles:
             if cycle.degree == 0:
                 continue
-            assert mesh.chain_boundary(cycle).coeffs == {}
+            assert chain_boundary(mesh, cycle).coeffs == {}
 
 
 def test_absolute_basis_interval_is_interior_vertex():
@@ -288,6 +323,22 @@ def test_tree_cotree_bases_equal_greedy_elimination(name, level):
         assert [list(c.coeffs.items()) for c in ab.cycles] == expected
     else:
         assert [c.coeffs for c in ab.cycles] == [{1: 1}]
+
+
+@pytest.mark.parametrize("name", ["interval_c1", "cylinder_translation", "two_handle",
+                                  "pair_of_pants"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_cycle_duals_are_closed_integer_cocycles_with_unit_periods(name, level):
+    mesh = build_fixture(name, level).mesh
+    rel, ab = relative_cycle_basis(mesh), absolute_cycle_basis(mesh)
+    for basis in (rel, ab):
+        assert basis.dual.shape == (mesh.n_simplices(basis.degree), basis.m)
+        assert np.issubdtype(basis.dual.dtype, np.integer)
+        if basis.degree < mesh.dim:
+            assert not (mesh.coboundary_operator(basis.degree) @ basis.dual).any()
+        duals = [Cochain(mesh, basis.degree, col) for col in basis.dual.T]
+        assert np.array_equal(period_matrix(duals, basis), np.eye(basis.m))
+    assert not rel.dual[mesh.in_boundary(1)].any()
 
 
 def test_absolute_basis_of_curve_takes_lowest_interior_vertex_per_component():

@@ -12,7 +12,6 @@ import slaglab
 from slaglab.cli import main as cli_main
 from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
-from slaglab.meshes import mesh_to_dict
 from slaglab.runner import (
     SUITES,
     convergence_study,
@@ -21,6 +20,27 @@ from slaglab.runner import (
     run,
     scenario_from_dict,
 )
+
+
+def mesh_to_dict(mesh) -> dict:
+    """Inverse of `meshes.mesh_from_dict`: oriented top simplices and labelled boundary."""
+    faces = mesh.simplices[mesh.dim - 1] if mesh.dim else np.empty((0, 0))
+    labels = [
+        [faces[i].tolist(), int(mesh.boundary_labels[i])]
+        for i in mesh.boundary_face_ids()
+    ]
+    tops = []
+    for row, flag in zip(mesh.simplices[mesh.dim], mesh.top_orientation):
+        t = row.tolist()
+        if flag < 0:
+            t[0], t[1] = t[1], t[0]
+        tops.append(t)
+    return {
+        "dim": mesh.dim,
+        "vertices": mesh.n_vertices,
+        "simplices": tops,
+        "boundary_labels": labels,
+    }
 
 
 def minimal_scenario(**overrides):
@@ -174,6 +194,36 @@ def test_bad_model_value_is_config_error_naming_it(tmp_path, capsys, model, fiel
     assert field in err
 
 
+_SPAN = [[0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"lagrangians": [{"index": 1, "basepoint": "abc", "span": _SPAN}]},
+     "lagrangians[0].basepoint"),
+    ({"lagrangians": [{"index": "x", "basepoint": [0, 0, 0, 0], "span": _SPAN}]},
+     "lagrangians[0].index"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": [[0, 1, 0, 0], [0]]}]},
+     "lagrangians[0].span"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0], "span": _SPAN}]}, "lagrangians[0]"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": _SPAN},
+                      {"index": 2, "basepoint": [0.5, 0, 0, 0],
+                       "span": [[0, 0, 1, 0], [1, 1, 0, 0]]}]}, "intersect"),
+    ({"family": {"expressions": 3, "parameters": ["u1"]}}, "family.expressions"),
+    ({"family": {"expressions": ["y1 + u1"], "parameters": ["u1"]}}, "family.expressions"),
+    ({"family": {"expressions": {"y1": "y1 + u1"}, "parameters": "a"}}, "family.parameters"),
+    ({"family": {"expressions": {"y1": "y1 + c * u1"}, "parameters": ["u1"],
+                 "constants": {"c": "2"}}}, "family.constants"),
+])
+def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys,
+                                                                  overrides, field):
+    section = next(iter(overrides))
+    p = write_scenario(tmp_path, minimal_scenario(suites=["tangent_laws"], **overrides))
+    assert cli_main(["run", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}")
+    assert field in err
+
+
 def test_scenario_lagrangian_block():
     width = 0.5
     lams = [
@@ -280,7 +330,12 @@ def test_closed_form_oracles_and_duality_on_each_fixture(fixture, amplitudes):
     assert report.passed, [(c.name, c.residual, c.detail) for c in report.checks]
 
 
-def test_full_run_builds_each_harmonic_basis_once(monkeypatch):
+@pytest.mark.parametrize("suites, expected", [
+    (list(SUITES), ["dirichlet", "neumann"]),
+    ([s for s in SUITES if s != "topology"], []),
+], ids=["all", "no-topology"])
+def test_full_run_builds_each_harmonic_basis_once(monkeypatch, suites, expected):
+    """Only the topology suite's count check solves for harmonic fields."""
     import slaglab.dec as dec_module
 
     calls = []
@@ -295,9 +350,9 @@ def test_full_run_builds_each_harmonic_basis_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
-    report = run(scenario_from_dict(minimal_scenario(suites=list(SUITES))))
+    report = run(scenario_from_dict(minimal_scenario(suites=suites)))
     assert report.passed
-    assert sorted(calls) == ["dirichlet", "neumann"]
+    assert sorted(calls) == expected
 
 
 def test_scenario_lagrangian_block_missing_field_named():
