@@ -2,16 +2,18 @@
 
 Coordinates are ordered (x1, y1, x2, y2, ...), so index 2j is the j-th real
 axis and 2j+1 the j-th imaginary axis.  All structure tensors are constant;
-so is the conformal weight rho, a positive number that must agree with the
-top-form normalization.
+so is the length rho of the top form, a positive number that must agree with
+its normalization.
 
 A model validates
 
     (-1)^{n(n-1)/2} (i/2)^n  Omega ^ conj(Omega)  =  rho^2 omega^n / n!
 
 and exposes the unit-length normalization Omega / rho used by the calibration
-residuals and the dual flux integrand, together with the conformal metric
-rho^{-2/n} g that makes calibrated submanifolds minimal.
+residuals and the dual flux integrand.  With that normalization McLean's
+identity i_v Im(Omega / rho)|_L = +- *_g i_v omega|_L holds for the Kaehler
+metric g itself in every dimension n, so the metric is g whatever rho is
+(`scripts/derive_expected_values.py` checks this for n = 1, 2, 3).
 """
 
 from __future__ import annotations
@@ -216,10 +218,9 @@ class AmbientModel:
 
     # -- queries ---------------------------------------------------------------
 
-    def metric_matrix(self, conformal: bool | None = None) -> np.ndarray:
-        """g, or the conformal metric rho^{-2/n} g; by default the latter iff rho != 1."""
-        use = abs(self.rho - 1.0) > 1e-14 if conformal is None else conformal
-        return float(self.rho ** (-2.0 / self.n)) * self.metric if use else self.metric.copy()
+    def metric_matrix(self) -> np.ndarray:
+        """The metric g = omega(., J .), for every rho (see the module docstring)."""
+        return self.metric.copy()
 
     def wrap_displacement(self, disp: np.ndarray) -> np.ndarray:
         """Minimal-image representative of displacements (..., 2n), identity on R^{2n}."""
@@ -281,15 +282,15 @@ def make_model(
         omega_form = omega
     else:
         mat = np.asarray(omega, dtype=float)
+        if mat.shape != (2 * n, 2 * n):
+            raise NotKaehlerError(f"omega must be a 2n x 2n matrix, got shape {mat.shape}")
         coeffs = {(i, j): mat[i, j] for i in range(2 * n) for j in range(i + 1, 2 * n)}
         omega_form = ConstantForm(2 * n, 2, coeffs)
     Jmat = standard_complex_structure(n) if J is None else np.asarray(J, dtype=float)
     if Omega is None:
         top = standard_top_form(n, scale=Omega_scale)
     elif isinstance(Omega, ConstantForm):
-        top = Omega if Omega_scale == 1.0 else Omega.scaled(Omega_scale)
+        top = Omega.scaled(Omega_scale)
     else:
-        top = ConstantForm(2 * n, n, {tuple(k): v for k, v in dict(Omega).items()})
-        if Omega_scale != 1.0:
-            top = top.scaled(Omega_scale)
+        top = ConstantForm(2 * n, n, {tuple(k): Omega_scale * v for k, v in dict(Omega).items()})
     return AmbientModel(n, topology, lat, omega_form, Jmat, top, rho=rho)

@@ -20,6 +20,7 @@ import sys
 from .errors import ConfigError, SlagError
 from .fixtures import FIXTURES
 from .runner import (
+    DEFAULT_TOLERANCES,
     convergence_study,
     emit,
     emit_convergence,
@@ -29,19 +30,10 @@ from .runner import (
 )
 
 
-def _scale_tolerances(scenario, factor: float):
-    from .runner import DEFAULT_TOLERANCES
-
-    merged = dict(DEFAULT_TOLERANCES)
-    merged.update(scenario.tolerances)
-    scenario.tolerances = {k: v * factor for k, v in merged.items()}
-    return scenario
-
-
 def _run_one(path: str, out_dir, tol_scale: float) -> bool:
     scenario = load_scenario(path)
     if tol_scale != 1.0:
-        scenario = _scale_tolerances(scenario, tol_scale)
+        scenario.tolerances = {k: scenario.tol(k) * tol_scale for k in DEFAULT_TOLERANCES}
     report = run(scenario)
     for check in sorted(report.checks, key=lambda c: (c.passed, c.name)):
         mark = "PASS" if check.passed else "FAIL"

@@ -1,41 +1,63 @@
 """Small closed-form expression grammar for scenario files.
 
-Expressions are parsed with sympy against a fixed symbol whitelist: coordinate
-names x1, y1, ..., xn, yn, parameter names (t, u1, u2, ...), and any constants
-declared by the caller.  Supported functions: sin, cos, exp.  Parsed
-expressions can be differentiated symbolically, which keeps path velocities
-exact for analytic families.
+An expression is a number, a whitelisted name, a one-argument call of sin, cos
+or exp, or a combination of these by binary + - * / and unary + -.  The names
+are the coordinates x1, y1, ..., xn, yn, the family parameters, the declared
+constants and pi.  The text is checked against this grammar on its Python
+syntax tree before sympy sees it, so nothing in a scenario file is ever
+evaluated as Python.  Parsed expressions can be differentiated symbolically,
+which keeps path velocities exact for analytic families.
 """
 
 from __future__ import annotations
+
+import ast
+import math
 
 import numpy as np
 import sympy as sym
 
 from .errors import ConfigError
 
-_FUNCTIONS = {"sin": sym.sin, "cos": sym.cos, "exp": sym.exp, "pi": sym.pi}
+_CALLS = {"sin": sym.sin, "cos": sym.cos, "exp": sym.exp}
+_RESERVED = set(_CALLS) | {"pi"}
 
 
 def coordinate_names(n: int) -> list[str]:
-    out = []
-    for j in range(1, n + 1):
-        out.extend([f"x{j}", f"y{j}"])
-    return out
+    return [f"{axis}{j}" for j in range(1, n + 1) for axis in "xy"]
+
+
+def _grammatical(node, names) -> bool:
+    if isinstance(node, ast.BinOp):
+        return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+                and _grammatical(node.left, names) and _grammatical(node.right, names))
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.UAdd, ast.USub)) and _grammatical(node.operand, names)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in _CALLS
+                and len(node.args) == 1 and not node.keywords
+                and _grammatical(node.args[0], names))
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if not isinstance(node, ast.Constant):
+        return False
+    return type(node.value) is int or (type(node.value) is float and math.isfinite(node.value))
 
 
 def parse_expression(text, allowed_symbols):
-    """Parse an expression string; every free symbol must be whitelisted."""
-    local = dict(_FUNCTIONS)
-    for name in allowed_symbols:
-        local[name] = sym.Symbol(name)
+    """Parse an expression of the grammar above over the whitelisted names."""
     try:
-        expr = sym.sympify(text, locals=local)
-    except (sym.SympifyError, SyntaxError, TypeError) as exc:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-    extra = {str(s) for s in expr.free_symbols} - set(allowed_symbols)
-    if extra:
-        raise ConfigError(f"expression {text!r} uses unknown symbols {sorted(extra)}")
+    names = set(allowed_symbols) | {"pi"}
+    if not _grammatical(tree.body, names):
+        raise ConfigError(f"expression {text!r} is outside the grammar: numbers, the names "
+                          f"{sorted(names)}, + - * /, and sin, cos, exp of one argument")
+    local = {"pi": sym.pi, **_CALLS, **{name: sym.Symbol(name) for name in allowed_symbols}}
+    expr = sym.sympify(text, locals=local)
+    if expr.has(sym.zoo, sym.nan):
+        raise ConfigError(f"expression {text!r} is undefined (a division by zero)")
     return expr
 
 
@@ -51,15 +73,20 @@ class CoordinateMap:
         self.n = n
         self.parameters = list(parameters)
         names = coordinate_names(n)
-        allowed = names + self.parameters + sorted(constants or {})
+        unknown = sorted(set(exprs) - set(names))
+        if unknown:
+            raise ConfigError(f"expressions keys {unknown} are not coordinate names {names}")
+        declared = self.parameters + sorted(constants or {})
+        if len(set(declared)) < len(declared) or set(declared) & (set(names) | _RESERVED):
+            raise ConfigError(f"parameter and constant names {declared} must be distinct and "
+                              f"differ from the coordinates and {sorted(_RESERVED)}")
+        allowed = names + declared
         subs = {sym.Symbol(k): v for k, v in (constants or {}).items()}
         self.exprs = []
         for name in names:
             text = exprs.get(name, name)  # unmentioned coordinates stay fixed
             self.exprs.append(parse_expression(text, allowed).subs(subs))
-        self._coord_syms = [sym.Symbol(nm) for nm in names]
-        self._param_syms = [sym.Symbol(nm) for nm in self.parameters]
-        args = self._coord_syms + self._param_syms
+        args = [sym.Symbol(nm) for nm in names + self.parameters]
         self._fns = [sym.lambdify(args, e, modules="numpy") for e in self.exprs]
         self._dfns = {
             p: [sym.lambdify(args, sym.diff(e, sym.Symbol(p)), modules="numpy") for e in self.exprs]
@@ -75,10 +102,13 @@ class CoordinateMap:
             )
         return cols + vals
 
+    @staticmethod
+    def _columns(fns, args, count: int) -> np.ndarray:
+        return np.stack([np.broadcast_to(np.asarray(f(*args), dtype=float), (count,))
+                         for f in fns], axis=1)
+
     def positions(self, base: np.ndarray, params) -> np.ndarray:
-        args = self._args(base, params)
-        cols = [np.broadcast_to(np.asarray(f(*args), dtype=float), (len(base),)) for f in self._fns]
-        return np.stack(cols, axis=1)
+        return self._columns(self._fns, self._args(base, params), len(base))
 
     def velocity(self, base: np.ndarray, params, direction) -> np.ndarray:
         """Directional derivative of positions along `direction` in parameter space."""
@@ -86,11 +116,6 @@ class CoordinateMap:
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
         out = np.zeros((len(base), 2 * self.n))
         for p, w in zip(self.parameters, direction):
-            if w == 0:
-                continue
-            cols = [
-                np.broadcast_to(np.asarray(f(*args), dtype=float), (len(base),))
-                for f in self._dfns[p]
-            ]
-            out += w * np.stack(cols, axis=1)
+            if w != 0:
+                out += w * self._columns(self._dfns[p], args, len(base))
         return out

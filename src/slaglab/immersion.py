@@ -90,10 +90,10 @@ def _gram_volumes(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
 # -- pullbacks -----------------------------------------------------------------------
 
 
-def pullback_metric(model: AmbientModel, immersion: Immersion, conformal=None) -> MetricField:
-    """Per-top-simplex Gram matrix of image edge vectors under g (or its conformal scaling)."""
+def pullback_metric(model: AmbientModel, immersion: Immersion) -> MetricField:
+    """Per-top-simplex Gram matrix of image edge vectors under g."""
     frames = immersion.simplex_frames(model, immersion.mesh.dim)
-    g = model.metric_matrix(conformal=conformal)
+    g = model.metric_matrix()
     gram = np.einsum("tia,ab,tjb->tij", frames, g, frames)
     try:
         return MetricField(immersion.mesh, gram)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import keyword
 import math
 import time
 from dataclasses import dataclass, field
@@ -145,168 +146,137 @@ class Scenario:
     out: str | None = None
 
     def tol(self, key: str) -> float:
-        if key in self.tolerances:
-            return float(self.tolerances[key])
-        return DEFAULT_TOLERANCES[key]
+        return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
 
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data, default_name=str(path))
 
 
-# Keys a scenario may use, per section; anything else is a typo, not a default.
-_SCENARIO_KEYS = {
-    "scenario": {"name", "fixture", "path", "suites", "tolerances", "grid", "lagrangians",
-                 "family", "model", "random_paths", "seed", "out"},
-    "fixture": {"name", "level", "almost_cy", "mesh_file"},
-    "path": {"amplitudes", "samples", "samples_smooth", "s_curve_strength"},
-    "grid": {"points", "radius"},
-    "model": set(inspect.signature(make_model).parameters),
-    "family": {"expressions", "parameters", "constants"},
-    "lagrangians": {"index", "basepoint", "span"},
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(low: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _vector(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+def _names(v) -> bool:
+    return (isinstance(v, list) and all(isinstance(s, str) and s.isidentifier()
+                                        and not keyword.iskeyword(s) for s in v)
+            and len(set(v)) == len(v))
+
+
+# section -> key -> (Scenario field or None, predicate, what it must be).  A section name
+# in place of the predicate is a nested object checked against that section, and a name
+# ending in "[]" a list of such objects.  Defaults live on `Scenario` only.
+_SCHEMA = {
+    "scenario": {
+        "name": ("name", lambda v: isinstance(v, str), "a string"),
+        "fixture": (None, "fixture", None),
+        "path": (None, "path", None),
+        "grid": (None, "grid", None),
+        "tolerances": ("tolerances", "tolerances", None),
+        "model": ("model_spec", "model", None),
+        "family": ("family_spec", "family", None),
+        "lagrangians": ("lagrangian_spec", "lagrangians[]", None),
+        "suites": ("suites", lambda v: isinstance(v, list) and len(v) > 0
+                   and all(s in SUITES for s in v) and len(set(v)) == len(v),
+                   f"a nonempty list of distinct suites from {list(SUITES)}"),
+        "random_paths": ("n_random_paths", _integer(1), "a positive integer"),
+        "seed": ("seed", _integer(0), "a nonnegative integer"),
+        "out": ("out", lambda v: isinstance(v, str), "a directory name"),
+    },
+    "fixture": {
+        "name": ("fixture", lambda v: isinstance(v, str) and v in FIXTURES,
+                 f"one of {sorted(FIXTURES)}"),
+        "level": ("level", _integer(1), "a positive integer"),
+        "almost_cy": ("almost_cy", lambda v: isinstance(v, bool), "true or false"),
+        "mesh_file": ("mesh_file", lambda v: isinstance(v, str), "a file name"),
+    },
+    "path": {
+        "amplitudes": ("amplitudes", lambda v: _vector(v) and len(v) > 0,
+                       "a nonempty list of finite numbers"),
+        "samples": ("n_samples", _integer(3), "an integer >= 3"),
+        "samples_smooth": ("n_samples_smooth", _integer(3), "an integer >= 3"),
+        "s_curve_strength": ("s_curve_strength", _number, "a finite number"),
+    },
+    "grid": {
+        "points": ("grid_points", _integer(3), "an integer >= 3"),
+        "radius": ("grid_radius", lambda v: _number(v) and v > 0, "a positive finite number"),
+    },
+    "tolerances": {key: (None, lambda v: _number(v) and v >= 0, "a nonnegative finite number")
+                   for key in DEFAULT_TOLERANCES},
+    # make_model checks the tensors it is given; its errors name `model` at set-up
+    "model": {key: (None, lambda v: True, "")
+              for key in inspect.signature(make_model).parameters} | {
+        "n": (None, _integer(1), "a positive integer"),
+        "topology": (None, lambda v: v in ("euclidean", "torus"), "'euclidean' or 'torus'"),
+        "Omega_scale": (None, _number, "a finite number"),
+        "rho": (None, lambda v: _number(v) and v > 0, "a positive finite number"),
+    },
+    "family": {
+        "expressions": (None, lambda v: isinstance(v, dict)
+                        and all(isinstance(e, str) for e in v.values()),
+                        "an object of coordinate names to expression strings"),
+        "parameters": (None, _names, "a list of distinct identifiers"),
+        "constants": (None, lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+                      "an object of names to finite numbers"),
+    },
+    "lagrangians": {
+        "index": (None, _integer(1), "a positive integer"),
+        "basepoint": (None, _vector, "a list of finite numbers"),
+        "span": (None, lambda v: isinstance(v, list) and len(v) > 0 and all(map(_vector, v))
+                 and len({len(row) for row in v}) == 1,
+                 "a nonempty list of equal-length number lists"),
+    },
 }
+_REQUIRED = {"scenario": ("fixture",), "family": ("expressions", "parameters"),
+             "lagrangians": ("index", "basepoint", "span")}
 
 
-def _check_keys(section, kind: str, where: str | None = None) -> dict:
-    where = where or kind
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - _SCENARIO_KEYS[kind]
+def _walk(data, section: str, where: str, fields: dict) -> None:
+    """Check one scenario object against `_SCHEMA[section]`, collecting Scenario fields."""
+    schema = _SCHEMA[section]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigError(
-            f"unknown {where} keys {sorted(unknown)}; allowed {sorted(_SCENARIO_KEYS[kind])}"
-        )
-    return section
-
-
-def _check_fields(section, fields, where: str):
-    for fieldname in fields:
-        if fieldname not in section:
-            raise ConfigError(f"missing field '{where}.{fieldname}'")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_model(spec: dict) -> None:
-    """Types and ranges of the scalar model keys; make_model checks the tensors."""
-    n = spec.get("n", 1)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"model.n must be a positive integer, got {n!r}")
-    topology = spec.get("topology", "torus")
-    if topology not in ("euclidean", "torus"):
-        raise ConfigError(f"model.topology must be 'euclidean' or 'torus', got {topology!r}")
-    scale = spec.get("Omega_scale", 1.0)
-    if not _is_number(scale):
-        raise ConfigError(f"model.Omega_scale must be a finite number, got {scale!r}")
-    rho = spec.get("rho", 1.0)
-    if not (_is_number(rho) and rho > 0):
-        raise ConfigError(f"model.rho must be a positive finite number, got {rho!r}")
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, list) and all(_is_number(x) for x in value)
-
-
-def _check_family(spec: dict) -> None:
-    """Types of the family values; the expressions themselves are parsed later."""
-    _check_fields(spec, ("expressions", "parameters"), "family")
-    exprs, params = spec["expressions"], spec["parameters"]
-    if not (isinstance(exprs, dict) and all(isinstance(v, str) for v in exprs.values())):
-        raise ConfigError(f"family.expressions must map coordinates to strings, got {exprs!r}")
-    if not (isinstance(params, list) and all(isinstance(p, str) for p in params)):
-        raise ConfigError(f"family.parameters must be a list of names, got {params!r}")
-    consts = spec.get("constants", {})
-    if not (isinstance(consts, dict) and all(_is_number(v) for v in consts.values())):
-        raise ConfigError(f"family.constants must map names to finite numbers, got {consts!r}")
-
-
-def _check_lagrangian(lam: dict, where: str) -> None:
-    _check_fields(lam, ("index", "basepoint", "span"), where)
-    index, span = lam["index"], lam["span"]
-    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
-        raise ConfigError(f"{where}.index must be a positive integer, got {index!r}")
-    if not _is_vector(lam["basepoint"]):
-        raise ConfigError(f"{where}.basepoint must be a list of finite numbers, "
-                          f"got {lam['basepoint']!r}")
-    if not (isinstance(span, list) and span and all(_is_vector(row) for row in span)
-            and len({len(row) for row in span}) == 1):
-        raise ConfigError(f"{where}.span must be a list of number lists, got {span!r}")
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}; allowed {sorted(schema)}")
+    prefix = "" if section == "scenario" else f"{where}."
+    for key in _REQUIRED.get(section, ()):
+        if key not in data:
+            raise ConfigError(f"missing field '{prefix}{key}'")
+    for key, value in data.items():
+        fieldname, ok, what = schema[key]
+        if isinstance(ok, str) and ok.endswith("[]"):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+            for i, item in enumerate(value):
+                _walk(item, ok[:-2], f"{key}[{i}]", fields)
+        elif isinstance(ok, str):
+            _walk(value, ok, key, fields)
+        elif not ok(value):
+            raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+        if fieldname is not None:
+            fields[fieldname] = value
 
 
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
-    _check_keys(data, "scenario")
-    if "fixture" not in data:
-        raise ConfigError("missing field 'fixture'")
-    fix = data["fixture"]
-    if isinstance(fix, str):
-        fix = {"name": fix}
-    _check_keys(fix, "fixture")
-    mesh_file = fix.get("mesh_file")
-    if mesh_file is None and "name" not in fix:
+    fields = {"name": default_name}
+    _walk(data, "scenario", "scenario", fields)
+    if "fixture" not in fields and "mesh_file" not in fields:
         raise ConfigError("missing field 'fixture.name'")
-    if mesh_file is None and fix["name"] not in FIXTURES:
-        raise ConfigError(f"fixture.name {fix['name']!r} unknown; available {sorted(FIXTURES)}")
-    path_spec = _check_keys(data.get("path", {}), "path")
-    suites = data.get("suites", list(SUITES))
-    unknown = set(suites) - set(SUITES)
-    if unknown:
-        raise ConfigError(f"unknown suites {sorted(unknown)}; available {list(SUITES)}")
-    tolerances = data.get("tolerances", {})
-    bad = set(tolerances) - set(DEFAULT_TOLERANCES)
-    if bad:
-        raise ConfigError(f"unknown tolerance keys {sorted(bad)}")
-    for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
-    grid = _check_keys(data.get("grid", {}), "grid")
-    if "model" in data:
-        _check_model(_check_keys(data["model"], "model"))
-    if "family" in data:
-        _check_family(_check_keys(data["family"], "family"))
-    lagrangians = data.get("lagrangians")
-    if lagrangians is not None:
-        if not isinstance(lagrangians, list):
-            raise ConfigError("lagrangians must be a JSON list")
-        for i, lam in enumerate(lagrangians):
-            where = f"lagrangians[{i}]"
-            _check_lagrangian(_check_keys(lam, "lagrangians", where), where)
-    scenario = Scenario(
-        name=data.get("name", default_name),
-        fixture=fix.get("name", "mesh_file"),
-        level=int(fix.get("level", 1)),
-        almost_cy=bool(fix.get("almost_cy", False)),
-        mesh_file=mesh_file,
-        family_spec=data.get("family"),
-        model_spec=data.get("model"),
-        lagrangian_spec=lagrangians,
-        amplitudes=list(path_spec.get("amplitudes", [0.3])),
-        n_samples=int(path_spec.get("samples", 33)),
-        n_samples_smooth=int(path_spec.get("samples_smooth", 129)),
-        s_curve_strength=float(path_spec.get("s_curve_strength", 0.5)),
-        suites=list(suites),
-        tolerances=dict(tolerances),
-        grid_radius=float(grid.get("radius", 0.1)),
-        grid_points=int(grid.get("points", 7)),
-        n_random_paths=int(data.get("random_paths", 20)),
-        seed=int(data.get("seed", 20240817)),
-        out=data.get("out"),
-    )
-    if scenario.level < 1:
-        raise ConfigError("fixture.level must be >= 1")
-    if scenario.n_samples < 3:
-        raise ConfigError("path.samples must be >= 3")
-    if scenario.grid_points < 3:
-        raise ConfigError("grid.points must be >= 3")
-    return scenario
+    return Scenario(**{"fixture": "mesh_file", **fields})
 
 
 class _Workspace:
@@ -317,8 +287,11 @@ class _Workspace:
         if scenario.mesh_file is not None:
             from .meshes import mesh_from_dict
 
-            with open(scenario.mesh_file, "r", encoding="utf-8") as fh:
-                mesh = mesh_from_dict(json.load(fh))
+            try:
+                with open(scenario.mesh_file, "r", encoding="utf-8") as fh:
+                    mesh = mesh_from_dict(json.load(fh))
+            except (OSError, SlagError, TypeError, ValueError) as exc:
+                raise ConfigError(f"fixture.mesh_file {scenario.mesh_file!r}: {exc}") from exc
             self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None, 0)
         else:
             self.fixture: Fixture = build_fixture(
@@ -334,7 +307,7 @@ class _Workspace:
             except (SlagError, TypeError, ValueError) as exc:
                 raise ConfigError(f"model: {exc}") from exc
         if scenario.lagrangian_spec is not None and self.fixture.model is not None:
-            n = self.fixture.model.n
+            n, d = self.fixture.model.n, self.fixture.mesh.n_components
             self.fixture.lagrangians = []
             for i, lam in enumerate(scenario.lagrangian_spec):
                 basepoint = np.asarray(lam["basepoint"], dtype=float)
@@ -343,17 +316,24 @@ class _Workspace:
                     raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
                                       f"and {n} span rows of {2 * n}")
                 self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
+            indices = sorted(lam["index"] for lam in scenario.lagrangian_spec)
+            if indices != list(range(1, d + 1)):
+                raise ConfigError(f"lagrangians: indices {indices} must be the boundary "
+                                  f"labels 1..{d}, each once")
             try:
                 self.fixture.model.check_disjoint(self.fixture.lagrangians)
             except SlagError as exc:
                 raise ConfigError(f"lagrangians: {exc}") from exc
         if scenario.family_spec is not None and self.fixture.base is not None:
             spec = scenario.family_spec
-            self.fixture.family = ImmersionFamily.from_expressions(
-                self.fixture.base, self.fixture.model.n,
-                spec["expressions"], spec["parameters"],
-                constants=spec.get("constants"), label="scenario-family",
-            )
+            try:
+                self.fixture.family = ImmersionFamily.from_expressions(
+                    self.fixture.base, self.fixture.model.n,
+                    spec["expressions"], spec["parameters"],
+                    constants=spec.get("constants"), label="scenario-family",
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"family: {exc}") from exc
         self._structure = None
         self._cycles = None
         self._pairing = None

@@ -64,25 +64,24 @@ def test_im_omega_values_from_expansion():
 
 
 def test_metric_and_conformal_metric():
+    # with the unit calibration Omega / rho, the metric is g itself at rho = 2
     model = make_model(2, Omega_scale=2.0, rho=2.0, topology="torus")
-    u = vec(1, 0, 0, 0)
-    g = u @ model.metric_matrix(conformal=False) @ u
-    gt = u @ model.metric_matrix(conformal=True) @ u
-    assert g == pytest.approx(1.0)
-    assert gt == pytest.approx(model.rho ** (-2.0 / model.n) * g, rel=1e-14)
-    assert np.array_equal(model.metric_matrix(), model.metric_matrix(conformal=True))
+    g = model.omega.as_matrix() @ model.J
+    assert np.array_equal(g, np.eye(4))
+    assert np.array_equal(model.metric_matrix(), g)
     # the unit calibration Omega / rho
     dx1, dy1, dx2, dy2 = np.eye(4)
     assert model.im_omega_hat([dx1, dy2]) == pytest.approx(1.0)
 
 
 def test_gtilde_equals_g_when_rho_is_one():
-    model = make_model(2)
-    g, gt = model.metric_matrix(conformal=False), model.metric_matrix(conformal=True)
+    model, scaled = make_model(2), make_model(2, Omega_scale=2.0, rho=2.0)
+    assert np.array_equal(model.metric_matrix(), scaled.metric_matrix())
     rng = np.random.default_rng(0)
     for _ in range(5):
         u, v = rng.normal(size=(2, 4))
-        assert u @ g @ v == pytest.approx(u @ gt @ v, abs=1e-14)
+        assert u @ model.metric_matrix() @ v == pytest.approx(model.omega([u, model.J @ v]),
+                                                             abs=1e-14)
 
 
 def test_arity_mismatch():

@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 
 import pytest
+import sympy as sym
 
 from slaglab.charts import l2_gram, tangent_cochains
 from slaglab.dec import HodgeStructure
@@ -41,3 +42,16 @@ def test_symbolic_derivation_matches_pipeline():
     assert sf_expect.tolist() == pytest.approx([float(symbolic["sf"])], abs=1e-15)
     L2 = l2_gram(hs, tangent_cochains(fx.model, fx.family))
     assert L2[0, 0] == pytest.approx(float(symbolic["l2"]), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mclean_identity_needs_the_unscaled_metric(n):
+    """i_v Im(Omega/rho)|_L = +- *_g i_v omega|_L holds for g itself in every dimension.
+
+    The rescaled metric rho^(-2/n) g multiplies the star side by rho^((2-n)/n),
+    which is 1 only at n = 2.
+    """
+    result = load_script().mclean_identity(n)
+    assert result["sign"] in (1, -1)
+    rho = sym.Symbol("rho", positive=True)
+    assert sym.simplify(result["rescaled"] - rho ** sym.Rational(2 - n, n)) == 0

@@ -115,10 +115,11 @@ def test_pullback_metric_scaling():
 
 
 def test_pullback_metric_conformal_mode():
-    fx = cylinder_translation(1, almost_cy=True)
-    plain = pullback_metric(fx.model, fx.base, conformal=False)
-    tilde = pullback_metric(fx.model, fx.base)
-    assert np.allclose(tilde.gram, 0.5 * plain.gram)  # rho^{-2/n} with rho = 2, n = 2
+    # rho = 2 leaves the metric g, so the pullback matches the rho = 1 fixture exactly
+    plain, almost = interval_c1(1), interval_c1(1, almost_cy=True)
+    assert almost.model.rho == 2.0
+    assert np.array_equal(pullback_metric(almost.model, almost.base).gram,
+                          pullback_metric(plain.model, plain.base).gram)
 
 
 def test_pullback_forms_vanish_on_fixture(cyl):

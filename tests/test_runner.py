@@ -1,3 +1,4 @@
+import copy
 import glob
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slaglab
 from slaglab.cli import main as cli_main
@@ -14,6 +17,8 @@ from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
 from slaglab.runner import (
     SUITES,
+    _SCHEMA,
+    _Workspace,
     convergence_study,
     emit,
     emit_convergence,
@@ -185,6 +190,7 @@ def test_scenario_model_block_dimension_checked():
     ({"Omega_scale": 2.0, "rho": "2"}, "model.rho"),
     ({"rho": 0}, "model.rho"),
     ({"omega": [[0, 1], [-1]]}, "model:"),
+    ({"omega": True}, "model: omega must be a 2n x 2n matrix"),
 ])
 def test_bad_model_value_is_config_error_naming_it(tmp_path, capsys, model, field):
     p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form"], model=model))
@@ -213,15 +219,125 @@ _SPAN = [[0, 1, 0, 0], [0, 0, 1, 0]]
     ({"family": {"expressions": {"y1": "y1 + u1"}, "parameters": "a"}}, "family.parameters"),
     ({"family": {"expressions": {"y1": "y1 + c * u1"}, "parameters": ["u1"],
                  "constants": {"c": "2"}}}, "family.constants"),
+    ({"family": {"expressions": {"Y1": "y1 + u1"}, "parameters": ["u1"]}}, "['Y1']"),
+    ({"family": {"expressions": {"y1": "y1 + __import__"}, "parameters": ["u1"]}},
+     "__import__"),
+    ({"family": {"expressions": {"y1": "y1 + 0*len(open('pwned', 'w').name)"},
+                 "parameters": ["u1"]}}, "outside the grammar"),
+    ({"family": {"expressions": {"y1": "y1 + u1"}, "parameters": ["u1", "u1"]}},
+     "family.parameters"),
+    ({"family": {"expressions": {"y1": "y1 + u1/0"}, "parameters": ["u1"]}}, "undefined"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": _SPAN},
+                      {"index": 5, "basepoint": [0.5, 0, 0, 0], "span": _SPAN}]},
+     "lagrangians: indices [1, 5]"),
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": _SPAN},
+                      {"index": 1, "basepoint": [0.5, 0, 0, 0], "span": _SPAN}]},
+     "lagrangians: indices [1, 1]"),
 ])
-def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys,
+def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys, monkeypatch,
                                                                   overrides, field):
+    monkeypatch.chdir(tmp_path)  # where an evaluated expression could write
     section = next(iter(overrides))
     p = write_scenario(tmp_path, minimal_scenario(suites=["tangent_laws"], **overrides))
     assert cli_main(["run", p]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}")
     assert field in err
+    assert not (tmp_path / "pwned").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("fixture", "level", "x"),
+    ("fixture", "level", 1.7),
+    ("fixture", "almost_cy", "no"),
+    ("fixture", "mesh_file", 3),
+    ("path", "amplitudes", "ab"),
+    ("path", "amplitudes", [0.3, "x"]),
+    ("path", "samples", "33"),
+    ("grid", "radius", "x"),
+    ("grid", "points", 3.9),
+    (None, "name", 5),
+    (None, "seed", -1),
+    (None, "random_paths", -3),
+    (None, "random_paths", 0),
+    ("tolerances", "closed_form", 1e400),
+    ("tolerances", "closed_form", float("nan")),
+    (None, "suites", ["closed_form", "closed_form"]),
+])
+def test_bad_scalar_value_is_config_error_naming_it(tmp_path, capsys, section, key, value):
+    data = minimal_scenario(suites=["closed_form"])
+    (data.setdefault(section, {}) if section else data)[key] = value
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {f'{section}.' if section else ''}{key} must be")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    ("{nope", "Expecting property name"),
+    (json.dumps({"dim": 1, "vertices": 2, "simplices": [[0, 5]], "boundary_labels": []}),
+     "unknown vertex 5"),
+], ids=["absent", "not-json", "bad-mesh"])
+def test_bad_mesh_file_is_config_error_naming_it(tmp_path, capsys, content, reason):
+    mesh = tmp_path / "mesh.json"
+    if content is not None:
+        mesh.write_text(content)
+    p = write_scenario(tmp_path, {"fixture": {"mesh_file": str(mesh)}, "suites": ["topology"]})
+    assert cli_main(["run", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fixture.mesh_file")
+    assert reason in err
+
+
+_FUZZ_POOL = [None, True, -1, 0, 1, 2, 2.5, float("nan"), "x", [], {}, [0.3, "x"], [[0, 1]]]
+
+
+def _fuzz_base() -> dict:
+    """The shipped n = 1 scenario with every optional block filled in."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "scenarios", "interval_almost_cy.json")) as fh:
+        data = json.load(fh)
+    data.update(
+        grid={"radius": 0.1, "points": 5},
+        tolerances={"closed_form": 1e-10},
+        model={"n": 1, "topology": "torus", "Omega_scale": 2.0, "rho": 2.0},
+        family={"expressions": {"y1": "y1 + c*u1"}, "parameters": ["u1"],
+                "constants": {"c": 1.0}},
+        lagrangians=[{"index": 1, "basepoint": [0, 0], "span": [[0, 1]]},
+                     {"index": 2, "basepoint": [0.5, 0], "span": [[0, 1]]}],
+    )
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_fuzzed_scenario_value_loads_or_is_config_error(data):
+    """One value of a scenario is replaced; set-up succeeds or names a config error."""
+    scenario = _fuzz_base()
+    place = data.draw(st.sampled_from(
+        ["scenario", "fixture", "path", "grid", "model", "family", "lagrangians"]))
+    target = scenario if place == "scenario" else scenario[place]
+    if place == "lagrangians":
+        target = target[data.draw(st.integers(0, 1))]
+    key = data.draw(st.sampled_from(sorted(_SCHEMA[place])))
+    target[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_POOL)))
+    try:
+        _Workspace(scenario_from_dict(scenario)).amplitudes()
+    except ConfigError:
+        pass
+
+
+def test_almost_cy_metric_checks_pass_on_the_interval():
+    """At n = 1 the star on 1-forms is not conformally invariant, so a rescaled metric shows."""
+    data = minimal_scenario(fixture={"name": "interval_c1", "almost_cy": True},
+                            suites=["duality", "chart_derivative", "embedding"])
+    report = run(scenario_from_dict(data))
+    assert sorted(c.name for c in report.checks) == [
+        "chart_derivative/dR_periods", "chart_derivative/dS_periods",
+        "duality/star_theta_equals_phi", "embedding/B_matches_l2",
+        "embedding/W_vanishes", "embedding/gradient_graph"]
+    assert report.passed, [(c.name, c.residual) for c in report.checks]
 
 
 def test_scenario_lagrangian_block():
