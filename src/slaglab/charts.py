@@ -131,12 +131,8 @@ def evaluate_chart(
     if not np.any(np.abs(u) > 0):
         m = rel_cycles.m
         return ChartSample(u, np.zeros(m), np.zeros(m))
-    path = ImmersionPath(
-        family,
-        lambda t: base_shift + t * u,
-        derivative=lambda t: u,
-        n_samples=n_samples,
-    )
+    path = ImmersionPath(family, lambda t: base_shift + t[:, None] * u,
+                         lambda t: np.broadcast_to(u, t.shape + u.shape), n_samples)
     rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
     return ChartSample(u, rf.period_vector, sf.period_vector)
 
@@ -145,12 +141,7 @@ def tangent_cochains(model: AmbientModel, family: ImmersionFamily,
                      directions=None) -> list[Cochain]:
     """Tangent one-form cochains of the given directions (default: coordinates) at 0."""
     dirs = np.eye(family.n_params) if directions is None else np.asarray(directions, dtype=float)
-    out = []
-    for d in dirs:
-        path = ImmersionPath(family, lambda t, d=d: t * d, derivative=lambda t, d=d: d,
-                             n_samples=3)
-        out.append(tangent_one_form(model, path, 0))
-    return out
+    return [tangent_one_form(model, ImmersionPath.straight(family, d, 3), 0) for d in dirs]
 
 
 @dataclass

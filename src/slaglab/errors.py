@@ -80,7 +80,7 @@ class LabelViolationError(SlagError):
 # -- flux ------------------------------------------------------------------------
 
 class VelocityUnavailableError(SlagError):
-    """Finite-difference velocity requested where the grid is too short."""
+    """A path with fewer than two time samples, too short for the time quadrature."""
 
 
 class NonLagrangianSampleError(SlagError):

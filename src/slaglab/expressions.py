@@ -67,6 +67,9 @@ class CoordinateMap:
     Used for closed-form immersion families: each target coordinate is an
     expression in the base-immersion coordinates of the vertex plus parameter
     symbols.  Derivatives with respect to parameters are formed symbolically.
+    The lambdified expressions run on arrays: each parameter enters as a
+    (..., 1) column and broadcasts against the (V,) vertex columns, so one call
+    evaluates every vertex at every parameter point.
     """
 
     def __init__(self, exprs: dict, n: int, parameters: list[str], constants: dict | None = None):
@@ -93,29 +96,31 @@ class CoordinateMap:
             for p in self.parameters
         }
 
-    def _args(self, base: np.ndarray, params) -> list:
-        cols = [base[:, i] for i in range(2 * self.n)]
-        vals = list(np.atleast_1d(np.asarray(params, dtype=float)))
-        if len(vals) != len(self.parameters):
-            raise ConfigError(
-                f"family expects parameters {self.parameters}, got {len(vals)} values"
-            )
-        return cols + vals
+    def _args(self, base: np.ndarray, params: np.ndarray) -> list:
+        """Vertex columns (V,) and parameter columns (..., 1), which broadcast to (..., V)."""
+        return ([base[:, i] for i in range(2 * self.n)]
+                + [params[..., k, None] for k in range(len(self.parameters))])
 
     @staticmethod
-    def _columns(fns, args, count: int) -> np.ndarray:
-        return np.stack([np.broadcast_to(np.asarray(f(*args), dtype=float), (count,))
-                         for f in fns], axis=1)
+    def _columns(fns, args, shape) -> np.ndarray:
+        return np.stack([np.broadcast_to(np.asarray(f(*args), dtype=float), shape)
+                         for f in fns], axis=-1)
 
     def positions(self, base: np.ndarray, params) -> np.ndarray:
-        return self._columns(self._fns, self._args(base, params), len(base))
+        """(..., V, 2n) positions of the (V, 2n) base at the (..., m) parameter points."""
+        params = np.asarray(params, dtype=float)
+        return self._columns(self._fns, self._args(base, params),
+                             params.shape[:-1] + (len(base),))
 
     def velocity(self, base: np.ndarray, params, direction) -> np.ndarray:
-        """Directional derivative of positions along `direction` in parameter space."""
+        """Directional derivative of positions along the (..., m) directions."""
+        params = np.asarray(params, dtype=float)
+        direction = np.asarray(direction, dtype=float)
         args = self._args(base, params)
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        out = np.zeros((len(base), 2 * self.n))
-        for p, w in zip(self.parameters, direction):
-            if w != 0:
-                out += w * self._columns(self._dfns[p], args, len(base))
+        shape = params.shape[:-1] + (len(base),)
+        out = np.zeros(shape + (2 * self.n,))
+        for k, p in enumerate(self.parameters):
+            w = direction[..., k, None, None]
+            if np.any(w != 0):
+                out += w * self._columns(self._dfns[p], args, shape)
         return out

@@ -55,68 +55,45 @@ _BLOCK_SIMPLEX_SAMPLES = 2048
 class ImmersionPath:
     """Family restricted to a parameter curve over a uniform time grid.
 
-    parameter_curve(t) -> point of U; derivative supplies exact velocities when
-    the family has them, otherwise second-order finite differences on the grid
-    are used (central inside, one-sided at the ends).
+    curve and derivative map a (T,) array of times in [0, 1] to the (T, m)
+    parameter points and their time derivatives.  The path evaluates the
+    family once over its grid and keeps the points `u`, the derivatives `du`
+    and the (T, V, 2n) positions; velocities are exact, from the family, and
+    are computed where they are used.
     """
 
-    def __init__(self, family: ImmersionFamily, parameter_curve, derivative=None,
-                 n_samples: int = 33, velocity_mode: str | None = None):
+    def __init__(self, family: ImmersionFamily, curve, derivative, n_samples: int = 33):
         if n_samples < 2:
             raise VelocityUnavailableError("need at least two time samples")
         self.family = family
-        self.curve = parameter_curve
-        self.curve_derivative = derivative
+        self.curve = curve
         self.times = np.linspace(0.0, 1.0, n_samples)
-        if velocity_mode is None:
-            velocity_mode = (
-                "analytic" if (derivative is not None and family.has_velocity) else "fd"
-            )
-        if velocity_mode == "fd" and n_samples < 3:
-            raise VelocityUnavailableError("finite differences need at least 3 samples")
-        self.velocity_mode = velocity_mode
-        self._positions = [family.positions(self.curve(t)) for t in self.times]
+        self.u = curve(self.times)
+        self.du = derivative(self.times)
+        self.positions = family.positions(self.u)
 
     @classmethod
     def straight(cls, family: ImmersionFamily, target, n_samples: int = 33,
                  profile=None) -> "ImmersionPath":
         """Path along the straight parameter segment 0 -> target, optionally reprofiled.
 
-        profile: (p, dp) with p(0) = 0, p(1) = 1 reparametrizing the segment.
+        profile: (p, dp) with p(0) = 0, p(1) = 1 reparametrizing the segment;
+        both map the (T,) times to (T,).
         """
         target = np.atleast_1d(np.asarray(target, dtype=float))
-        if profile is None:
-            p, dp = (lambda s: s), (lambda s: 1.0)
-        else:
-            p, dp = profile
-        return cls(
-            family,
-            lambda t: p(t) * target,
-            derivative=lambda t: dp(t) * target,
-            n_samples=n_samples,
-        )
+        p, dp = profile or ((lambda t: t), np.ones_like)
+        return cls(family, lambda t: p(t)[:, None] * target,
+                   lambda t: dp(t)[:, None] * target, n_samples)
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
     def immersion_at(self, j: int) -> Immersion:
-        return Immersion(self.family.mesh, self._positions[j], label=self.family.label)
+        return Immersion(self.family.mesh, self.positions[j], label=self.family.label)
 
     def velocity_at(self, j: int) -> np.ndarray:
-        if self.velocity_mode == "analytic":
-            t = self.times[j]
-            return self.family.velocity(self.curve(t), self.curve_derivative(t))
-        h = self.times[1] - self.times[0]
-        pos = self._positions
-        if 0 < j < len(pos) - 1:
-            return (pos[j + 1] - pos[j - 1]) / (2 * h)
-        if j == 0:
-            return (-3 * pos[0] + 4 * pos[1] - pos[2]) / (2 * h)
-        return (3 * pos[-1] - 4 * pos[-2] + pos[-3]) / (2 * h)
-
-    def endpoint_positions(self):
-        return self._positions[0], self._positions[-1]
+        return self.family.velocity(self.u[j], self.du[j])
 
 
 @dataclass
@@ -269,9 +246,9 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     block = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(n))
     max_lag = max_special = 0.0
     for start in range(0, count, block):
-        samples = range(start, min(start + block, count))
-        positions = np.stack([path._positions[j] for j in samples])
-        velocities = np.stack([path.velocity_at(j) for j in samples])
+        samples = slice(start, start + block)
+        positions = path.positions[samples]
+        velocities = path.family.velocity(path.u[samples], path.du[samples])
         frames = {k: wrapped_frames(model, mesh, positions, k) for k in degrees}
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
         residuals = calibration_residuals(model, top, two if n >= 2 else None)
@@ -302,10 +279,9 @@ def special_flux(model: AmbientModel, path: ImmersionPath, cycles: AbsoluteCycle
 
 
 def _chain_trajectories(path: ImmersionPath, vertex_ids, n_steps: int) -> np.ndarray:
-    """(n_steps + 1, len(vertex_ids), 2n) positions along the path time grid."""
+    """(n_steps + 1, len(vertex_ids), 2n) positions on a uniform time grid, from one family call."""
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    ids = np.asarray(vertex_ids, dtype=int)
-    return np.stack([path.family.positions(path.curve(t))[ids] for t in times])
+    return path.family.positions(path.curve(times))[:, np.asarray(vertex_ids, dtype=int)]
 
 
 def _swept_edge_integral(model: AmbientModel, form: ConstantForm,
@@ -404,12 +380,8 @@ def homotopy_invariance_harness(
     to path_b (u=1) with fixed endpoints; the report then includes the swept
     integral over the first relative cycle as a function of u.
     """
-    a0, a1 = path_a.endpoint_positions()
-    b0, b1 = path_b.endpoint_positions()
-    gap = max(
-        float(np.abs(model.wrap_displacement(a0 - b0)).max()),
-        float(np.abs(model.wrap_displacement(a1 - b1)).max()),
-    )
+    ends = path_a.positions[[0, -1]] - path_b.positions[[0, -1]]
+    gap = float(np.abs(model.wrap_displacement(ends)).max())
     if gap > endpoint_tol:
         raise EndpointMismatchError(f"paths differ at endpoints by {gap:.3e}")
     try:

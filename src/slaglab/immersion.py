@@ -83,7 +83,7 @@ def calibration_residuals(model: AmbientModel, top: np.ndarray, two: np.ndarray 
 
 def _gram_volumes(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sqrt |det| of the Gram matrix of every (..., k, 2n) frame under the metric g."""
-    gram = np.einsum("...ia,ab,...jb->...ij", frames, g, frames, optimize=True)
+    gram = frames @ g @ np.swapaxes(frames, -1, -2)
     return np.sqrt(np.abs(np.linalg.det(gram)))
 
 
@@ -244,12 +244,13 @@ def _perm_sign(order: np.ndarray) -> float:
 class ImmersionFamily:
     """Parameter-dependent vertex positions with exact directional velocities.
 
-    Wraps either Python callables or a closed-form CoordinateMap applied to a
-    base immersion.  `positions(u)` returns the (V, 2n) lift at parameter u in
-    R^m; `velocity(u, w)` is the derivative along direction w.
+    Wraps either two Python callables on parameter arrays or a closed-form
+    CoordinateMap applied to a base immersion.  `positions(u)` maps (..., m)
+    points of R^m to the (..., V, 2n) lifts there; `velocity(u, w)` maps
+    (..., m) points and directions to the (..., V, 2n) derivatives along w.
     """
 
-    def __init__(self, mesh: SimplicialMesh, n_params: int, positions_fn, velocity_fn=None,
+    def __init__(self, mesh: SimplicialMesh, n_params: int, positions_fn, velocity_fn,
                  label: str = ""):
         self.mesh = mesh
         self.n_params = n_params
@@ -265,61 +266,34 @@ class ImmersionFamily:
 
         cmap = CoordinateMap(exprs, n, list(parameters), constants)
         base_pos = base.positions
-
-        def pos(u):
-            return cmap.positions(base_pos, u)
-
-        def vel(u, w):
-            return cmap.velocity(base_pos, u, w)
-
-        return cls(base.mesh, len(cmap.parameters), pos, vel, label=label)
+        return cls(base.mesh, len(cmap.parameters), lambda u: cmap.positions(base_pos, u),
+                   lambda u, w: cmap.velocity(base_pos, u, w), label=label)
 
     @classmethod
-    def translation(cls, base: Immersion, directions, profiles=None, label: str = "") -> "ImmersionFamily":
-        """Rigid motions: positions + sum_i p_i(u_i) * direction_i.
+    def translation(cls, base: Immersion, directions, label: str = "") -> "ImmersionFamily":
+        """Rigid motions: positions + sum_i u_i * direction_i.
 
-        profiles: optional list of (profile, derivative) callables, default the identity.
+        A direction is a 2n-vector, or a (V, 2n) field for a motion linear in u.
         """
         directions = [np.asarray(d, dtype=float) for d in directions]
-        if profiles is None:
-            profiles = [(lambda s: s, lambda s: 1.0)] * len(directions)
         base_pos = base.positions
-        m = len(directions)
 
-        def check(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            if u.shape != (m,):
-                raise SlagError(f"family expects {m} parameters, got shape {u.shape}")
-            return u
-
-        def pos(u):
-            out = base_pos.copy()
-            for ui, d, (p, _) in zip(check(u), directions, profiles):
-                out = out + p(ui) * d
+        def moved(out, u):
+            for i, d in enumerate(directions):
+                out = out + u[..., i, None, None] * d
             return out
 
-        def vel(u, w):
-            out = np.zeros_like(base_pos)
-            for ui, wi, d, (_, dp) in zip(check(u), check(w), directions, profiles):
-                out = out + wi * dp(ui) * d
-            return out
+        return cls(base.mesh, len(directions), lambda u: moved(base_pos, u),
+                   lambda u, w: moved(np.zeros(w.shape[:-1] + base_pos.shape), w), label=label)
 
-        return cls(base.mesh, m, pos, vel, label=label)
+    def _points(self, u) -> np.ndarray:
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.shape[-1] != self.n_params:
+            raise SlagError(f"family expects {self.n_params} parameters, got shape {u.shape}")
+        return u
 
     def positions(self, u) -> np.ndarray:
-        return self._positions(np.atleast_1d(np.asarray(u, dtype=float)))
-
-    def immersion(self, u, label=None) -> Immersion:
-        return Immersion(self.mesh, self.positions(u), label=label or self.label)
-
-    @property
-    def has_velocity(self) -> bool:
-        return self._velocity is not None
+        return self._positions(self._points(u))
 
     def velocity(self, u, direction) -> np.ndarray:
-        if self._velocity is None:
-            raise SlagError("family has no analytic velocity; use a finite-difference path")
-        return self._velocity(
-            np.atleast_1d(np.asarray(u, dtype=float)),
-            np.atleast_1d(np.asarray(direction, dtype=float)),
-        )
+        return self._velocity(self._points(u), self._points(direction))

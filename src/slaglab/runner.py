@@ -297,7 +297,17 @@ class _Workspace:
             self.fixture: Fixture = build_fixture(
                 scenario.fixture, level or scenario.level, almost_cy=scenario.almost_cy
             )
-        if scenario.model_spec is not None and self.fixture.model is not None:
+        if self.fixture.model is None:  # a mesh only: no block to apply, no flux to check
+            for key, spec in (("model", scenario.model_spec), ("family", scenario.family_spec),
+                              ("lagrangians", scenario.lagrangian_spec)):
+                if spec is not None:
+                    raise ConfigError(f"{key}: fixture {self.fixture.name!r} has no ambient "
+                                      "model to apply this block to")
+            needs = [suite for suite in scenario.suites if suite != "topology"]
+            if needs:
+                raise ConfigError(f"suites: fixture {self.fixture.name!r} has no ambient model, "
+                                  f"so only 'topology' runs on it; got {needs}")
+        if scenario.model_spec is not None:
             spec = dict(scenario.model_spec)
             if spec.setdefault("n", self.fixture.model.n) != self.fixture.model.n:
                 raise ConfigError("model.n must match the fixture dimension")
@@ -306,7 +316,7 @@ class _Workspace:
                 self.fixture.model = make_model(**spec)
             except (SlagError, TypeError, ValueError) as exc:
                 raise ConfigError(f"model: {exc}") from exc
-        if scenario.lagrangian_spec is not None and self.fixture.model is not None:
+        if scenario.lagrangian_spec is not None:
             n, d = self.fixture.model.n, self.fixture.mesh.n_components
             self.fixture.lagrangians = []
             for i, lam in enumerate(scenario.lagrangian_spec):
@@ -324,7 +334,7 @@ class _Workspace:
                 self.fixture.model.check_disjoint(self.fixture.lagrangians)
             except SlagError as exc:
                 raise ConfigError(f"lagrangians: {exc}") from exc
-        if scenario.family_spec is not None and self.fixture.base is not None:
+        if scenario.family_spec is not None:
             spec = scenario.family_spec
             try:
                 self.fixture.family = ImmersionFamily.from_expressions(
@@ -400,8 +410,8 @@ class _Workspace:
         amp = self.amplitudes()
         if strength is None:
             strength = self.scenario.s_curve_strength
-        p = lambda t: t - strength * math.sin(2 * math.pi * t) / (2 * math.pi)
-        dp = lambda t: 1 - strength * math.cos(2 * math.pi * t)
+        p = lambda t: t - strength * np.sin(2 * np.pi * t) / (2 * np.pi)
+        dp = lambda t: 1 - strength * np.cos(2 * np.pi * t)
         return ImmersionPath.straight(
             self.fixture.family, amp,
             n_samples=n_samples or self.scenario.n_samples_smooth, profile=(p, dp),
@@ -535,32 +545,29 @@ def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int)
     coefs = rng.uniform(-0.05, 0.05, size=(m + len(slides), 2))
     amps = np.concatenate([amps, rng.uniform(-0.2, 0.2, size=len(slides))])
 
-    def pos_fn(u):
-        out = fx.family.positions(u[:m])
+    def slid(out, u):
         for k, d in enumerate(slides):
-            out = out + u[m + k] * d
-        return out
-
-    def vel_fn(u, wdir):
-        out = fx.family.velocity(u[:m], wdir[:m])
-        for k, d in enumerate(slides):
-            out = out + wdir[m + k] * d
+            out = out + u[..., m + k, None, None] * d
         return out
 
     def curve(t):
-        return amps * t + coefs[:, 0] * math.sin(math.pi * t) + coefs[:, 1] * math.sin(
-            2 * math.pi * t
-        )
+        t = t[:, None]
+        return amps * t + coefs[:, 0] * np.sin(np.pi * t) + coefs[:, 1] * np.sin(2 * np.pi * t)
 
     def dcurve(t):
+        t = t[:, None]
         return (
             amps
-            + coefs[:, 0] * math.pi * math.cos(math.pi * t)
-            + coefs[:, 1] * 2 * math.pi * math.cos(2 * math.pi * t)
+            + coefs[:, 0] * np.pi * np.cos(np.pi * t)
+            + coefs[:, 1] * 2 * np.pi * np.cos(2 * np.pi * t)
         )
 
-    family = ImmersionFamily(fx.mesh, m + len(slides), pos_fn, vel_fn)
-    return ImmersionPath(family, curve, derivative=dcurve, n_samples=n_samples)
+    family = ImmersionFamily(
+        fx.mesh, m + len(slides),
+        lambda u: slid(fx.family.positions(u[..., :m]), u),
+        lambda u, w: slid(fx.family.velocity(u[..., :m], w[..., :m]), w),
+    )
+    return ImmersionPath(family, curve, dcurve, n_samples)
 
 
 def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
@@ -748,9 +755,6 @@ _SUITE_FUNCS = {
     "embedding": _suite_embedding,
 }
 
-_METRIC_FREE_SUITES = {"topology"}
-
-
 def run(scenario: Scenario) -> RunReport:
     start = time.perf_counter()
     ws = _Workspace(scenario)
@@ -768,8 +772,6 @@ def run(scenario: Scenario) -> RunReport:
         "boundary_components": mesh.n_components,
     }
     for suite in scenario.suites:
-        if ws.fixture.model is None and suite not in _METRIC_FREE_SUITES:
-            continue
         try:
             _SUITE_FUNCS[suite](ws, report, scenario)
         except ConfigError:
@@ -830,6 +832,14 @@ def _convergence_table(rows) -> ConvergenceTable:
     return ConvergenceTable(names, rows, orders)
 
 
+def _study_workspace(scenario: Scenario, level=None) -> _Workspace:
+    ws = _Workspace(scenario, level)
+    if ws.fixture.model is None:
+        raise ConfigError(f"fixture: {ws.fixture.name!r} has no ambient model, so it has no "
+                          "flux or metric to study")
+    return ws
+
+
 def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     """Flux period error against the closed form as the time quadrature refines.
 
@@ -838,14 +848,14 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     reference value is the straight-path flux, which is exact for rigid
     translations independently of the quadrature.
     """
-    ws = _Workspace(scenario)
+    ws = _study_workspace(scenario)
     rel, ab = ws.rel_abs
     model = ws.fixture.model
     amp = ws.amplitudes()
     rf_reference, sf_reference = (f.period_vector for f in ws.straight_fluxes())
     ramp = (
-        lambda t: (math.exp(t) - 1.0) / (math.e - 1.0),
-        lambda t: math.exp(t) / (math.e - 1.0),
+        lambda t: (np.exp(t) - 1.0) / (math.e - 1.0),
+        lambda t: np.exp(t) / (math.e - 1.0),
     )
     rows = []
     for n in sample_counts:
@@ -864,7 +874,7 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
 def convergence_study(scenario: Scenario, levels) -> ConvergenceTable:
     rows = []
     for level in levels:
-        ws = _Workspace(scenario, level=level)
+        ws = _study_workspace(scenario, level)
         residuals = {
             "duality_error": _duality_residual(ws),
             "star_involution": _involution_residual(ws) or 0.0,

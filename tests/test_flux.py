@@ -110,8 +110,28 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
     monkeypatch.setattr(fx.family, "positions", lambda u: calls.append(u) or positions(u))
     rf = swept_rf_oracle(fx.model, path, rel, n_steps=16)
     sf = swept_sf_oracle(fx.model, path, ab, n_steps=16)
-    assert len(calls) == 2 * 17
+    assert len(calls) == 2
     assert rf.tolist() == per_chain_rf and sf.tolist() == per_chain_sf
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_path_makes_one_positions_call_and_one_velocity_call_per_block(cyl, block,
+                                                                        monkeypatch):
+    fx, rel, ab = cyl
+    if block is not None:
+        monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES",
+                            block * fx.mesh.n_simplices(fx.mesh.dim))
+    calls = []
+    positions, velocity = fx.family.positions, fx.family.velocity
+    monkeypatch.setattr(fx.family, "positions",
+                        lambda u: calls.append("positions") or positions(u))
+    monkeypatch.setattr(fx.family, "velocity",
+                        lambda u, w: calls.append("velocity") or velocity(u, w))
+    path = ImmersionPath.straight(fx.family, [0.3], n_samples=17)
+    assert calls == ["positions"]
+    path_fluxes(fx.model, path, rel, ab)
+    per_block = max(1, flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
+    assert calls == ["positions"] + ["velocity"] * math.ceil(17 / per_block)
 
 
 def test_concatenation_additivity_and_reversal(cyl):
@@ -121,8 +141,8 @@ def test_concatenation_additivity_and_reversal(cyl):
     def segment(u0, u1, n=17):
         return ImmersionPath(
             fx.family,
-            lambda t: np.array([u0 + t * (u1 - u0)]),
-            derivative=lambda t: np.array([u1 - u0]),
+            lambda t: u0 + t[:, None] * (u1 - u0),
+            lambda t: np.full((len(t), 1), u1 - u0),
             n_samples=n,
         )
 
@@ -177,14 +197,10 @@ def test_l2_pairing_invariant_under_reparametrization(cyl):
 def test_non_lagrangian_sample_rejected(cyl):
     fx, rel, _ = cyl
 
-    def tilted(u):
-        out = fx.base.positions.copy()
-        out[:, 1] += u[0] * (1.0 + 0.5 * out[:, 2])  # shear grows along x2
-        return out
-
-    family = ImmersionFamily(fx.mesh, 1, tilted, lambda u, w: None)
-    path = ImmersionPath(family, lambda t: np.array([0.01 * t]), n_samples=5,
-                         velocity_mode="fd")
+    tilted = np.zeros_like(fx.base.positions)
+    tilted[:, 1] = 1.0 + 0.5 * fx.base.positions[:, 2]  # shear grows along x2
+    family = ImmersionFamily.translation(fx.base, [tilted])
+    path = ImmersionPath.straight(family, [0.01], n_samples=5)
     with pytest.raises(NonLagrangianSampleError):
         relative_flux(fx.model, path, rel)
 
@@ -192,15 +208,11 @@ def test_non_lagrangian_sample_rejected(cyl):
 def test_non_special_sample_rejected(cyl):
     fx, _, ab = cyl
 
-    def bent(u):
-        out = fx.base.positions.copy()
-        # piecewise-linear graph y1 = s * x1 stays Lagrangian but not calibrated
-        out[:, 1] += u[0] * out[:, 0]
-        return out
-
-    family = ImmersionFamily(fx.mesh, 1, bent, None)
-    path = ImmersionPath(family, lambda t: np.array([1e-2 * t]), n_samples=5,
-                         velocity_mode="fd")
+    # piecewise-linear graph y1 = s * x1 stays Lagrangian but not calibrated
+    bent = np.zeros_like(fx.base.positions)
+    bent[:, 1] = fx.base.positions[:, 0]
+    family = ImmersionFamily.translation(fx.base, [bent])
+    path = ImmersionPath.straight(family, [1e-2], n_samples=5)
     with pytest.raises(NonSpecialSampleError):
         special_flux(fx.model, path, ab)
     # ... while the relative flux is still legitimate on the same path
@@ -212,19 +224,7 @@ def test_non_special_sample_rejected(cyl):
 def test_velocity_unavailable():
     fx = cylinder_translation(1)
     with pytest.raises(VelocityUnavailableError):
-        ImmersionPath(fx.family, lambda t: np.array([t]), n_samples=2,
-                      velocity_mode="fd")
-
-
-def test_fd_velocity_matches_analytic(cyl):
-    fx, rel, _ = cyl
-    curve = lambda t: np.array([0.3 * t])
-    fd_path = ImmersionPath(fx.family, curve, n_samples=33, velocity_mode="fd")
-    an_path = ImmersionPath(fx.family, curve, derivative=lambda t: np.array([0.3]),
-                            n_samples=33)
-    rf_fd = relative_flux(fx.model, fd_path, rel).period_vector
-    rf_an = relative_flux(fx.model, an_path, rel).period_vector
-    assert np.allclose(rf_fd, rf_an, atol=1e-12)  # linear motion: fd is exact
+        ImmersionPath.straight(fx.family, [1.0], n_samples=1)
 
 
 def test_homotopy_invariance_and_endpoint_check(cyl):
@@ -358,8 +358,8 @@ def _reference_flux(model, path, cycles, integrand, degree):
     return periods, raw, diag
 
 
-_S_CURVE = (lambda t: t - 0.4 * math.sin(2 * math.pi * t) / (2 * math.pi),
-            lambda t: 1 - 0.4 * math.cos(2 * math.pi * t))
+_S_CURVE = (lambda t: t - 0.4 * np.sin(2 * np.pi * t) / (2 * np.pi),
+            lambda t: 1 - 0.4 * np.cos(2 * np.pi * t))
 
 def _straight(make_fixture, target, count, **kwargs):
     fx = make_fixture(1, **kwargs)
@@ -369,15 +369,19 @@ def _straight(make_fixture, target, count, **kwargs):
 def _sheared(count):
     """A shear growing along x2: neither Lagrangian nor closed, and different at every sample."""
     fx = cylinder_translation(1)
+    base, e_y1 = fx.base.positions, np.array([0.0, 1.0, 0.0, 0.0])
+    x1, shear = base[:, :1], 1.0 + 0.5 * base[:, 2:3]
 
     def positions(u):
-        out = fx.base.positions.copy()
-        out[:, 1] += u[0] * (1.0 + 0.5 * out[:, 2]) + u[0] ** 2 * out[:, 0]
-        return out
+        s = u[..., :1, None]
+        return base + (s * shear + s ** 2 * x1) * e_y1
 
-    family = ImmersionFamily(fx.mesh, 1, positions, None)
-    return fx, ImmersionPath(family, lambda t: np.array([0.2 * math.sin(math.pi * t)]),
-                             n_samples=count, velocity_mode="fd")
+    def velocity(u, w):
+        return w[..., :1, None] * (shear + 2 * u[..., :1, None] * x1) * e_y1
+
+    family = ImmersionFamily(fx.mesh, 1, positions, velocity)
+    return fx, ImmersionPath(family, lambda t: 0.2 * np.sin(np.pi * t)[:, None],
+                             lambda t: 0.2 * np.pi * np.cos(np.pi * t)[:, None], count)
 
 
 _PATHS = {
@@ -436,15 +440,16 @@ def _faulty_path(fx, faults, n_samples=9):
     """Translation-free path that applies faults[j] to the base positions at sample j."""
 
     def positions(u):
-        out = fx.base.positions.copy()
-        fault = faults.get(int(round(u[0] * (n_samples - 1))))
-        if fault is not None:
-            fault(out)
+        out = np.repeat(fx.base.positions[None], len(u), axis=0)
+        for sample, s in zip(out, u[:, 0]):
+            fault = faults.get(int(round(s * (n_samples - 1))))
+            if fault is not None:
+                fault(sample)
         return out
 
-    family = ImmersionFamily(fx.mesh, 1, positions, None)
-    return ImmersionPath(family, lambda t: np.array([t]), n_samples=n_samples,
-                         velocity_mode="fd")
+    family = ImmersionFamily(fx.mesh, 1, positions,
+                             lambda u, w: np.zeros(u.shape[:-1] + fx.base.positions.shape))
+    return ImmersionPath(family, lambda t: t[:, None], lambda t: np.ones((len(t), 1)), n_samples)
 
 
 # (faults by sample, relative-pass failure, dual-pass failure), as two separate

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from slaglab.immersion import (
     reparametrize,
     validate,
 )
+from slaglab.runner import _random_rigid_path
 
 
 def pullback_form(model, immersion, form, degree):
@@ -209,6 +211,40 @@ def test_family_expressions_match_translation(cyl):
     vel = family.velocity(u, [1.0])
     assert np.allclose(vel[:, 1], 1.0)
     assert np.abs(vel[:, [0, 2, 3]]).max() == 0.0
+
+
+def _rigid_random_family():
+    """The family of a seeded random oracle path: translation plus slides."""
+    path = _random_rigid_path(SimpleNamespace(fixture=cylinder_translation(1)),
+                              np.random.default_rng(3), 9)
+    return path.family, path.u, path.du
+
+
+def _array_case(build, family_of, m):
+    def case():
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-1.0, 1.0, size=(9, m))
+        w[::3, 0] = 0.0  # the expression map skips a parameter only where no point moves it
+        return family_of(build(1)), rng.uniform(-0.3, 0.3, size=(9, m)), w
+    return case
+
+
+_ARRAY_FAMILIES = {
+    "cylinder_translation": _array_case(cylinder_translation, lambda fx: fx.family, 1),
+    "two_handle": _array_case(two_handle, lambda fx: fx.family, 2),
+    "expressions": _array_case(cylinder_translation, lambda fx: ImmersionFamily.from_expressions(
+        fx.base, 2, {"y1": "y1 + sin(u1) * x1 + u2", "x2": "x2 + exp(u1 * u2) / 3"},
+        ["u1", "u2"]), 2),
+    "random_rigid_path": _rigid_random_family,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ARRAY_FAMILIES))
+def test_family_on_a_parameter_array_equals_per_point_calls(key):
+    family, u, w = _ARRAY_FAMILIES[key]()
+    assert np.array_equal(family.positions(u), np.stack([family.positions(p) for p in u]))
+    assert np.array_equal(family.velocity(u, w),
+                          np.stack([family.velocity(p, d) for p, d in zip(u, w)]))
 
 
 def test_expression_velocity_chain_rule(cyl):

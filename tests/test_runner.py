@@ -290,6 +290,29 @@ def test_bad_mesh_file_is_config_error_naming_it(tmp_path, capsys, content, reas
     assert reason in err
 
 
+@pytest.mark.parametrize("command, overrides, field", [
+    ("run", {"suites": ["closed_form"]}, "suites"),
+    ("run", {}, "suites"),
+    ("run", {"suites": ["topology"], "model": {"rho": 2.0}}, "model"),
+    ("run", {"suites": ["topology"],
+             "family": {"expressions": {"y1": "y1 + u1"}, "parameters": ["u1"]}}, "family"),
+    ("run", {"suites": ["topology"], "lagrangians": [
+        {"index": 1, "basepoint": [0, 0, 0, 0], "span": [[0, 1, 0, 0], [0, 0, 1, 0]]}]},
+     "lagrangians"),
+    ("converge", {"suites": ["topology"]}, "fixture"),
+    ("quadrature", {"suites": ["topology"]}, "fixture"),
+])
+def test_model_less_fixture_takes_only_topology(tmp_path, capsys, command, overrides, field):
+    """pair_of_pants has a mesh but no ambient model: nothing but topology may pass on it."""
+    p = write_scenario(tmp_path, {"fixture": {"name": "pair_of_pants"}, **overrides})
+    argv = {"run": ["run", p], "converge": ["converge", p, "--levels", "1"],
+            "quadrature": ["converge", p, "--levels", "1", "--quadrature", "9"]}[command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}")
+    assert "PASS" not in captured.out
+
+
 _FUZZ_POOL = [None, True, -1, 0, 1, 2, 2.5, float("nan"), "x", [], {}, [0.3, "x"], [[0, 1]]]
 
 
