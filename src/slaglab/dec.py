@@ -83,17 +83,6 @@ class MetricField:
         self.mesh = mesh
         self.gram = gram
 
-    @classmethod
-    def from_vertex_positions(cls, mesh: SimplicialMesh, positions: np.ndarray,
-                              ambient_metric: np.ndarray | None = None) -> "MetricField":
-        """Pullback of a constant ambient metric along straight simplices."""
-        positions = np.asarray(positions, dtype=float)
-        tops = mesh.simplices[mesh.dim]
-        edges = positions[tops[:, 1:]] - positions[tops[:, :1]]
-        g = np.eye(positions.shape[1]) if ambient_metric is None else ambient_metric
-        gram = np.einsum("tia,ab,tjb->tij", edges, g, edges)
-        return cls(mesh, gram)
-
 
 class HodgeStructure:
     """Mass matrices, wedge pairings and solver caches."""
@@ -229,16 +218,6 @@ def exterior_derivative(mesh: SimplicialMesh, k: int) -> sp.csr_matrix:
     if not 0 <= k < mesh.dim:
         raise DegreeOutOfRangeError(f"no coboundary from degree {k} on a {mesh.dim}-mesh")
     return mesh.coboundary_operator(k).astype(float)
-
-
-def apply_d(cochain: Cochain) -> Cochain:
-    mesh = cochain.mesh
-    op = exterior_derivative(mesh, cochain.degree)
-    return Cochain(mesh, cochain.degree + 1, op @ cochain.values)
-
-
-def mass_matrix(mesh: SimplicialMesh, metric: MetricField, k: int) -> sp.csr_matrix:
-    return HodgeStructure(mesh, metric).mass_matrix(k)
 
 
 def hodge_star(structure: HodgeStructure, cochain: Cochain) -> Cochain:

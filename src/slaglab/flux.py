@@ -8,9 +8,10 @@ is piecewise linear), and in time by composite Simpson quadrature.
 
 `path_fluxes` computes both in one pass over blocks of stacked sample
 positions (B, V, 2n), B bounded by a fixed budget of top-simplex samples.  Per
-block it builds the wrapped frames of degrees 1, 2 and n once, checks the
-Lagrangian and special residuals once and evaluates both integrands; the
-Richardson estimate reuses the even samples' cochains from the same pass.
+block it wraps each edge once and gathers every frame from the edges, checks
+the residuals once (closed-form Gram volumes), and contracts both integrands
+with one centroid stack per degree; the Richardson estimate reuses the even
+samples' cochains from the same pass.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,12 @@ class ImmersionPath:
         return self.family.velocity(self.u[j], self.du[j])
 
 
+class Sweep(NamedTuple):
+    """A family along a parameter curve: all that the swept-surface oracles read of a path."""
+    family: ImmersionFamily
+    curve: Callable
+
+
 @dataclass
 class FluxClass:
     """Time-integrated tangent cochain with its period representation."""
@@ -106,26 +114,31 @@ class FluxClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contract(mesh, velocities: np.ndarray, frames: np.ndarray, form: ConstantForm,
-              degree: int) -> np.ndarray:
-    """(B, N_k) exact per-simplex integrals of the pullback of (velocity -| form).
+def _centroid_stack(mesh, velocities: np.ndarray, frames: np.ndarray, degree: int) -> np.ndarray:
+    """(B, N_k, k + 1, 2n): each simplex's centroid velocity stacked on its frame.
 
-    velocities is (B, V, 2n) and frames (B, N_k, k, 2n).  The velocity is
-    affine over each simplex, so the integrand is affine in barycentric
-    coordinates and the integral is the centroid value times the simplex
-    volume fraction 1/degree!.
+    velocities is (B, V, 2n) and frames (B, N_k, k, 2n); every integrand of
+    this degree contracts the same stack.
     """
     simp = mesh.simplices[degree]
-    vmean = sum(velocities[:, simp[:, i]] for i in range(degree + 1)) / (degree + 1)
-    stacked = np.concatenate([vmean[:, :, None, :], frames], axis=2)
-    return form(stacked) / math.factorial(degree)
+    vmean = sum(np.take(velocities, simp[:, i], axis=1) for i in range(degree + 1)) / (degree + 1)
+    return np.concatenate([vmean[:, :, None, :], frames], axis=2)
+
+
+def _contract(stack: np.ndarray, form: ConstantForm, degree: int) -> np.ndarray:
+    """(B, N_k) exact per-simplex integrals of the pullback of (velocity -| form).
+
+    The integrand is affine in barycentric coordinates, so the integral is its
+    value on the centroid stack times the simplex volume fraction 1/degree!.
+    """
+    return form(stack) / math.factorial(degree)
 
 
 def _sample_cochain(model, path, j, form, degree) -> Cochain:
     mesh = path.family.mesh
     frames = path.immersion_at(j).simplex_frames(model, degree)
-    return Cochain(mesh, degree, _contract(mesh, path.velocity_at(j)[None], frames[None],
-                                           form, degree)[0])
+    stack = _centroid_stack(mesh, path.velocity_at(j)[None], frames[None], degree)
+    return Cochain(mesh, degree, _contract(stack, form, degree)[0])
 
 
 def tangent_one_form(model: AmbientModel, path: ImmersionPath, j: int) -> Cochain:
@@ -249,14 +262,16 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
         samples = slice(start, start + block)
         positions = path.positions[samples]
         velocities = path.family.velocity(path.u[samples], path.du[samples])
-        frames = {k: wrapped_frames(model, mesh, positions, k) for k in degrees}
+        frames = wrapped_frames(model, mesh, positions, degrees)
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
         residuals = calibration_residuals(model, top, two if n >= 2 else None)
         max_lag = max(max_lag, float(residuals[0].max()))
         max_special = max(max_special, float(residuals[1].max()))
+        stacks = {k: _centroid_stack(mesh, velocities, frames[k][0], k)
+                  for k in {p.degree for p in passes}}
         for p in passes:
             p.check(start, top_large | two_large, residuals, frames[p.degree][1])
-            p.add(start, _contract(mesh, velocities, frames[p.degree][0], p.form, p.degree))
+            p.add(start, _contract(stacks[p.degree], p.form, p.degree))
     for p in passes:
         if p.failure is not None:
             raise p.failure
@@ -312,6 +327,7 @@ def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
                     n_steps: int = 256):
     """Integral of the symplectic form over the surface swept by relative 1-chains.
 
+    path: an ImmersionPath or a Sweep; only its family and curve are read.
     cycles: one Chain, giving one float, or a cycle basis or sequence of
     chains, giving an array with one integral per chain.
     """
@@ -376,9 +392,10 @@ def homotopy_invariance_harness(
 ) -> HomotopyReport:
     """Fluxes of two end-point sharing paths plus an optional u-sweep of the oracle.
 
-    homotopy: optional callable u -> ImmersionPath interpolating path_a (u=0)
-    to path_b (u=1) with fixed endpoints; the report then includes the swept
-    integral over the first relative cycle as a function of u.
+    homotopy: optional callable u -> parameter curve of path_a's family, from
+    path_a's curve (u=0) to path_b's (u=1) with fixed endpoints; the report then
+    includes the swept integral over the first relative cycle as a function of
+    u.  Only the oracle reads these curves, so no path is sampled along them.
     """
     ends = path_a.positions[[0, -1]] - path_b.positions[[0, -1]]
     gap = float(np.abs(model.wrap_displacement(ends)).max())
@@ -398,7 +415,7 @@ def homotopy_invariance_harness(
         gamma = rel_cycles.cycles[0]
         us = np.linspace(0.0, 1.0, n_u)
         curve = np.array([
-            swept_rf_oracle(model, homotopy(u), gamma) for u in us
+            swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma) for u in us
         ])
         report.sweep_deviation = float(curve.max() - curve.min())
     return report

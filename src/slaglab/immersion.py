@@ -38,7 +38,7 @@ class Immersion:
 
     def simplex_frames(self, model: AmbientModel, k: int) -> np.ndarray:
         """(N_k, k, 2n) lifted edge vectors of every canonical k-simplex."""
-        frames, too_large = wrapped_frames(model, self.mesh, self.positions, k)
+        frames, too_large = wrapped_frames(model, self.mesh, self.positions, (k,))[k]
         if too_large:
             raise DegenerateSimplexError(TOO_LARGE_TO_LIFT)
         return frames
@@ -47,20 +47,25 @@ class Immersion:
 TOO_LARGE_TO_LIFT = "simplex too large for minimal-image lifting on the torus"
 
 
-def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndarray, k: int):
-    """Lifted edge vectors (..., N_k, k, 2n) of every canonical k-simplex.
+def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndarray,
+                   degrees) -> dict:
+    """{k: (frames, too_large)} for each k in degrees, from one wrap of the edges.
 
-    positions is (..., V, 2n), one immersion per leading index.  Also returns
-    a (...) mask of the immersions with an edge vector longer than half the
-    shortest lattice vector, where the minimal-image lift cannot be trusted.
+    positions is (..., V, 2n), one immersion per leading index.  A k-simplex's
+    frame (..., N_k, k, 2n) gathers its lifted edges (v0, vi); too_large masks
+    the (...) immersions with a frame edge over half the shortest lattice
+    vector, where the minimal-image lift cannot be trusted.
     """
-    simp = mesh.simplices[k]
-    disp = positions[..., simp[:, 1:], :] - positions[..., simp[:, :1], :]
-    if model.lattice is None:
-        return disp, np.zeros(disp.shape[:-3], dtype=bool)
-    wrapped = model.wrap_displacement(disp)
-    limit = 0.5 * np.linalg.norm(model.lattice, axis=1).min()
-    return wrapped, (np.linalg.norm(wrapped, axis=-1) > limit).any(axis=(-2, -1))
+    ends = mesh.simplices[1]
+    edges = np.take(positions, ends[:, 1], axis=-2) - np.take(positions, ends[:, 0], axis=-2)
+    too_long = np.zeros(edges.shape[:-1], dtype=bool)
+    if model.lattice is not None:
+        edges = model.wrap_displacement(edges)
+        limit = 0.5 * np.linalg.norm(model.lattice, axis=1).min()
+        too_long = np.einsum("...a,...a->...", edges, edges) > limit * limit
+    return {k: (np.take(edges, mesh.edge_table(k), axis=-2),
+                np.take(too_long, mesh.edge_table(k), axis=-1).any(axis=(-2, -1)))
+            for k in degrees}
 
 
 def calibration_residuals(model: AmbientModel, top: np.ndarray, two: np.ndarray | None):
@@ -82,9 +87,17 @@ def calibration_residuals(model: AmbientModel, top: np.ndarray, two: np.ndarray 
 
 
 def _gram_volumes(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sqrt |det| of the Gram matrix of every (..., k, 2n) frame under the metric g."""
-    gram = frames @ g @ np.swapaxes(frames, -1, -2)
-    return np.sqrt(np.abs(np.linalg.det(gram)))
+    """sqrt |det| of the Gram matrix of every (..., k, 2n) frame under the metric g.
+
+    One flat matmul applies g; the 1x1 and 2x2 determinants are closed forms.
+    """
+    k = frames.shape[-2]
+    fg = (frames.reshape(-1, frames.shape[-1]) @ g).reshape(frames.shape)
+    if k > 2:
+        return np.sqrt(np.abs(np.linalg.det(fg @ np.swapaxes(frames, -1, -2))))
+    gram = lambda i, j: np.einsum("...a,...a->...", fg[..., i, :], frames[..., j, :])
+    det = gram(0, 0) if k == 1 else gram(0, 0) * gram(1, 1) - gram(0, 1) ** 2
+    return np.sqrt(np.abs(det))
 
 
 # -- pullbacks -----------------------------------------------------------------------

@@ -112,8 +112,10 @@ class SimplicialMesh:
         self.top_orientation = top_orientation  # (N_n,) of +-1
         self.boundary_labels = boundary_labels  # (N_{n-1},) int, 0 = interior
         self._boundary_ops: dict[int, sp.csr_matrix] = {}
+        self._coboundary_ops: dict[int, sp.csr_matrix] = {}
         self._betti: BettiProfile | None = None
         self._face_tables: dict[int, np.ndarray] = {}
+        self._edge_tables: dict[int, np.ndarray] = {}
         # simplices entirely contained in the boundary, per degree
         self._in_boundary = self._mark_boundary_simplices()
 
@@ -179,7 +181,9 @@ class SimplicialMesh:
 
     def coboundary_operator(self, k: int) -> sp.csr_matrix:
         """d_k: C^k -> C^{k+1}, the transpose of the degree-(k+1) boundary."""
-        return self.boundary_operator(k + 1).T.tocsr()
+        if k not in self._coboundary_ops:
+            self._coboundary_ops[k] = self.boundary_operator(k + 1).T.tocsr()
+        return self._coboundary_ops[k]
 
     def face_table(self, k: int) -> np.ndarray:
         """(N_top, C(n+1, k+1)) global ids of the k-faces of each top simplex.
@@ -193,6 +197,14 @@ class SimplicialMesh:
                 [self._ids_of(k, tops[:, list(combo)]) for combo in combos], axis=1
             ).astype(np.int64)
         return self._face_tables[k]
+
+    def edge_table(self, k: int) -> np.ndarray:
+        """(N_k, k) ids of the edges (v0, vi), i = 1..k, the frame columns of each k-simplex."""
+        if k not in self._edge_tables:
+            simp = self.simplices[k]
+            ids = [self._ids_of(1, simp[:, [0, i]]) for i in range(1, k + 1)]
+            self._edge_tables[k] = np.array(ids, dtype=np.int64).reshape(k, len(simp)).T
+        return self._edge_tables[k]
 
     def _ids_of(self, k: int, rows: np.ndarray) -> np.ndarray:
         """Ids of the k-simplices given as rows of sorted vertex ids.

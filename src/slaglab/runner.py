@@ -406,16 +406,18 @@ class _Workspace:
             raise self._straight_fluxes
         return self._straight_fluxes
 
-    def s_curve_path(self, n_samples=None, strength=None):
+    def s_curve(self, strength=None):
+        """S-profiled parameter curve 0 -> amplitudes and its derivative, on (T,) times."""
         amp = self.amplitudes()
         if strength is None:
             strength = self.scenario.s_curve_strength
         p = lambda t: t - strength * np.sin(2 * np.pi * t) / (2 * np.pi)
         dp = lambda t: 1 - strength * np.cos(2 * np.pi * t)
-        return ImmersionPath.straight(
-            self.fixture.family, amp,
-            n_samples=n_samples or self.scenario.n_samples_smooth, profile=(p, dp),
-        )
+        return (lambda t: p(t)[:, None] * amp), (lambda t: dp(t)[:, None] * amp)
+
+    def s_curve_path(self, n_samples=None):
+        return ImmersionPath(self.fixture.family, *self.s_curve(),
+                             n_samples or self.scenario.n_samples_smooth)
 
 
 # -- suites -------------------------------------------------------------------------------
@@ -424,11 +426,13 @@ class _Workspace:
 def _suite_topology(ws: _Workspace, report: RunReport, scenario: Scenario):
     mesh = ws.fixture.mesh
     profile = betti_profile(mesh)
+    unchecked = ("" if ws.fixture.model is not None
+                 else "; harmonic_counts not run: no ambient metric")
     report.add_flag(
         "topology/rank_duality",
         "relative first cohomology rank equals codegree-one cohomology rank",
         profile.duality_holds,
-        detail=f"b_rel_1={profile.b_rel_1}, betti={profile.betti}",
+        detail=f"b_rel_1={profile.b_rel_1}, betti={profile.betti}{unchecked}",
     )
     dd = 0.0
     for k in range(2, mesh.dim + 1):
@@ -611,7 +615,7 @@ def _suite_homotopy(ws: _Workspace, report: RunReport, scenario: Scenario):
     curved = ws.s_curve_path()
     hom = homotopy_invariance_harness(
         ws.fixture.model, straight, curved, rel, ab,
-        homotopy=lambda u: ws.s_curve_path(strength=0.5 * u),
+        homotopy=lambda u: ws.s_curve(strength=0.5 * u)[0],
         n_u=5,
     )
     report.add(

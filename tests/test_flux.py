@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slaglab import flux
+from slaglab.ambient import AmbientModel
 from slaglab.dec import Cochain, HodgeStructure, hodge_star, period_matrix
 from slaglab.errors import (
     DegenerateSimplexError,
@@ -132,6 +133,32 @@ def test_path_makes_one_positions_call_and_one_velocity_call_per_block(cyl, bloc
     path_fluxes(fx.model, path, rel, ab)
     per_block = max(1, flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
     assert calls == ["positions"] + ["velocity"] * math.ceil(17 / per_block)
+
+
+@pytest.mark.parametrize("build, amplitudes, stacks", [
+    (cylinder_translation, [0.3], 1),  # both integrands have degree 1
+    (two_handle, [0.3, -0.2], 1),
+    (interval_c1, [0.25], 2),          # degrees 1 and 0
+])
+def test_each_block_wraps_once_and_builds_one_stack_per_degree(build, amplitudes, stacks,
+                                                                monkeypatch):
+    fx = build(1)
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    path = ImmersionPath.straight(fx.family, amplitudes, n_samples=17)
+    monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES", 3 * fx.mesh.n_simplices(fx.mesh.dim))
+    calls = []
+    stack, wrap = flux._centroid_stack, AmbientModel.wrap_displacement
+    monkeypatch.setattr(flux, "_centroid_stack",
+                        lambda *args: calls.append("stack") or stack(*args))
+    monkeypatch.setattr(AmbientModel, "wrap_displacement",
+                        lambda self, disp: calls.append("wrap") or wrap(self, disp))
+
+    def refuse(*args):
+        raise AssertionError("determinant of a Gram matrix of degree <= 2")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    path_fluxes(fx.model, path, rel, ab)
+    assert calls == (["wrap"] + ["stack"] * stacks) * math.ceil(17 / 3)
 
 
 def test_concatenation_additivity_and_reversal(cyl):

@@ -17,11 +17,14 @@ from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import (
     Immersion,
     ImmersionFamily,
+    _gram_volumes,
     permutation_on_cochains,
     pullback_metric,
     reparametrize,
     validate,
+    wrapped_frames,
 )
+from slaglab.meshes import build_mesh
 from slaglab.runner import _random_rigid_path
 
 
@@ -265,3 +268,81 @@ def test_coordinate_map_defaults_keep_coordinates():
     base = np.random.default_rng(0).normal(size=(5, 4))
     out = cmap.positions(base, [0.0])
     assert np.allclose(out, base)
+
+
+# -- frame and volume kernels ------------------------------------------------------------
+
+
+def _per_degree_frames(model, mesh, positions, k):
+    """Frames and too-large mask of degree k from its own subtraction and wrap."""
+    simp = mesh.simplices[k]
+    disp = positions[..., simp[:, 1:], :] - positions[..., simp[:, :1], :]
+    if model.lattice is None:
+        return disp, np.zeros(disp.shape[:-3], dtype=bool)
+    wrapped = model.wrap_displacement(disp)
+    limit = 0.5 * np.linalg.norm(model.lattice, axis=1).min()
+    return wrapped, (np.linalg.norm(wrapped, axis=-1) > limit).any(axis=(-2, -1))
+
+
+def _dim3_torus():
+    """The boundary of the 4-simplex, small and jittered in the flat 6-torus."""
+    mesh = build_mesh(5, [tuple(v for v in range(5) if v != i) for i in range(5)], {})
+    base = np.random.default_rng(5).normal(scale=0.1, size=(5, 6))
+    return SimpleNamespace(mesh=mesh, model=make_model(3, topology="torus"),
+                           base=Immersion(mesh, base))
+
+
+def _edge_samples(fx):
+    """(4, V, 2n) samples: the base; the base jittered and shifted by whole lattice vectors
+    per vertex; and all vertices but vertex 0 moved to one point whose offset (0.3, 0.4 +- 1e-9)
+    from vertex 0 is just over, then just under, half a lattice vector."""
+    base, rng = fx.base.positions, np.random.default_rng(11)
+    samples = np.repeat(base[None], 4, axis=0)
+    samples[1] += rng.normal(scale=1e-3, size=base.shape) + rng.integers(-1, 2, size=base.shape)
+    for sample, step in zip(samples[2:], (0.4 + 1e-9, 0.4 - 1e-9)):
+        sample[1:] = sample[0]
+        sample[1:, :2] += [0.3, step]
+    return samples
+
+
+@pytest.mark.parametrize("build", [interval_c1, cylinder_translation, two_handle,
+                                   lambda level: _dim3_torus()],
+                         ids=["interval_c1", "cylinder_translation", "two_handle", "dim3"])
+def test_edge_gathered_frames_equal_per_degree_frames(build):
+    fx = build(1)
+    samples = _edge_samples(fx)
+    degrees = range(fx.mesh.dim + 1)
+    lifted = wrapped_frames(fx.model, fx.mesh, samples, degrees)
+    assert sorted(lifted) == list(degrees)
+    for k in degrees:
+        frames, too_large = lifted[k]
+        ref_frames, ref_too_large = _per_degree_frames(fx.model, fx.mesh, samples, k)
+        assert frames.shape == (4, fx.mesh.n_simplices(k), k, 2 * fx.model.n)
+        assert np.array_equal(frames, ref_frames), k
+        assert np.array_equal(too_large, ref_too_large), k
+        # a degree-0 frame is empty; every other degree has frame edges from vertex 0
+        assert too_large.tolist() == [False, False, k > 0, False], k
+        one = Immersion(fx.mesh, samples[1]).simplex_frames(fx.model, k)
+        assert np.array_equal(one, ref_frames[1])
+
+
+def _gram_frames(k, rng):
+    """(3, 4, k, 4) frames: generic ones, slivers whose last edge is the first within 0.1,
+    needles with one edge 1e-6 long, and tiny ones 1e-8 across."""
+    frames = rng.normal(size=(3, 4, k, 4))
+    frames[1, :, -1] = frames[1, :, 0] + 0.1 * rng.normal(size=(4, 4))
+    frames[2, :, -1] *= 1e-6
+    frames[2, :2] *= 1e-8
+    return frames
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_volumes_match_the_gram_determinant(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(4, 4))
+    g = a @ a.T + 4.0 * np.eye(4)
+    frames = _gram_frames(k, rng)
+    expected = np.sqrt(np.abs(np.linalg.det(frames @ g @ np.swapaxes(frames, -1, -2))))
+    got = _gram_volumes(frames, g)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)

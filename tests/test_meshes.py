@@ -423,3 +423,11 @@ def test_surface_topology_needs_no_elimination(monkeypatch):
     assert absolute_cycle_basis(mesh).m == 2
     with pytest.raises(AssertionError, match="elimination"):
         betti_profile(_boundary_of_4_simplex())  # middle ranks of dim 3 still eliminate
+
+
+def test_coboundary_operator_is_built_once_per_degree():
+    mesh = build_fixture("two_handle", 1).mesh
+    for k in range(mesh.dim):
+        d = mesh.coboundary_operator(k)
+        assert d is mesh.coboundary_operator(k)
+        assert (d != mesh.boundary_operator(k + 1).T).nnz == 0

@@ -15,14 +15,20 @@ from slaglab.dec import (
     Cochain,
     HodgeStructure,
     MetricField,
-    apply_d,
     codifferential,
+    exterior_derivative,
     hodge_star,
     period_matrix,
 )
 from slaglab.fixtures import cylinder_translation
 from slaglab.immersion import pullback_metric
 from slaglab.meshes import relative_cycle_basis
+
+def apply_d(cochain):
+    """The coboundary of a cochain, as a cochain one degree up."""
+    op = exterior_derivative(cochain.mesh, cochain.degree)
+    return Cochain(cochain.mesh, cochain.degree + 1, op @ cochain.values)
+
 
 FX = cylinder_translation(1)
 HS = HodgeStructure(FX.mesh, pullback_metric(FX.model, FX.base))

@@ -15,6 +15,7 @@ import slaglab
 from slaglab.cli import main as cli_main
 from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
+from slaglab.immersion import ImmersionFamily
 from slaglab.runner import (
     SUITES,
     _SCHEMA,
@@ -492,6 +493,30 @@ def test_full_run_builds_each_harmonic_basis_once(monkeypatch, suites, expected)
     report = run(scenario_from_dict(minimal_scenario(suites=suites)))
     assert report.passed
     assert sorted(calls) == expected
+
+
+def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
+    """The five sweeps of the homotopy suite each evaluate one oracle trajectory, no path."""
+    shapes = []
+    positions = ImmersionFamily.positions
+    monkeypatch.setattr(ImmersionFamily, "positions",
+                        lambda self, u: shapes.append(np.shape(u)) or positions(self, u))
+    report = run(scenario_from_dict(minimal_scenario(suites=["homotopy"])))
+    assert report.passed
+    assert sorted(shapes) == [(129, 1)] * 2 + [(257, 1)] * 5
+
+
+def test_model_less_topology_run_says_which_check_did_not_run():
+    report = run(scenario_from_dict({"fixture": {"name": "pair_of_pants"},
+                                     "suites": ["topology"]}))
+    checks = {c.name: c for c in report.checks}
+    assert sorted(checks) == ["topology/boundary_squared", "topology/rank_duality"]
+    assert report.passed
+    assert checks["topology/rank_duality"].detail == (
+        "b_rel_1=2, betti=(1, 2, 0); harmonic_counts not run: no ambient metric")
+    with_model = run(scenario_from_dict(minimal_scenario(suites=["topology"])))
+    assert "not run" not in with_model.checks[0].detail
+    assert "topology/harmonic_counts" in [c.name for c in with_model.checks]
 
 
 def test_scenario_lagrangian_block_missing_field_named():
