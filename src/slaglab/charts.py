@@ -310,7 +310,7 @@ def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport
     inner_shape = dR.shape[:-2]
     rps = {idx: dR[idx].T @ pairing.P @ dS[idx]
            for idx in itertools.product(*(range(s) for s in inner_shape))}
-    W_max = max(float(np.abs(g - g.T).max()) for g in rps.values())
+    W_max = float(np.max([np.abs(g - g.T).max() for g in rps.values()]))
     g = rps[tuple(s // 2 for s in inner_shape)]
     return EmbeddingReport(0.5 * (g + g.T), W_max)
 
@@ -370,10 +370,10 @@ def hessian_fit(
             raise SingularJacobianError("chart coordinates degenerate on the grid")
         dvdu = Jv @ np.linalg.inv(Ju)
         defect = float(np.abs(dvdu - dvdu.T).max()) / max(float(np.abs(dvdu).max()), 1e-30)
-        sym_residual = max(sym_residual, defect)
+        sym_residual = float(np.maximum(sym_residual, defect))  # keeps a NaN
         if idx == center:
             dvdu_center = dvdu
-    if sym_residual > symmetry_tol:
+    if not sym_residual <= symmetry_tol:
         raise AsymmetricJacobianError(
             f"dv/du asymmetric by {sym_residual:.3e} (tolerance {symmetry_tol:.1e})"
         )

@@ -272,11 +272,11 @@ def harmonic_fields(
     flavor "neumann": degree-(n-1) closed fields M-orthogonal to differentials
     of all (n-2)-cochains.
 
-    The basis is the kernel eigenvectors of the constraint normal matrix,
-    neither M-orthonormal nor normalized against any cycles: only its size is
-    used.  The spectrum lands in structure.diagnostics.  Raises
-    DimensionMismatchError when the numerical kernel dimension disagrees with
-    the Betti prediction.
+    The basis is kernel eigenvectors of the constraint normal matrix (see
+    _small_eigenpairs), unnormalized.  Its size counts the eigenvalues below
+    kernel_gap times the largest one computed, without reading expected_dim
+    (default: the Betti number); DimensionMismatchError when the two differ.
+    The spectrum lands in structure.diagnostics.
     """
     mesh = structure.mesh
     n = mesh.dim
@@ -313,7 +313,7 @@ def harmonic_fields(
         block = block / max(scale, 1e-300)
         normal = normal + block.T @ block
     lam, vecs = _small_eigenpairs(normal, m_expected)
-    kernel_dim = _kernel_dimension(lam, m_expected, kernel_gap)
+    kernel_dim = _kernel_dimension(lam, kernel_gap)
     if kernel_dim != m_expected:
         raise DimensionMismatchError(
             f"{flavor} kernel dimension {kernel_dim} != expected {m_expected}; "
@@ -326,28 +326,31 @@ def harmonic_fields(
 
 
 def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int):
+    """Smallest eigenpairs of the PSD normal matrix N, in ascending order.
+
+    Shift-invert eigsh about a small negative sigma on one SuperLU factor of the
+    SPD N - sigma I, in symmetric mode (minimum-degree ordering of N + N^T,
+    diagonal pivots).  Dense eigh only where eigsh cannot run (k >= dim - 1).
+    """
     dim = normal.shape[0]
     want = min(dim, max(m_expected + 4, 6))
-    if dim <= 600 or want >= dim - 1:
-        dense = normal.toarray()
-        lam, vecs = np.linalg.eigh(dense)
-        return lam, vecs
-    v0 = np.ones(dim) / math.sqrt(dim)
-    sigma = -1e-6 * max(abs(normal).max(), 1.0)
     try:
-        lam, vecs = spla.eigsh(normal, k=want, sigma=sigma, which="LM", v0=v0)
-    except Exception as exc:
+        if want >= dim - 1:
+            return np.linalg.eigh(normal.toarray())
+        sigma = -1e-6 * max(abs(normal).max(), 1.0)
+        lu = spla.splu((normal - sigma * sp.identity(dim)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lam, vecs = spla.eigsh(normal, k=want, sigma=sigma, which="LM",
+                               v0=np.ones(dim) / math.sqrt(dim),
+                               OPinv=spla.LinearOperator((dim, dim), lu.solve, dtype=float))
+    except (RuntimeError, ValueError) as exc:  # ArpackError, SuperLU, LinAlgError
         raise SolverFailureError(f"kernel eigensolve failed: {exc}") from exc
     order = np.argsort(lam)
     return lam[order], vecs[:, order]
 
 
-def _kernel_dimension(lam: np.ndarray, m_expected: int, kernel_gap: float = _KERNEL_GAP) -> int:
+def _kernel_dimension(lam: np.ndarray, kernel_gap: float = _KERNEL_GAP) -> int:
+    """Eigenvalues below kernel_gap times the largest computed; all if none tops 1e-10."""
     lam = np.maximum(lam, 0.0)
-    if len(lam) <= m_expected:
-        return len(lam) if (len(lam) == 0 or lam.max() <= 1e-10) else -1
-    gap_ref = lam[m_expected]
-    if gap_ref <= 0:
-        return -1
-    count = int(np.sum(lam < kernel_gap * gap_ref))
-    return count
+    top = lam.max(initial=0.0)
+    return int(np.sum(lam < kernel_gap * top)) if top > 1e-10 else len(lam)

@@ -201,7 +201,7 @@ class _FluxPass:
         residual is read, and one among the integrand's simplices after.
         """
         residual = residuals[self.residual]
-        over = residual > self.tol
+        over = ~(residual <= self.tol)  # a NaN residual is over
         failed = np.flatnonzero(degenerate | over | integrand_degenerate)
         if self.failure is None and failed.size:
             i = failed[0]
@@ -216,8 +216,9 @@ class _FluxPass:
             self.raw += self.weights[j] * row
             if self.halves is not None and j % 2 == 0:
                 self.coarse += self.halves[j // 2] * row
-        self.closedness = max(self.closedness, _sup(self.d_op @ vals.T))
-        self.boundary_sup = max(self.boundary_sup, _sup(vals[:, self.boundary]))
+        # np.maximum keeps a NaN that the builtin max would drop
+        self.closedness = float(np.maximum(self.closedness, _sup(self.d_op @ vals.T)))
+        self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
 
     def result(self, max_lag: float, max_special: float) -> FluxClass:
         raw = Cochain(self.mesh, self.degree, self.raw)
@@ -265,8 +266,8 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
         frames = wrapped_frames(model, mesh, positions, degrees)
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
         residuals = calibration_residuals(model, top, two if n >= 2 else None)
-        max_lag = max(max_lag, float(residuals[0].max()))
-        max_special = max(max_special, float(residuals[1].max()))
+        max_lag = float(np.maximum(max_lag, residuals[0].max()))
+        max_special = float(np.maximum(max_special, residuals[1].max()))
         stacks = {k: _centroid_stack(mesh, velocities, frames[k][0], k)
                   for k in {p.degree for p in passes}}
         for p in passes:

@@ -496,7 +496,7 @@ def _duality_residual(ws: _Workspace, n_probe: int = 5):
         st = hodge_star(structure, theta)
         diff = Cochain(ws.fixture.mesh, phi.degree, st.values - phi.values)
         denom = max(structure.norm(phi), 1e-300)
-        worst = max(worst, structure.norm(diff) / denom)
+        worst = float(np.maximum(worst, structure.norm(diff) / denom))
     return worst
 
 
@@ -596,11 +596,11 @@ def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
     for _ in range(scenario.n_random_paths):
         rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
         rrf, rsf = path_fluxes(model, rpath, rel, ab)
-        worst_rand = max(
+        worst_rand = float(np.max([
             worst_rand,
             np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
             np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
-        )
+        ]))
     report.add(
         "flux_oracles/random_paths",
         "flux periods match sweep oracles on seeded random analytic paths",
@@ -686,11 +686,11 @@ def _suite_transitions(ws: _Workspace, report: RunReport, scenario: Scenario):
     for coord in ("R", "S"):
         fit = transition_affine_fit(samples_1, samples_2, coord)
         ws.atlas_parts.setdefault("transition_fits", {})[f"basepoint_shift_{coord}"] = fit
-        worst_identity = max(worst_identity, float(np.abs(fit.A - np.eye(m)).max()))
-        worst_res = max(worst_res, fit.residual)
-        worst_vol = max(worst_vol, fit.volume_defect)
         expected_b = -(shift_sample.R if coord == "R" else shift_sample.S)
-        worst_identity = max(worst_identity, float(np.abs(fit.b - expected_b).max()))
+        worst_identity = float(np.max([worst_identity, np.abs(fit.A - np.eye(m)).max(),
+                                       np.abs(fit.b - expected_b).max()]))
+        worst_res = float(np.maximum(worst_res, fit.residual))
+        worst_vol = float(np.maximum(worst_vol, fit.volume_defect))
     report.add(
         "transitions/translation_identity",
         "basepoint change along a connecting path is a pure translation",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from slaglab import dec
 from slaglab.dec import (
     Cochain,
     HodgeStructure,
@@ -17,7 +19,7 @@ from slaglab.errors import (
     DegreeOutOfRangeError,
     DimensionMismatchError,
 )
-from slaglab.fixtures import cylinder_translation, interval_c1
+from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import pullback_metric
 from slaglab.meshes import absolute_cycle_basis, build_mesh, relative_cycle_basis
 
@@ -267,6 +269,85 @@ def test_dimension_mismatch_detected(cylinder):
     fx, hs = cylinder
     with pytest.raises(DimensionMismatchError):
         harmonic_fields(hs, "dirichlet", expected_dim=2)
+
+
+@pytest.fixture(scope="module", params=[
+    (cylinder_translation, 1), (cylinder_translation, 2), (two_handle, 1), (two_handle, 2),
+], ids=lambda p: f"{p[0].__name__}-l{p[1]}")
+def fixture_structure(request):
+    """A fixture and the Hodge structure of its base immersion."""
+    make, level = request.param
+    fx = make(level)
+    return fx, HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_kernel_count_does_not_read_the_expected_dimension(fixture_structure, flavor, offset):
+    """An expected dimension one off the Betti number is refused, never absorbed."""
+    fx, hs = fixture_structure
+    with pytest.raises(DimensionMismatchError):
+        harmonic_fields(hs, flavor, expected_dim=fx.m + offset)
+
+
+def spy_eigenpairs(monkeypatch):
+    """Record (normal matrix, eigenvalues) of every kernel eigensolve."""
+    calls = []
+    solve = dec._small_eigenpairs
+
+    def spy(normal, m_expected):
+        lam, vecs = solve(normal, m_expected)
+        calls.append((normal, lam))
+        return lam, vecs
+
+    monkeypatch.setattr(dec, "_small_eigenpairs", spy)
+    return calls
+
+
+def spy_splu(monkeypatch):
+    """Record the keyword arguments of every sparse LU factorization."""
+    calls = []
+    factor = spla.splu
+
+    def spy(matrix, **kwargs):
+        calls.append(kwargs)
+        return factor(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch):
+    fx, hs = fixture_structure
+    solves, factors = spy_eigenpairs(monkeypatch), spy_splu(monkeypatch)
+    m = len(harmonic_fields(hs, flavor))
+    assert m == fx.m
+    (normal, lam), = solves
+    assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                        "options": {"SymmetricMode": True}}]
+    dense = np.linalg.eigvalsh(normal.toarray())
+    assert dec._kernel_dimension(dense) == dec._kernel_dimension(lam) == m
+    np.testing.assert_allclose(lam[m:], dense[m:len(lam)], rtol=1e-8)
+
+
+@pytest.mark.parametrize("segments", [1, 4])
+def test_window_spanning_matrix_takes_the_dense_path(segments, monkeypatch):
+    """Short intervals: eigsh cannot take k >= dim - 1, so eigh counts the kernel.
+
+    One segment has no interior vertex, so its Dirichlet normal matrix is zero:
+    a window with no gap in it is all kernel.
+    """
+    mesh = build_mesh(segments + 1, [(i + 1, i) for i in range(segments)],
+                      {(0,): 1, (segments,): 2})
+    pos = np.linspace(0.0, 1.0, segments + 1)[:, None]
+    hs = HodgeStructure(mesh, metric_from_positions(mesh, pos))
+    solves, factors = spy_eigenpairs(monkeypatch), spy_splu(monkeypatch)
+    assert len(harmonic_fields(hs, "dirichlet")) == len(harmonic_fields(hs, "neumann")) == 1
+    assert [normal.shape[0] for normal, _ in solves] == [segments, segments + 1]
+    assert factors == []
+    with pytest.raises(DimensionMismatchError):
+        harmonic_fields(hs, "dirichlet", expected_dim=0)
 
 
 def test_dirichlet_fields_vanish_on_boundary_edges(cylinder):

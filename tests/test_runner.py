@@ -85,6 +85,18 @@ def test_zero_tolerance_negative_control():
     assert not report.passed  # roundoff-level residuals now count as failures
 
 
+def test_non_finite_flux_samples_fail_the_tangent_laws():
+    """An overflowing amplitude gives NaN cochains; a NaN residual is no pass."""
+    data = minimal_scenario(path={"amplitudes": [1e308], "samples": 33},
+                            suites=["tangent_laws"])
+    with np.errstate(all="ignore"):
+        report = run(scenario_from_dict(data))
+    verdicts = {c.name: c.passed for c in report.checks}
+    assert not report.passed
+    for name in ("theta_closed", "theta_boundary", "phi_closed"):
+        assert not verdicts.get(f"tangent_laws/{name}", False)
+
+
 def test_missing_fixture_field_names_it():
     with pytest.raises(ConfigError, match="fixture"):
         scenario_from_dict({"name": "x"})
