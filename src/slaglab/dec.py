@@ -293,8 +293,6 @@ def harmonic_fields(
         m_expected = profile.b_rel_1 if expected_dim is None else expected_dim
     elif flavor == "neumann":
         degree = n - 1
-        if degree < 0:
-            raise DegreeOutOfRangeError("neumann fields need dim >= 1")
         col_ids = np.arange(mesh.n_simplices(degree))
         blocks = [exterior_derivative(mesh, degree)]
         if degree >= 1:

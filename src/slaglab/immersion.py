@@ -22,7 +22,7 @@ from .errors import (
     NotAutomorphismError,
     SlagError,
 )
-from .meshes import SimplicialMesh
+from .meshes import SimplicialMesh, sort_sign
 
 
 @dataclass
@@ -192,21 +192,20 @@ def check_automorphism(mesh: SimplicialMesh, psi: np.ndarray) -> None:
     psi = np.asarray(psi, dtype=int)
     if psi.shape != (mesh.n_vertices,) or sorted(psi.tolist()) != list(range(mesh.n_vertices)):
         raise NotAutomorphismError("psi must be a permutation of the vertex ids")
-    top_set = {tuple(row) for row in mesh.simplices[mesh.dim]}
-    for row in mesh.simplices[mesh.dim]:
-        if tuple(sorted(psi[row])) not in top_set:
-            raise NotAutomorphismError(f"psi does not map simplex {tuple(row)} to a simplex")
-    if mesh.dim >= 1:
-        faces = mesh.simplices[mesh.dim - 1]
-        index = {tuple(f): i for i, f in enumerate(faces)}
-        for fid in mesh.boundary_face_ids():
-            image = tuple(sorted(psi[faces[fid]]))
-            jid = index.get(image)
-            if jid is None or mesh.boundary_labels[jid] != mesh.boundary_labels[fid]:
-                raise LabelViolationError(
-                    f"psi moves a boundary face of component {int(mesh.boundary_labels[fid])} "
-                    "off its component"
-                )
+    tops = mesh.simplices[mesh.dim]
+    lost = mesh.simplex_ids(mesh.dim, np.sort(psi[tops], axis=1)) < 0
+    if lost.any():
+        raise NotAutomorphismError(
+            f"psi does not map simplex {tuple(tops[np.argmax(lost)].tolist())} to a simplex")
+    ids = mesh.boundary_face_ids()
+    labels = mesh.boundary_labels
+    image = mesh.simplex_ids(mesh.dim - 1, np.sort(psi[mesh.simplices[mesh.dim - 1][ids]], axis=1))
+    moved = (image < 0) | (labels[image] != labels[ids])
+    if moved.any():
+        raise LabelViolationError(
+            f"psi moves a boundary face of component {int(labels[ids[np.argmax(moved)]])} "
+            "off its component"
+        )
 
 
 def reparametrize(immersion: Immersion, psi) -> Immersion:
@@ -221,34 +220,11 @@ def permutation_on_cochains(mesh: SimplicialMesh, psi: np.ndarray, degree: int):
 
     Returns (indices, signs) with (psi^* a)[s] = signs[s] * a[indices[s]].
     """
-    psi = np.asarray(psi, dtype=int)
-    simp = mesh.simplices[degree]
-    index = {tuple(row): i for i, row in enumerate(simp)}
-    idx = np.empty(len(simp), dtype=int)
-    sgn = np.empty(len(simp), dtype=float)
-    for i, row in enumerate(simp):
-        image = psi[row]
-        order = np.argsort(image)
-        idx[i] = index[tuple(image[order])]
-        sgn[i] = _perm_sign(order)
-    return idx, sgn
-
-
-def _perm_sign(order: np.ndarray) -> float:
-    seen = np.zeros(len(order), dtype=bool)
-    sign = 1.0
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(order[j])
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    image = np.asarray(psi, dtype=int)[mesh.simplices[degree]]
+    idx = mesh.simplex_ids(degree, np.sort(image, axis=1))
+    if np.any(idx < 0):
+        raise NotAutomorphismError(f"psi does not map every {degree}-simplex to a simplex")
+    return idx, sort_sign(image).astype(float)
 
 
 # -- families ----------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Simplices of every degree are stored as rows of sorted vertex ids, ordered
 lexicographically, so each simplex has a canonical orientation.  Top simplices
 additionally carry an orientation flag (+1/-1) relative to their canonical
 order; boundary operators act on canonical simplices and therefore satisfy
-boundary-of-boundary = 0 in exact integer arithmetic.
+boundary-of-boundary = 0 in exact integer arithmetic.  `build_mesh` makes
+them with one sort and one `np.unique` per degree, as PyDEC does (Bell &
+Hirani, ACM TOMS 39(1), 2012), and orients the tops from the components of
+the orientation double cover.
 
 The edge boundary is the incidence matrix of the edge graph, and, since every
 mesh is an oriented pseudomanifold, the top boundary is (up to column signs)
@@ -92,7 +95,7 @@ class BettiProfile:
 
     @property
     def b_top_minus_1(self) -> int:
-        return self.betti[-2] if len(self.betti) >= 2 else self.betti[0]
+        return self.betti[-2]
 
     @property
     def duality_holds(self) -> bool:
@@ -105,7 +108,7 @@ class SimplicialMesh:
     Immutable after construction; all derived operators are cached on first use.
     """
 
-    def __init__(self, dim, n_vertices, simplices, top_orientation, boundary_labels):
+    def __init__(self, dim, n_vertices, simplices, top_orientation, boundary_labels, face_tables):
         self.dim = dim
         self.n_vertices = n_vertices
         self.simplices = simplices          # tuple over k of (N_k, k+1) int arrays
@@ -114,7 +117,7 @@ class SimplicialMesh:
         self._boundary_ops: dict[int, sp.csr_matrix] = {}
         self._coboundary_ops: dict[int, sp.csr_matrix] = {}
         self._betti: BettiProfile | None = None
-        self._face_tables: dict[int, np.ndarray] = {}
+        self._face_tables = face_tables  # tuple over k of (N_n, C(n+1, k+1)) int64 arrays
         self._edge_tables: dict[int, np.ndarray] = {}
         # simplices entirely contained in the boundary, per degree
         self._in_boundary = self._mark_boundary_simplices()
@@ -126,8 +129,7 @@ class SimplicialMesh:
 
     @property
     def n_components(self) -> int:
-        labels = self.boundary_labels
-        return int(labels.max()) if labels.size else 0
+        return int(self.boundary_labels.max())
 
     def boundary_face_ids(self) -> np.ndarray:
         return np.nonzero(self.boundary_labels > 0)[0]
@@ -142,22 +144,17 @@ class SimplicialMesh:
     def boundary_component_of_vertex(self) -> np.ndarray:
         """Per-vertex component label, 0 for interior vertices."""
         out = np.zeros(self.n_vertices, dtype=int)
-        if self.dim == 0:
-            return out
-        faces = self.simplices[self.dim - 1]
-        for fid in self.boundary_face_ids():
-            out[faces[fid]] = self.boundary_labels[fid]
+        ids = self.boundary_face_ids()
+        out[self.simplices[self.dim - 1][ids]] = self.boundary_labels[ids, None]
         return out
 
     def _mark_boundary_simplices(self) -> list[np.ndarray]:
         masks = [np.zeros(self.n_simplices(k), dtype=bool) for k in range(self.dim + 1)]
-        if self.dim == 0:
-            return masks
         masks[self.dim - 1] = self.boundary_labels > 0
         faces = self.simplices[self.dim - 1][masks[self.dim - 1]]
         for k in range(self.dim - 1):
             for combo in itertools.combinations(range(self.dim), k + 1):
-                masks[k][self._ids_of(k, faces[:, list(combo)])] = True
+                masks[k][self.simplex_ids(k, faces[:, list(combo)])] = True
         return masks
 
     # -- chain complex ---------------------------------------------------------
@@ -169,7 +166,7 @@ class SimplicialMesh:
         if k not in self._boundary_ops:
             simp = self.simplices[k]
             rows = np.stack(
-                [self._ids_of(k - 1, np.delete(simp, i, axis=1)) for i in range(k + 1)], axis=1
+                [self.simplex_ids(k - 1, np.delete(simp, i, axis=1)) for i in range(k + 1)], axis=1
             )
             vals = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), len(simp))
             cols = np.repeat(np.arange(len(simp)), k + 1)
@@ -186,37 +183,20 @@ class SimplicialMesh:
         return self._coboundary_ops[k]
 
     def face_table(self, k: int) -> np.ndarray:
-        """(N_top, C(n+1, k+1)) global ids of the k-faces of each top simplex.
-
-        Column order matches itertools.combinations over local vertex slots.
-        """
-        if k not in self._face_tables:
-            tops = self.simplices[self.dim]
-            combos = itertools.combinations(range(self.dim + 1), k + 1)
-            self._face_tables[k] = np.stack(
-                [self._ids_of(k, tops[:, list(combo)]) for combo in combos], axis=1
-            ).astype(np.int64)
+        """(N_top, C(n+1, k+1)) ids of the k-faces of each top, in itertools.combinations order."""
         return self._face_tables[k]
 
     def edge_table(self, k: int) -> np.ndarray:
         """(N_k, k) ids of the edges (v0, vi), i = 1..k, the frame columns of each k-simplex."""
         if k not in self._edge_tables:
             simp = self.simplices[k]
-            ids = [self._ids_of(1, simp[:, [0, i]]) for i in range(1, k + 1)]
+            ids = [self.simplex_ids(1, simp[:, [0, i]]) for i in range(1, k + 1)]
             self._edge_tables[k] = np.array(ids, dtype=np.int64).reshape(k, len(simp)).T
         return self._edge_tables[k]
 
-    def _ids_of(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Ids of the k-simplices given as rows of sorted vertex ids.
-
-        A row's mixed-radix code in base n_vertices orders rows the way the
-        lexicographic simplex order does, so ids are found by binary search.
-        The codes must fit in int64 (n_vertices ** (k + 1) < 2 ** 63); numpy
-        raises ValueError beyond that.
-        """
-        shape = (self.n_vertices,) * (k + 1)
-        codes = np.ravel_multi_index(self.simplices[k].T, shape)
-        return np.searchsorted(codes, np.ravel_multi_index(rows.T, shape))
+    def simplex_ids(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Ids of the k-simplices given as rows of sorted vertex ids, -1 for a row that is none."""
+        return _ids_of(self.simplices[k], self.n_vertices, rows)
 
     # -- homology ------------------------------------------------------------------
 
@@ -240,8 +220,6 @@ class SimplicialMesh:
     def _relative_b1(self) -> int:
         """Rank of H_1 relative to the boundary: interior edges only, with the
         boundary vertices merged into one node and no ground node in the dual."""
-        if self.dim == 0:
-            return 0
         interior = ~self._in_boundary[1]
         rank1 = _graph_rank(self.n_vertices + 1, self._merged_edges()[interior])
         if self.dim == 1:
@@ -262,170 +240,155 @@ class SimplicialMesh:
 
         A boundary face has one side; its second end is the ground node N_n.
         """
-        table = self.face_table(self.dim - 1)
-        faces = table.ravel()
-        tops = np.repeat(np.arange(len(table)), table.shape[1])
-        order = np.argsort(faces, kind="stable")
-        faces, tops = faces[order], tops[order]
-        second = np.r_[False, faces[1:] == faces[:-1]]
-        ends = np.full((self.n_simplices(self.dim - 1), 2), len(table))
-        ends[faces[~second], 0] = tops[~second]
-        ends[faces[second], 1] = tops[second]
+        bd = self.boundary_operator(self.dim)
+        start, two = bd.indptr[:-1], np.diff(bd.indptr) == 2
+        ends = np.full((bd.shape[0], 2), bd.shape[1])
+        ends[:, 0] = bd.indices[start]
+        ends[two, 1] = bd.indices[start[two] + 1]
         return ends
 
 
 # -- construction ---------------------------------------------------------------
 
 
-def build_mesh(n_vertices, top_simplices, boundary_labels, dim=None, orient="auto"):
+def build_mesh(n_vertices, top_simplices, boundary_labels, dim=None):
     """Validate raw vertex/simplex/label data and build a SimplicialMesh.
 
-    top_simplices: iterable of (n+1)-tuples of vertex ids; tuple order defines
-        the input orientation.
+    top_simplices: iterable of (n+1)-tuples of vertex ids, n >= 1; tuple order
+        defines the input orientation.
     boundary_labels: mapping from boundary (n-1)-simplices (any vertex order)
         to component labels 1..d.
-    orient: "auto" propagates a consistent orientation from the lowest-id top
-        simplex of each component (input orientation used as the seed);
-        "strict" requires the input orientations to be consistent as given.
+
+    The k-simplices are the unique k-faces of the sorted top rows; each
+    component keeps the input orientation of its lowest-id top (`_orientation`).
     """
     tops = [tuple(s) for s in top_simplices]
     if not tops:
         raise SlagError("empty complex")
-    if dim is None:
-        dim = len(tops[0]) - 1
+    dim = len(tops[0]) - 1 if dim is None else dim
     for s in tops:
-        if len(s) != dim + 1 or len(set(s)) != dim + 1:
+        if dim < 1 or len(s) != dim + 1 or len(set(s)) != dim + 1:
             raise SlagError(f"bad top simplex {s}")
         for v in s:
             if not 0 <= v < n_vertices:
                 raise SlagError(f"simplex {s} references unknown vertex {v}")
 
-    # canonical simplex lists per degree
-    simplices: list[np.ndarray] = []
+    raw = np.array(tops, dtype=np.int64)
+    ordered = np.sort(raw, axis=1)
+    order = np.lexsort(ordered.T[::-1])
+    raw, ordered, simplices, tables = raw[order], ordered[order], [], []
     for k in range(dim + 1):
-        faces = sorted({tuple(sorted(c)) for s in tops for c in itertools.combinations(s, k + 1)})
-        simplices.append(np.array(faces, dtype=np.int64).reshape(len(faces), k + 1))
+        combos = list(itertools.combinations(range(dim + 1), k + 1))
+        faces, inverse = np.unique(ordered[:, combos].reshape(-1, k + 1), axis=0,
+                                   return_inverse=True)
+        simplices.append(faces)
+        tables.append(inverse.reshape(len(raw), len(combos)))
     if len(simplices[0]) != n_vertices:
         # isolated vertices are not part of the complex
         raise SlagError("every vertex must belong to some top simplex")
-
-    input_orient = np.array([_parity(s) for s in tops], dtype=np.int64)
-    top_sorted = [tuple(sorted(s)) for s in tops]
-    order = sorted(range(len(tops)), key=lambda i: top_sorted[i])
-    tops_canon = [top_sorted[i] for i in order]
-    if len(set(tops_canon)) != len(tops_canon):
+    if len(simplices[dim]) != len(raw):
         raise SlagError("duplicate top simplices")
-    input_orient = input_orient[order]
-    simplices[dim] = np.array(tops_canon, dtype=np.int64)
 
-    # face -> adjacent top simplices
-    coface: dict[tuple, list[tuple[int, int]]] = {}
-    for t, s in enumerate(tops_canon):
-        for i in range(dim + 1):
-            face = s[:i] + s[i + 1 :]
-            coface.setdefault(face, []).append((t, (-1) ** i))
-    for face, adj in coface.items():
-        if len(adj) > 2:
-            raise NonManifoldError(f"face {face} shared by {len(adj)} top simplices")
+    # boundary of the tops as given: row f holds the cofaces of face f in id order
+    faces, input_orient = simplices[dim - 1], sort_sign(raw)
+    facets = tables[dim - 1][:, ::-1].ravel()  # column i: the face without vertex i
+    signs = ((-1) ** np.arange(dim + 1) * input_orient[:, None]).ravel()
+    top_bd = sp.csr_matrix((signs, (facets, np.repeat(np.arange(len(raw)), dim + 1))),
+                           shape=(len(faces), len(raw)))
+    counts = np.diff(top_bd.indptr)
+    f = facets[np.argmax(counts[facets] > 2)]
+    if counts[f] > 2:
+        raise NonManifoldError(
+            f"face {tuple(faces[f].tolist())} shared by {counts[f]} top simplices")
+    orientation = _orientation(top_bd, input_orient)
 
-    orientation = _orient_complex(len(tops_canon), coface, input_orient, orient)
-
-    # boundary faces and labels
-    face_index = {tuple(row): i for i, row in enumerate(simplices[dim - 1])} if dim else {}
-    labels = np.zeros(len(simplices[dim - 1]) if dim else 0, dtype=np.int64)
-    boundary_faces = {f for f, adj in coface.items() if len(adj) == 1}
     given = {tuple(sorted(f)): int(v) for f, v in dict(boundary_labels).items()}
-    unknown = set(given) - boundary_faces
+    # a key of the wrong width or with an unknown vertex is no face
+    fits = [len(f) == dim and all(0 <= v < n_vertices for v in f) for f in given]
+    ids = np.full(len(given), -1)
+    ids[fits] = _ids_of(faces, n_vertices, np.array(
+        list(itertools.compress(given, fits)), dtype=np.int64).reshape(-1, dim))
+    unknown = sorted(itertools.compress(given, (ids < 0) | (counts[ids] != 1)))
     if unknown:
-        raise UnlabeledBoundaryError(f"labels given for non-boundary faces: {sorted(unknown)[:3]}")
-    missing = boundary_faces - set(given)
+        raise UnlabeledBoundaryError(f"labels given for non-boundary faces: {unknown[:3]}")
+    missing = faces[(counts == 1) & ~np.isin(np.arange(len(faces)), ids)][:3].tolist()
     if missing:
-        raise UnlabeledBoundaryError(f"unlabeled boundary faces: {sorted(missing)[:3]}")
+        raise UnlabeledBoundaryError(f"unlabeled boundary faces: {list(map(tuple, missing))}")
     for f, v in given.items():
         if v < 1:
             raise UnlabeledBoundaryError(f"label for {f} must be >= 1, got {v}")
-        labels[face_index[f]] = v
+    labels = np.zeros(len(faces), dtype=np.int64)
+    labels[ids] = list(given.values())
 
-    mesh = SimplicialMesh(dim, n_vertices, tuple(simplices), orientation, labels)
+    mesh = SimplicialMesh(dim, n_vertices, tuple(simplices), orientation, labels, tuple(tables))
     _validate_boundary_components(mesh)
     return mesh
 
 
-def _parity(simplex) -> int:
-    """Sign of the permutation sorting the vertex tuple."""
-    s = list(simplex)
-    sign = 1
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[j] < s[i]:
-                s[i], s[j] = s[j], s[i]
-                sign = -sign
-    return sign
+def _ids_of(simplices: np.ndarray, n_vertices: int, rows: np.ndarray) -> np.ndarray:
+    """Positions in `simplices` (lexicographic rows of sorted vertex ids) of
+    `rows`, sorted ids below n_vertices, or -1: binary search on mixed-radix row
+    codes, which must fit in int64, gives an insertion index for an absent row."""
+    shape = (n_vertices,) * simplices.shape[1]
+    codes = np.ravel_multi_index(simplices.T, shape)
+    ids = np.minimum(np.searchsorted(codes, np.ravel_multi_index(rows.T, shape)),
+                     len(simplices) - 1)
+    return np.where((simplices[ids] == rows).all(axis=1), ids, -1)
 
 
-def _orient_complex(n_top, coface, input_orient, mode):
-    """Orientation flags making induced orientations on interior faces cancel."""
-    flags = np.zeros(n_top, dtype=np.int64)
-    adjacency: dict[int, list[tuple[int, int]]] = {t: [] for t in range(n_top)}
-    for adj in coface.values():
-        if len(adj) == 2:
-            (t1, s1), (t2, s2) = adj
-            adjacency[t1].append((t2, s1 * s2))
-            adjacency[t2].append((t1, s1 * s2))
-    for seed in range(n_top):
-        if flags[seed]:
-            continue
-        flags[seed] = input_orient[seed]
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for t2, rel in adjacency[t]:
-                want = -rel * flags[t]
-                if flags[t2] == 0:
-                    flags[t2] = want
-                    stack.append(t2)
-                elif flags[t2] != want:
-                    raise NonOrientableError("no consistent orientation exists")
-    if mode == "strict" and not np.array_equal(flags, input_orient):
-        raise NonOrientableError("input orientations are not globally consistent")
-    return flags
+def sort_sign(rows: np.ndarray) -> np.ndarray:
+    """Sign (+1/-1) of the permutation that sorts each row of distinct integers."""
+    i, j = np.triu_indices(rows.shape[1], 1)
+    return 1 - 2 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)
+
+
+def _components(n_nodes: int, ends: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of the graph with edge rows `ends`."""
+    graph = sp.coo_matrix((np.ones(len(ends)), tuple(ends.T)), shape=(n_nodes, n_nodes))
+    return connected_components(graph, directed=False)[1]
+
+
+def _orientation(top_bd: sp.csr_matrix, input_orient: np.ndarray) -> np.ndarray:
+    """Flags making the orientations induced on every interior face cancel.
+
+    top_bd is the signed boundary of the tops as given.  In the orientation
+    double cover, node t is top t as given and node t + N is t flipped; two
+    tops on an interior face join t1 to t2 if, as given, they induce opposite
+    orientations there, else t1 to t2 + N.  No orientation exists if a top
+    shares a component with its flip; else each component keeps the input
+    orientation of its lowest-id top.
+    """
+    n = top_bd.shape[1]
+    start = top_bd.indptr[:-1][np.diff(top_bd.indptr) == 2]
+    t1, t2 = top_bd.indices[start], top_bd.indices[start + 1]
+    shift = n * (top_bd.data[start] == top_bd.data[start + 1])
+    comp = _components(2 * n, np.c_[np.r_[t1, t1 + n], np.r_[t2 + shift, t2 + n - shift]])
+    if np.any(comp[:n] == comp[n:]):
+        raise NonOrientableError("no consistent orientation exists")
+    lowest = np.unique(comp, return_index=True)[1][comp]
+    return np.where(lowest[:n] < lowest[n:], input_orient, -input_orient)
 
 
 def _validate_boundary_components(mesh: SimplicialMesh) -> None:
-    if mesh.dim == 0:
-        return
     face_ids = mesh.boundary_face_ids()
-    labels = mesh.boundary_labels
-    d = mesh.n_components
-    used = sorted(set(int(labels[i]) for i in face_ids))
+    labels, d, n = mesh.boundary_labels[face_ids], mesh.n_components, mesh.dim
+    used = np.unique(labels).tolist()
     if used != list(range(1, d + 1)):
         raise UnlabeledBoundaryError(f"labels must be exactly 1..d, got {used}")
-    # connected components of the boundary complex via shared (n-2)-faces
-    parent = {int(i): int(i) for i in face_ids}
-    faces = mesh.simplices[mesh.dim - 1]
-    subface_map: dict[tuple, int] = {}
-    for fid in face_ids:
-        fid = int(fid)
-        fverts = tuple(faces[fid])
-        # boundary faces are points when dim == 1: each is its own component
-        keys = [fverts[:i] + fverts[i + 1 :] for i in range(len(fverts))] if mesh.dim >= 2 else []
-        for key in keys:
-            if key in subface_map:
-                ra, rb = _find(parent, subface_map[key]), _find(parent, fid)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                subface_map[key] = fid
-    comps: dict[int, set[int]] = {}
-    for fid in face_ids:
-        comps.setdefault(_find(parent, int(fid)), set()).add(int(labels[fid]))
-    if len(comps) != d:
+    # a boundary face joins its (n-2)-faces, or is a point of a curve's boundary
+    faces = mesh.simplices[n - 1][face_ids]
+    subs = np.stack([mesh.simplex_ids(n - 2, faces[:, list(c)]) for c in
+                     itertools.combinations(range(n), n - 1)], axis=1) if n > 1 else faces
+    ends = np.c_[np.repeat(subs[:, 0], n - 1), subs[:, 1:].ravel()]
+    comp = _components(mesh.n_simplices(max(n - 2, 0)), ends)[subs[:, 0]]
+    n_comp = len(np.unique(comp))
+    if n_comp != d:
+        raise UnlabeledBoundaryError(f"boundary has {n_comp} connected components but {d} labels")
+    pairs = np.unique(np.stack([comp, labels], axis=1), axis=0)
+    if len(pairs) != n_comp:
+        first = comp[np.argmax(np.bincount(pairs[:, 0])[comp] > 1)]
         raise UnlabeledBoundaryError(
-            f"boundary has {len(comps)} connected components but {d} labels"
-        )
-    for members in comps.values():
-        if len(members) != 1:
-            raise UnlabeledBoundaryError(f"one boundary component carries labels {sorted(members)}")
+            f"one boundary component carries labels {pairs[pairs[:, 0] == first, 1].tolist()}")
 
 
 # -- ranks: graphs by components, the rest over GF(p) ---------------------------------
@@ -517,7 +480,7 @@ def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
 def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
     """Closed (n-1)-chains spanning the top-but-one homology (dim <= 2)."""
     profile = mesh.betti_profile()
-    m = profile.betti[mesh.dim - 1] if mesh.dim >= 1 else profile.betti[0]
+    m = profile.betti[mesh.dim - 1]
     if mesh.dim == 1:
         # one interior vertex per connected component, lowest id first; its
         # dual is the indicator of the component
@@ -676,4 +639,11 @@ def mesh_from_dict(data: dict) -> SimplicialMesh:
         raise SlagError(f"mesh dict missing field {exc}") from exc
     if isinstance(n_vertices, list):
         n_vertices = len(n_vertices)
-    return build_mesh(n_vertices, tops, labels, dim=data.get("dim"))
+    dim = data.get("dim")
+    for what, values in (("vertices", [n_vertices]), ("dim", [] if dim is None else [dim]),
+                         ("vertex ids", [v for row in [*tops, *labels] for v in row]),
+                         ("labels", labels.values())):
+        bad = [v for v in values if type(v) is not int]  # a bool is no integer here
+        if bad:
+            raise SlagError(f"{what}: {bad[0]!r} is not an integer")
+    return build_mesh(n_vertices, tops, labels, dim=dim)

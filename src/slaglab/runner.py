@@ -290,7 +290,7 @@ class _Workspace:
             try:
                 with open(scenario.mesh_file, "r", encoding="utf-8") as fh:
                     mesh = mesh_from_dict(json.load(fh))
-            except (OSError, SlagError, TypeError, ValueError) as exc:
+            except (OSError, SlagError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"fixture.mesh_file {scenario.mesh_file!r}: {exc}") from exc
             self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None, 0)
         else:
@@ -897,6 +897,21 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
+def _write_json(path, data) -> None:
+    """Strict JSON: a non-finite float is written as the string the CSV uses."""
+
+    def finite(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return _float_repr(obj)
+        if isinstance(obj, dict):
+            return {k: finite(v) for k, v in obj.items()}
+        return [finite(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(finite(data), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def report_to_dict(report: RunReport) -> dict:
     return {
         "version": __version__,
@@ -929,9 +944,7 @@ def emit(report: RunReport, out_dir, formats=("json", "csv")) -> list:
     data = report_to_dict(report)
     if "json" in formats:
         path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, data)
         written.append(path)
     if "csv" in formats:
         path = os.path.join(out_dir, "report.csv")
@@ -947,9 +960,7 @@ def emit(report: RunReport, out_dir, formats=("json", "csv")) -> list:
     if report.atlas is not None:
         if "json" in formats:
             path = os.path.join(out_dir, "atlas.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report.atlas.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(path, report.atlas.to_dict())
             written.append(path)
         if "csv" in formats:
             path = os.path.join(out_dir, "atlas.csv")

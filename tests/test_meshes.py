@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from slaglab import meshes
+from slaglab import fixtures, meshes
 from slaglab.dec import Cochain, period_matrix
 from slaglab.errors import (
     NonManifoldError,
@@ -59,9 +59,12 @@ def chain_boundary(mesh, chain: Chain) -> Chain:
     return Chain(chain.degree - 1, {i: v for i, v in out.items() if v})
 
 
+def _interval(n_seg=8):
+    return n_seg + 1, [(i, i + 1) for i in range(n_seg)], {(0,): 1, (n_seg,): 2}
+
+
 def interval_mesh(n_seg=8):
-    return build_mesh(n_seg + 1, [(i, i + 1) for i in range(n_seg)],
-                      {(0,): 1, (n_seg,): 2})
+    return build_mesh(*_interval(n_seg))
 
 
 def test_interval_build():
@@ -341,21 +344,24 @@ def test_cycle_duals_are_closed_integer_cocycles_with_unit_periods(name, level):
     assert not rel.dual[mesh.in_boundary(1)].any()
 
 
+# components {0,1,2} and {3,4}; the second has no interior vertex
+_CURVE = (5, [(0, 1), (1, 2), (3, 4)], {(0,): 1, (2,): 2, (3,): 3, (4,): 4})
+_S3 = (5, [tuple(v for v in range(5) if v != i) for i in range(5)], {})
+_TETRAHEDRON = (4, [(0, 1, 2, 3)], {f: 1 for f in itertools.combinations(range(4), 3)})
+
+
 def test_absolute_basis_of_curve_takes_lowest_interior_vertex_per_component():
-    # components {0,1,2} and {3,4}; the second has no interior vertex
-    mesh = build_mesh(5, [(0, 1), (1, 2), (3, 4)],
-                      {(0,): 1, (2,): 2, (3,): 3, (4,): 4})
+    mesh = build_mesh(*_CURVE)
     basis = absolute_cycle_basis(mesh)
     assert [c.coeffs for c in basis.cycles] == [{1: 1}, {3: 1}]
 
 
 def _boundary_of_4_simplex():
-    return build_mesh(5, [tuple(v for v in range(5) if v != i) for i in range(5)], {})
+    return build_mesh(*_S3)
 
 
 def _labelled_tetrahedron():
-    return build_mesh(4, [(0, 1, 2, 3)],
-                      {f: 1 for f in itertools.combinations(range(4), 3)})
+    return build_mesh(*_TETRAHEDRON)
 
 
 @pytest.mark.parametrize("build, betti", [
@@ -410,6 +416,202 @@ def test_vectorized_operators_equal_loop_construction(mesh):
     for k in range(mesh.dim + 1):
         new, ref = mesh.face_table(k), _loop_face_table(mesh, k)
         assert new.dtype == ref.dtype and np.array_equal(new, ref), k
+
+
+def _loop_build_mesh(n_vertices, top_simplices, boundary_labels, dim=None):
+    """The former tuple-dict build: (simplices, top_orientation, boundary_labels)."""
+    tops = [tuple(s) for s in top_simplices]
+    if not tops:
+        raise SlagError("empty complex")
+    if dim is None:
+        dim = len(tops[0]) - 1
+    for s in tops:
+        if len(s) != dim + 1 or len(set(s)) != dim + 1:
+            raise SlagError(f"bad top simplex {s}")
+        for v in s:
+            if not 0 <= v < n_vertices:
+                raise SlagError(f"simplex {s} references unknown vertex {v}")
+    simplices = []
+    for k in range(dim + 1):
+        faces = sorted({tuple(sorted(c)) for s in tops for c in itertools.combinations(s, k + 1)})
+        simplices.append(np.array(faces, dtype=np.int64).reshape(len(faces), k + 1))
+    if len(simplices[0]) != n_vertices:
+        raise SlagError("every vertex must belong to some top simplex")
+
+    def parity(simplex):
+        s, sign = list(simplex), 1
+        for i in range(len(s)):
+            for j in range(i + 1, len(s)):
+                if s[j] < s[i]:
+                    s[i], s[j] = s[j], s[i]
+                    sign = -sign
+        return sign
+
+    input_orient = np.array([parity(s) for s in tops], dtype=np.int64)
+    top_sorted = [tuple(sorted(s)) for s in tops]
+    order = sorted(range(len(tops)), key=lambda i: top_sorted[i])
+    tops_canon = [top_sorted[i] for i in order]
+    if len(set(tops_canon)) != len(tops_canon):
+        raise SlagError("duplicate top simplices")
+    input_orient = input_orient[order]
+    simplices[dim] = np.array(tops_canon, dtype=np.int64)
+    coface = {}
+    for t, s in enumerate(tops_canon):
+        for i in range(dim + 1):
+            coface.setdefault(s[:i] + s[i + 1:], []).append((t, (-1) ** i))
+    for face, adj in coface.items():
+        if len(adj) > 2:
+            raise NonManifoldError(f"face {face} shared by {len(adj)} top simplices")
+
+    # propagate the input orientation of the lowest-id top of each component
+    flags = np.zeros(len(tops_canon), dtype=np.int64)
+    adjacency = {t: [] for t in range(len(tops_canon))}
+    for adj in coface.values():
+        if len(adj) == 2:
+            (t1, s1), (t2, s2) = adj
+            adjacency[t1].append((t2, s1 * s2))
+            adjacency[t2].append((t1, s1 * s2))
+    for seed in range(len(tops_canon)):
+        if flags[seed]:
+            continue
+        flags[seed] = input_orient[seed]
+        stack = [seed]
+        while stack:
+            t = stack.pop()
+            for t2, rel in adjacency[t]:
+                want = -rel * flags[t]
+                if flags[t2] == 0:
+                    flags[t2] = want
+                    stack.append(t2)
+                elif flags[t2] != want:
+                    raise NonOrientableError("no consistent orientation exists")
+
+    face_index = {tuple(row): i for i, row in enumerate(simplices[dim - 1])}
+    labels = np.zeros(len(simplices[dim - 1]), dtype=np.int64)
+    boundary_faces = {f for f, adj in coface.items() if len(adj) == 1}
+    given = {tuple(sorted(f)): int(v) for f, v in dict(boundary_labels).items()}
+    unknown = set(given) - boundary_faces
+    if unknown:
+        raise UnlabeledBoundaryError(
+            f"labels given for non-boundary faces: {sorted(unknown)[:3]}")
+    missing = boundary_faces - set(given)
+    if missing:
+        raise UnlabeledBoundaryError(f"unlabeled boundary faces: {sorted(missing)[:3]}")
+    for f, v in given.items():
+        if v < 1:
+            raise UnlabeledBoundaryError(f"label for {f} must be >= 1, got {v}")
+        labels[face_index[f]] = v
+
+    # boundary components by union-find over shared (n-2)-faces
+    face_ids = np.nonzero(labels > 0)[0].tolist()
+    d = int(labels.max())
+    used = sorted(set(int(labels[i]) for i in face_ids))
+    if used != list(range(1, d + 1)):
+        raise UnlabeledBoundaryError(f"labels must be exactly 1..d, got {used}")
+    parent = {i: i for i in face_ids}
+    subface_map = {}
+    for fid in face_ids:
+        fverts = tuple(simplices[dim - 1][fid])
+        keys = [fverts[:i] + fverts[i + 1:] for i in range(len(fverts))] if dim >= 2 else []
+        for key in keys:
+            if key in subface_map:
+                ra, rb = meshes._find(parent, subface_map[key]), meshes._find(parent, fid)
+                if ra != rb:
+                    parent[ra] = rb
+            else:
+                subface_map[key] = fid
+    comps = {}
+    for fid in face_ids:
+        comps.setdefault(meshes._find(parent, fid), set()).add(int(labels[fid]))
+    if len(comps) != d:
+        raise UnlabeledBoundaryError(
+            f"boundary has {len(comps)} connected components but {d} labels")
+    for members in comps.values():
+        if len(members) != 1:
+            raise UnlabeledBoundaryError(
+                f"one boundary component carries labels {sorted(members)}")
+    return tuple(simplices), flags, labels
+
+
+def _fixture_input(name, level):
+    """The (n_vertices, tops, labels) that a fixture passes to build_mesh."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixtures, "build_mesh", lambda *args: calls.append(args) or build_mesh(*args))
+        build_fixture(name, level)
+    return calls[0]
+
+
+def _shuffled(data, seed):
+    """Tops in random order, each vertex tuple rotated at random, and the same
+    with the first two vertices of every tuple swapped, which flips each top."""
+    n_vertices, tops, labels = data
+    rng = np.random.default_rng(seed)
+    rotated = [tuple(np.roll(tops[i], rng.integers(len(tops[i]))).tolist())
+               for i in rng.permutation(len(tops))]
+    swapped = [(t[1], t[0], *t[2:]) for t in rotated]
+    return (n_vertices, rotated, labels), (n_vertices, swapped, labels)
+
+
+@pytest.mark.parametrize("data", [_fixture_input(name, level) for name in sorted(FIXTURES)
+                                  for level in (1, 2)] + [_interval(), _S3, _TETRAHEDRON, _CURVE],
+                         ids=[f"{name}-{level}" for name in sorted(FIXTURES) for level in (1, 2)]
+                         + ["interval", "s3", "tetrahedron", "curve"])
+def test_array_build_equals_loop_build(data):
+    def check(data):
+        mesh, ref = build_mesh(*data), _loop_build_mesh(*data)
+        for new, old in zip((*mesh.simplices, mesh.top_orientation, mesh.boundary_labels),
+                            (*ref[0], ref[1], ref[2])):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+        assert len(mesh.simplices) == len(ref[0])
+        return mesh
+
+    check(data)
+    for seed in (0, 1):
+        as_given, swapped = _shuffled(data, seed)
+        # the seed tops of the two copies have opposite input signs
+        assert np.array_equal(check(swapped).top_orientation, -check(as_given).top_orientation)
+
+
+def _cylinder_labels(relabel):
+    tops, labels, n_vertices = fixtures._cylinder_mesh(2, 4)
+    return n_vertices, tops, {f: relabel.get(f, v) for f, v in labels.items()}
+
+
+@pytest.mark.parametrize("data", [
+    (3, [], {}),
+    (4, [(0, 1, 2), (0, 1)], {}),
+    (3, [(0, 0, 1)], {}),
+    (2, [(0, 5)], {}),
+    (10, [(0, 1)], {(0,): 1, (1,): 2}),
+    (3, [(0, 1, 2), (2, 1, 0)], {}),
+    (5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], {}),
+    (5, mobius(), {}),
+    (9, _interval()[1], {(0,): 1, (8,): 2, (3,): 1}),
+    (9, _interval()[1], {(0,): 1, (8,): 2, (0, 1): 1}),
+    (9, _interval()[1], {(0,): 1, (8,): 2, (99,): 1}),
+    (9, _interval()[1], {(0,): 1}),
+    (9, _interval()[1], {(0,): 0, (8,): 1}),
+    (9, _interval()[1], {(0,): 0}),
+    (9, _interval()[1], {(0,): 1, (8,): 3}),
+    (9, _interval()[1], {(0,): 1, (8,): 1}),
+    _cylinder_labels({(0, 1): 2}),
+    _cylinder_labels({f: 1 for f in _cylinder_labels({})[2]}),
+], ids=["empty", "short", "repeated", "unknown-vertex", "isolated", "duplicate", "non-manifold",
+        "mobius", "interior-label", "wide-label", "outside-label", "unlabeled", "zero-label",
+        "zero-and-unlabeled", "gap", "shared-label", "two-labels-one-circle",
+        "one-label-two-circles"])
+def test_array_build_rejects_as_loop_build(data):
+    with pytest.raises(SlagError) as ref:
+        _loop_build_mesh(*data)
+    with pytest.raises(SlagError) as new:
+        build_mesh(*data)
+    assert (type(new.value), str(new.value)) == (type(ref.value), str(ref.value))
+
+
+def test_zero_dimensional_complex_rejected():
+    with pytest.raises(SlagError, match=r"bad top simplex \(0,\)"):
+        build_mesh(2, [(0,), (1,)], {})
 
 
 def test_surface_topology_needs_no_elimination(monkeypatch):

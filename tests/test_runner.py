@@ -85,8 +85,9 @@ def test_zero_tolerance_negative_control():
     assert not report.passed  # roundoff-level residuals now count as failures
 
 
-def test_non_finite_flux_samples_fail_the_tangent_laws():
-    """An overflowing amplitude gives NaN cochains; a NaN residual is no pass."""
+def test_non_finite_flux_samples_fail_the_tangent_laws(tmp_path):
+    """An overflowing amplitude gives NaN cochains; a NaN residual is no pass,
+    and report.json stays strict JSON with the residual written as "nan"."""
     data = minimal_scenario(path={"amplitudes": [1e308], "samples": 33},
                             suites=["tangent_laws"])
     with np.errstate(all="ignore"):
@@ -95,6 +96,14 @@ def test_non_finite_flux_samples_fail_the_tangent_laws():
     assert not report.passed
     for name in ("theta_closed", "theta_boundary", "phi_closed"):
         assert not verdicts.get(f"tangent_laws/{name}", False)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (path,) = [p for p in emit(report, tmp_path, formats=("json",)) if p.endswith(".json")]
+    with open(path, encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh, parse_constant=refuse)["checks"]}
+    assert checks["tangent_laws/theta_closed"]["residual"] == "nan"
 
 
 def test_missing_fixture_field_names_it():
@@ -291,7 +300,26 @@ def test_bad_scalar_value_is_config_error_naming_it(tmp_path, capsys, section, k
     ("{nope", "Expecting property name"),
     (json.dumps({"dim": 1, "vertices": 2, "simplices": [[0, 5]], "boundary_labels": []}),
      "unknown vertex 5"),
-], ids=["absent", "not-json", "bad-mesh"])
+    (json.dumps({"vertices": 3, "simplices": [[0, 1.5], [1.5, 2]], "boundary_labels": []}),
+     "vertex ids: 1.5 is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[True, False]], "boundary_labels": []}),
+     "vertex ids: True is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]],
+                 "boundary_labels": [[[0], 1], [[1.0], 2]]}),
+     "vertex ids: 1.0 is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]], "boundary_labels": [[[0], "1"], [[1], 2]]}),
+     "labels: '1' is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]], "boundary_labels": [[[0], 1.5], [[1], 2]]}),
+     "labels: 1.5 is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]],
+                 "boundary_labels": [[[0], True], [[1], 2]]}),
+     "labels: True is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]], "boundary_labels": [[[0], 1], [[1], 2]],
+                 "dim": True}), "dim: True is not an integer"),
+    (json.dumps({"vertices": 2, "simplices": [[0, 1]],
+                 "boundary_labels": [[[0], 1], [[1], 10 ** 30]]}), "too large"),
+], ids=["absent", "not-json", "bad-mesh", "float-vertex", "bool-vertex", "float-face-vertex",
+        "string-label", "float-label", "bool-label", "bool-dim", "huge-label"])
 def test_bad_mesh_file_is_config_error_naming_it(tmp_path, capsys, content, reason):
     mesh = tmp_path / "mesh.json"
     if content is not None:
