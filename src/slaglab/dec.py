@@ -41,6 +41,7 @@ from .errors import (
 from .meshes import SimplicialMesh
 
 _KERNEL_GAP = 1e-8
+_MAX_SWEEPS = 30  # block inverse iterations before the kernel count gives up
 
 
 @dataclass
@@ -272,11 +273,12 @@ def harmonic_fields(
     flavor "neumann": degree-(n-1) closed fields M-orthogonal to differentials
     of all (n-2)-cochains.
 
-    The basis is kernel eigenvectors of the constraint normal matrix (see
-    _small_eigenpairs), unnormalized.  Its size counts the eigenvalues below
+    The basis is the orthonormal kernel Ritz vectors of the constraint normal
+    matrix (see _small_eigenpairs).  Its size counts the Ritz values below
     kernel_gap times the largest one computed, without reading expected_dim
     (default: the Betti number); DimensionMismatchError when the two differ.
-    The spectrum lands in structure.diagnostics.
+    structure.diagnostics["<flavor>_spectrum"] holds the Ritz values: exact to
+    rounding up to the shift |sigma|, upper bounds on the eigenvalues above it.
     """
     mesh = structure.mesh
     n = mesh.dim
@@ -310,7 +312,7 @@ def harmonic_fields(
         scale = abs(block).max() if block.nnz else 1.0
         block = block / max(scale, 1e-300)
         normal = normal + block.T @ block
-    lam, vecs = _small_eigenpairs(normal, m_expected)
+    lam, vecs = _small_eigenpairs(normal, m_expected, kernel_gap)
     kernel_dim = _kernel_dimension(lam, kernel_gap)
     if kernel_dim != m_expected:
         raise DimensionMismatchError(
@@ -323,12 +325,28 @@ def harmonic_fields(
     return [Cochain(mesh, degree, basis[:, j]) for j in range(m_expected)]
 
 
-def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int):
-    """Smallest eigenpairs of the PSD normal matrix N, in ascending order.
+def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float = _KERNEL_GAP):
+    """Smallest Ritz pairs of the PSD normal matrix N, in ascending order.
 
-    Shift-invert eigsh about a small negative sigma on one SuperLU factor of the
-    SPD N - sigma I, in symmetric mode (minimum-degree ordering of N + N^T,
-    diagonal pivots).  Dense eigh only where eigsh cannot run (k >= dim - 1).
+    Block inverse iteration (subspace iteration, Saad 2011, ch. 5) on one
+    SuperLU factor of the SPD N - sigma I, sigma a small negative shift, in
+    symmetric mode (minimum-degree ordering of N + N^T, diagonal pivots).
+    Each sweep solves for all `want` columns at once and orthonormalizes them;
+    a Rayleigh-Ritz step, eigh(X^T N X), then gives the ascending Ritz values
+    and the orthonormal Ritz vectors X W.  With cut = kernel_gap * max(theta),
+    the scale of _kernel_dimension's own cut, a sweep meets the stopping rule
+    when every pair the count takes has |N v - theta v| <= cut and every other
+    pair's residual interval theta +- |N v - theta v| stays above the cut.
+    Sweeps stop when two in a row meet it with the same count; the repeat
+    keeps a first sweep whose kernel pairs still sit above the cut from
+    passing with nothing counted, and leaves the kernel vectors exact to
+    rounding.
+
+    A sweep multiplies the kernel, and any eigenvalue below |sigma|, by at
+    least 1 / (2 |sigma|), far above 1 / lambda_{want+1}, so those directions
+    converge in a few sweeps.  The other Ritz values are upper bounds on the
+    eigenvalues (Cauchy interlacing) and only set the scale of the cut.
+    Dense eigh where the window spans the matrix (want >= dim - 1).
     """
     dim = normal.shape[0]
     want = min(dim, max(m_expected + 4, 6))
@@ -338,13 +356,26 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int):
         sigma = -1e-6 * max(abs(normal).max(), 1.0)
         lu = spla.splu((normal - sigma * sp.identity(dim)).tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        lam, vecs = spla.eigsh(normal, k=want, sigma=sigma, which="LM",
-                               v0=np.ones(dim) / math.sqrt(dim),
-                               OPinv=spla.LinearOperator((dim, dim), lu.solve, dtype=float))
-    except (RuntimeError, ValueError) as exc:  # ArpackError, SuperLU, LinAlgError
+        block = np.random.default_rng(0).standard_normal((dim, want))
+        held = None
+        for _ in range(_MAX_SWEEPS):
+            block = np.linalg.qr(lu.solve(block))[0]
+            image = normal @ block
+            theta, rot = np.linalg.eigh(block.T @ image)
+            block, image = block @ rot, image @ rot
+            counted = _kernel_dimension(theta, kernel_gap)
+            cut = kernel_gap * theta.max()
+            residual = np.linalg.norm(image - block * theta, axis=0)
+            # a window of all-small Ritz values bounds want eigenvalues below
+            # the cut, so the count is the whole window whatever sweeps follow
+            holds = counted == want or (np.all(residual[:counted] <= cut)
+                                        and np.all(residual[counted:] < theta[counted:] - cut))
+            if holds and held == counted:
+                return theta, block
+            held = counted if holds else None
+    except (RuntimeError, ValueError) as exc:  # SuperLU, LinAlgError
         raise SolverFailureError(f"kernel eigensolve failed: {exc}") from exc
-    order = np.argsort(lam)
-    return lam[order], vecs[:, order]
+    raise SolverFailureError(f"kernel eigensolve did not converge in {_MAX_SWEEPS} sweeps")
 
 
 def _kernel_dimension(lam: np.ndarray, kernel_gap: float = _KERNEL_GAP) -> int:

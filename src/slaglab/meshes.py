@@ -415,11 +415,11 @@ def _unite(parent, ends: np.ndarray) -> list[bool]:
 
 def _graph_rank(n_nodes: int, ends: np.ndarray) -> int:
     """Rank of a multigraph's incidence matrix over any field: the edge count of
-    a spanning forest, i.e. nodes minus components.
+    a spanning forest, i.e. nodes minus components.  A self-loop joins nothing.
 
     Deleting the row of one node per component (a ground node) keeps the rank.
     """
-    return sum(_unite(list(range(n_nodes)), ends))
+    return n_nodes - len(np.unique(_components(n_nodes, ends)))
 
 
 def _rank_mod_p(mat: sp.spmatrix, p: int = _PRIME) -> int:

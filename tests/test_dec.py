@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from slaglab import dec
@@ -295,8 +296,8 @@ def spy_eigenpairs(monkeypatch):
     calls = []
     solve = dec._small_eigenpairs
 
-    def spy(normal, m_expected):
-        lam, vecs = solve(normal, m_expected)
+    def spy(normal, *args):
+        lam, vecs = solve(normal, *args)
         calls.append((normal, lam))
         return lam, vecs
 
@@ -326,14 +327,26 @@ def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch)
     (normal, lam), = solves
     assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                         "options": {"SymmetricMode": True}}]
-    dense = np.linalg.eigvalsh(normal.toarray())
+    dense, basis = np.linalg.eigh(normal.toarray())
     assert dec._kernel_dimension(dense) == dec._kernel_dimension(lam) == m
-    np.testing.assert_allclose(lam[m:], dense[m:len(lam)], rtol=1e-8)
+    lam, vecs = dec._small_eigenpairs(normal, m)
+    # the kernel Ritz vectors span the dense kernel: sines of the principal angles
+    kernel = vecs[:, :m]
+    outside = kernel - basis[:, :m] @ (basis[:, :m].T @ kernel)
+    assert np.linalg.svd(outside, compute_uv=False).max() <= 1e-8
+    # Ritz values bound the eigenvalues from above (Cauchy interlacing), up to rounding
+    assert np.all(lam >= dense[:len(lam)] - 1e-14 * dense[-1])
+    # the stopping rule: counted pairs within the cut of 0, the others' residual
+    # intervals above it
+    cut = dec._KERNEL_GAP * lam.max()
+    residual = np.linalg.norm(normal @ vecs - vecs * lam, axis=0)
+    assert np.all(residual[:m] <= cut)
+    assert np.all(residual[m:] < lam[m:] - cut)
 
 
 @pytest.mark.parametrize("segments", [1, 4])
 def test_window_spanning_matrix_takes_the_dense_path(segments, monkeypatch):
-    """Short intervals: eigsh cannot take k >= dim - 1, so eigh counts the kernel.
+    """Short intervals: a window of k >= dim - 1 pairs spans the matrix, so eigh counts the kernel.
 
     One segment has no interior vertex, so its Dirichlet normal matrix is zero:
     a window with no gap in it is all kernel.
@@ -348,6 +361,65 @@ def test_window_spanning_matrix_takes_the_dense_path(segments, monkeypatch):
     assert factors == []
     with pytest.raises(DimensionMismatchError):
         harmonic_fields(hs, "dirichlet", expected_dim=0)
+
+
+def replace_smallest_nonkernel(normal, m, values):
+    """Dense copy of the normal matrix with its eigenvalues m, m + 1, ... set to values."""
+    dense = normal.toarray()
+    lam, vecs = np.linalg.eigh(dense)
+    span = vecs[:, m:m + len(values)]
+    dense += span @ np.diag(np.asarray(values) - lam[m:m + len(values)]) @ span.T
+    return sp.csr_matrix((dense + dense.T) / 2)
+
+
+def solve_replaced(monkeypatch, values):
+    """Make every kernel eigensolve see its matrix with values planted above the kernel."""
+    solve = dec._small_eigenpairs
+
+    def planted(normal, m_expected, *args):
+        m = dec._kernel_dimension(np.linalg.eigvalsh(normal.toarray()))
+        return solve(replace_smallest_nonkernel(normal, m, values), m_expected, *args)
+
+    monkeypatch.setattr(dec, "_small_eigenpairs", planted)
+
+
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_eigenvalue_below_the_shift_is_counted(cylinder, flavor, monkeypatch):
+    """A nonzero eigenvalue below |sigma| and the cut joins the kernel count,
+    and the count one off on either side of it is refused."""
+    fx, hs = cylinder
+    solves = spy_eigenpairs(monkeypatch)
+    harmonic_fields(hs, flavor)
+    (normal, lam), = solves
+    tiny = 0.1 * dec._KERNEL_GAP * lam[fx.m]
+    assert 0.0 < tiny < 1e-6 * abs(normal).max()
+    solve_replaced(monkeypatch, [tiny])
+    assert len(harmonic_fields(hs, flavor, expected_dim=fx.m + 1)) == fx.m + 1
+    for expected in (fx.m, fx.m + 2):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"dimension {fx.m + 1} != expected {expected}"):
+            harmonic_fields(hs, flavor, expected_dim=expected)
+
+
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_kernel_wider_than_the_window_is_refused(cylinder, flavor, monkeypatch):
+    """A kernel one wider than the window of max(m + 4, 6) shows as all-small Ritz values."""
+    fx, hs = cylinder
+    want = max(fx.m + 4, 6)
+    solve_replaced(monkeypatch, np.zeros(want + 1 - fx.m))
+    with pytest.raises(DimensionMismatchError, match=f"dimension {want} != expected {fx.m}"):
+        harmonic_fields(hs, flavor)
+
+
+def test_kernel_count_repeats_bit_for_bit(cylinder, monkeypatch):
+    fx, hs = cylinder
+    solves = spy_eigenpairs(monkeypatch)
+    first = [c.values for c in harmonic_fields(hs, "dirichlet")]
+    second = [c.values for c in harmonic_fields(hs, "dirichlet")]
+    (normal, lam_a), (_, lam_b) = solves
+    assert normal.shape[0] > max(fx.m + 4, 6) + 1  # the iterative path ran
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(lam_a, lam_b)
 
 
 def test_dirichlet_fields_vanish_on_boundary_edges(cylinder):

@@ -31,7 +31,7 @@ from slaglab.immersion import (
     pullback_metric,
     reparametrize,
 )
-from slaglab.meshes import absolute_cycle_basis, relative_cycle_basis
+from slaglab.meshes import absolute_cycle_basis, build_mesh, relative_cycle_basis
 
 
 @pytest.fixture(scope="module")
@@ -531,19 +531,24 @@ def test_homotopy_harness_reports_relative_failures_first(cyl):
         homotopy_invariance_harness(fx.model, path_a, path_a, rel, ab)
 
 
-@pytest.mark.parametrize("block", [1, 3, 4, 17])
+@pytest.mark.parametrize("block", [1, 3, 4, 9, 17, 33])
 def test_block_fold_adds_in_sample_order(cyl, block):
-    """The quadrature sums of a blocked pass carry the bits of a per-sample loop."""
+    """The quadrature sums of a blocked pass carry the bits of a per-sample loop.
+
+    Blocks of more than 8 samples, and a one-segment mesh whose 1-cochains
+    have one column, are where a pairwise sum would part from the loop.
+    """
     fx, rel, _ = cyl
-    count = 17  # Simpson with a Richardson estimate over the 9 even samples
-    vals = np.random.default_rng(5).normal(size=(count, fx.mesh.n_simplices(1)))
-    fold = flux._FluxPass(fx.mesh, count, "relative-1", 1, None, rel, 0, 1e-9)
-    for start in range(0, count, block):
-        fold.add(start, vals[start:start + block])
-    raw, coarse = np.zeros((2, vals.shape[1]))
-    for j, row in enumerate(vals):
-        raw += fold.weights[j] * row
-        if j % 2 == 0:
-            coarse += fold.halves[j // 2] * row
-    np.testing.assert_array_equal(fold.raw, raw)
-    np.testing.assert_array_equal(fold.coarse, coarse)
+    count = 33  # Simpson with a Richardson estimate over the 17 even samples
+    for mesh in (fx.mesh, build_mesh(2, [(1, 0)], {(0,): 1, (1,): 2})):
+        vals = np.random.default_rng(5).normal(size=(count, mesh.n_simplices(1)))
+        fold = flux._FluxPass(mesh, count, "relative-1", 1, None, rel, 0, 1e-9)
+        for start in range(0, count, block):
+            fold.add(start, vals[start:start + block])
+        raw, coarse = np.zeros((2, vals.shape[1]))
+        for j, row in enumerate(vals):
+            raw += fold.weights[j] * row
+            if j % 2 == 0:
+                coarse += fold.halves[j // 2] * row
+        np.testing.assert_array_equal(fold.raw, raw)
+        np.testing.assert_array_equal(fold.coarse, coarse)

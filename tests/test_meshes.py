@@ -633,3 +633,17 @@ def test_coboundary_operator_is_built_once_per_degree():
         d = mesh.coboundary_operator(k)
         assert d is mesh.coboundary_operator(k)
         assert (d != mesh.boundary_operator(k + 1).T).nnz == 0
+
+
+@pytest.mark.parametrize("name, level", [(name, level) for name in sorted(FIXTURES)
+                                         for level in (1, 2)])
+def test_graph_ranks_equal_union_find(name, level, monkeypatch):
+    """Nodes minus components, on every graph betti_profile ranks and on no edges."""
+    graphs = []
+    rank = meshes._graph_rank
+    monkeypatch.setattr(meshes, "_graph_rank",
+                        lambda n_nodes, ends: graphs.append((n_nodes, ends)) or rank(n_nodes, ends))
+    build_fixture(name, level).mesh.betti_profile()
+    assert len(graphs) >= 2
+    for n_nodes, ends in graphs + [(5, np.zeros((0, 2), dtype=np.int64))]:
+        assert rank(n_nodes, ends) == sum(meshes._unite(list(range(n_nodes)), ends))
