@@ -330,7 +330,9 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
 
     Block inverse iteration (subspace iteration, Saad 2011, ch. 5) on one
     SuperLU factor of the SPD N - sigma I, sigma a small negative shift, in
-    symmetric mode (minimum-degree ordering of N + N^T, diagonal pivots).
+    symmetric mode (minimum-degree ordering of N + N^T, diagonal pivots),
+    with relax=1 and panel_size=1, which factor and solve these small,
+    sparse normal matrices faster than SuperLU's defaults with the same fill.
     Each sweep solves for all `want` columns at once and orthonormalizes them;
     a Rayleigh-Ritz step, eigh(X^T N X), then gives the ascending Ritz values
     and the orthonormal Ritz vectors X W.  With cut = kernel_gap * max(theta),
@@ -355,7 +357,8 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
             return np.linalg.eigh(normal.toarray())
         sigma = -1e-6 * max(abs(normal).max(), 1.0)
         lu = spla.splu((normal - sigma * sp.identity(dim)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                       diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                       options={"SymmetricMode": True})
         block = np.random.default_rng(0).standard_normal((dim, want))
         held = None
         for _ in range(_MAX_SWEEPS):

@@ -82,27 +82,20 @@ def _cylinder_mesh(n_axial: int, n_circ: int, vertex_offset: int = 0,
     def vid(i, j):
         return vertex_offset + i * n_circ + (j % n_circ)
 
-    tops = []
-    for i in range(n_axial):
-        for j in range(n_circ):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tops.append((v10, v00, v11))
-            tops.append((v11, v00, v01))
-    boundary = {}
-    for j in range(n_circ):
-        boundary[tuple(sorted((vid(0, j), vid(0, j + 1))))] = labels[0]
-        boundary[tuple(sorted((vid(n_axial, j), vid(n_axial, j + 1))))] = labels[1]
-    return tops, boundary, (n_axial + 1) * n_circ
+    i, j = np.divmod(np.arange(n_axial * n_circ), n_circ)
+    v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+    tops = np.c_[v10, v00, v11, v11, v00, v01].reshape(-1, 3)
+    j = np.arange(n_circ)
+    # bottom and top ring edge j, in turn
+    rings = np.sort(np.c_[vid(0, j), vid(0, j + 1), vid(n_axial, j), vid(n_axial, j + 1)]
+                    .reshape(-1, 2), axis=1)
+    boundary = dict(zip(map(tuple, rings.tolist()), np.tile(labels, n_circ).tolist()))
+    return list(map(tuple, tops.tolist())), boundary, (n_axial + 1) * n_circ
 
 
 def _cylinder_positions(n_axial, n_circ, width, y1, y2):
-    pos = np.zeros(((n_axial + 1) * n_circ, 4))
-    for i in range(n_axial + 1):
-        for j in range(n_circ):
-            v = i * n_circ + j
-            pos[v] = (width * i / n_axial, y1, j / n_circ, y2)
-    return pos
+    i, j = np.divmod(np.arange((n_axial + 1) * n_circ), n_circ)
+    return np.c_[width * i / n_axial, np.full(len(i), y1), j / n_circ, np.full(len(i), y2)]
 
 
 def cylinder_translation(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> Fixture:

@@ -5,22 +5,22 @@ lexicographically, so each simplex has a canonical orientation.  Top simplices
 additionally carry an orientation flag (+1/-1) relative to their canonical
 order; boundary operators act on canonical simplices and therefore satisfy
 boundary-of-boundary = 0 in exact integer arithmetic.  `build_mesh` makes
-them with one sort and one `np.unique` per degree, as PyDEC does (Bell &
-Hirani, ACM TOMS 39(1), 2012), and orients the tops from the components of
-the orientation double cover.
+them with one sort and one `np.unique` of row codes per degree, as PyDEC
+does (Bell & Hirani, ACM TOMS 39(1), 2012), and orients the tops from the
+components of the orientation double cover.
 
 The edge boundary is the incidence matrix of the edge graph, and, since every
 mesh is an oriented pseudomanifold, the top boundary is (up to column signs)
 the incidence matrix of the dual graph: top simplices plus one ground node,
 joined across each interior face and from each boundary face to the ground.
-Their ranks are graph ranks over every field (nodes minus components, counted
-by union-find), so the Betti numbers of curves and surfaces take near-linear
-time.  Cycle bases come
-from a tree-cotree decomposition (Eppstein, SODA 2003; Erickson & Whittlesey,
-SODA 2005).  Only the middle ranks of complexes of dimension >= 3 use column
-elimination over GF(p) for a large prime p, which agrees with the rank over
-the rationals for the torsion-free desk-scale complexes used here; the test
-suite cross-checks the ranks against a Smith-normal-form oracle.
+Their ranks are graph ranks over every field (nodes minus connected
+components), so the Betti numbers of curves and surfaces take near-linear
+time.  Cycle bases come from a tree-cotree decomposition on arrays
+(Eppstein, SODA 2003; Erickson & Whittlesey, SODA 2005).  Only the middle
+ranks of complexes of dimension >= 3 use column elimination over GF(p) for
+a large prime p, which agrees with the rank over the rationals for the
+torsion-free desk-scale complexes used here; the test suite cross-checks
+the ranks against a Smith-normal-form oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import (
     NonManifoldError,
@@ -279,9 +280,11 @@ def build_mesh(n_vertices, top_simplices, boundary_labels, dim=None):
     raw, ordered, simplices, tables = raw[order], ordered[order], [], []
     for k in range(dim + 1):
         combos = list(itertools.combinations(range(dim + 1), k + 1))
-        faces, inverse = np.unique(ordered[:, combos].reshape(-1, k + 1), axis=0,
-                                   return_inverse=True)
-        simplices.append(faces)
+        rows = ordered[:, combos].reshape(-1, k + 1)
+        # mixed-radix row codes sort as the rows do (the int64 bound of _ids_of)
+        _, first, inverse = np.unique(np.ravel_multi_index(rows.T, (n_vertices,) * (k + 1)),
+                                      return_index=True, return_inverse=True)
+        simplices.append(rows[first])
         tables.append(inverse.reshape(len(raw), len(combos)))
     if len(simplices[0]) != n_vertices:
         # isolated vertices are not part of the complex
@@ -470,8 +473,7 @@ def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
         raise SlagError("relative cycle basis implemented for dim <= 2")
     m = mesh.betti_profile().b_rel_1
     ids = mesh.interior_simplex_ids(1)
-    edge_list = list(zip(ids.tolist(), *mesh._merged_edges()[ids].T.tolist()))
-    chosen, dual = _cycle_generators(mesh, edge_list, [mesh.n_vertices], m)
+    chosen, dual = _cycle_generators(mesh, ids, mesh._merged_edges()[ids], [mesh.n_vertices], m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} relative cycles, expected {m}")
     return RelativeCycleBasis(tuple(chosen), dual)
@@ -500,21 +502,27 @@ def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
         return AbsoluteCycleBasis(tuple(chosen), 0, dual)
     if mesh.dim != 2:
         raise SlagError("absolute cycle basis implemented for dim <= 2")
-    edge_list = list(zip(range(mesh.n_simplices(1)), *mesh.simplices[1].T.tolist()))
-    chosen, dual = _cycle_generators(mesh, edge_list, [], m)
+    edges = np.arange(mesh.n_simplices(1))
+    chosen, dual = _cycle_generators(mesh, edges, mesh.simplices[1], [], m)
     if len(chosen) != m:
         raise RankDeficientError(f"found {len(chosen)} cycles, expected {m}")
     return AbsoluteCycleBasis(tuple(chosen), 1, dual)
 
 
-def _cycle_generators(mesh: SimplicialMesh, edge_list, roots, m: int):
+def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, roots, m: int):
     """First m fundamental cycles of a BFS forest that are independent modulo
     2-boundaries, by tree-cotree decomposition, and the cocycles dual to them.
 
+    eids: ascending edge ids; ends: their (a, b) end nodes, vertex ids or the
+    merged boundary node n_vertices; a -> b counts +1.  The forest searches
+    the graph subdivided at each edge, node n_vertices + 1 + i for edge i, so
+    a node meets its edges in ascending id, and a parallel edge or self-loop
+    is a node of its own; `roots` come first (`_search_forest`).
+
     The dual graph joins triangles, or a triangle and the ground node, across
     each edge (`_dual_edges`); a curve has none.  The cotree is the forest
-    that Kruskal's algorithm grows in the dual graph from the
-    non-tree edges in descending id; the generators are the remaining non-tree
+    that Kruskal's algorithm grows in the dual graph from the non-tree edges
+    in descending id (`_cotree`); the generators are the remaining non-tree
     edges in ascending id.  A cycle is fixed by its non-tree coefficients, so
     this is the lexicographically first complement of the dual graph's
     (regular, hence field-independent) matroid on the non-tree edges: the same
@@ -523,107 +531,99 @@ def _cycle_generators(mesh: SimplicialMesh, edge_list, roots, m: int):
 
     Returns the cycles and an (N_1, m) integer array whose column j is 1 on
     generator j and 0 on the tree, on the other generators and on every edge
-    outside edge_list, with cotree values fixed by closedness (Erickson &
+    outside eids, with cotree values fixed by closedness (Erickson &
     Whittlesey, SODA 2005); its period over cycle k is therefore delta_jk.
     """
-    parent_edge = _bfs_forest(edge_list, roots)
-    tree_edges = {pe[0] for pe in parent_edge.values() if pe is not None}
-    non_tree = sorted(e for e in edge_list if e[0] not in tree_edges)
-    cotree = []
-    if mesh.dim == 2:
-        order = [eid for eid, _, _ in reversed(non_tree)]
-        joined = _unite(list(range(mesh.n_simplices(2) + 1)), mesh._dual_edges()[order])
-        cotree = [eid for eid, j in zip(order, joined) if j]
-    in_cotree = set(cotree)
-    generators = [e for e in non_tree if e[0] not in in_cotree][:m]
-    dual = np.zeros((mesh.n_simplices(1), len(generators)), dtype=np.int64)
-    dual[[e[0] for e in generators], range(len(generators))] = 1
-    if cotree:
+    n, k = mesh.n_vertices + 1, len(eids)
+    _, pred = _search_forest(n + k, ends.T.ravel(), np.tile(np.arange(n, n + k), 2), roots)
+    child = np.nonzero(pred[:n] >= n)[0]
+    edge, parent = pred[child] - n, pred[pred[child]]  # parent edge positions and nodes
+    up_edge, up_node, up_sign = np.full(n, -1), np.full(n, -1), np.zeros(n, dtype=np.int64)
+    up_edge[child], up_node[child] = eids[edge], parent
+    up_sign[child] = np.where(ends[edge, 0] == parent, 1, -1)
+    non_tree = np.delete(np.arange(k), edge)
+    cotree = _cotree(mesh, eids[non_tree[::-1]]) if mesh.dim == 2 else eids[:0]
+    gens = non_tree[~np.isin(eids[non_tree], cotree)][:m]
+    dual = np.zeros((mesh.n_simplices(1), len(gens)), dtype=np.int64)
+    dual[eids[gens], np.arange(len(gens))] = 1
+    if len(cotree) and len(gens):
         _close_over_cotree(mesh, dual, cotree)
-    return [Chain(1, _fundamental_cycle(parent_edge, *e)) for e in generators], dual
+    walk = up_edge.tolist(), up_node.tolist(), up_sign.tolist()
+    return [Chain(1, _fundamental_cycle(*walk, e, a, b))
+            for e, (a, b) in zip(eids[gens].tolist(), ends[gens].tolist())], dual
 
 
-def _close_over_cotree(mesh: SimplicialMesh, dual: np.ndarray, cotree: list[int]) -> None:
+def _search_forest(n_nodes: int, tails: np.ndarray, heads: np.ndarray, roots):
+    """Breadth-first forest of the undirected graph with edges (tails, heads).
+
+    Each component is searched from its first node in `roots`, else from its
+    lowest node, and every node's neighbours in ascending id.  One search
+    from a super-root joined to each start runs them all.  Returns the nodes
+    in search order and each node's predecessor, -1 at the starts.
+    """
+    rows, cols = np.r_[tails, heads], np.r_[heads, tails]
+    cols = cols[np.lexsort((cols, rows))]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_nodes))]
+    graph = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_nodes, n_nodes))
+    comp = connected_components(graph, directed=False)[1]
+    start = np.unique(comp, return_index=True)[1]
+    roots = np.asarray(roots, dtype=np.int64)[::-1]  # the first root of a component wins
+    start[comp[roots]] = roots
+    graph = sp.csr_matrix((np.ones(len(cols) + len(start)), np.r_[cols, start],
+                           np.r_[indptr, indptr[-1] + len(start)]), shape=(n_nodes + 1,) * 2)
+    order, pred = breadth_first_order(graph, n_nodes, directed=True, return_predecessors=True)
+    return order[1:], np.where(pred[:n_nodes] == n_nodes, -1, pred[:n_nodes])
+
+
+def _cotree(mesh: SimplicialMesh, order: np.ndarray) -> np.ndarray:
+    """Edge ids of the forest that Kruskal's algorithm grows in the dual graph
+    from the edges in `order`.
+
+    With weight 1 + position in `order` the weights are distinct, so that
+    forest is the unique minimum spanning forest.  Of parallel dual edges only
+    the first in `order` can join two classes, so only it is kept.
+    """
+    size = mesh.n_simplices(2) + 1
+    codes = np.ravel_multi_index(np.sort(mesh._dual_edges()[order], axis=1).T, (size, size))
+    codes, first = np.unique(codes, return_index=True)
+    indptr = np.searchsorted(codes, np.arange(size + 1) * size)
+    graph = sp.csr_matrix((first + 1.0, codes % size, indptr), shape=(size, size))
+    return order[minimum_spanning_tree(graph).data.astype(np.int64) - 1]
+
+
+def _close_over_cotree(mesh: SimplicialMesh, dual: np.ndarray, cotree: np.ndarray) -> None:
     """Fill the cotree rows of `dual` so that its coboundary vanishes.
 
     Each cotree component is rooted at the ground node where it reaches it,
-    else at its lowest triangle.  Leaves first, each triangle solves for the
-    edge to its parent, the only one of its edges still unset; incidences are
-    +-1, so the values stay integers.  A root triangle's equation is the sum
+    else at its lowest triangle.  Each other triangle, in breadth-first
+    order, gives one equation (d dual)_t = 0 in its parent and child edges:
+    an upper triangular system with +-1 on the diagonal, whose one solve
+    gives integers, exact in float64.  A root triangle's equation is the sum
     of the others in its component, which the final check confirms.
     """
     ground = mesh.n_simplices(2)
     ends = mesh._dual_edges()[cotree]
-    graph = sp.coo_matrix((np.ones(len(cotree)), ends.T), shape=(ground + 1,) * 2)
-    _, comp = connected_components(graph, directed=False)
-    firsts = np.unique(comp, return_index=True)[1]
-    roots = [ground, *firsts[comp[firsts] != comp[ground]].tolist()]
-    order = np.concatenate([breadth_first_order(graph, root, directed=False,
-                                                return_predecessors=False) for root in roots])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))  # a parent comes before its children
-    child = np.where(rank[ends[:, 0]] > rank[ends[:, 1]], ends[:, 0], ends[:, 1])
-    leaves_first = np.argsort(-rank[child])
-    tri = mesh.face_table(1).tolist()  # edges ab, ac, bc; d = x_ab - x_ac + x_bc
-    values = dual.tolist()
-    for e, t in zip(np.asarray(cotree)[leaves_first].tolist(), child[leaves_first].tolist()):
-        ab, ac, bc = tri[t]
-        sign = -1 if e == ac else 1
-        values[e] = [sign * (y - x - z) for x, y, z in zip(values[ab], values[ac], values[bc])]
-    dual[:] = values
+    order, pred = _search_forest(ground + 1, *ends.T, [ground])
+    rank = np.argsort(order)  # the inverse permutation
+    child = np.where(pred[ends[:, 0]] == ends[:, 1], ends[:, 0], ends[:, 1])
+    by_rank = np.argsort(rank[child])
+    child, cotree = child[by_rank], cotree[by_rank]
+    rows = mesh.coboundary_operator(1)[child]
+    solved = spsolve_triangular(rows[:, cotree].astype(float), -(rows @ dual), lower=False)
+    dual[cotree] = np.rint(solved).astype(np.int64)
     if np.any(mesh.coboundary_operator(1) @ dual):
         raise RankDeficientError("cycle-dual cochains are not closed")
 
 
-def _bfs_forest(edge_list, roots):
-    """Parent edge (edge_id, parent node, sign) of every node of a BFS forest.
-
-    edge_list: (edge_id, node_a, node_b); the chain convention is +1 for
-    traversal a -> b of edge_id.  Forest roots are taken from `roots` first,
-    then lowest remaining node id; neighbors are visited in ascending edge id.
-    Roots map to None.
-    """
-    adjacency: dict[int, list[tuple[int, int, int]]] = {}
-    for eid, a, b in edge_list:
-        adjacency.setdefault(a, []).append((eid, b, +1))
-        adjacency.setdefault(b, []).append((eid, a, -1))
-    for lst in adjacency.values():
-        lst.sort()
-
-    parent_edge: dict[int, tuple[int, int, int] | None] = {}
-    order = list(roots) + sorted(set(adjacency) - set(roots))
-    for root in order:
-        if root in parent_edge or root not in adjacency:
-            continue
-        parent_edge[root] = None
-        queue = [root]
-        while queue:
-            nxt = []
-            for a in queue:
-                for eid, b, sgn in adjacency[a]:
-                    if b not in parent_edge:
-                        parent_edge[b] = (eid, a, sgn)
-                        nxt.append(b)
-            queue = nxt
-    return parent_edge
-
-
-def _fundamental_cycle(parent_edge, eid, a, b) -> dict[int, int]:
-    """Non-tree edge a -> b closed by the forest paths b -> root -> a."""
-
-    def path_to_root(v):
-        out = {}
-        while parent_edge.get(v) is not None:
-            e, up, sgn = parent_edge[v]
-            out[e] = out.get(e, 0) - sgn  # traverse v -> up = reverse of up -> v
-            v = up
-        return out
-
+def _fundamental_cycle(up_edge, up_node, up_sign, eid, a, b) -> dict[int, int]:
+    """Non-tree edge a -> b closed by the forest paths b -> root -> a.  Node v
+    hangs from up_node[v] by edge up_edge[v] (-1 at a root), traversed
+    up_node[v] -> v in direction up_sign[v]."""
     chain = {eid: 1}
-    for k, v in path_to_root(b).items():
-        chain[k] = chain.get(k, 0) + v
-    for k, v in path_to_root(a).items():
-        chain[k] = chain.get(k, 0) - v
+    for v, sign in ((b, 1), (a, -1)):
+        while up_edge[v] >= 0:
+            chain[up_edge[v]] = chain.get(up_edge[v], 0) - sign * up_sign[v]
+            v = up_node[v]
     return {k: v for k, v in chain.items() if v}
 
 

@@ -325,8 +325,8 @@ def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch)
     m = len(harmonic_fields(hs, flavor))
     assert m == fx.m
     (normal, lam), = solves
-    assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                        "options": {"SymmetricMode": True}}]
+    assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
+                        "panel_size": 1, "options": {"SymmetricMode": True}}]
     dense, basis = np.linalg.eigh(normal.toarray())
     assert dec._kernel_dimension(dense) == dec._kernel_dimension(lam) == m
     lam, vecs = dec._small_eigenpairs(normal, m)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from sympy.matrices.normalforms import smith_normal_form
 
 from slaglab import fixtures, meshes
@@ -11,6 +12,7 @@ from slaglab.dec import Cochain, period_matrix
 from slaglab.errors import (
     NonManifoldError,
     NonOrientableError,
+    RankDeficientError,
     SlagError,
     UnlabeledBoundaryError,
 )
@@ -279,12 +281,12 @@ def _greedy_cycles(edge_list, roots, boundaries, m):
     add, _ = _gfp_reducer()
     for col in boundaries:
         add(col)
-    parent_edge = meshes._bfs_forest(edge_list, roots)
+    parent_edge = _loop_bfs_forest(edge_list, roots)
     tree = {pe[0] for pe in parent_edge.values() if pe is not None}
     chosen = []
     for eid, a, b in sorted(edge_list):
         if eid not in tree and len(chosen) < m:
-            chain = meshes._fundamental_cycle(parent_edge, eid, a, b)
+            chain = _loop_fundamental_cycle(parent_edge, eid, a, b)
             if add(chain):
                 chosen.append(list(chain.items()))
     return chosen
@@ -342,6 +344,189 @@ def test_cycle_duals_are_closed_integer_cocycles_with_unit_periods(name, level):
         duals = [Cochain(mesh, basis.degree, col) for col in basis.dual.T]
         assert np.array_equal(period_matrix(duals, basis), np.eye(basis.m))
     assert not rel.dual[mesh.in_boundary(1)].any()
+
+
+# -- the former loop tree-cotree: dict BFS forest, union-find Kruskal, closure --
+
+
+def _loop_bfs_forest(edge_list, roots):
+    """Parent edge (edge_id, parent node, sign) of every node of a BFS forest.
+
+    edge_list: (edge_id, node_a, node_b); the chain convention is +1 for
+    traversal a -> b of edge_id.  Forest roots are taken from `roots` first,
+    then lowest remaining node id; neighbors are visited in ascending edge id.
+    Roots map to None.
+    """
+    adjacency = {}
+    for eid, a, b in edge_list:
+        adjacency.setdefault(a, []).append((eid, b, +1))
+        adjacency.setdefault(b, []).append((eid, a, -1))
+    for lst in adjacency.values():
+        lst.sort()
+
+    parent_edge = {}
+    order = list(roots) + sorted(set(adjacency) - set(roots))
+    for root in order:
+        if root in parent_edge or root not in adjacency:
+            continue
+        parent_edge[root] = None
+        queue = [root]
+        while queue:
+            nxt = []
+            for a in queue:
+                for eid, b, sgn in adjacency[a]:
+                    if b not in parent_edge:
+                        parent_edge[b] = (eid, a, sgn)
+                        nxt.append(b)
+            queue = nxt
+    return parent_edge
+
+
+def _loop_fundamental_cycle(parent_edge, eid, a, b):
+    """Non-tree edge a -> b closed by the forest paths b -> root -> a."""
+
+    def path_to_root(v):
+        out = {}
+        while parent_edge.get(v) is not None:
+            e, up, sgn = parent_edge[v]
+            out[e] = out.get(e, 0) - sgn  # traverse v -> up = reverse of up -> v
+            v = up
+        return out
+
+    chain = {eid: 1}
+    for k, v in path_to_root(b).items():
+        chain[k] = chain.get(k, 0) + v
+    for k, v in path_to_root(a).items():
+        chain[k] = chain.get(k, 0) - v
+    return {k: v for k, v in chain.items() if v}
+
+
+def _loop_close_over_cotree(mesh, dual, cotree):
+    """Leaves first, each cotree triangle solves for the edge to its parent."""
+    ground = mesh.n_simplices(2)
+    ends = mesh._dual_edges()[cotree]
+    graph = sp.coo_matrix((np.ones(len(cotree)), ends.T), shape=(ground + 1,) * 2)
+    _, comp = connected_components(graph, directed=False)
+    firsts = np.unique(comp, return_index=True)[1]
+    roots = [ground, *firsts[comp[firsts] != comp[ground]].tolist()]
+    order = np.concatenate([breadth_first_order(graph, root, directed=False,
+                                                return_predecessors=False) for root in roots])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))  # a parent comes before its children
+    child = np.where(rank[ends[:, 0]] > rank[ends[:, 1]], ends[:, 0], ends[:, 1])
+    leaves_first = np.argsort(-rank[child])
+    tri = mesh.face_table(1).tolist()  # edges ab, ac, bc; d = x_ab - x_ac + x_bc
+    values = dual.tolist()
+    for e, t in zip(np.asarray(cotree)[leaves_first].tolist(), child[leaves_first].tolist()):
+        ab, ac, bc = tri[t]
+        sign = -1 if e == ac else 1
+        values[e] = [sign * (y - x - z) for x, y, z in zip(values[ab], values[ac], values[bc])]
+    dual[:] = values
+    if np.any(mesh.coboundary_operator(1) @ dual):
+        raise RankDeficientError("cycle-dual cochains are not closed")
+
+
+def _loop_cycle_generators(mesh, edge_list, roots, m):
+    """The former `_cycle_generators` on (edge_id, node_a, node_b) tuples."""
+    parent_edge = _loop_bfs_forest(edge_list, roots)
+    tree_edges = {pe[0] for pe in parent_edge.values() if pe is not None}
+    non_tree = sorted(e for e in edge_list if e[0] not in tree_edges)
+    cotree = []
+    if mesh.dim == 2:
+        order = [eid for eid, _, _ in reversed(non_tree)]
+        joined = meshes._unite(list(range(mesh.n_simplices(2) + 1)), mesh._dual_edges()[order])
+        cotree = [eid for eid, j in zip(order, joined) if j]
+    in_cotree = set(cotree)
+    generators = [e for e in non_tree if e[0] not in in_cotree][:m]
+    dual = np.zeros((mesh.n_simplices(1), len(generators)), dtype=np.int64)
+    dual[[e[0] for e in generators], range(len(generators))] = 1
+    if cotree:
+        _loop_close_over_cotree(mesh, dual, cotree)
+    return [Chain(1, _loop_fundamental_cycle(parent_edge, *e)) for e in generators], dual
+
+
+def _thin_annulus():
+    tops, labels, n_vertices = fixtures._cylinder_mesh(1, 4)
+    return build_mesh(n_vertices, tops, labels)
+
+
+def _grid_surface(n_a, n_b, offset=0):
+    """Closed torus: an n_a x n_b grid of squares, both directions periodic."""
+    vid = [[offset + (i % n_a) * n_b + j % n_b for j in range(n_b + 1)] for i in range(n_a + 1)]
+    return [t for i in range(n_a) for j in range(n_b)
+            for t in ((vid[i][j], vid[i + 1][j], vid[i + 1][j + 1]),
+                      (vid[i][j], vid[i + 1][j + 1], vid[i][j + 1]))]
+
+
+_SPHERE = (4, [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)], {})
+_DISK = (5, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)],
+         {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+_SPECIAL_MESHES = {
+    # every vertex on the boundary: each interior edge is a self-loop at the merged node
+    "thin-annulus": _thin_annulus,
+    # closed: the merged node is a root with no edge, the cotree root a triangle
+    "torus": lambda: build_mesh(12, _grid_surface(3, 4), {}),
+    # two components in the forest and in the cotree, none reaching the ground
+    "two-tori": lambda: build_mesh(24, _grid_surface(3, 4) + _grid_surface(3, 4, 12), {}),
+    "sphere": lambda: build_mesh(*_SPHERE),  # m = 0, cotree rooted at a triangle
+    "disk": lambda: build_mesh(*_DISK),  # m = 0, cotree rooted at the ground
+    # random vertex ids, so that a vertex's neighbours mix lower and higher ids
+    "two_handle-relabelled": lambda: _relabelled("two_handle"),
+    "pair_of_pants-relabelled": lambda: _relabelled("pair_of_pants"),
+    "interval": lambda: build_mesh(*_interval()),
+    "curve": lambda: build_mesh(*_CURVE),  # several components and a self-loop, no cotree
+}
+
+
+def _relabelled(name, seed=0):
+    n_vertices, tops, labels = _fixture_input(name, 1)
+    perm = np.random.default_rng(seed).permutation(n_vertices).tolist()
+    return build_mesh(n_vertices, [tuple(perm[v] for v in t) for t in tops],
+                      {tuple(perm[v] for v in f): lab for f, lab in labels.items()})
+
+
+def _generator_cases(mesh):
+    """(eids, ends, roots, m) of the relative basis and, on surfaces, the absolute one."""
+    ids = mesh.interior_simplex_ids(1)
+    profile = betti_profile(mesh)
+    cases = [(ids, mesh._merged_edges()[ids], [mesh.n_vertices], profile.b_rel_1)]
+    if mesh.dim == 2:
+        cases.append((np.arange(mesh.n_simplices(1)), mesh.simplices[1], [], profile.betti[1]))
+    return cases
+
+
+@pytest.mark.parametrize("build", [lambda name=name, level=level: build_fixture(name, level).mesh
+                                   for name in sorted(FIXTURES) for level in (1, 2)]
+                         + [lambda: build_fixture("two_handle", 4).mesh,
+                            lambda: build_fixture("cylinder_translation", 4).mesh]
+                         + list(_SPECIAL_MESHES.values()),
+                         ids=[f"{name}-{level}" for name in sorted(FIXTURES) for level in (1, 2)]
+                         + ["two_handle-4", "cylinder_translation-4"] + list(_SPECIAL_MESHES))
+def test_array_cycle_generators_equal_loop_reference(build):
+    mesh = build()
+    for eids, ends, roots, m in _generator_cases(mesh):
+        chains, dual = meshes._cycle_generators(mesh, eids, ends, roots, m)
+        edge_list = list(zip(eids.tolist(), *ends.T.tolist()))
+        ref_chains, ref_dual = _loop_cycle_generators(mesh, edge_list, roots, m)
+        assert [list(c.coeffs.items()) for c in chains] == [
+            list(c.coeffs.items()) for c in ref_chains]
+        assert dual.dtype == ref_dual.dtype and np.array_equal(dual, ref_dual)
+
+
+def test_special_meshes_cover_the_edge_cases():
+    """Each special mesh shows the case its comment names."""
+    annulus = _SPECIAL_MESHES["thin-annulus"]()
+    merged = annulus._merged_edges()[annulus.interior_simplex_ids(1)]
+    assert (merged == annulus.n_vertices).all() and betti_profile(annulus).b_rel_1 == 1
+    for name in ("torus", "two-tori", "sphere"):
+        mesh = _SPECIAL_MESHES[name]()
+        assert not mesh.boundary_face_ids().size
+        assert (mesh._merged_edges() < mesh.n_vertices).all()
+    assert betti_profile(_SPECIAL_MESHES["torus"]()).betti == (1, 2, 1)
+    assert betti_profile(_SPECIAL_MESHES["two-tori"]()).betti == (2, 4, 2)
+    for name in ("sphere", "disk"):
+        profile = betti_profile(_SPECIAL_MESHES[name]())
+        assert profile.betti[1] == profile.b_rel_1 == 0
 
 
 # components {0,1,2} and {3,4}; the second has no interior vertex
@@ -571,6 +756,51 @@ def test_array_build_equals_loop_build(data):
         as_given, swapped = _shuffled(data, seed)
         # the seed tops of the two copies have opposite input signs
         assert np.array_equal(check(swapped).top_orientation, -check(as_given).top_orientation)
+
+
+def _loop_cylinder_mesh(n_axial, n_circ, vertex_offset=0, labels=(1, 2)):
+    """The former loop `fixtures._cylinder_mesh`."""
+    def vid(i, j):
+        return vertex_offset + i * n_circ + (j % n_circ)
+
+    tops = []
+    for i in range(n_axial):
+        for j in range(n_circ):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tops.append((v10, v00, v11))
+            tops.append((v11, v00, v01))
+    boundary = {}
+    for j in range(n_circ):
+        boundary[tuple(sorted((vid(0, j), vid(0, j + 1))))] = labels[0]
+        boundary[tuple(sorted((vid(n_axial, j), vid(n_axial, j + 1))))] = labels[1]
+    return tops, boundary, (n_axial + 1) * n_circ
+
+
+def _loop_cylinder_positions(n_axial, n_circ, width, y1, y2):
+    """The former loop `fixtures._cylinder_positions`."""
+    pos = np.zeros(((n_axial + 1) * n_circ, 4))
+    for i in range(n_axial + 1):
+        for j in range(n_circ):
+            pos[i * n_circ + j] = (width * i / n_axial, y1, j / n_circ, y2)
+    return pos
+
+
+@pytest.mark.parametrize("n_axial, n_circ, offset, labels, width, y", [
+    (8, 16, 0, (1, 2), 0.5, 0.0), (4, 16, 153, (3, 4), 0.25, 0.5),
+    (32, 64, 0, (1, 2), 0.5, 0.0), (16, 64, 2145, (3, 4), 0.25, 0.5), (1, 3, 7, (2, 1), 0.3, 0.1)])
+def test_array_cylinder_fixture_equals_loop(n_axial, n_circ, offset, labels, width, y):
+    tops, boundary, n_vertices = fixtures._cylinder_mesh(n_axial, n_circ, offset, labels)
+    ref_tops, ref_boundary, ref_n = _loop_cylinder_mesh(n_axial, n_circ, offset, labels)
+    assert tops == ref_tops and list(boundary.items()) == list(ref_boundary.items())
+    assert n_vertices == ref_n
+    values = [v for t in tops for v in t] + [v for f in boundary for v in f] + list(
+        boundary.values())
+    assert all(type(v) is int for v in values)
+    assert all(type(t) is tuple for t in [*tops, *boundary])
+    pos = fixtures._cylinder_positions(n_axial, n_circ, width, y, y)
+    ref = _loop_cylinder_positions(n_axial, n_circ, width, y, y)
+    assert pos.dtype == ref.dtype and pos.shape == ref.shape and pos.tobytes() == ref.tobytes()
 
 
 def _cylinder_labels(relabel):
