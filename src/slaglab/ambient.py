@@ -47,14 +47,17 @@ class ConstantForm:
                 continue
             self.coeffs[key] = self.coeffs.get(key, 0) + sign * val
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
-        # one row of component indices per coefficient, for evaluating all minors at once
-        self._index = np.array(list(self.coeffs), dtype=int).reshape(len(self.coeffs), degree)
-        self._values = np.array(list(self.coeffs.values()))
+        values = np.array(list(self.coeffs.values()))
+        # one (columns, value) pair per coefficient, evaluated in turn on column slices
+        self._terms = list(zip(self.coeffs, values))
+        self._dtype = np.result_type(values, float)
 
     def __call__(self, vectors: np.ndarray):
         """Evaluate on k vectors: array (..., k, dim) or a sequence of k vectors.
 
-        Complex coefficients give complex values, real ones real values.
+        Complex coefficients give complex values, real ones real values.  The
+        sum over coefficients starts from zero and adds them in order, as
+        numpy's sum over fewer than 8 real (4 complex) terms does.
         """
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1 and self.degree == 1:
@@ -63,15 +66,18 @@ class ConstantForm:
             raise ArityMismatchError(
                 f"need {self.degree} vectors in R^{self.dim}, got shape {vectors.shape}"
             )
-        cols = vectors[..., self._index]  # (..., vector, coefficient, column)
-        if self.degree == 1:
-            minors = cols[..., 0, :, 0]
-        elif self.degree == 2:
-            u, v = cols[..., 0, :, :], cols[..., 1, :, :]
-            minors = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-        else:
-            minors = np.linalg.det(np.moveaxis(cols, -2, -3))
-        return (minors * self._values).sum(axis=-1)
+        total = np.zeros(vectors.shape[:-2], self._dtype)
+        for cols, value in self._terms:
+            if self.degree == 1:
+                minor = vectors[..., 0, cols[0]]
+            elif self.degree == 2:
+                (i, j), u, v = cols, vectors[..., 0, :], vectors[..., 1, :]
+                minor = u[..., i] * v[..., j]
+                minor -= u[..., j] * v[..., i]
+            else:
+                minor = np.linalg.det(vectors[..., list(cols)])
+            total += minor * value
+        return total
 
     def scaled(self, factor) -> "ConstantForm":
         return ConstantForm(self.dim, self.degree, {k: factor * v for k, v in self.coeffs.items()})
@@ -167,6 +173,8 @@ class AmbientModel:
         self.topology = topology
         self.lattice = lattice
         self._lattice_inv = None if lattice is None else np.linalg.inv(lattice)
+        # half the shortest lattice vector: the longest edge a minimal-image lift can trust
+        self.lift_limit = None if lattice is None else 0.5 * np.linalg.norm(lattice, axis=1).min()
         self.omega = omega
         self.J = J
         self.Omega = Omega

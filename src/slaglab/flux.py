@@ -8,15 +8,20 @@ is piecewise linear), and in time by composite Simpson quadrature.
 
 `path_fluxes` computes both in one pass over blocks of stacked sample
 positions (B, V, 2n), B bounded by a fixed budget of top-simplex samples.  Per
-block it wraps each edge once and gathers every frame from the edges, checks
-the residuals once (closed-form Gram volumes), and contracts both integrands
-with one centroid stack per degree; the Richardson estimate reuses the even
-samples' cochains from the same pass.
+block it wraps each edge once and gathers every frame from the edges (the
+degree-1 frames are a view of them), checks the residuals once (closed-form
+Gram volumes), writes one centroid stack per degree and evaluates each form
+on it coefficient by coefficient.  The block's cochains are weighted as rows
+and added in sample order, so the sums carry the bits of a per-sample loop;
+the Richardson estimate reuses the even samples' cochains from the same pass.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
 surface integrals of the constant ambient forms over the piecewise-linear
-surface traced by a cycle, giving an independent cross-check.
+surface traced by a cycle, giving an independent cross-check.  An oracle
+evaluates the family at the chain vertices only, once over its time grid, and
+integrates every chain simplex at once; each simplex keeps its slab sum in
+one contiguous row, so it adds in the order of a per-simplex loop.
 """
 
 from __future__ import annotations
@@ -50,8 +55,13 @@ _LAGRANGIAN_TOL = 1e-9
 _SPECIAL_TOL = 1e-9
 # Top-simplex samples stacked in one block of a flux pass.  It bounds the
 # memory of the stacked frames whatever the mesh size and the number of
-# samples; larger blocks saved no time and raised the peak memory.
-_BLOCK_SIMPLEX_SAMPLES = 2048
+# samples.  An interleaved in-process sweep (9 rounds, 2-core Xeon, BLAS on one
+# thread) timed the 133 passes of the level-1 benchmark scenarios at medians of
+# 0.72, 0.57, 0.50 and 0.50 s for 2,048, 4,096, 8,192 and 16,384, and the 12
+# passes of `slag converge --levels 1,2,4` at 0.13, 0.14, 0.12 and 0.13 s.
+# 8,192 is faster still but raised the benchmark's peak memory by 2 % (6,144
+# by 1 %); 4,096 raised it by 0.3 %.
+_BLOCK_SIMPLEX_SAMPLES = 4096
 
 
 class ImmersionPath:
@@ -118,11 +128,20 @@ def _centroid_stack(mesh, velocities: np.ndarray, frames: np.ndarray, degree: in
     """(B, N_k, k + 1, 2n): each simplex's centroid velocity stacked on its frame.
 
     velocities is (B, V, 2n) and frames (B, N_k, k, 2n); every integrand of
-    this degree contracts the same stack.
+    this degree contracts the same stack.  It is written into one array laid
+    out (k + 1, B, N_k, 2n), so that each of its vectors is contiguous, and
+    returned as a view in the stack order.
     """
     simp = mesh.simplices[degree]
-    vmean = sum(np.take(velocities, simp[:, i], axis=1) for i in range(degree + 1)) / (degree + 1)
-    return np.concatenate([vmean[:, :, None, :], frames], axis=2)
+    stack = np.empty((degree + 1,) + frames.shape[:2] + frames.shape[3:])
+    vmean = stack[0]
+    # the vertex sum starts from zero, so a sum of -0.0 is +0.0
+    np.add(0.0, np.take(velocities, simp[:, 0], axis=1), out=vmean)
+    for i in range(1, degree + 1):
+        vmean += np.take(velocities, simp[:, i], axis=1)
+    vmean /= degree + 1
+    stack[1:] = np.moveaxis(frames, 2, 0)
+    return np.moveaxis(stack, 0, 2)
 
 
 def _contract(stack: np.ndarray, form: ConstantForm, degree: int) -> np.ndarray:
@@ -131,7 +150,9 @@ def _contract(stack: np.ndarray, form: ConstantForm, degree: int) -> np.ndarray:
     The integrand is affine in barycentric coordinates, so the integral is its
     value on the centroid stack times the simplex volume fraction 1/degree!.
     """
-    return form(stack) / math.factorial(degree)
+    values = form(stack)
+    values /= math.factorial(degree)
+    return values
 
 
 def _sample_cochain(model, path, j, form, degree) -> Cochain:
@@ -211,11 +232,18 @@ class _FluxPass:
                             else DegenerateSimplexError(TOO_LARGE_TO_LIFT))
 
     def add(self, start, vals: np.ndarray) -> None:
-        """Fold the (B, N_k) cochains of samples start, start + 1, ... into the sums."""
-        for j, row in enumerate(vals, start):
-            self.raw += self.weights[j] * row
-            if self.halves is not None and j % 2 == 0:
-                self.coarse += self.halves[j // 2] * row
+        """Fold the (B, N_k) cochains of samples start, start + 1, ... into the sums.
+
+        Each row is weighted first and added in sample order, so the sums
+        carry the bits of a per-sample loop.
+        """
+        stop = start + len(vals)
+        for row in self.weights[start:stop, None] * vals:
+            self.raw += row
+        if self.halves is not None:
+            first = start % 2  # the block's first even sample, start + first
+            for row in self.halves[(start + first) // 2:(stop + 1) // 2, None] * vals[first::2]:
+                self.coarse += row
         # np.maximum keeps a NaN that the builtin max would drop
         self.closedness = float(np.maximum(self.closedness, _sup(self.d_op @ vals.T)))
         self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
@@ -294,34 +322,29 @@ def special_flux(model: AmbientModel, path: ImmersionPath, cycles: AbsoluteCycle
 # -- swept-surface oracles -----------------------------------------------------------
 
 
-def _chain_trajectories(path: ImmersionPath, vertex_ids, n_steps: int) -> np.ndarray:
-    """(n_steps + 1, len(vertex_ids), 2n) positions on a uniform time grid, from one family call."""
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    return path.family.positions(path.curve(times))[:, np.asarray(vertex_ids, dtype=int)]
+def _swept_edge_integrals(model: AmbientModel, form: ConstantForm,
+                          pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Integrals of a constant 2-form over the PL surfaces swept by edges.
 
-
-def _swept_edge_integral(model: AmbientModel, form: ConstantForm,
-                         pa: np.ndarray, pb: np.ndarray) -> float:
-    """Integral of a constant 2-form over the PL surface swept by one edge.
-
-    Each time slab contributes a quadrilateral, split into two affine
-    triangles; corners are lifted coherently around each quad and the square
-    is oriented dt ^ ds.
+    pa and pb are the (E, T, 2n) trajectories of each edge's two ends.  Each
+    time slab contributes a quadrilateral, split into two affine triangles;
+    corners are lifted coherently around each quad and the square is
+    oriented dt ^ ds.  Each edge's sum over its T - 1 slabs is one
+    contiguous row.
     """
     w = model.wrap_displacement(pb - pa)
-    q0 = pa[:-1]
-    e_t = pa[1:] - pa[:-1]          # q3 - q0
-    e_d = e_t + w[1:]               # q2 - q0
-    e_s = w[:-1]                    # q1 - q0
-    tri1 = np.stack([e_t, e_d], axis=1)
-    tri2 = np.stack([e_d, e_s], axis=1)
-    return 0.5 * float(np.sum(form(tri1)) + np.sum(form(tri2)))
+    e_t = pa[:, 1:] - pa[:, :-1]        # q3 - q0
+    e_d = e_t + w[:, 1:]                # q2 - q0
+    e_s = w[:, :-1]                     # q1 - q0
+    tris = np.stack([np.stack([e_t, e_d], axis=2), np.stack([e_d, e_s], axis=2)], axis=1)
+    sums = form(tris).sum(axis=-1)     # (E, 2): each triangle's T - 1 values in one row
+    return 0.5 * (sums[:, 0] + sums[:, 1])
 
 
-def _swept_point_integral(model: AmbientModel, form: ConstantForm, p: np.ndarray) -> float:
-    """Integral of a constant 1-form along the PL curve traced by one vertex."""
-    steps = p[1:] - p[:-1]
-    return float(form(steps[:, None, :]).sum())
+def _swept_point_integrals(model: AmbientModel, form: ConstantForm, p: np.ndarray) -> np.ndarray:
+    """Integrals of a constant 1-form along the PL curves traced by the (P, T, 2n) vertices."""
+    steps = p[:, 1:] - p[:, :-1]
+    return form(steps[..., None, :]).sum(axis=-1)
 
 
 def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
@@ -350,24 +373,31 @@ def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
 
 
 def _swept_integrals(model, path, cycles, form, degree, n_steps, degree_error):
-    """Swept integrals of each chain, from one trajectory of all their vertices."""
+    """Swept integrals of each chain, from one trajectory of their vertices only.
+
+    Every chain simplex is integrated once, all at the same time; each chain
+    then adds coeff * integral over its simplices in ascending id order.
+    """
     single = isinstance(cycles, Chain)
     chains = [cycles] if single else list(getattr(cycles, "cycles", cycles))
     if any(c.degree != degree for c in chains):
         raise SlagError(degree_error)
-    simplices = path.family.mesh.simplices[degree]
-    integral = _swept_edge_integral if degree == 1 else _swept_point_integral
     items = [sorted(chain.coeffs.items()) for chain in chains]
-    vertex_ids = sorted({int(v) for chain in items for sid, _ in chain for v in simplices[sid]})
-    vpos = {v: i for i, v in enumerate(vertex_ids)}
-    traj = _chain_trajectories(path, vertex_ids, n_steps)
-    totals = []
-    for chain in items:
-        total = 0.0
-        for sid, coeff in chain:
-            corners = [traj[:, vpos[int(v)]] for v in simplices[sid]]
-            total += coeff * integral(model, form, *corners)
-        totals.append(total)
+    ids = np.array([sid for chain in items for sid, _ in chain], dtype=int)
+    sids, where = np.unique(ids, return_inverse=True)
+    corners = path.family.mesh.simplices[degree][sids]
+    vertex_ids, local = np.unique(corners, return_inverse=True)
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    traj = path.family.positions(path.curve(times), vertex_ids)   # (T, chain vertices, 2n)
+    ends = np.swapaxes(traj, 0, 1)[local.reshape(corners.shape)]  # (simplex, corner, T, 2n)
+    if degree == 1:
+        integrals = _swept_edge_integrals(model, form, ends[:, 0], ends[:, 1])
+    else:
+        integrals = _swept_point_integrals(model, form, ends[:, 0])
+    coeffs = np.array([coeff for chain in items for _, coeff in chain], dtype=float)
+    terms = np.split(coeffs * integrals[where], np.cumsum([len(chain) for chain in items])[:-1])
+    # each chain adds its terms to zero one at a time, in ascending simplex id, as a loop does
+    totals = [float(np.cumsum(np.r_[0.0, chain_terms])[-1]) for chain_terms in terms]
     return totals[0] if single else np.array(totals)
 
 

@@ -61,10 +61,11 @@ def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndar
     too_long = np.zeros(edges.shape[:-1], dtype=bool)
     if model.lattice is not None:
         edges = model.wrap_displacement(edges)
-        limit = 0.5 * np.linalg.norm(model.lattice, axis=1).min()
-        too_long = np.einsum("...a,...a->...", edges, edges) > limit * limit
-    return {k: (np.take(edges, mesh.edge_table(k), axis=-2),
-                np.take(too_long, mesh.edge_table(k), axis=-1).any(axis=(-2, -1)))
+        too_long = np.einsum("...a,...a->...", edges, edges) > model.lift_limit * model.lift_limit
+    # an edge is its own frame, so degree 1 is a view of the wrapped edges
+    return {k: (edges[..., None, :], too_long.any(axis=-1)) if k == 1 else
+            (np.take(edges, mesh.edge_table(k), axis=-2),
+             np.take(too_long, mesh.edge_table(k), axis=-1).any(axis=(-2, -1)))
             for k in degrees}
 
 
@@ -234,9 +235,11 @@ class ImmersionFamily:
     """Parameter-dependent vertex positions with exact directional velocities.
 
     Wraps either two Python callables on parameter arrays or a closed-form
-    CoordinateMap applied to a base immersion.  `positions(u)` maps (..., m)
-    points of R^m to the (..., V, 2n) lifts there; `velocity(u, w)` maps
-    (..., m) points and directions to the (..., V, 2n) derivatives along w.
+    CoordinateMap applied to a base immersion.  `positions(u, vertices)` maps
+    (..., m) points of R^m to the lifts of the given vertices there, an index
+    array or a slice (all V by default), as (..., len(vertices), 2n); it
+    evaluates only those vertices.  `velocity(u, w)` maps (..., m) points and
+    directions to the (..., V, 2n) derivatives along w.
     """
 
     def __init__(self, mesh: SimplicialMesh, n_params: int, positions_fn, velocity_fn,
@@ -255,7 +258,8 @@ class ImmersionFamily:
 
         cmap = CoordinateMap(exprs, n, list(parameters), constants)
         base_pos = base.positions
-        return cls(base.mesh, len(cmap.parameters), lambda u: cmap.positions(base_pos, u),
+        return cls(base.mesh, len(cmap.parameters),
+                   lambda u, vertices: cmap.positions(base_pos[vertices], u),
                    lambda u, w: cmap.velocity(base_pos, u, w), label=label)
 
     @classmethod
@@ -267,12 +271,13 @@ class ImmersionFamily:
         directions = [np.asarray(d, dtype=float) for d in directions]
         base_pos = base.positions
 
-        def moved(out, u):
+        def moved(out, u, vertices=slice(None)):
             for i, d in enumerate(directions):
-                out = out + u[..., i, None, None] * d
+                out = out + u[..., i, None, None] * (d if d.ndim == 1 else d[vertices])
             return out
 
-        return cls(base.mesh, len(directions), lambda u: moved(base_pos, u),
+        return cls(base.mesh, len(directions),
+                   lambda u, vertices: moved(base_pos[vertices], u, vertices),
                    lambda u, w: moved(np.zeros(w.shape[:-1] + base_pos.shape), w), label=label)
 
     def _points(self, u) -> np.ndarray:
@@ -281,8 +286,8 @@ class ImmersionFamily:
             raise SlagError(f"family expects {self.n_params} parameters, got shape {u.shape}")
         return u
 
-    def positions(self, u) -> np.ndarray:
-        return self._positions(self._points(u))
+    def positions(self, u, vertices=slice(None)) -> np.ndarray:
+        return self._positions(self._points(u), vertices)
 
     def velocity(self, u, direction) -> np.ndarray:
         return self._velocity(self._points(u), self._points(direction))

@@ -348,6 +348,7 @@ class _Workspace:
         self._cycles = None
         self._pairing = None
         self._straight_fluxes = None
+        self._amplitudes = None
         self.atlas_parts: dict = {}
 
     @property
@@ -375,14 +376,35 @@ class _Workspace:
         return self._structure
 
     def amplitudes(self) -> np.ndarray:
-        amp = np.asarray(self.scenario.amplitudes, dtype=float)
-        m = self.fixture.family.n_params
-        if amp.shape != (m,):
-            raise ConfigError(
-                f"path.amplitudes needs {m} entries for fixture "
-                f"{self.fixture.name!r}, got {amp.shape[0]}"
-            )
-        return amp
+        """The path amplitudes, one per family parameter, checked on first use.
+
+        Amplitudes so large that the straight path's velocities overflow when
+        a flux pass sums them over a simplex are a configuration error, not a
+        failed check: the positions stay finite, the integrands do not.  A NaN
+        velocity is the family's own and is left to the checks.
+        """
+        if self._amplitudes is None:
+            amp = np.asarray(self.scenario.amplitudes, dtype=float)
+            fx = self.fixture
+            m = fx.family.n_params
+            if amp.shape != (m,):
+                raise ConfigError(
+                    f"path.amplitudes needs {m} entries for fixture "
+                    f"{fx.name!r}, got {amp.shape[0]}"
+                )
+            simplices = [fx.mesh.simplices[k] for k in {1, fx.mesh.dim - 1}]
+            with np.errstate(over="ignore", invalid="ignore"):  # one sample at a time
+                overflow = any(np.isinf(fx.family.velocity(t * amp, amp)[simp].sum(axis=1)).any()
+                               for t in np.linspace(0.0, 1.0, self.scenario.n_samples)
+                               for simp in simplices)
+            if overflow:
+                raise ConfigError(
+                    f"path.amplitudes {amp.tolist()} are too large: the straight path's "
+                    "velocities overflow when a flux pass sums them over a simplex"
+                )
+            amp.flags.writeable = False  # every caller shares the checked array
+            self._amplitudes = amp
+        return self._amplitudes
 
     def straight_path(self, n_samples=None, scale=1.0):
         amp = scale * self.amplitudes()
@@ -568,7 +590,7 @@ def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int)
 
     family = ImmersionFamily(
         fx.mesh, m + len(slides),
-        lambda u: slid(fx.family.positions(u[..., :m]), u),
+        lambda u, vertices: slid(fx.family.positions(u[..., :m], vertices), u),
         lambda u, w: slid(fx.family.velocity(u[..., :m], w[..., :m]), w),
     )
     return ImmersionPath(family, curve, dcurve, n_samples)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from slaglab.errors import (
     NormalizationFailureError,
     NotKaehlerError,
 )
+from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 
 
 def vec(*entries):
@@ -155,3 +158,51 @@ def test_form_antisymmetry():
     assert float(omega(np.stack([u, v]))) == pytest.approx(
         -float(omega(np.stack([v, u]))), abs=1e-14
     )
+
+
+def _gather_call(form: ConstantForm, vectors: np.ndarray):
+    """The former `ConstantForm.__call__`: one fancy-index gather of every minor's columns."""
+    index = np.array(list(form.coeffs), dtype=int).reshape(len(form.coeffs), form.degree)
+    values = np.array(list(form.coeffs.values()))
+    cols = vectors[..., index]  # (..., vector, coefficient, column)
+    if form.degree == 1:
+        minors = cols[..., 0, :, 0]
+    elif form.degree == 2:
+        u, v = cols[..., 0, :, :], cols[..., 1, :, :]
+        minors = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    else:
+        minors = np.linalg.det(np.moveaxis(cols, -2, -3))
+    return (minors * values).sum(axis=-1)
+
+
+@pytest.mark.parametrize("almost_cy", [False, True])
+@pytest.mark.parametrize("build", [interval_c1, cylinder_translation, two_handle])
+def test_form_evaluation_matches_the_gather_on_shipped_forms(build, almost_cy):
+    model = build(1, almost_cy=almost_cy).model
+    rng = np.random.default_rng(11)
+    for form in (model.omega, model.im_omega_hat):
+        for lead in ((), (7,), (5, 33), (3, 4, 6)):
+            vectors = rng.normal(size=lead + (form.degree, 2 * model.n))
+            assert np.array_equal(form(vectors), _gather_call(form, vectors))
+
+
+@pytest.mark.parametrize("n, degree", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3) if k <= 2 * n])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_form_evaluation_matches_the_gather_on_random_forms(n, degree, kind):
+    """Bit for bit while numpy's sum over coefficients is sequential.
+
+    That is fewer than 8 real or 4 complex coefficients; past it numpy sums
+    pairwise while the loop adds in order, so those forms compare at rtol 1e-15.
+    """
+    rng = np.random.default_rng(100 * n + 10 * degree + (kind is complex))
+    keys = list(itertools.combinations(range(2 * n), degree))
+    values = rng.normal(size=len(keys)) + (1j * rng.normal(size=len(keys)) if kind is complex
+                                           else 0.0)
+    form = ConstantForm(2 * n, degree, dict(zip(keys, values)))
+    vectors = rng.normal(size=(9, 17, degree, 2 * n))
+    got, ref = form(vectors), _gather_call(form, vectors)
+    assert got.dtype == ref.dtype
+    if len(keys) < (4 if kind is complex else 8):
+        assert np.array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slaglab import flux
-from slaglab.ambient import AmbientModel
+from slaglab.ambient import AmbientModel, make_model
 from slaglab.dec import Cochain, HodgeStructure, hodge_star, period_matrix
 from slaglab.errors import (
     DegenerateSimplexError,
@@ -31,7 +31,7 @@ from slaglab.immersion import (
     pullback_metric,
     reparametrize,
 )
-from slaglab.meshes import absolute_cycle_basis, build_mesh, relative_cycle_basis
+from slaglab.meshes import Chain, absolute_cycle_basis, build_mesh, relative_cycle_basis
 
 
 @pytest.fixture(scope="module")
@@ -104,15 +104,104 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     amp = [0.3, -0.2][:fx.family.n_params]
     path = ImmersionPath.straight(fx.family, amp, n_samples=9)
-    per_chain_rf = [swept_rf_oracle(fx.model, path, g, n_steps=16) for g in rel.cycles]
-    per_chain_sf = [swept_sf_oracle(fx.model, path, s, n_steps=16) for s in ab.cycles]
-    calls = []
+    per_chain_rf = [swept_rf_oracle(fx.model, path, g) for g in rel.cycles]
+    per_chain_sf = [swept_sf_oracle(fx.model, path, s) for s in ab.cycles]
+    trajectories = []
     positions = fx.family.positions
-    monkeypatch.setattr(fx.family, "positions", lambda u: calls.append(u) or positions(u))
-    rf = swept_rf_oracle(fx.model, path, rel, n_steps=16)
-    sf = swept_sf_oracle(fx.model, path, ab, n_steps=16)
-    assert len(calls) == 2
+
+    def spy(u, vertices=slice(None)):
+        trajectories.append(positions(u, vertices))
+        return trajectories[-1]
+
+    monkeypatch.setattr(fx.family, "positions", spy)
+    rf = swept_rf_oracle(fx.model, path, rel)
+    sf = swept_sf_oracle(fx.model, path, ab)
     assert rf.tolist() == per_chain_rf and sf.tolist() == per_chain_sf
+    # one trajectory per basis, of the chain vertices only
+    for traj, basis, degree in zip(trajectories, (rel, ab), (1, fx.mesh.dim - 1)):
+        sids = [sid for chain in basis.cycles for sid in chain.coeffs]
+        vertices = np.unique(fx.mesh.simplices[degree][sids])
+        assert traj.shape == (257, len(vertices), 2 * fx.model.n)
+    assert len(trajectories) == 2
+
+
+def _loop_swept_integrals(model, path, cycles, form, degree, n_steps=256):
+    """The former `_swept_integrals`: every vertex's trajectory, then a loop over chain simplices."""
+
+    def edge_integral(pa, pb):
+        w = model.wrap_displacement(pb - pa)
+        e_t = pa[1:] - pa[:-1]
+        e_d = e_t + w[1:]
+        e_s = w[:-1]
+        tri1 = np.stack([e_t, e_d], axis=1)
+        tri2 = np.stack([e_d, e_s], axis=1)
+        return 0.5 * float(np.sum(form(tri1)) + np.sum(form(tri2)))
+
+    def point_integral(p):
+        steps = p[1:] - p[:-1]
+        return float(form(steps[:, None, :]).sum())
+
+    single = isinstance(cycles, Chain)
+    chains = [cycles] if single else list(getattr(cycles, "cycles", cycles))
+    simplices = path.family.mesh.simplices[degree]
+    integral = edge_integral if degree == 1 else point_integral
+    items = [sorted(chain.coeffs.items()) for chain in chains]
+    vertex_ids = sorted({int(v) for chain in items for sid, _ in chain for v in simplices[sid]})
+    vpos = {v: i for i, v in enumerate(vertex_ids)}
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    traj = path.family.positions(path.curve(times))[:, np.asarray(vertex_ids, dtype=int)]
+    totals = []
+    for chain in items:
+        total = 0.0
+        for sid, coeff in chain:
+            corners = [traj[:, vpos[int(v)]] for v in simplices[sid]]
+            total += coeff * integral(*corners)
+        totals.append(total)
+    return totals[0] if single else np.array(totals)
+
+
+def _euclidean_cylinder():
+    """cylinder_translation's mesh and family in R^4: no lattice, so no wrap."""
+    fx = cylinder_translation(1)
+    fx.model = make_model(2)
+    return fx
+
+
+_ORACLE_CASES = {
+    "two-handle": (lambda: two_handle(1), [0.3, -0.2]),
+    "cylinder": (lambda: cylinder_translation(1), [0.3]),
+    "cylinder-almost-cy": (lambda: cylinder_translation(1, almost_cy=True), [-0.25]),
+    "interval": (lambda: interval_c1(1), [0.25]),
+    "cylinder-r4": (_euclidean_cylinder, [0.3]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ORACLE_CASES))
+def test_oracles_match_the_per_edge_loop(key):
+    """Swept integrals carry the bits of the former loop, on bases and on odd chains."""
+    build, amp = _ORACLE_CASES[key]
+    fx = build()
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    straight = ImmersionPath.straight(fx.family, amp, n_samples=9)
+    s_curve = ImmersionPath.straight(fx.family, amp, n_samples=9, profile=_S_CURVE)
+    dim = fx.mesh.dim
+    # negative and repeated coefficients, and chains sharing simplices
+    first, last = rel.cycles[0], rel.cycles[-1]
+    odd = Chain(1, {sid: (-2 if i % 2 else 3) * c
+                    for i, (sid, c) in enumerate(sorted(first.coeffs.items()))})
+    merged = Chain(1, {**{sid: -c for sid, c in last.coeffs.items()},
+                       **{sid: 2 * c for sid, c in first.coeffs.items()}})
+    dual_odd = Chain(dim - 1, {sid: -3 * c for sid, c in ab.cycles[0].coeffs.items()})
+    cases = [(swept_rf_oracle, fx.model.omega, 1, chains)
+             for chains in (rel, first, odd, [first, odd, merged, first])]
+    cases += [(swept_sf_oracle, fx.model.im_omega_hat, dim - 1, chains)
+              for chains in (ab, ab.cycles[0], [dual_odd, ab.cycles[0], dual_odd])]
+    for path in (straight, s_curve):
+        for oracle, form, degree, chains in cases:
+            got = oracle(fx.model, path, chains)
+            ref = _loop_swept_integrals(fx.model, path, chains, form, degree)
+            assert type(got) is type(ref)
+            assert np.array_equal(got, ref), (key, oracle.__name__)
 
 
 @pytest.mark.parametrize("block", [None, 3])
@@ -399,9 +488,9 @@ def _sheared(count):
     base, e_y1 = fx.base.positions, np.array([0.0, 1.0, 0.0, 0.0])
     x1, shear = base[:, :1], 1.0 + 0.5 * base[:, 2:3]
 
-    def positions(u):
+    def positions(u, vertices):
         s = u[..., :1, None]
-        return base + (s * shear + s ** 2 * x1) * e_y1
+        return (base + (s * shear + s ** 2 * x1) * e_y1)[..., vertices, :]
 
     def velocity(u, w):
         return w[..., :1, None] * (shear + 2 * u[..., :1, None] * x1) * e_y1
@@ -417,6 +506,7 @@ _PATHS = {
     "cylinder-sheared-10": lambda: _sheared(10),
     "cylinder-sheared-17": lambda: _sheared(17),
     "two-handle-13": lambda: _straight(two_handle, [0.3, -0.2], 13),
+    "two-handle-129": lambda: _straight(two_handle, [0.3, -0.2], 129),  # several default blocks
     "interval-17": lambda: _straight(interval_c1, [0.25], 17),
 }
 
@@ -466,13 +556,13 @@ def _tear(p):  # one vertex moved too far for the minimal-image lift
 def _faulty_path(fx, faults, n_samples=9):
     """Translation-free path that applies faults[j] to the base positions at sample j."""
 
-    def positions(u):
+    def positions(u, vertices):
         out = np.repeat(fx.base.positions[None], len(u), axis=0)
         for sample, s in zip(out, u[:, 0]):
             fault = faults.get(int(round(s * (n_samples - 1))))
             if fault is not None:
                 fault(sample)
-        return out
+        return out[:, vertices]
 
     family = ImmersionFamily(fx.mesh, 1, positions,
                              lambda u, w: np.zeros(u.shape[:-1] + fx.base.positions.shape))

@@ -239,6 +239,12 @@ _ARRAY_FAMILIES = {
         fx.base, 2, {"y1": "y1 + sin(u1) * x1 + u2", "x2": "x2 + exp(u1 * u2) / 3"},
         ["u1", "u2"]), 2),
     "random_rigid_path": _rigid_random_family,
+    "field_translation": _array_case(cylinder_translation, lambda fx: ImmersionFamily.translation(
+        fx.base, [np.sin(3.0 * fx.base.positions), np.array([0.0, 1.0, 0.0, 0.0])]), 2),
+    "expressions_of_coordinates": _array_case(
+        cylinder_translation, lambda fx: ImmersionFamily.from_expressions(
+            fx.base, 2, {"x1": "x1*(w0 + eps*sin(2*pi*u1))/w0", "y1": "y1 + u1*cos(2*pi*x2)"},
+            ["u1"], constants={"w0": 0.5, "eps": 0.1}), 1),
 }
 
 
@@ -248,6 +254,23 @@ def test_family_on_a_parameter_array_equals_per_point_calls(key):
     assert np.array_equal(family.positions(u), np.stack([family.positions(p) for p in u]))
     assert np.array_equal(family.velocity(u, w),
                           np.stack([family.velocity(p, d) for p, d in zip(u, w)]))
+
+
+@pytest.mark.parametrize("key", sorted(_ARRAY_FAMILIES))
+def test_family_positions_of_some_vertices_are_those_of_all(key):
+    """positions(u, vertices) evaluates those vertices only, with the bits of all of them."""
+    family, u, _ = _ARRAY_FAMILIES[key]()
+    n_vertices = family.mesh.n_vertices
+    rng = np.random.default_rng(13)
+    subsets = [np.unique(rng.integers(0, n_vertices, size=n)) for n in (1, 9, 40)]
+    subsets += [np.arange(n_vertices), rng.permutation(n_vertices)[:7], np.array([5, 5, 2])]
+    everything = family.positions(u)
+    for vertices in subsets:
+        for points in (u, u[0], u[None, :3]):
+            got = family.positions(points, vertices)
+            assert got.shape == np.shape(points)[:-1] + (len(vertices), everything.shape[-1])
+            assert np.array_equal(got, family.positions(points)[..., vertices, :])
+    assert np.array_equal(family.positions(u, np.arange(n_vertices)), everything)
 
 
 def test_expression_velocity_chain_rule(cyl):

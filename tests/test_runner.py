@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slaglab
+from slaglab import runner
 from slaglab.cli import main as cli_main
 from slaglab.errors import ConfigError
 from slaglab.fixtures import cylinder_translation
 from slaglab.immersion import ImmersionFamily
+from slaglab.meshes import relative_cycle_basis
 from slaglab.runner import (
     SUITES,
     _SCHEMA,
@@ -85,10 +88,22 @@ def test_zero_tolerance_negative_control():
     assert not report.passed  # roundoff-level residuals now count as failures
 
 
-def test_non_finite_flux_samples_fail_the_tangent_laws(tmp_path):
-    """An overflowing amplitude gives NaN cochains; a NaN residual is no pass,
-    and report.json stays strict JSON with the residual written as "nan"."""
-    data = minimal_scenario(path={"amplitudes": [1e308], "samples": 33},
+def test_non_finite_flux_samples_fail_the_tangent_laws(tmp_path, monkeypatch):
+    """A family velocity that is NaN at one sample gives NaN cochains; a NaN
+    residual is no pass, and report.json stays strict JSON with the residual
+    written as "nan".  (An amplitude whose velocity sums overflow is a
+    configuration error instead, see below.)"""
+    fx = cylinder_translation(1)
+    family = fx.family
+
+    def velocity(u, w):
+        out = family.velocity(u, w)
+        out[np.isclose(u[..., 0], 0.3 * 7 / 32)] = np.nan  # sample 7 of 33
+        return out
+
+    fx.family = ImmersionFamily(fx.mesh, 1, family.positions, velocity)
+    monkeypatch.setattr(runner, "build_fixture", lambda *args, **kwargs: fx)
+    data = minimal_scenario(path={"amplitudes": [0.3], "samples": 33},
                             suites=["tangent_laws"])
     with np.errstate(all="ignore"):
         report = run(scenario_from_dict(data))
@@ -536,14 +551,49 @@ def test_full_run_builds_each_harmonic_basis_once(monkeypatch, suites, expected)
 
 
 def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
-    """The five sweeps of the homotopy suite each evaluate one oracle trajectory, no path."""
-    shapes = []
+    """The five sweeps of the homotopy suite each evaluate one oracle trajectory, no path.
+
+    A trajectory holds the vertices of the first relative cycle only.
+    """
+    shapes, lifts = [], []
     positions = ImmersionFamily.positions
-    monkeypatch.setattr(ImmersionFamily, "positions",
-                        lambda self, u: shapes.append(np.shape(u)) or positions(self, u))
+
+    def spy(self, u, vertices=slice(None)):
+        shapes.append(np.shape(u))
+        lifts.append(positions(self, u, vertices))
+        return lifts[-1]
+
+    monkeypatch.setattr(ImmersionFamily, "positions", spy)
     report = run(scenario_from_dict(minimal_scenario(suites=["homotopy"])))
     assert report.passed
     assert sorted(shapes) == [(129, 1)] * 2 + [(257, 1)] * 5
+    fx = cylinder_translation(1)
+    cycle = relative_cycle_basis(fx.mesh).cycles[0]
+    n_chain = len(np.unique(fx.mesh.simplices[1][list(cycle.coeffs)]))
+    assert sorted(lift.shape for lift in lifts) == (
+        [(129, fx.mesh.n_vertices, 4)] * 2 + [(257, n_chain, 4)] * 5)
+
+
+@pytest.mark.parametrize("amplitude", [1e308, -1e308])
+def test_amplitudes_whose_velocity_sums_overflow_are_a_config_error(tmp_path, capsys, amplitude):
+    data = {"fixture": {"name": "cylinder_translation", "level": 1},
+            "path": {"amplitudes": [amplitude]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow is computed
+        assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "path.amplitudes" in err and "Traceback" not in err
+
+
+def test_large_amplitudes_with_finite_passes_run_as_checks(tmp_path, capsys):
+    """1e150 keeps every flux pass finite: its checks run, and the closed form fails."""
+    data = {"fixture": {"name": "cylinder_translation", "level": 1},
+            "path": {"amplitudes": [1e150]}, "suites": ["tangent_laws", "closed_form"]}
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] tangent_laws/theta_closed" in out
+    assert "[FAIL] closed_form/relative_flux" in out
+    assert cli_main(["run", write_scenario(tmp_path, minimal_scenario(suites=["closed_form"]))]) == 0
 
 
 def test_model_less_topology_run_says_which_check_did_not_run():
