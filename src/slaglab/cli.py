@@ -5,7 +5,9 @@
     slag fixtures list
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
-error.  Scenario files run independently; --jobs parallelizes across files.
+error, 3 internal error: a suite raised an exception that is a defect of the
+program, not a finding (its report holds a `<suite>/internal_error` entry).
+Scenario files run independently; --jobs parallelizes across files.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ from .runner import (
 )
 
 
-def _run_one(path: str, out_dir, tol_scale: float) -> bool:
+def _run_one(path: str, out_dir, tol_scale: float) -> int:
+    """Run one scenario file and return its exit code."""
     scenario = load_scenario(path)
     if tol_scale != 1.0:
         scenario.tolerances = {k: scenario.tol(k) * tol_scale for k in DEFAULT_TOLERANCES}
     report = run(scenario)
-    for check in sorted(report.checks, key=lambda c: (c.passed, c.name)):
+    for check in report.listed:
         mark = "PASS" if check.passed else "FAIL"
         print(f"[{mark}] {check.name}: residual {check.residual:.3e} "
               f"(tol {check.tolerance:.3e})")
@@ -46,7 +49,9 @@ def _run_one(path: str, out_dir, tol_scale: float) -> bool:
         sub = os.path.join(out_dir, os.path.splitext(os.path.basename(path))[0])
         for written in emit(report, sub):
             print(f"wrote {written}")
-    return report.passed
+    if any(check.name.endswith("/internal_error") for check in report.checks):
+        return 3
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
@@ -112,7 +117,7 @@ def main(argv=None) -> int:
                                         itertools.repeat(args.tol_scale)))
         else:
             results = [_run_one(f, args.out, args.tol_scale) for f in args.files]
-        return 0 if all(results) else 1
+        return max(results)  # an internal error (3) outranks a failed check (1)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

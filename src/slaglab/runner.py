@@ -18,14 +18,16 @@ import inspect
 import json
 import keyword
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .ambient import BoundaryLagrangian, make_model
 from .charts import (
+    AtlasReport,
     chart_jacobian,
     evaluate_chart,
     hessian_fit,
@@ -49,8 +51,8 @@ from .flux import (
     swept_sf_oracle,
     tangent_one_form,
 )
-from .immersion import ImmersionFamily, pullback_metric
-from .meshes import absolute_cycle_basis, betti_profile, relative_cycle_basis
+from .immersion import ImmersionFamily, pullback_metric, validate
+from .meshes import absolute_cycle_basis, betti_profile, mesh_from_dict, relative_cycle_basis
 
 _EXACTNESS_FLOOR = 1e-10
 
@@ -72,17 +74,57 @@ DEFAULT_TOLERANCES = {
     "hessian_symmetry": 1e-6,
 }
 
-SUITES = (
-    "topology",
-    "tangent_laws",
-    "duality",
-    "flux_oracles",
-    "homotopy",
-    "closed_form",
-    "chart_derivative",
-    "transitions",
-    "embedding",
-)
+# Every check a suite may yield: name -> (statement, tolerance).  The tolerance is a
+# DEFAULT_TOLERANCES key, which a scenario may override, a fixed bound, or None for a
+# pass/fail flag.  A suite yields (check, value) or (check, (value, detail)), and only
+# `run` turns what it yields into a report entry.
+CHECKS = {
+    "topology/rank_duality":
+        ("relative first cohomology rank equals codegree-one cohomology rank", None),
+    "topology/boundary_squared": ("boundary of boundary vanishes (exact)", 0.0),
+    "topology/harmonic_counts": ("constrained harmonic field counts match homology ranks", None),
+    "tangent_laws/path_samples_valid":
+        ("path samples satisfy the immersion and boundary constraints", None),
+    "tangent_laws/theta_closed":
+        ("tangent one-form of a constrained Lagrangian path is closed", "tangent_closedness"),
+    "tangent_laws/theta_boundary":
+        ("tangent one-form vanishes on boundary edges", "tangent_boundary"),
+    "tangent_laws/phi_closed": ("dual form of a calibrated path is closed", "dual_closedness"),
+    "duality/star_theta_equals_phi":
+        ("the metric star of the tangent form equals the dual form", "duality_error"),
+    "flux_oracles/relative_fixture":
+        ("relative flux periods equal swept-surface integrals over basis chains", "flux_oracle"),
+    "flux_oracles/special_fixture":
+        ("dual flux periods equal swept-cylinder integrals over basis cycles", "flux_oracle"),
+    "flux_oracles/random_paths":
+        ("flux periods match sweep oracles on seeded random analytic paths", "flux_oracle"),
+    "homotopy/relative_flux":
+        ("relative flux is unchanged between endpoint-fixed homotopic paths", "homotopy"),
+    "homotopy/special_flux":
+        ("dual flux is unchanged between endpoint-fixed homotopic paths", "homotopy"),
+    "homotopy/sweep_constancy":
+        ("swept integral is constant along the homotopy parameter", "homotopy"),
+    "closed_form/relative_flux":
+        ("relative flux periods match the translation closed form", "closed_form"),
+    "closed_form/special_flux":
+        ("dual flux periods match the translation closed form", "closed_form"),
+    "chart_derivative/dR_periods":
+        ("chart derivative along the first flux equals tangent-form periods", "chart_dR"),
+    "chart_derivative/dS_periods":
+        ("chart derivative along the dual flux equals starred tangent-form periods", "chart_dS"),
+    "transitions/translation_identity":
+        ("basepoint change along a connecting path is a pure translation", "transition_identity"),
+    "transitions/affine_residual":
+        ("transition map between chart samples is affine", "transition_residual"),
+    "transitions/volume":
+        ("transition linear part preserves volume with determinant one", "transition_volume"),
+    "embedding/W_vanishes":
+        ("pullback of the symplectic pairing vanishes on the chart image", "w_pullback"),
+    "embedding/B_matches_l2":
+        ("pullback of the duality metric equals the tangent-form L2 Gram matrix", "b_vs_l2"),
+    "embedding/gradient_graph":
+        ("dual coordinates form a gradient graph over the chart coordinates", "hessian_symmetry"),
+}
 
 
 @dataclass
@@ -110,17 +152,10 @@ class RunReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, statement, residual, tolerance, detail=""):
-        residual = float(residual)
-        self.checks.append(
-            CheckResult(name, statement, residual, float(tolerance),
-                        residual <= tolerance, detail)
-        )
-
-    def add_flag(self, name, statement, ok: bool, detail=""):
-        self.checks.append(
-            CheckResult(name, statement, 0.0 if ok else 1.0, 0.5, bool(ok), detail)
-        )
+    @property
+    def listed(self) -> list:
+        """The checks as every printout and report file lists them: failures first, by name."""
+        return sorted(self.checks, key=lambda c: (c.passed, c.name))
 
 
 @dataclass
@@ -147,6 +182,424 @@ class Scenario:
 
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
+
+
+class _Workspace:
+    """Lazily-built per-scenario objects shared across suites."""
+
+    def __init__(self, scenario: Scenario, level=None):
+        self.scenario = scenario
+        if scenario.mesh_file is not None:
+            try:
+                with open(scenario.mesh_file, "r", encoding="utf-8") as fh:
+                    mesh = mesh_from_dict(json.load(fh))
+            except (OSError, SlagError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"fixture.mesh_file {scenario.mesh_file!r}: {exc}") from exc
+            self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None, 0)
+        else:
+            self.fixture: Fixture = build_fixture(
+                scenario.fixture, level or scenario.level, almost_cy=scenario.almost_cy
+            )
+        if self.fixture.model is None:  # a mesh only: no block to apply, no flux to check
+            for key, spec in (("model", scenario.model_spec), ("family", scenario.family_spec),
+                              ("lagrangians", scenario.lagrangian_spec)):
+                if spec is not None:
+                    raise ConfigError(f"{key}: fixture {self.fixture.name!r} has no ambient "
+                                      "model to apply this block to")
+            needs = [suite for suite in scenario.suites if suite != "topology"]
+            if needs:
+                raise ConfigError(f"suites: fixture {self.fixture.name!r} has no ambient model, "
+                                  f"so only 'topology' runs on it; got {needs}")
+        if scenario.model_spec is not None:
+            spec = dict(scenario.model_spec)
+            if spec.setdefault("n", self.fixture.model.n) != self.fixture.model.n:
+                raise ConfigError("model.n must match the fixture dimension")
+            spec.setdefault("topology", self.fixture.model.topology)
+            try:
+                self.fixture.model = make_model(**spec)
+            except (SlagError, TypeError, ValueError) as exc:
+                raise ConfigError(f"model: {exc}") from exc
+        if scenario.lagrangian_spec is not None:
+            n, d = self.fixture.model.n, self.fixture.mesh.n_components
+            self.fixture.lagrangians = []
+            for i, lam in enumerate(scenario.lagrangian_spec):
+                basepoint = np.asarray(lam["basepoint"], dtype=float)
+                span = np.asarray(lam["span"], dtype=float)
+                if basepoint.shape != (2 * n,) or span.shape != (n, 2 * n):
+                    raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
+                                      f"and {n} span rows of {2 * n}")
+                self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
+            indices = sorted(lam["index"] for lam in scenario.lagrangian_spec)
+            if indices != list(range(1, d + 1)):
+                raise ConfigError(f"lagrangians: indices {indices} must be the boundary "
+                                  f"labels 1..{d}, each once")
+            try:
+                self.fixture.model.check_disjoint(self.fixture.lagrangians)
+            except SlagError as exc:
+                raise ConfigError(f"lagrangians: {exc}") from exc
+        if scenario.family_spec is not None:
+            spec = scenario.family_spec
+            try:
+                self.fixture.family = ImmersionFamily.from_expressions(
+                    self.fixture.base, self.fixture.model.n,
+                    spec["expressions"], spec["parameters"],
+                    constants=spec.get("constants"), label="scenario-family",
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"family: {exc}") from exc
+        self._structure = None
+        self._cycles = None
+        self._pairing = None
+        self._straight_fluxes = None
+        self._amplitudes = None
+        self.transition_fits: dict = {}  # set by the transitions suite
+        self.atlas = None  # set by the embedding suite
+
+    @property
+    def rel_abs(self):
+        if self._cycles is None:
+            rel = relative_cycle_basis(self.fixture.mesh)
+            ab = absolute_cycle_basis(self.fixture.mesh)
+            if self.fixture.model is not None:
+                pair = pairing_structure(self.structure, rel, ab)
+                ab, self._pairing = normalize_cycles_to_identity(pair, ab)
+            self._cycles = (rel, ab)
+        return self._cycles
+
+    @property
+    def pairing(self):
+        self.rel_abs
+        return self._pairing
+
+    @property
+    def structure(self) -> HodgeStructure:
+        if self._structure is None:
+            fx = self.fixture
+            metric = pullback_metric(fx.model, fx.base)
+            self._structure = HodgeStructure(fx.mesh, metric)
+        return self._structure
+
+    def amplitudes(self) -> np.ndarray:
+        """The path amplitudes, one per family parameter, checked on first use.
+
+        Amplitudes so large that the square of the straight path's velocities
+        summed over a simplex overflows are a configuration error, not a failed
+        check: the positions stay finite, the flux integrands or the duality
+        norm's squares of them do not.  A NaN velocity is the family's own and
+        is left to the checks.
+        """
+        if self._amplitudes is None:
+            amp = np.asarray(self.scenario.amplitudes, dtype=float)
+            fx = self.fixture
+            m = fx.family.n_params
+            if amp.shape != (m,):
+                raise ConfigError(
+                    f"path.amplitudes needs {m} entries for fixture "
+                    f"{fx.name!r}, got {amp.shape[0]}"
+                )
+            simplices = [fx.mesh.simplices[k] for k in {1, fx.mesh.dim - 1}]
+            with np.errstate(over="ignore", invalid="ignore"):  # one sample at a time
+                sums = (fx.family.velocity(t * amp, amp)[simp].sum(axis=1)
+                        for t in np.linspace(0.0, 1.0, self.scenario.n_samples)
+                        for simp in simplices)
+                overflow = any(np.isinf(np.square(s)).any() for s in sums)
+            if overflow:
+                raise ConfigError(
+                    f"path.amplitudes {amp.tolist()} are too large: the square of the "
+                    "straight path's velocities summed over a simplex overflows"
+                )
+            amp.flags.writeable = False  # every caller shares the checked array
+            self._amplitudes = amp
+        return self._amplitudes
+
+    def straight_path(self, n_samples=None):
+        """The straight path 0 -> amplitudes; edge vectors that overflow are a config error."""
+        path = ImmersionPath.straight(
+            self.fixture.family, self.amplitudes(), n_samples=n_samples or self.scenario.n_samples
+        )
+        edges, x = self.fixture.mesh.simplices[1], path.positions
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |a - b| <= 2 max |x|, so only a sample above half the largest float can overflow
+            near = x[np.abs(x).max(axis=(1, 2)) > np.finfo(float).max / 2]
+            overflow = any(np.isinf(s[edges[:, 1]] - s[edges[:, 0]]).any() for s in near)
+        if overflow:
+            raise ConfigError("family: the straight path's edge vectors overflow, so its frames "
+                              "are not finite")
+        return path
+
+    def straight_fluxes(self):
+        """(relative, dual) flux classes of the straight path, computed once.
+
+        A failed pass is kept too and raised again for every suite that asks.
+        """
+        if self._straight_fluxes is None:
+            rel, ab = self.rel_abs
+            path = self.straight_path()
+            try:
+                self._straight_fluxes = path_fluxes(self.fixture.model, path, rel, ab)
+            except SlagError as exc:
+                self._straight_fluxes = exc
+        if isinstance(self._straight_fluxes, SlagError):
+            raise self._straight_fluxes
+        return self._straight_fluxes
+
+    def s_curve(self, strength=None):
+        """S-profiled parameter curve 0 -> amplitudes and its derivative, on (T,) times."""
+        amp = self.amplitudes()
+        if strength is None:
+            strength = self.scenario.s_curve_strength
+        p = lambda t: t - strength * np.sin(2 * np.pi * t) / (2 * np.pi)
+        dp = lambda t: 1 - strength * np.cos(2 * np.pi * t)
+        return (lambda t: p(t)[:, None] * amp), (lambda t: dp(t)[:, None] * amp)
+
+    def s_curve_path(self, n_samples=None):
+        return ImmersionPath(self.fixture.family, *self.s_curve(),
+                             n_samples or self.scenario.n_samples_smooth)
+
+
+# -- suites -------------------------------------------------------------------------------
+
+
+def _suite_topology(ws: _Workspace):
+    mesh = ws.fixture.mesh
+    profile = betti_profile(mesh)
+    unchecked = ("" if ws.fixture.model is not None
+                 else "; harmonic_counts not run: no ambient metric")
+    yield "rank_duality", (profile.duality_holds,
+                           f"b_rel_1={profile.b_rel_1}, betti={profile.betti}{unchecked}")
+    dd = 0.0
+    for k in range(2, mesh.dim + 1):
+        prod = mesh.boundary_operator(k - 1) @ mesh.boundary_operator(k)
+        dd = max(dd, float(abs(prod).max()) if prod.nnz else 0.0)
+    yield "boundary_squared", dd
+    if ws.fixture.model is not None:
+        ws.rel_abs  # builds the cycle bases and certifies their pairing
+        dirichlet = harmonic_fields(ws.structure, "dirichlet")
+        neumann = harmonic_fields(ws.structure, "neumann")
+        yield "harmonic_counts", (
+            len(dirichlet) == profile.b_rel_1 and len(neumann) == profile.b_top_minus_1,
+            f"dirichlet={len(dirichlet)}, neumann={len(neumann)}")
+
+
+def _suite_tangent_laws(ws: _Workspace):
+    path = ws.straight_path()
+    endpoint_reports = [
+        validate(ws.fixture.model, path.immersion_at(j), ws.fixture.lagrangians)
+        for j in (0, path.n_samples // 2, path.n_samples - 1)
+    ]
+    yield "path_samples_valid", (
+        all(r.ok for r in endpoint_reports),
+        f"worst containment {max(r.boundary_distance for r in endpoint_reports):.2e}")
+    rf, sf = ws.straight_fluxes()
+    yield "theta_closed", rf.diagnostics["max_sample_closedness"]
+    yield "theta_boundary", rf.diagnostics["max_sample_boundary_value"]
+    yield "phi_closed", sf.diagnostics["max_sample_closedness"]
+
+
+def _duality_residual(ws: _Workspace, n_probe: int = 5):
+    """Max relative mass-norm error of star(theta) - phi over probe times."""
+    path = ws.straight_path()
+    structure = ws.structure
+    worst = 0.0
+    idxs = np.linspace(0, path.n_samples - 1, n_probe).astype(int)
+    for j in idxs:
+        theta = tangent_one_form(ws.fixture.model, path, j)
+        phi = dual_form(ws.fixture.model, path, j)
+        st = hodge_star(structure, theta)
+        diff = Cochain(ws.fixture.mesh, phi.degree, st.values - phi.values)
+        denom = max(structure.norm(phi), 1e-300)
+        worst = float(np.maximum(worst, structure.norm(diff) / denom))
+    return worst
+
+
+def _involution_residual(ws: _Workspace):
+    """Relative mass-norm error of the star involution on a curved test form.
+
+    The test cochain samples a non-constant analytic one-form, which Whitney
+    interpolation cannot represent exactly, so this error genuinely shrinks
+    under refinement (unlike the flat fixture data, which is exact).
+    """
+    fx = ws.fixture
+    mesh = fx.mesh
+    structure = ws.structure
+    if mesh.dim != 2:
+        return None
+    edges = mesh.simplices[1]
+    pos = fx.base.positions
+    a = pos[edges[:, 0]]
+    w = fx.model.wrap_displacement(pos[edges[:, 1]] - pos[edges[:, 0]])
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    vals = np.zeros(len(edges))
+    for nd, wt in zip(nodes, weights):
+        s = 0.5 * (nd + 1.0)
+        x2 = a[:, 2] + s * w[:, 2]
+        vals += 0.5 * wt * np.sin(2 * np.pi * x2) * w[:, 0]
+    alpha = Cochain(mesh, 1, vals)
+    stst = hodge_star(structure, hodge_star(structure, alpha))
+    sign = (-1) ** (1 * (mesh.dim - 1))
+    diff = Cochain(mesh, 1, stst.values - sign * alpha.values)
+    return structure.norm(diff) / max(structure.norm(alpha), 1e-300)
+
+
+def _suite_duality(ws: _Workspace):
+    yield "star_theta_equals_phi", _duality_residual(ws)
+
+
+def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int):
+    """Smooth random profile through the fixture family and its flux-neutral slides.
+
+    Parameter k follows amps[k] * t + coefs[k, 0] sin(pi t) + coefs[k, 1] sin(2 pi t).
+    """
+    fx = ws.fixture
+    m, slides = fx.m, fx.slides
+    amps = rng.uniform(-0.2, 0.2, size=m)
+    coefs = rng.uniform(-0.05, 0.05, size=(m + len(slides), 2))
+    amps = np.concatenate([amps, rng.uniform(-0.2, 0.2, size=len(slides))])
+
+    def slid(out, u):
+        for k, d in enumerate(slides):
+            out = out + u[..., m + k, None, None] * d
+        return out
+
+    def curve(t):
+        t = t[:, None]
+        return amps * t + coefs[:, 0] * np.sin(np.pi * t) + coefs[:, 1] * np.sin(2 * np.pi * t)
+
+    def dcurve(t):
+        t = t[:, None]
+        return (
+            amps
+            + coefs[:, 0] * np.pi * np.cos(np.pi * t)
+            + coefs[:, 1] * 2 * np.pi * np.cos(2 * np.pi * t)
+        )
+
+    family = ImmersionFamily(
+        fx.mesh, m + len(slides),
+        lambda u, vertices: slid(fx.family.positions(u[..., :m], vertices), u),
+        lambda u, w: slid(fx.family.velocity(u[..., :m], w[..., :m]), w),
+    )
+    return ImmersionPath(family, curve, dcurve, n_samples)
+
+
+def _suite_flux_oracles(ws: _Workspace):
+    scenario = ws.scenario
+    rel, ab = ws.rel_abs
+    model = ws.fixture.model
+    path = ws.straight_path()
+    rf, sf = ws.straight_fluxes()
+    worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
+    worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
+    yield "relative_fixture", worst_rf
+    yield "special_fixture", worst_sf
+    rng = np.random.default_rng(scenario.seed)
+    worst_rand = 0.0
+    for _ in range(scenario.n_random_paths):
+        rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
+        rrf, rsf = path_fluxes(model, rpath, rel, ab)
+        worst_rand = float(np.max([
+            worst_rand,
+            np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
+            np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
+        ]))
+    yield "random_paths", (worst_rand, f"{scenario.n_random_paths} paths, seed {scenario.seed}")
+
+
+def _suite_homotopy(ws: _Workspace):
+    rel, ab = ws.rel_abs
+    straight = ws.straight_path(n_samples=ws.scenario.n_samples_smooth)
+    curved = ws.s_curve_path()
+    hom = homotopy_invariance_harness(
+        ws.fixture.model, straight, curved, rel, ab,
+        homotopy=lambda u: ws.s_curve(strength=0.5 * u)[0],
+        n_u=5,
+    )
+    yield "relative_flux", hom.rf_discrepancy
+    yield "special_flux", hom.sf_discrepancy
+    yield "sweep_constancy", hom.sweep_deviation
+
+
+def _suite_closed_form(ws: _Workspace):
+    rf_expect, sf_expect = ws.fixture.expected_fluxes(ws.amplitudes())
+    rf, sf = ws.straight_fluxes()
+    yield "relative_flux", (float(np.abs(rf.period_vector - rf_expect).max()),
+                            f"periods {rf.period_vector.tolist()}")
+    yield "special_flux", (float(np.abs(sf.period_vector - sf_expect).max()),
+                           f"periods {sf.period_vector.tolist()}")
+
+
+def _suite_chart_derivative(ws: _Workspace):
+    rel, ab = ws.rel_abs
+    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.structure, rel, ab)
+    yield "dR_periods", jac.dR_error
+    yield "dS_periods", jac.dS_error
+
+
+def _suite_transitions(ws: _Workspace):
+    fx = ws.fixture
+    rel, ab = ws.rel_abs
+    m = fx.m
+    rng = np.random.default_rng(ws.scenario.seed + 1)
+    base_pts = rng.uniform(-0.08, 0.1, size=(2 * (m + 1) + 1, m))
+    samples_1 = [evaluate_chart(fx.model, fx.family, u, rel, ab) for u in base_pts]
+    shift = np.full(m, 0.04)
+    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab)
+    samples_2 = [
+        evaluate_chart(fx.model, fx.family, u - shift, rel, ab, base_shift=shift)
+        for u in base_pts
+    ]
+    worst_identity = worst_res = worst_vol = 0.0
+    for coord in ("R", "S"):
+        fit = transition_affine_fit(samples_1, samples_2, coord)
+        ws.transition_fits[f"basepoint_shift_{coord}"] = fit
+        expected_b = -(shift_sample.R if coord == "R" else shift_sample.S)
+        worst_identity = float(np.max([worst_identity, np.abs(fit.A - np.eye(m)).max(),
+                                       np.abs(fit.b - expected_b).max()]))
+        worst_res = float(np.maximum(worst_res, fit.residual))
+        worst_vol = float(np.maximum(worst_vol, fit.volume_defect))
+    yield "translation_identity", worst_identity
+    yield "affine_residual", worst_res
+    yield "volume", worst_vol
+
+
+def _b_vs_l2(ws: _Workspace, points_per_axis: int):
+    """Chart grid, its B/W pullback, the tangent-form L2 Gram and their relative gap."""
+    fx = ws.fixture
+    rel, ab = ws.rel_abs
+    grid = sample_grid(
+        fx.model, fx.family, rel, ab,
+        radius=ws.scenario.grid_radius, points_per_axis=points_per_axis,
+    )
+    emb = pullback_BW(grid, ws.pairing)
+    L2 = l2_gram(ws.structure, tangent_cochains(fx.model, fx.family))
+    rel_err = float(np.abs(emb.B_gram - L2).max() / max(np.abs(L2).max(), 1e-300))
+    return grid, emb, L2, rel_err
+
+
+def _suite_embedding(ws: _Workspace):
+    grid, emb, L2, rel_err = _b_vs_l2(ws, ws.scenario.grid_points)
+    yield "W_vanishes", emb.W_max
+    yield "B_matches_l2", (rel_err, f"B={emb.B_gram.tolist()}, L2={L2.tolist()}")
+    hess = hessian_fit(grid, ws.pairing, symmetry_tol=ws.scenario.tol("hessian_symmetry"))
+    yield "gradient_graph", (hess.symmetry_residual, f"hessian={hess.hessian.tolist()}")
+    # shares the transitions suite's fits, whichever of the two suites runs first
+    ws.atlas = AtlasReport(ws.transition_fits, L2, emb.B_gram, emb.W_max, hess)
+
+
+# Every suite, in the default run order, as a generator of its checks.
+SUITES = {
+    "topology": _suite_topology,
+    "tangent_laws": _suite_tangent_laws,
+    "duality": _suite_duality,
+    "flux_oracles": _suite_flux_oracles,
+    "homotopy": _suite_homotopy,
+    "closed_form": _suite_closed_form,
+    "chart_derivative": _suite_chart_derivative,
+    "transitions": _suite_transitions,
+    "embedding": _suite_embedding,
+}
+
+
+# -- scenario files ------------------------------------------------------------------------
 
 
 def load_scenario(path) -> Scenario:
@@ -278,518 +731,10 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
         raise ConfigError("missing field 'fixture.name'")
     return Scenario(**{"fixture": "mesh_file", **fields})
 
-
-class _Workspace:
-    """Lazily-built per-scenario objects shared across suites."""
-
-    def __init__(self, scenario: Scenario, level=None):
-        self.scenario = scenario
-        if scenario.mesh_file is not None:
-            from .meshes import mesh_from_dict
-
-            try:
-                with open(scenario.mesh_file, "r", encoding="utf-8") as fh:
-                    mesh = mesh_from_dict(json.load(fh))
-            except (OSError, SlagError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"fixture.mesh_file {scenario.mesh_file!r}: {exc}") from exc
-            self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None, 0)
-        else:
-            self.fixture: Fixture = build_fixture(
-                scenario.fixture, level or scenario.level, almost_cy=scenario.almost_cy
-            )
-        if self.fixture.model is None:  # a mesh only: no block to apply, no flux to check
-            for key, spec in (("model", scenario.model_spec), ("family", scenario.family_spec),
-                              ("lagrangians", scenario.lagrangian_spec)):
-                if spec is not None:
-                    raise ConfigError(f"{key}: fixture {self.fixture.name!r} has no ambient "
-                                      "model to apply this block to")
-            needs = [suite for suite in scenario.suites if suite != "topology"]
-            if needs:
-                raise ConfigError(f"suites: fixture {self.fixture.name!r} has no ambient model, "
-                                  f"so only 'topology' runs on it; got {needs}")
-        if scenario.model_spec is not None:
-            spec = dict(scenario.model_spec)
-            if spec.setdefault("n", self.fixture.model.n) != self.fixture.model.n:
-                raise ConfigError("model.n must match the fixture dimension")
-            spec.setdefault("topology", self.fixture.model.topology)
-            try:
-                self.fixture.model = make_model(**spec)
-            except (SlagError, TypeError, ValueError) as exc:
-                raise ConfigError(f"model: {exc}") from exc
-        if scenario.lagrangian_spec is not None:
-            n, d = self.fixture.model.n, self.fixture.mesh.n_components
-            self.fixture.lagrangians = []
-            for i, lam in enumerate(scenario.lagrangian_spec):
-                basepoint = np.asarray(lam["basepoint"], dtype=float)
-                span = np.asarray(lam["span"], dtype=float)
-                if basepoint.shape != (2 * n,) or span.shape != (n, 2 * n):
-                    raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
-                                      f"and {n} span rows of {2 * n}")
-                self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
-            indices = sorted(lam["index"] for lam in scenario.lagrangian_spec)
-            if indices != list(range(1, d + 1)):
-                raise ConfigError(f"lagrangians: indices {indices} must be the boundary "
-                                  f"labels 1..{d}, each once")
-            try:
-                self.fixture.model.check_disjoint(self.fixture.lagrangians)
-            except SlagError as exc:
-                raise ConfigError(f"lagrangians: {exc}") from exc
-        if scenario.family_spec is not None:
-            spec = scenario.family_spec
-            try:
-                self.fixture.family = ImmersionFamily.from_expressions(
-                    self.fixture.base, self.fixture.model.n,
-                    spec["expressions"], spec["parameters"],
-                    constants=spec.get("constants"), label="scenario-family",
-                )
-            except ConfigError as exc:
-                raise ConfigError(f"family: {exc}") from exc
-        self._structure = None
-        self._cycles = None
-        self._pairing = None
-        self._straight_fluxes = None
-        self._amplitudes = None
-        self.atlas_parts: dict = {}
-
-    @property
-    def rel_abs(self):
-        if self._cycles is None:
-            rel = relative_cycle_basis(self.fixture.mesh)
-            ab = absolute_cycle_basis(self.fixture.mesh)
-            if self.fixture.model is not None:
-                pair = pairing_structure(self.structure, rel, ab)
-                ab, self._pairing = normalize_cycles_to_identity(pair, ab)
-            self._cycles = (rel, ab)
-        return self._cycles
-
-    @property
-    def pairing(self):
-        self.rel_abs
-        return self._pairing
-
-    @property
-    def structure(self) -> HodgeStructure:
-        if self._structure is None:
-            fx = self.fixture
-            metric = pullback_metric(fx.model, fx.base)
-            self._structure = HodgeStructure(fx.mesh, metric)
-        return self._structure
-
-    def amplitudes(self) -> np.ndarray:
-        """The path amplitudes, one per family parameter, checked on first use.
-
-        Amplitudes so large that the straight path's velocities overflow when
-        a flux pass sums them over a simplex are a configuration error, not a
-        failed check: the positions stay finite, the integrands do not.  A NaN
-        velocity is the family's own and is left to the checks.
-        """
-        if self._amplitudes is None:
-            amp = np.asarray(self.scenario.amplitudes, dtype=float)
-            fx = self.fixture
-            m = fx.family.n_params
-            if amp.shape != (m,):
-                raise ConfigError(
-                    f"path.amplitudes needs {m} entries for fixture "
-                    f"{fx.name!r}, got {amp.shape[0]}"
-                )
-            simplices = [fx.mesh.simplices[k] for k in {1, fx.mesh.dim - 1}]
-            with np.errstate(over="ignore", invalid="ignore"):  # one sample at a time
-                overflow = any(np.isinf(fx.family.velocity(t * amp, amp)[simp].sum(axis=1)).any()
-                               for t in np.linspace(0.0, 1.0, self.scenario.n_samples)
-                               for simp in simplices)
-            if overflow:
-                raise ConfigError(
-                    f"path.amplitudes {amp.tolist()} are too large: the straight path's "
-                    "velocities overflow when a flux pass sums them over a simplex"
-                )
-            amp.flags.writeable = False  # every caller shares the checked array
-            self._amplitudes = amp
-        return self._amplitudes
-
-    def straight_path(self, n_samples=None, scale=1.0):
-        amp = scale * self.amplitudes()
-        return ImmersionPath.straight(
-            self.fixture.family, amp, n_samples=n_samples or self.scenario.n_samples
-        )
-
-    def straight_fluxes(self):
-        """(relative, dual) flux classes of the straight path, computed once.
-
-        A failed pass is kept too and raised again for every suite that asks.
-        """
-        if self._straight_fluxes is None:
-            rel, ab = self.rel_abs
-            path = self.straight_path()
-            try:
-                self._straight_fluxes = path_fluxes(self.fixture.model, path, rel, ab)
-            except SlagError as exc:
-                self._straight_fluxes = exc
-        if isinstance(self._straight_fluxes, SlagError):
-            raise self._straight_fluxes
-        return self._straight_fluxes
-
-    def s_curve(self, strength=None):
-        """S-profiled parameter curve 0 -> amplitudes and its derivative, on (T,) times."""
-        amp = self.amplitudes()
-        if strength is None:
-            strength = self.scenario.s_curve_strength
-        p = lambda t: t - strength * np.sin(2 * np.pi * t) / (2 * np.pi)
-        dp = lambda t: 1 - strength * np.cos(2 * np.pi * t)
-        return (lambda t: p(t)[:, None] * amp), (lambda t: dp(t)[:, None] * amp)
-
-    def s_curve_path(self, n_samples=None):
-        return ImmersionPath(self.fixture.family, *self.s_curve(),
-                             n_samples or self.scenario.n_samples_smooth)
-
-
-# -- suites -------------------------------------------------------------------------------
-
-
-def _suite_topology(ws: _Workspace, report: RunReport, scenario: Scenario):
-    mesh = ws.fixture.mesh
-    profile = betti_profile(mesh)
-    unchecked = ("" if ws.fixture.model is not None
-                 else "; harmonic_counts not run: no ambient metric")
-    report.add_flag(
-        "topology/rank_duality",
-        "relative first cohomology rank equals codegree-one cohomology rank",
-        profile.duality_holds,
-        detail=f"b_rel_1={profile.b_rel_1}, betti={profile.betti}{unchecked}",
-    )
-    dd = 0.0
-    for k in range(2, mesh.dim + 1):
-        prod = mesh.boundary_operator(k - 1) @ mesh.boundary_operator(k)
-        dd = max(dd, float(abs(prod).max()) if prod.nnz else 0.0)
-    report.add("topology/boundary_squared", "boundary of boundary vanishes (exact)",
-               dd, 0.0)
-    if ws.fixture.model is not None:
-        ws.rel_abs  # builds the cycle bases and certifies their pairing
-        dirichlet = harmonic_fields(ws.structure, "dirichlet")
-        neumann = harmonic_fields(ws.structure, "neumann")
-        report.add_flag(
-            "topology/harmonic_counts",
-            "constrained harmonic field counts match homology ranks",
-            len(dirichlet) == profile.b_rel_1 and len(neumann) == profile.b_top_minus_1,
-            detail=f"dirichlet={len(dirichlet)}, neumann={len(neumann)}",
-        )
-
-
-def _suite_tangent_laws(ws: _Workspace, report: RunReport, scenario: Scenario):
-    from .immersion import validate
-
-    path = ws.straight_path()
-    endpoint_reports = [
-        validate(ws.fixture.model, path.immersion_at(j), ws.fixture.lagrangians)
-        for j in (0, path.n_samples // 2, path.n_samples - 1)
-    ]
-    report.add_flag(
-        "tangent_laws/path_samples_valid",
-        "path samples satisfy the immersion and boundary constraints",
-        all(r.ok for r in endpoint_reports),
-        detail=f"worst containment {max(r.boundary_distance for r in endpoint_reports):.2e}",
-    )
-    rf, sf = ws.straight_fluxes()
-    report.add(
-        "tangent_laws/theta_closed",
-        "tangent one-form of a constrained Lagrangian path is closed",
-        rf.diagnostics["max_sample_closedness"], scenario.tol("tangent_closedness"),
-    )
-    report.add(
-        "tangent_laws/theta_boundary",
-        "tangent one-form vanishes on boundary edges",
-        rf.diagnostics["max_sample_boundary_value"], scenario.tol("tangent_boundary"),
-    )
-    report.add(
-        "tangent_laws/phi_closed",
-        "dual form of a calibrated path is closed",
-        sf.diagnostics["max_sample_closedness"], scenario.tol("dual_closedness"),
-    )
-
-
-def _duality_residual(ws: _Workspace, n_probe: int = 5):
-    """Max relative mass-norm error of star(theta) - phi over probe times."""
-    path = ws.straight_path()
-    structure = ws.structure
-    worst = 0.0
-    idxs = np.linspace(0, path.n_samples - 1, n_probe).astype(int)
-    for j in idxs:
-        theta = tangent_one_form(ws.fixture.model, path, j)
-        phi = dual_form(ws.fixture.model, path, j)
-        st = hodge_star(structure, theta)
-        diff = Cochain(ws.fixture.mesh, phi.degree, st.values - phi.values)
-        denom = max(structure.norm(phi), 1e-300)
-        worst = float(np.maximum(worst, structure.norm(diff) / denom))
-    return worst
-
-
-def _involution_residual(ws: _Workspace):
-    """Relative mass-norm error of the star involution on a curved test form.
-
-    The test cochain samples a non-constant analytic one-form, which Whitney
-    interpolation cannot represent exactly, so this error genuinely shrinks
-    under refinement (unlike the flat fixture data, which is exact).
-    """
-    fx = ws.fixture
-    mesh = fx.mesh
-    structure = ws.structure
-    if mesh.dim != 2:
-        return None
-    edges = mesh.simplices[1]
-    pos = fx.base.positions
-    a = pos[edges[:, 0]]
-    w = fx.model.wrap_displacement(pos[edges[:, 1]] - pos[edges[:, 0]])
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    vals = np.zeros(len(edges))
-    for nd, wt in zip(nodes, weights):
-        s = 0.5 * (nd + 1.0)
-        x2 = a[:, 2] + s * w[:, 2]
-        vals += 0.5 * wt * np.sin(2 * np.pi * x2) * w[:, 0]
-    alpha = Cochain(mesh, 1, vals)
-    stst = hodge_star(structure, hodge_star(structure, alpha))
-    sign = (-1) ** (1 * (mesh.dim - 1))
-    diff = Cochain(mesh, 1, stst.values - sign * alpha.values)
-    return structure.norm(diff) / max(structure.norm(alpha), 1e-300)
-
-
-def _suite_duality(ws: _Workspace, report: RunReport, scenario: Scenario):
-    worst = _duality_residual(ws)
-    report.add(
-        "duality/star_theta_equals_phi",
-        "the metric star of the tangent form equals the dual form",
-        worst, scenario.tol("duality_error"),
-    )
-
-
-def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int):
-    """Smooth random profile through the fixture family and its flux-neutral slides.
-
-    Parameter k follows amps[k] * t + coefs[k, 0] sin(pi t) + coefs[k, 1] sin(2 pi t).
-    """
-    fx = ws.fixture
-    m, slides = fx.m, fx.slides
-    amps = rng.uniform(-0.2, 0.2, size=m)
-    coefs = rng.uniform(-0.05, 0.05, size=(m + len(slides), 2))
-    amps = np.concatenate([amps, rng.uniform(-0.2, 0.2, size=len(slides))])
-
-    def slid(out, u):
-        for k, d in enumerate(slides):
-            out = out + u[..., m + k, None, None] * d
-        return out
-
-    def curve(t):
-        t = t[:, None]
-        return amps * t + coefs[:, 0] * np.sin(np.pi * t) + coefs[:, 1] * np.sin(2 * np.pi * t)
-
-    def dcurve(t):
-        t = t[:, None]
-        return (
-            amps
-            + coefs[:, 0] * np.pi * np.cos(np.pi * t)
-            + coefs[:, 1] * 2 * np.pi * np.cos(2 * np.pi * t)
-        )
-
-    family = ImmersionFamily(
-        fx.mesh, m + len(slides),
-        lambda u, vertices: slid(fx.family.positions(u[..., :m], vertices), u),
-        lambda u, w: slid(fx.family.velocity(u[..., :m], w[..., :m]), w),
-    )
-    return ImmersionPath(family, curve, dcurve, n_samples)
-
-
-def _suite_flux_oracles(ws: _Workspace, report: RunReport, scenario: Scenario):
-    rel, ab = ws.rel_abs
-    model = ws.fixture.model
-    path = ws.straight_path()
-    rf, sf = ws.straight_fluxes()
-    worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
-    worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
-    report.add(
-        "flux_oracles/relative_fixture",
-        "relative flux periods equal swept-surface integrals over basis chains",
-        worst_rf, scenario.tol("flux_oracle"),
-    )
-    report.add(
-        "flux_oracles/special_fixture",
-        "dual flux periods equal swept-cylinder integrals over basis cycles",
-        worst_sf, scenario.tol("flux_oracle"),
-    )
-    rng = np.random.default_rng(scenario.seed)
-    worst_rand = 0.0
-    for _ in range(scenario.n_random_paths):
-        rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
-        rrf, rsf = path_fluxes(model, rpath, rel, ab)
-        worst_rand = float(np.max([
-            worst_rand,
-            np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
-            np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
-        ]))
-    report.add(
-        "flux_oracles/random_paths",
-        "flux periods match sweep oracles on seeded random analytic paths",
-        worst_rand, scenario.tol("flux_oracle"),
-        detail=f"{scenario.n_random_paths} paths, seed {scenario.seed}",
-    )
-
-
-def _suite_homotopy(ws: _Workspace, report: RunReport, scenario: Scenario):
-    rel, ab = ws.rel_abs
-    straight = ws.straight_path(n_samples=scenario.n_samples_smooth)
-    curved = ws.s_curve_path()
-    hom = homotopy_invariance_harness(
-        ws.fixture.model, straight, curved, rel, ab,
-        homotopy=lambda u: ws.s_curve(strength=0.5 * u)[0],
-        n_u=5,
-    )
-    report.add(
-        "homotopy/relative_flux",
-        "relative flux is unchanged between endpoint-fixed homotopic paths",
-        hom.rf_discrepancy, scenario.tol("homotopy"),
-    )
-    report.add(
-        "homotopy/special_flux",
-        "dual flux is unchanged between endpoint-fixed homotopic paths",
-        hom.sf_discrepancy, scenario.tol("homotopy"),
-    )
-    report.add(
-        "homotopy/sweep_constancy",
-        "swept integral is constant along the homotopy parameter",
-        hom.sweep_deviation, scenario.tol("homotopy"),
-    )
-
-
-def _suite_closed_form(ws: _Workspace, report: RunReport, scenario: Scenario):
-    rf_expect, sf_expect = ws.fixture.expected_fluxes(ws.amplitudes())
-    rf, sf = ws.straight_fluxes()
-    report.add(
-        "closed_form/relative_flux",
-        "relative flux periods match the translation closed form",
-        float(np.abs(rf.period_vector - rf_expect).max()),
-        scenario.tol("closed_form"),
-        detail=f"periods {rf.period_vector.tolist()}",
-    )
-    report.add(
-        "closed_form/special_flux",
-        "dual flux periods match the translation closed form",
-        float(np.abs(sf.period_vector - sf_expect).max()),
-        scenario.tol("closed_form"),
-        detail=f"periods {sf.period_vector.tolist()}",
-    )
-
-
-def _suite_chart_derivative(ws: _Workspace, report: RunReport, scenario: Scenario):
-    rel, ab = ws.rel_abs
-    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.structure, rel, ab)
-    report.add(
-        "chart_derivative/dR_periods",
-        "chart derivative along the first flux equals tangent-form periods",
-        jac.dR_error, scenario.tol("chart_dR"),
-    )
-    report.add(
-        "chart_derivative/dS_periods",
-        "chart derivative along the dual flux equals starred tangent-form periods",
-        jac.dS_error, scenario.tol("chart_dS"),
-    )
-
-
-def _suite_transitions(ws: _Workspace, report: RunReport, scenario: Scenario):
-    fx = ws.fixture
-    rel, ab = ws.rel_abs
-    m = fx.m
-    rng = np.random.default_rng(scenario.seed + 1)
-    base_pts = rng.uniform(-0.08, 0.1, size=(2 * (m + 1) + 1, m))
-    samples_1 = [evaluate_chart(fx.model, fx.family, u, rel, ab) for u in base_pts]
-    shift = np.full(m, 0.04)
-    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab)
-    samples_2 = [
-        evaluate_chart(fx.model, fx.family, u - shift, rel, ab, base_shift=shift)
-        for u in base_pts
-    ]
-    worst_identity = worst_res = worst_vol = 0.0
-    for coord in ("R", "S"):
-        fit = transition_affine_fit(samples_1, samples_2, coord)
-        ws.atlas_parts.setdefault("transition_fits", {})[f"basepoint_shift_{coord}"] = fit
-        expected_b = -(shift_sample.R if coord == "R" else shift_sample.S)
-        worst_identity = float(np.max([worst_identity, np.abs(fit.A - np.eye(m)).max(),
-                                       np.abs(fit.b - expected_b).max()]))
-        worst_res = float(np.maximum(worst_res, fit.residual))
-        worst_vol = float(np.maximum(worst_vol, fit.volume_defect))
-    report.add(
-        "transitions/translation_identity",
-        "basepoint change along a connecting path is a pure translation",
-        worst_identity, scenario.tol("transition_identity"),
-    )
-    report.add(
-        "transitions/affine_residual",
-        "transition map between chart samples is affine",
-        worst_res, scenario.tol("transition_residual"),
-    )
-    report.add(
-        "transitions/volume",
-        "transition linear part preserves volume with determinant one",
-        worst_vol, scenario.tol("transition_volume"),
-    )
-
-
-def _b_vs_l2(ws: _Workspace, points_per_axis: int):
-    """Chart grid, its B/W pullback, the tangent-form L2 Gram and their relative gap."""
-    fx = ws.fixture
-    rel, ab = ws.rel_abs
-    grid = sample_grid(
-        fx.model, fx.family, rel, ab,
-        radius=ws.scenario.grid_radius, points_per_axis=points_per_axis,
-    )
-    emb = pullback_BW(grid, ws.pairing)
-    L2 = l2_gram(ws.structure, tangent_cochains(fx.model, fx.family))
-    rel_err = float(np.abs(emb.B_gram - L2).max() / max(np.abs(L2).max(), 1e-300))
-    return grid, emb, L2, rel_err
-
-
-def _suite_embedding(ws: _Workspace, report: RunReport, scenario: Scenario):
-    grid, emb, L2, rel_err = _b_vs_l2(ws, scenario.grid_points)
-    report.add(
-        "embedding/W_vanishes",
-        "pullback of the symplectic pairing vanishes on the chart image",
-        emb.W_max, scenario.tol("w_pullback"),
-    )
-    report.add(
-        "embedding/B_matches_l2",
-        "pullback of the duality metric equals the tangent-form L2 Gram matrix",
-        rel_err, scenario.tol("b_vs_l2"),
-        detail=f"B={emb.B_gram.tolist()}, L2={L2.tolist()}",
-    )
-    hess = hessian_fit(grid, ws.pairing, symmetry_tol=scenario.tol("hessian_symmetry"))
-    report.add(
-        "embedding/gradient_graph",
-        "dual coordinates form a gradient graph over the chart coordinates",
-        hess.symmetry_residual, scenario.tol("hessian_symmetry"),
-        detail=f"hessian={hess.hessian.tolist()}",
-    )
-    ws.atlas_parts.update(
-        {"l2_gram": L2, "b_gram": emb.B_gram, "w_max": emb.W_max, "hessian": hess}
-    )
-
-
-_SUITE_FUNCS = {
-    "topology": _suite_topology,
-    "tangent_laws": _suite_tangent_laws,
-    "duality": _suite_duality,
-    "flux_oracles": _suite_flux_oracles,
-    "homotopy": _suite_homotopy,
-    "closed_form": _suite_closed_form,
-    "chart_derivative": _suite_chart_derivative,
-    "transitions": _suite_transitions,
-    "embedding": _suite_embedding,
-}
-
 def run(scenario: Scenario) -> RunReport:
     start = time.perf_counter()
     ws = _Workspace(scenario)
-    report = RunReport(
-        scenario_name=scenario.name,
-        fixture=scenario.fixture,
-        level=scenario.level,
-        almost_cy=scenario.almost_cy,
-    )
+    report = RunReport(scenario.name, scenario.fixture, scenario.level, scenario.almost_cy)
     mesh = ws.fixture.mesh
     report.mesh_stats = {
         "dim": mesh.dim,
@@ -797,26 +742,30 @@ def run(scenario: Scenario) -> RunReport:
         "simplices": [mesh.n_simplices(k) for k in range(mesh.dim + 1)],
         "boundary_components": mesh.n_components,
     }
+
+    def record(name, statement, tolerance, value):
+        value, detail = value if isinstance(value, tuple) else (value, "")
+        if tolerance is None:  # a flag: 0.0 passes and 1.0 fails against 0.5
+            value, tolerance = (0.0 if value else 1.0), 0.5
+        elif isinstance(tolerance, str):
+            tolerance = scenario.tol(tolerance)
+        residual = float(value)
+        report.checks.append(CheckResult(name, statement, residual, float(tolerance),
+                                         residual <= tolerance, detail))  # NaN fails
+
     for suite in scenario.suites:
         try:
-            _SUITE_FUNCS[suite](ws, report, scenario)
+            for check, value in SUITES[suite](ws):  # each check lands as soon as it is yielded
+                record(f"{suite}/{check}", *CHECKS[f"{suite}/{check}"], value)
         except ConfigError:
             raise
-        except SlagError as exc:
-            report.add_flag(
-                f"{suite}/error", "suite executed without module errors", False,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-    if {"l2_gram", "hessian"} <= set(ws.atlas_parts):
-        from .charts import AtlasReport
-
-        report.atlas = AtlasReport(
-            transition_fits=ws.atlas_parts.get("transition_fits", {}),
-            l2_gram=ws.atlas_parts["l2_gram"],
-            b_gram=ws.atlas_parts["b_gram"],
-            w_max=ws.atlas_parts["w_max"],
-            hessian=ws.atlas_parts["hessian"],
-        )
+        except Exception as exc:
+            # a SlagError is the suite's finding; anything else a defect, on which slag run exits 3
+            check, statement = (("error", "suite executed without module errors")
+                                if isinstance(exc, SlagError) else
+                                ("internal_error", "suite executed without internal errors"))
+            record(f"{suite}/{check}", statement, None, (False, f"{type(exc).__name__}: {exc}"))
+    report.atlas = ws.atlas
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
@@ -943,58 +892,33 @@ def report_to_dict(report: RunReport) -> dict:
         "almost_cy": report.almost_cy,
         "mesh": report.mesh_stats,
         "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "statement": c.statement,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in sorted(report.checks, key=lambda c: (c.passed, c.name))
-        ],
+        "checks": [asdict(c) for c in report.listed],
     }
 
 
-def emit(report: RunReport, out_dir, formats=("json", "csv")) -> list:
+def emit(report: RunReport, out_dir) -> list:
     """Write report files with deterministic bytes; returns written paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     data = report_to_dict(report)
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        _write_json(path, data)
-        written.append(path)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        lines = ["name,passed,residual,tolerance,statement"]
-        for c in data["checks"]:
-            lines.append(
-                f"{c['name']},{int(c['passed'])},{_float_repr(c['residual'])},"
-                f"{_float_repr(c['tolerance'])},\"{c['statement']}\""
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
+    written = [os.path.join(out_dir, "report.json"), os.path.join(out_dir, "report.csv")]
+    _write_json(written[0], data)
+    lines = ["name,passed,residual,tolerance,statement"]
+    for c in data["checks"]:
+        lines.append(
+            f"{c['name']},{int(c['passed'])},{_float_repr(c['residual'])},"
+            f"{_float_repr(c['tolerance'])},\"{c['statement']}\""
+        )
+    with open(written[1], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     if report.atlas is not None:
-        if "json" in formats:
-            path = os.path.join(out_dir, "atlas.json")
-            _write_json(path, report.atlas.to_dict())
-            written.append(path)
-        if "csv" in formats:
-            path = os.path.join(out_dir, "atlas.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(report.atlas.to_csv_rows()) + "\n")
-            written.append(path)
+        written += [os.path.join(out_dir, "atlas.json"), os.path.join(out_dir, "atlas.csv")]
+        _write_json(written[2], report.atlas.to_dict())
+        with open(written[3], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(report.atlas.to_csv_rows()) + "\n")
     return written
 
 
 def emit_convergence(table: ConvergenceTable, out_dir, filename="convergence.csv") -> list:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     lines = ["level,h," + ",".join(table.quantity_names)]

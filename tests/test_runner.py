@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 import slaglab
 from slaglab import runner
 from slaglab.cli import main as cli_main
-from slaglab.errors import ConfigError
+from slaglab.errors import AsymmetricJacobianError, ConfigError, DimensionMismatchError
 from slaglab.fixtures import cylinder_translation
 from slaglab.immersion import ImmersionFamily
 from slaglab.meshes import relative_cycle_basis
 from slaglab.runner import (
+    CHECKS,
+    DEFAULT_TOLERANCES,
     SUITES,
     _SCHEMA,
     _Workspace,
@@ -115,8 +117,8 @@ def test_non_finite_flux_samples_fail_the_tangent_laws(tmp_path, monkeypatch):
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    (path,) = [p for p in emit(report, tmp_path, formats=("json",)) if p.endswith(".json")]
-    with open(path, encoding="utf-8") as fh:
+    emit(report, tmp_path)
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
         checks = {c["name"]: c for c in json.load(fh, parse_constant=refuse)["checks"]}
     assert checks["tangent_laws/theta_closed"]["residual"] == "nan"
 
@@ -270,6 +272,9 @@ _SPAN = [[0, 1, 0, 0], [0, 0, 1, 0]]
     ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": _SPAN},
                       {"index": 1, "basepoint": [0.5, 0, 0, 0], "span": _SPAN}]},
      "lagrangians: indices [1, 1]"),
+    # adjacent vertices at +-1e308: the edge vectors overflow, so no frame is finite
+    ({"family": {"expressions": {"y1": "y1 + u1 + c*cos(16*pi*x2)"}, "parameters": ["u1"],
+                 "constants": {"c": 1e308}}}, "edge vectors overflow"),
 ])
 def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys, monkeypatch,
                                                                   overrides, field):
@@ -279,7 +284,7 @@ def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, caps
     assert cli_main(["run", p]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}")
-    assert field in err
+    assert field in err and "Traceback" not in err
     assert not (tmp_path / "pwned").exists()
 
 
@@ -505,6 +510,58 @@ def test_cached_straight_path_failure_fails_every_suite():
     errors = {c.name: c.detail for c in report.checks if c.name.endswith("/error")}
     assert sorted(errors) == ["closed_form/error", "flux_oracles/error", "tangent_laws/error"]
     assert all(d.startswith("NonSpecialSampleError") for d in errors.values())
+    # the check yielded before the failed flux pass is kept next to the error
+    assert "tangent_laws/path_samples_valid" in [c.name for c in report.checks]
+
+
+@pytest.mark.parametrize("target, error, suite, kept", [
+    ("hessian_fit", AsymmetricJacobianError, "embedding",
+     ["embedding/B_matches_l2", "embedding/W_vanishes"]),
+    ("harmonic_fields", DimensionMismatchError, "topology",
+     ["topology/boundary_squared", "topology/rank_duality"]),
+])
+def test_checks_yielded_before_a_suite_error_are_reported(monkeypatch, target, error, suite, kept):
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(runner, target, fail)
+    report = run(scenario_from_dict(minimal_scenario(suites=[suite], grid={"points": 5})))
+    checks = {c.name: c for c in report.checks}
+    assert sorted(checks) == sorted(kept + [f"{suite}/error"])
+    assert checks[f"{suite}/error"].detail == f"{error.__name__}: planted"
+    assert all(checks[name].passed for name in kept)
+    assert report.atlas is None
+
+
+def test_check_table_reads_every_tolerance_key():
+    keys = [tolerance for _, tolerance in CHECKS.values() if isinstance(tolerance, str)]
+    assert set(keys) <= set(DEFAULT_TOLERANCES)
+    assert set(DEFAULT_TOLERANCES) <= set(keys)  # an unread key is a stale default
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios", "*.json"))))
+def test_shipped_scenario_reports_exactly_the_check_table(path):
+    """Every shipped scenario runs every suite: each check once, in the table's order."""
+    report = run(runner.load_scenario(path))
+    assert [c.name for c in report.checks] == list(CHECKS)
+
+
+def test_internal_error_is_reported_and_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(ws):
+        yield from ()
+        return 1 / 0
+
+    monkeypatch.setitem(SUITES, "duality", broken)
+    p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form", "duality", "topology"]))
+    assert cli_main(["run", p, "--out", str(tmp_path / "out")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "out" / "scn" / "report.json", encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert checks["duality/internal_error"]["passed"] is False
+    assert checks["duality/internal_error"]["detail"] == "ZeroDivisionError: division by zero"
+    assert {"closed_form/relative_flux", "topology/harmonic_counts"} <= set(checks)
+    assert all(c["passed"] for name, c in checks.items() if name != "duality/internal_error")
 
 
 @pytest.mark.parametrize("fixture, amplitudes", [
@@ -574,7 +631,7 @@ def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
         [(129, fx.mesh.n_vertices, 4)] * 2 + [(257, n_chain, 4)] * 5)
 
 
-@pytest.mark.parametrize("amplitude", [1e308, -1e308])
+@pytest.mark.parametrize("amplitude", [1e308, -1e308, 1e200, -1e200])
 def test_amplitudes_whose_velocity_sums_overflow_are_a_config_error(tmp_path, capsys, amplitude):
     data = {"fixture": {"name": "cylinder_translation", "level": 1},
             "path": {"amplitudes": [amplitude]}}
