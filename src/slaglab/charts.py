@@ -23,12 +23,7 @@ import numpy as np
 
 from .ambient import AmbientModel
 from .dec import Cochain, HodgeStructure, hodge_star, period_matrix
-from .errors import (
-    AsymmetricJacobianError,
-    InsufficientSamplesError,
-    SingularJacobianError,
-    SlagError,
-)
+from .errors import InsufficientSamplesError, SingularJacobianError, SlagError
 from .flux import ImmersionPath, path_fluxes, tangent_one_form
 from .immersion import ImmersionFamily
 from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
@@ -117,7 +112,7 @@ def evaluate_chart(
     rel_cycles: RelativeCycleBasis,
     abs_cycles: AbsoluteCycleBasis,
     n_samples: int = 33,
-    base_shift=None,
+    base_shift=0.0,
 ) -> ChartSample:
     """Both flux period vectors along the straight parameter path 0 -> u.
 
@@ -125,14 +120,10 @@ def evaluate_chart(
     base_shift + u through the same family.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if base_shift is None:
-        base_shift = np.zeros_like(u)
-    base_shift = np.atleast_1d(np.asarray(base_shift, dtype=float))
     if not np.any(np.abs(u) > 0):
         m = rel_cycles.m
         return ChartSample(u, np.zeros(m), np.zeros(m))
-    path = ImmersionPath(family, lambda t: base_shift + t[:, None] * u,
-                         lambda t: np.broadcast_to(u, t.shape + u.shape), n_samples)
+    path = ImmersionPath.straight(family, u, n_samples, start=base_shift)
     rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
     return ChartSample(u, rf.period_vector, sf.period_vector)
 
@@ -281,20 +272,27 @@ def sample_grid(
     return GridSamples(shape, spacing, u, R, S)
 
 
-def _central_differences(values: np.ndarray, spacing: np.ndarray):
-    """d(values)/d(param_i) at interior grid points: (*inner_shape, m_out, m)."""
-    m = len(spacing)
-    inner = tuple(slice(1, -1) for _ in range(m))
-    out = []
-    for i in range(m):
-        up = tuple(
-            slice(2, None) if j == i else slice(1, -1) for j in range(m)
-        )
-        dn = tuple(
-            slice(None, -2) if j == i else slice(1, -1) for j in range(m)
-        )
-        out.append((values[up] - values[dn]) / (2 * spacing[i]))
-    return np.stack(out, axis=-1), inner
+def _grid_jacobians(grid: GridSamples, pairing: PairingStructure):
+    """Central-difference Jacobians Ju = dR and Jv = P dS at the interior grid points.
+
+    Returns Ju and Jv stacked as (points, m, m) in the C order of the interior,
+    the slice selecting the interior, and the stack index of its centre, the
+    point s // 2 on each axis of interior length s.
+    """
+    m = len(grid.spacing)
+    inner = (slice(1, -1),) * m
+
+    def d(values, i):
+        up = inner[:i] + (slice(2, None),) + inner[i + 1:]
+        dn = inner[:i] + (slice(None, -2),) + inner[i + 1:]
+        return (values[up] - values[dn]) / (2 * grid.spacing[i])
+
+    dR, dS = (np.stack([d(values, i) for i in range(m)], axis=-1) for values in (grid.R, grid.S))
+    inner_shape = dR.shape[:-2]
+    centre = int(np.ravel_multi_index([s // 2 for s in inner_shape], inner_shape))
+    Ju = dR.reshape(-1, *dR.shape[-2:])
+    Jv = pairing.P @ dS.reshape(-1, *dS.shape[-2:])
+    return Ju, Jv, inner, centre
 
 
 @dataclass
@@ -305,14 +303,10 @@ class EmbeddingReport:
 
 def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport:
     """Evaluate B and W on the grid tangents (R', S') by central differences."""
-    dR, inner = _central_differences(grid.R, grid.spacing)
-    dS, _ = _central_differences(grid.S, grid.spacing)
-    inner_shape = dR.shape[:-2]
-    rps = {idx: dR[idx].T @ pairing.P @ dS[idx]
-           for idx in itertools.product(*(range(s) for s in inner_shape))}
-    W_max = float(np.max([np.abs(g - g.T).max() for g in rps.values()]))
-    g = rps[tuple(s // 2 for s in inner_shape)]
-    return EmbeddingReport(0.5 * (g + g.T), W_max)
+    Ju, Jv, _, centre = _grid_jacobians(grid, pairing)
+    g = Ju.swapaxes(-1, -2) @ Jv
+    W_max = float(np.abs(g - g.swapaxes(-1, -2)).max())
+    return EmbeddingReport(0.5 * (g[centre] + g[centre].T), W_max)
 
 
 def l2_gram(structure: HodgeStructure, tangents) -> np.ndarray:
@@ -327,103 +321,70 @@ def l2_gram(structure: HodgeStructure, tangents) -> np.ndarray:
 @dataclass
 class HessianFit:
     coefficients: np.ndarray
-    monomials: list[tuple]
+    monomials: np.ndarray        # (K, m) exponents, one row per fitted monomial
     symmetry_residual: float
     gradient_residual: float
     hessian: np.ndarray
     hessian_vs_B: float
 
 
-def _monomials(m: int, degree: int):
-    out = []
-    for total in range(1, degree + 1):
-        for alpha in itertools.combinations_with_replacement(range(m), total):
-            counts = tuple(alpha.count(i) for i in range(m))
-            out.append(counts)
-    return out
+def _monomials(m: int, degree: int) -> np.ndarray:
+    """Exponents of the monomials of total degree 1..degree in m variables, (K, m)."""
+    return np.array([[alpha.count(i) for i in range(m)]
+                     for total in range(1, degree + 1)
+                     for alpha in itertools.combinations_with_replacement(range(m), total)])
 
 
-def hessian_fit(
-    grid: GridSamples,
-    pairing: PairingStructure,
-    degree: int = 4,
-    symmetry_tol: float = 1e-6,
-) -> HessianFit:
-    """Gradient-graph check and least-squares potential for v(u)-coordinates.
+def _monomial_terms(u: np.ndarray, factor, exponents: np.ndarray) -> np.ndarray:
+    """factor * prod_k u_k ** exponents[..., k], multiplied left to right.
+
+    u is (..., m) and broadcasts against the (..., m) exponents.  A term with a
+    negative exponent is the derivative of a monomial that lacks the variable: 0.
+    """
+    term = np.asarray(factor, dtype=float)
+    for k in range(u.shape[-1]):
+        term = term * u[..., k] ** np.maximum(exponents[..., k], 0)
+    return np.where((exponents >= 0).all(axis=-1), term, 0.0)
+
+
+def hessian_fit(grid: GridSamples, pairing: PairingStructure, degree: int = 4) -> HessianFit:
+    """Gradient-graph defect and least-squares potential for v(u)-coordinates.
 
     The dual coordinates v = P S must be the gradient of a potential in the
-    chart coordinates u = R; the direct check is symmetry of dv/du, and the
-    fitted potential's Hessian is compared against the B Gram in u-coordinates.
-    Raises AsymmetricJacobianError when the symmetry defect exceeds tolerance.
+    chart coordinates u = R; symmetry_residual is the largest relative
+    asymmetry of dv/du over the interior points, and the fitted potential's
+    Hessian is compared against the B Gram in u-coordinates.  Raises
+    SingularJacobianError where dR cannot be inverted.
     """
-    dR, inner = _central_differences(grid.R, grid.spacing)
-    dS, _ = _central_differences(grid.S, grid.spacing)
-    inner_shape = dR.shape[:-2]
-    m = grid.u.shape[-1]
-    sym_residual = 0.0
-    dvdu_center = None
-    center = tuple(s // 2 for s in inner_shape)
-    for idx in itertools.product(*(range(s) for s in inner_shape)):
-        Ju = dR[idx]
-        Jv = pairing.P @ dS[idx]
-        if np.linalg.cond(Ju) > 1e12:
-            raise SingularJacobianError("chart coordinates degenerate on the grid")
-        dvdu = Jv @ np.linalg.inv(Ju)
-        defect = float(np.abs(dvdu - dvdu.T).max()) / max(float(np.abs(dvdu).max()), 1e-30)
-        sym_residual = float(np.maximum(sym_residual, defect))  # keeps a NaN
-        if idx == center:
-            dvdu_center = dvdu
-    if not sym_residual <= symmetry_tol:
-        raise AsymmetricJacobianError(
-            f"dv/du asymmetric by {sym_residual:.3e} (tolerance {symmetry_tol:.1e})"
-        )
+    Ju, Jv, inner, centre = _grid_jacobians(grid, pairing)
+    if np.any(np.linalg.cond(Ju) > 1e12):
+        raise SingularJacobianError("chart coordinates degenerate on the grid")
+    dvdu = Jv @ np.linalg.inv(Ju)
+    defect = (np.abs(dvdu - dvdu.swapaxes(-1, -2)).max(axis=(1, 2))
+              / np.maximum(np.abs(dvdu).max(axis=(1, 2)), 1e-30))
+    sym_residual = float(defect.max())  # keeps a NaN
 
-    monos = _monomials(m, degree)
-    us = grid.R[inner + (slice(None),)].reshape(-1, m)
-    vs = (grid.S[inner + (slice(None),)] @ pairing.P.T).reshape(-1, m)
-    rows = []
-    rhs = []
-    for u, v in zip(us, vs):
-        for comp in range(m):
-            row = []
-            for alpha in monos:
-                if alpha[comp] == 0:
-                    row.append(0.0)
-                else:
-                    val = alpha[comp]
-                    for i, a in enumerate(alpha):
-                        power = a - 1 if i == comp else a
-                        val *= u[i] ** power
-                    row.append(val)
-            rows.append(row)
-            rhs.append(v[comp])
-    design = np.array(rows)
-    rhs = np.array(rhs)
+    m = Ju.shape[-1]
+    E = _monomials(m, degree)
+    eye = np.eye(m, dtype=int)
+    us = grid.R[inner].reshape(-1, m)
+    # row (point, i): d/du_i of every monomial at the point, against v_i there
+    design = np.stack([_monomial_terms(us[:, None], E[:, i], E - eye[i]) for i in range(m)],
+                      axis=1).reshape(-1, len(E))
+    rhs = (grid.S[inner] @ pairing.P.T).reshape(-1)
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     grad_residual = float(
         np.linalg.norm(design @ coef - rhs) / max(np.linalg.norm(rhs), 1e-30)
     )
 
-    u0 = us.mean(axis=0)
-    hess = np.zeros((m, m))
-    for alpha, c in zip(monos, coef):
-        for i in range(m):
-            for j in range(m):
-                a = list(alpha)
-                factor = a[i]
-                if factor == 0:
-                    continue
-                a[i] -= 1
-                factor *= a[j]
-                if factor == 0:
-                    continue
-                a[j] -= 1
-                term = c * factor
-                for k, p in enumerate(a):
-                    term *= u0[k] ** p
-                hess[i, j] += term
-    hess_vs_B = float(np.abs(hess - 0.5 * (dvdu_center + dvdu_center.T)).max())
-    return HessianFit(coef, monos, sym_residual, grad_residual, hess, hess_vs_B)
+    # d^2/du_i du_j of the fitted potential at the mean chart point, summed monomial by monomial
+    i, j = np.indices((m, m))
+    second = E[:, i] * (E[:, j] - eye[i, j])  # (K, m, m)
+    hess = _monomial_terms(us.mean(axis=0), coef[:, None, None] * second,
+                           E[:, None, None] - eye[i] - eye[j]).sum(axis=0)
+    centre_dvdu = dvdu[centre]
+    hess_vs_B = float(np.abs(hess - 0.5 * (centre_dvdu + centre_dvdu.T)).max())
+    return HessianFit(coef, E, sym_residual, grad_residual, hess, hess_vs_B)
 
 
 @dataclass
@@ -456,7 +417,7 @@ class AtlasReport:
             "w_max": self.w_max,
             "hessian": {
                 "coefficients": self.hessian.coefficients.tolist(),
-                "monomials": [list(m) for m in self.hessian.monomials],
+                "monomials": self.hessian.monomials.tolist(),
                 "symmetry_residual": self.hessian.symmetry_residual,
                 "gradient_residual": self.hessian.gradient_residual,
                 "matrix": self.hessian.hessian.tolist(),

@@ -105,10 +105,6 @@ class InsufficientSamplesError(SlagError):
     """Not enough affinely independent samples for the requested fit."""
 
 
-class AsymmetricJacobianError(SlagError):
-    """Gradient-graph symmetry check failed beyond tolerance."""
-
-
 # -- runner ------------------------------------------------------------------------
 
 class ConfigError(SlagError):

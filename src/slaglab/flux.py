@@ -86,15 +86,16 @@ class ImmersionPath:
 
     @classmethod
     def straight(cls, family: ImmersionFamily, target, n_samples: int = 33,
-                 profile=None) -> "ImmersionPath":
-        """Path along the straight parameter segment 0 -> target, optionally reprofiled.
+                 profile=None, start=0.0) -> "ImmersionPath":
+        """Path along the straight parameter segment start -> start + target, optionally
+        reprofiled.
 
         profile: (p, dp) with p(0) = 0, p(1) = 1 reparametrizing the segment;
         both map the (T,) times to (T,).
         """
         target = np.atleast_1d(np.asarray(target, dtype=float))
         p, dp = profile or ((lambda t: t), np.ones_like)
-        return cls(family, lambda t: p(t)[:, None] * target,
+        return cls(family, lambda t: start + p(t)[:, None] * target,
                    lambda t: dp(t)[:, None] * target, n_samples)
 
     @property

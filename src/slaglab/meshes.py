@@ -397,25 +397,6 @@ def _validate_boundary_components(mesh: SimplicialMesh) -> None:
 # -- ranks: graphs by components, the rest over GF(p) ---------------------------------
 
 
-def _find(parent, a):
-    """Root of a in a union-find parent map, halving the path on the way."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _unite(parent, ends: np.ndarray) -> list[bool]:
-    """Union the two ends of each edge (row) in turn; True where it joined two classes."""
-    joined = []
-    for a, b in zip(*ends.T.tolist()):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-        joined.append(ra != rb)
-    return joined
-
-
 def _graph_rank(n_nodes: int, ends: np.ndarray) -> int:
     """Rank of a multigraph's incidence matrix over any field: the edge count of
     a spanning forest, i.e. nodes minus components.  A self-loop joins nothing.
@@ -484,19 +465,15 @@ def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
     profile = mesh.betti_profile()
     m = profile.betti[mesh.dim - 1]
     if mesh.dim == 1:
-        # one interior vertex per connected component, lowest id first; its
-        # dual is the indicator of the component
-        parent = list(range(mesh.n_vertices))
-        _unite(parent, mesh.simplices[1])
-        members: dict[int, list[int]] = {}
-        for v in range(mesh.n_vertices):
-            members.setdefault(_find(parent, v), []).append(v)
-        chosen: list[Chain] = []
-        dual = np.zeros((mesh.n_vertices, len(members)), dtype=np.int64)
-        for j, group in enumerate(members.values()):
-            interior = [v for v in group if not mesh._in_boundary[0][v]]
-            chosen.append(Chain(0, {(interior or group)[0]: 1}))
-            dual[group, j] = 1
+        # one generator per connected component (scipy labels them in the order
+        # of their lowest vertex): its lowest interior vertex, else its lowest
+        # vertex; its dual is the indicator of the component
+        comp = _components(mesh.n_vertices, mesh.simplices[1])
+        dual = (comp[:, None] == np.arange(comp.max() + 1)).astype(np.int64)
+        chosen = []
+        for group in dual.T.astype(bool):
+            interior = group & ~mesh._in_boundary[0]
+            chosen.append(Chain(0, {int(np.argmax(interior if interior.any() else group)): 1}))
         if len(chosen) != m:
             raise RankDeficientError(f"found {len(chosen)} 0-cycles, expected {m}")
         return AbsoluteCycleBasis(tuple(chosen), 0, dual)

@@ -20,6 +20,7 @@ import keyword
 import math
 import os
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -250,6 +251,7 @@ class _Workspace:
         self._structure = None
         self._cycles = None
         self._pairing = None
+        self._straight_paths: dict = {}  # sample count -> straight path
         self._straight_fluxes = None
         self._amplitudes = None
         self.transition_fits: dict = {}  # set by the transitions suite
@@ -313,19 +315,23 @@ class _Workspace:
         return self._amplitudes
 
     def straight_path(self, n_samples=None):
-        """The straight path 0 -> amplitudes; edge vectors that overflow are a config error."""
-        path = ImmersionPath.straight(
-            self.fixture.family, self.amplitudes(), n_samples=n_samples or self.scenario.n_samples
-        )
-        edges, x = self.fixture.mesh.simplices[1], path.positions
-        with np.errstate(over="ignore", invalid="ignore"):
-            # |a - b| <= 2 max |x|, so only a sample above half the largest float can overflow
-            near = x[np.abs(x).max(axis=(1, 2)) > np.finfo(float).max / 2]
-            overflow = any(np.isinf(s[edges[:, 1]] - s[edges[:, 0]]).any() for s in near)
-        if overflow:
-            raise ConfigError("family: the straight path's edge vectors overflow, so its frames "
-                              "are not finite")
-        return path
+        """The straight path 0 -> amplitudes, built once per sample count.
+
+        Edge vectors that overflow are a config error, raised on every call.
+        """
+        n_samples = n_samples or self.scenario.n_samples
+        if n_samples not in self._straight_paths:
+            path = ImmersionPath.straight(self.fixture.family, self.amplitudes(), n_samples)
+            edges, x = self.fixture.mesh.simplices[1], path.positions
+            with np.errstate(over="ignore", invalid="ignore"):
+                # |a - b| <= 2 max |x|, so only a sample above half the largest float can overflow
+                near = x[np.abs(x).max(axis=(1, 2)) > np.finfo(float).max / 2]
+                overflow = any(np.isinf(s[edges[:, 1]] - s[edges[:, 0]]).any() for s in near)
+            if overflow:
+                raise ConfigError("family: the straight path's edge vectors overflow, so its "
+                                  "frames are not finite")
+            self._straight_paths[n_samples] = path
+        return self._straight_paths[n_samples]
 
     def straight_fluxes(self):
         """(relative, dual) flux classes of the straight path, computed once.
@@ -510,7 +516,7 @@ def _suite_homotopy(ws: _Workspace):
     curved = ws.s_curve_path()
     hom = homotopy_invariance_harness(
         ws.fixture.model, straight, curved, rel, ab,
-        homotopy=lambda u: ws.s_curve(strength=0.5 * u)[0],
+        homotopy=lambda u: ws.s_curve(strength=ws.scenario.s_curve_strength * u)[0],
         n_u=5,
     )
     yield "relative_flux", hom.rf_discrepancy
@@ -579,7 +585,7 @@ def _suite_embedding(ws: _Workspace):
     grid, emb, L2, rel_err = _b_vs_l2(ws, ws.scenario.grid_points)
     yield "W_vanishes", emb.W_max
     yield "B_matches_l2", (rel_err, f"B={emb.B_gram.tolist()}, L2={L2.tolist()}")
-    hess = hessian_fit(grid, ws.pairing, symmetry_tol=ws.scenario.tol("hessian_symmetry"))
+    hess = hessian_fit(grid, ws.pairing)
     yield "gradient_graph", (hess.symmetry_residual, f"hessian={hess.hessian.tolist()}")
     # shares the transitions suite's fits, whichever of the two suites runs first
     ws.atlas = AtlasReport(ws.transition_fits, L2, emb.B_gram, emb.W_max, hess)
@@ -760,11 +766,16 @@ def run(scenario: Scenario) -> RunReport:
         except ConfigError:
             raise
         except Exception as exc:
-            # a SlagError is the suite's finding; anything else a defect, on which slag run exits 3
-            check, statement = (("error", "suite executed without module errors")
-                                if isinstance(exc, SlagError) else
-                                ("internal_error", "suite executed without internal errors"))
-            record(f"{suite}/{check}", statement, None, (False, f"{type(exc).__name__}: {exc}"))
+            # a SlagError is the suite's finding; anything else a defect, on which slag run
+            # exits 3, named with the frame that raised it
+            detail = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, SlagError):
+                check, statement = "error", "suite executed without module errors"
+            else:
+                check, statement = "internal_error", "suite executed without internal errors"
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                detail += f" [{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}]"
+            record(f"{suite}/{check}", statement, None, (False, detail))
     report.atlas = ws.atlas
     report.elapsed_seconds = time.perf_counter() - start
     return report
@@ -850,10 +861,13 @@ def convergence_study(scenario: Scenario, levels) -> ConvergenceTable:
     rows = []
     for level in levels:
         ws = _study_workspace(scenario, level)
+        # the grid first, so that the workspace's cached straight path, which only
+        # the duality probe reads here, is not held through the grid's sampling
+        b_vs_l2 = _b_vs_l2(ws, 5)[3]
         residuals = {
             "duality_error": _duality_residual(ws),
             "star_involution": _involution_residual(ws) or 0.0,
-            "b_vs_l2": _b_vs_l2(ws, 5)[3],
+            "b_vs_l2": b_vs_l2,
         }
         rows.append(ConvergenceRow(level, 1.0 / level, residuals))
     return _convergence_table(rows)

@@ -27,7 +27,6 @@ from slaglab.charts import (
     transition_affine_fit,
 )
 from slaglab.dec import harmonic_fields
-from slaglab.errors import AsymmetricJacobianError
 from slaglab.flux import (
     ImmersionPath,
     homotopy_invariance_harness,
@@ -39,6 +38,7 @@ from slaglab.flux import (
 from slaglab.immersion import ImmersionFamily, reparametrize
 from slaglab.meshes import betti_profile
 from slaglab.runner import (
+    DEFAULT_TOLERANCES,
     Scenario,
     _Workspace,
     _duality_residual,
@@ -305,14 +305,11 @@ def _criterion_embedding(almost_cy=False):
         b_errors.append(float(np.abs(emb_l.B_gram - L2).max()
                               / max(np.abs(L2).max(), 1e-300)))
     order = fit_order([1.0, 0.5, 0.25], b_errors)
-    curl_rejected = False
-    try:
-        hessian_fit(
-            synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]])),
-            PairingStructure(np.eye(2), 0.0),
-        )
-    except AsymmetricJacobianError:
-        curl_rejected = True
+    curl = hessian_fit(
+        synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]])),
+        PairingStructure(np.eye(2), 0.0),
+    )
+    curl_rejected = curl.symmetry_residual > DEFAULT_TOLERANCES["hessian_symmetry"]
     return emb.W_max, b_errors, order, hess.symmetry_residual, curl_rejected
 
 

@@ -19,14 +19,11 @@ from slaglab.charts import (
     transition_affine_fit,
 )
 from slaglab.dec import HodgeStructure
-from slaglab.errors import (
-    AsymmetricJacobianError,
-    InsufficientSamplesError,
-    SingularJacobianError,
-)
+from slaglab.errors import InsufficientSamplesError, SingularJacobianError
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import ImmersionFamily, pullback_metric, reparametrize
 from slaglab.meshes import absolute_cycle_basis, relative_cycle_basis
+from slaglab.runner import DEFAULT_TOLERANCES
 
 
 def synthetic_grid(u_axis, v_of_u) -> GridSamples:
@@ -214,7 +211,24 @@ def test_bw_pullback_two_handles(handles):
     assert np.abs(emb.B_gram - L2).max() < 1e-12
 
 
+def test_bw_pullback_reads_b_at_the_centre_of_an_even_grid():
+    """6 points leave a 4-wide interior: B is read at interior index 2, grid index 3."""
+    axis = np.linspace(-0.1, 0.1, 6)
+    # v = grad(u1^3 + u1 u2^2): dv/du = [[6 u1, 2 u2], [2 u2, 2 u1]] changes sign with u
+    grid = synthetic_grid(axis, lambda u: np.array([3 * u[0] ** 2 + u[1] ** 2, 2 * u[0] * u[1]]))
+    emb = pullback_BW(grid, PairingStructure(np.eye(2), 0.0))
+    h = axis[1] - axis[0]
+
+    def jacobian(values):
+        return np.stack([(values[4, 3] - values[2, 3]) / (2 * h),
+                         (values[3, 4] - values[3, 2]) / (2 * h)], axis=-1)
+
+    g = jacobian(grid.R).T @ jacobian(grid.S)
+    np.testing.assert_allclose(emb.B_gram, 0.5 * (g + g.T), rtol=1e-14, atol=0)
+
+
 def test_l2_gram_orthogonal_directions_and_zero_tangent(handles):
+
     fx, rel, ab, hs, pair = handles
     thetas = tangent_cochains(fx.model, fx.family)
     L2 = l2_gram(hs, thetas)
@@ -244,8 +258,9 @@ def test_hessian_fit_two_handles(handles):
 
 def test_hessian_fit_rejects_curl_field():
     grid = synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]]))
-    with pytest.raises(AsymmetricJacobianError):
-        hessian_fit(grid, PairingStructure(np.eye(2), 0.0))
+    fit = hessian_fit(grid, PairingStructure(np.eye(2), 0.0))
+    assert fit.symmetry_residual > DEFAULT_TOLERANCES["hessian_symmetry"]
+    assert fit.symmetry_residual == 2.0
 
 
 def test_hessian_fit_accepts_gradient_field():

@@ -27,6 +27,25 @@ from slaglab.meshes import (
 )
 
 
+def _find(parent, a):
+    """Root of a in a union-find parent map, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _unite(parent, ends: np.ndarray) -> list[bool]:
+    """Union the two ends of each edge (row) in turn; True where it joined two classes."""
+    joined = []
+    for a, b in zip(*ends.T.tolist()):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+        joined.append(ra != rb)
+    return joined
+
+
 def mesh_to_dict(mesh) -> dict:
     """Inverse of `meshes.mesh_from_dict`: oriented top simplices and labelled boundary."""
     faces = mesh.simplices[mesh.dim - 1] if mesh.dim else np.empty((0, 0))
@@ -434,7 +453,7 @@ def _loop_cycle_generators(mesh, edge_list, roots, m):
     cotree = []
     if mesh.dim == 2:
         order = [eid for eid, _, _ in reversed(non_tree)]
-        joined = meshes._unite(list(range(mesh.n_simplices(2) + 1)), mesh._dual_edges()[order])
+        joined = _unite(list(range(mesh.n_simplices(2) + 1)), mesh._dual_edges()[order])
         cotree = [eid for eid, j in zip(order, joined) if j]
     in_cotree = set(cotree)
     generators = [e for e in non_tree if e[0] not in in_cotree][:m]
@@ -700,14 +719,14 @@ def _loop_build_mesh(n_vertices, top_simplices, boundary_labels, dim=None):
         keys = [fverts[:i] + fverts[i + 1:] for i in range(len(fverts))] if dim >= 2 else []
         for key in keys:
             if key in subface_map:
-                ra, rb = meshes._find(parent, subface_map[key]), meshes._find(parent, fid)
+                ra, rb = _find(parent, subface_map[key]), _find(parent, fid)
                 if ra != rb:
                     parent[ra] = rb
             else:
                 subface_map[key] = fid
     comps = {}
     for fid in face_ids:
-        comps.setdefault(meshes._find(parent, fid), set()).add(int(labels[fid]))
+        comps.setdefault(_find(parent, fid), set()).add(int(labels[fid]))
     if len(comps) != d:
         raise UnlabeledBoundaryError(
             f"boundary has {len(comps)} connected components but {d} labels")
@@ -876,4 +895,4 @@ def test_graph_ranks_equal_union_find(name, level, monkeypatch):
     build_fixture(name, level).mesh.betti_profile()
     assert len(graphs) >= 2
     for n_nodes, ends in graphs + [(5, np.zeros((0, 2), dtype=np.int64))]:
-        assert rank(n_nodes, ends) == sum(meshes._unite(list(range(n_nodes)), ends))
+        assert rank(n_nodes, ends) == sum(_unite(list(range(n_nodes)), ends))

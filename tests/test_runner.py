@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import slaglab
 from slaglab import runner
 from slaglab.cli import main as cli_main
-from slaglab.errors import AsymmetricJacobianError, ConfigError, DimensionMismatchError
+from slaglab.charts import GridSamples
+from slaglab.errors import ConfigError, DimensionMismatchError, SingularJacobianError
 from slaglab.fixtures import cylinder_translation
+from slaglab.flux import ImmersionPath
 from slaglab.immersion import ImmersionFamily
 from slaglab.meshes import relative_cycle_basis
 from slaglab.runner import (
@@ -514,8 +516,59 @@ def test_cached_straight_path_failure_fails_every_suite():
     assert "tangent_laws/path_samples_valid" in [c.name for c in report.checks]
 
 
+def test_straight_path_built_once_per_sample_count(monkeypatch):
+    built = []
+
+    class Counting(ImmersionPath):
+        @classmethod
+        def straight(cls, family, target, n_samples=33, **kwargs):
+            built.append(n_samples)
+            return super().straight(family, target, n_samples, **kwargs)
+
+    monkeypatch.setattr(runner, "ImmersionPath", Counting)
+    report = run(scenario_from_dict(minimal_scenario(suites=list(SUITES), grid={"points": 5})))
+    assert report.passed
+    assert sorted(built) == [33, 129]
+
+
+def test_homotopy_ends_at_the_curved_path_it_compares(monkeypatch):
+    calls = []
+    harness = runner.homotopy_invariance_harness
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return harness(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "homotopy_invariance_harness", spy)
+    data = minimal_scenario(path={"amplitudes": [0.3], "s_curve_strength": 0.8},
+                            suites=["homotopy"])
+    run(scenario_from_dict(data))
+    (args, kwargs), = calls
+    curved = args[2]
+    assert np.array_equal(kwargs["homotopy"](1.0)(curved.times), curved.u)
+
+
+def test_curl_grid_fails_gradient_graph_as_a_check(monkeypatch):
+    """v = (u2, -u1) has antisymmetric dv/du: the check table, not the fit, judges it."""
+    def curl_grid(model, family, rel, ab, radius, points_per_axis):
+        axis = np.linspace(-radius, radius, points_per_axis)
+        u = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        v = np.stack([u[..., 1], -u[..., 0]], axis=-1)
+        return GridSamples(u.shape[:-1], np.full(2, axis[1] - axis[0]), u, u, v)
+
+    monkeypatch.setattr(runner, "sample_grid", curl_grid)
+    data = minimal_scenario(fixture={"name": "two_handle"}, path={"amplitudes": [0.3, -0.2]},
+                            suites=["embedding"], grid={"points": 5})
+    report = run(scenario_from_dict(data))
+    checks = {c.name: c for c in report.checks}
+    assert "embedding/error" not in checks
+    assert not checks["embedding/gradient_graph"].passed
+    assert checks["embedding/gradient_graph"].residual == 2.0
+    assert report.atlas is not None
+
+
 @pytest.mark.parametrize("target, error, suite, kept", [
-    ("hessian_fit", AsymmetricJacobianError, "embedding",
+    ("hessian_fit", SingularJacobianError, "embedding",
      ["embedding/B_matches_l2", "embedding/W_vanishes"]),
     ("harmonic_fields", DimensionMismatchError, "topology",
      ["topology/boundary_squared", "topology/rank_duality"]),
@@ -559,7 +612,9 @@ def test_internal_error_is_reported_and_exits_3(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "out" / "scn" / "report.json", encoding="utf-8") as fh:
         checks = {c["name"]: c for c in json.load(fh)["checks"]}
     assert checks["duality/internal_error"]["passed"] is False
-    assert checks["duality/internal_error"]["detail"] == "ZeroDivisionError: division by zero"
+    line = broken.__code__.co_firstlineno + 2
+    assert checks["duality/internal_error"]["detail"] == (
+        f"ZeroDivisionError: division by zero [test_runner.py:{line} in broken]")
     assert {"closed_form/relative_flux", "topology/harmonic_counts"} <= set(checks)
     assert all(c["passed"] for name, c in checks.items() if name != "duality/internal_error")
 
