@@ -3,15 +3,16 @@
 Writing R(u) and S(u) for the period vectors of the two fluxes along the
 straight parameter path from the basepoint to u, the chart data of a family
 is the pair (R, S).  The duality matrix P pairs the cohomology bases dual to
-the chosen cycle bases; with P normalized to the identity the product space
-carries the coordinate forms
+the chosen cycle bases; `pairing_structure` changes the absolute basis by
+the integer matrix P, so that the pairing is the identity and the product
+space carries the coordinate forms
 
     B = sum du_j dv_j      (indefinite symmetric)
     W = sum du_j ^ dv_j    (symplectic)
 
-with v = P S.  Pulled back along (R, S), B reproduces the L^2 Gram matrix of
-the tangent one-forms, W vanishes, and v is the gradient of a scalar
-potential of u, fitted here by least squares.
+with u = R and v = S.  Pulled back along (R, S), B reproduces the L^2 Gram
+matrix of the tangent one-forms, W vanishes, and v is the gradient of a
+scalar potential of u, fitted here by least squares.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dec import Cochain, HodgeStructure, hodge_star, period_matrix
 from .errors import InsufficientSamplesError, SingularJacobianError, SlagError
 from .flux import ImmersionPath, path_fluxes, tangent_one_form
 from .immersion import ImmersionFamily
-from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
+from .meshes import CycleBasis
 
 
 @dataclass
@@ -45,61 +46,30 @@ class PairingStructure:
     periods delta over the relative and absolute cycles.  Their Whitney forms
     are closed and the wedge integral obeys Stokes exactly, so P depends only
     on the cohomology classes: an integer up to roundoff, certified and
-    rounded.
+    rounded.  Duality over the integers makes P unimodular, with integer
+    inverse Q; `absolute` is the absolute basis with chains C P^T and duals
+    D Q, whose pairing with the relative duals is the identity.
     """
 
     P: np.ndarray
     certification_residual: float
-
-    @property
-    def m(self) -> int:
-        return len(self.P)
-
-    @property
-    def is_signed_permutation(self) -> bool:
-        P = self.P
-        return (
-            np.abs(np.abs(P).sum(axis=0) - 1).max() == 0
-            and np.abs(np.abs(P).sum(axis=1) - 1).max() == 0
-        )
+    absolute: CycleBasis
 
 
-def pairing_structure(
-    structure: HodgeStructure,
-    rel_cycles: RelativeCycleBasis,
-    abs_cycles: AbsoluteCycleBasis,
-) -> PairingStructure:
+def pairing_structure(structure: HodgeStructure, rel_cycles: CycleBasis,
+                      abs_cycles: CycleBasis) -> PairingStructure:
     raw = rel_cycles.dual.T @ (structure.wedge_matrix(1) @ abs_cycles.dual)
     P = np.round(raw)
     residual = float(np.abs(raw - P).max())
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # a NaN fails
         raise SlagError(f"duality pairing failed integer certification ({residual:.2e})")
-    if abs(np.linalg.det(P)) < 0.5:
-        raise SlagError("duality pairing is singular; cycle bases do not pair")
-    return PairingStructure(P.astype(float), residual)
-
-
-def normalize_cycles_to_identity(
-    pairing: PairingStructure, abs_cycles: AbsoluteCycleBasis
-):
-    """Reorder/flip absolute cycles and their duals so the pairing becomes the identity.
-
-    Only applies when P is a signed permutation; returns (new basis, identity
-    pairing).  Otherwise the original data is returned unchanged.
-    """
-    if not pairing.is_signed_permutation:
-        return abs_cycles, pairing
-    P = pairing.P
-    m = pairing.m
-    new_cycles: list[Chain] = [None] * m  # type: ignore[list-item]
-    dual = np.empty_like(abs_cycles.dual)
-    for k in range(m):
-        j = int(np.nonzero(P[:, k])[0][0])
-        sign = int(P[j, k])
-        new_cycles[j] = abs_cycles.cycles[k] if sign > 0 else -abs_cycles.cycles[k]
-        dual[:, j] = sign * abs_cycles.dual[:, k]
-    basis = AbsoluteCycleBasis(tuple(new_cycles), abs_cycles.degree, dual)
-    return basis, PairingStructure(np.eye(m), pairing.certification_residual)
+    P = P.astype(np.int64)
+    Q = np.round(np.linalg.pinv(P)).astype(np.int64)
+    if not np.array_equal(P @ Q, np.eye(len(P), dtype=np.int64)):
+        raise SlagError(f"duality pairing {P.tolist()} has no integer inverse; "
+                        "the cycle bases do not pair over the integers")
+    absolute = CycleBasis(abs_cycles.degree, abs_cycles.chains @ P.T, abs_cycles.dual @ Q)
+    return PairingStructure(P, residual, absolute)
 
 
 # -- chart evaluation ------------------------------------------------------------------
@@ -109,8 +79,8 @@ def evaluate_chart(
     model: AmbientModel,
     family: ImmersionFamily,
     u,
-    rel_cycles: RelativeCycleBasis,
-    abs_cycles: AbsoluteCycleBasis,
+    rel_cycles: CycleBasis,
+    abs_cycles: CycleBasis,
     n_samples: int = 33,
     base_shift=0.0,
 ) -> ChartSample:
@@ -149,8 +119,8 @@ def chart_jacobian(
     model: AmbientModel,
     family: ImmersionFamily,
     structure: HodgeStructure,
-    rel_cycles: RelativeCycleBasis,
-    abs_cycles: AbsoluteCycleBasis,
+    rel_cycles: CycleBasis,
+    abs_cycles: CycleBasis,
     step: float = 1e-3,
     n_samples: int = 17,
     cond_limit: float = 1e12,
@@ -180,9 +150,9 @@ def chart_jacobian(
     dR = (4 * dR2 - dR) / 3
     dS = (4 * dS2 - dS) / 3
     thetas = tangent_cochains(model, family)
-    dR_expected = period_matrix(thetas, rel_cycles)
+    dR_expected = period_matrix(thetas, rel_cycles.chains)
     stars = [hodge_star(structure, th) for th in thetas]
-    dS_expected = period_matrix(stars, abs_cycles)
+    dS_expected = period_matrix(stars, abs_cycles.chains)
     svals = np.linalg.svd(dR, compute_uv=False)
     if dR.shape[0] != dR.shape[1] or svals[-1] <= svals[0] / cond_limit:
         raise SingularJacobianError(
@@ -250,8 +220,8 @@ class GridSamples:
 def sample_grid(
     model: AmbientModel,
     family: ImmersionFamily,
-    rel_cycles: RelativeCycleBasis,
-    abs_cycles: AbsoluteCycleBasis,
+    rel_cycles: CycleBasis,
+    abs_cycles: CycleBasis,
     radius: float = 0.1,
     points_per_axis: int = 5,
     n_samples: int = 17,
@@ -272,8 +242,8 @@ def sample_grid(
     return GridSamples(shape, spacing, u, R, S)
 
 
-def _grid_jacobians(grid: GridSamples, pairing: PairingStructure):
-    """Central-difference Jacobians Ju = dR and Jv = P dS at the interior grid points.
+def _grid_jacobians(grid: GridSamples):
+    """Central-difference Jacobians Ju = dR and Jv = dS at the interior grid points.
 
     Returns Ju and Jv stacked as (points, m, m) in the C order of the interior,
     the slice selecting the interior, and the stack index of its centre, the
@@ -290,9 +260,7 @@ def _grid_jacobians(grid: GridSamples, pairing: PairingStructure):
     dR, dS = (np.stack([d(values, i) for i in range(m)], axis=-1) for values in (grid.R, grid.S))
     inner_shape = dR.shape[:-2]
     centre = int(np.ravel_multi_index([s // 2 for s in inner_shape], inner_shape))
-    Ju = dR.reshape(-1, *dR.shape[-2:])
-    Jv = pairing.P @ dS.reshape(-1, *dS.shape[-2:])
-    return Ju, Jv, inner, centre
+    return dR.reshape(-1, *dR.shape[-2:]), dS.reshape(-1, *dS.shape[-2:]), inner, centre
 
 
 @dataclass
@@ -301,9 +269,9 @@ class EmbeddingReport:
     W_max: float                # max |W| over all interior points and pairs
 
 
-def pullback_BW(grid: GridSamples, pairing: PairingStructure) -> EmbeddingReport:
+def pullback_BW(grid: GridSamples) -> EmbeddingReport:
     """Evaluate B and W on the grid tangents (R', S') by central differences."""
-    Ju, Jv, _, centre = _grid_jacobians(grid, pairing)
+    Ju, Jv, _, centre = _grid_jacobians(grid)
     g = Ju.swapaxes(-1, -2) @ Jv
     W_max = float(np.abs(g - g.swapaxes(-1, -2)).max())
     return EmbeddingReport(0.5 * (g[centre] + g[centre].T), W_max)
@@ -347,16 +315,16 @@ def _monomial_terms(u: np.ndarray, factor, exponents: np.ndarray) -> np.ndarray:
     return np.where((exponents >= 0).all(axis=-1), term, 0.0)
 
 
-def hessian_fit(grid: GridSamples, pairing: PairingStructure, degree: int = 4) -> HessianFit:
+def hessian_fit(grid: GridSamples, degree: int = 4) -> HessianFit:
     """Gradient-graph defect and least-squares potential for v(u)-coordinates.
 
-    The dual coordinates v = P S must be the gradient of a potential in the
+    The dual coordinates v = S must be the gradient of a potential in the
     chart coordinates u = R; symmetry_residual is the largest relative
     asymmetry of dv/du over the interior points, and the fitted potential's
     Hessian is compared against the B Gram in u-coordinates.  Raises
     SingularJacobianError where dR cannot be inverted.
     """
-    Ju, Jv, inner, centre = _grid_jacobians(grid, pairing)
+    Ju, Jv, inner, centre = _grid_jacobians(grid)
     if np.any(np.linalg.cond(Ju) > 1e12):
         raise SingularJacobianError("chart coordinates degenerate on the grid")
     dvdu = Jv @ np.linalg.inv(Ju)
@@ -371,7 +339,7 @@ def hessian_fit(grid: GridSamples, pairing: PairingStructure, degree: int = 4) -
     # row (point, i): d/du_i of every monomial at the point, against v_i there
     design = np.stack([_monomial_terms(us[:, None], E[:, i], E - eye[i]) for i in range(m)],
                       axis=1).reshape(-1, len(E))
-    rhs = (grid.S[inner] @ pairing.P.T).reshape(-1)
+    rhs = grid.S[inner].reshape(-1)
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     grad_residual = float(
         np.linalg.norm(design @ coef - rhs) / max(np.linalg.norm(rhs), 1e-30)

@@ -243,17 +243,21 @@ def codifferential(structure: HodgeStructure, cochain: Cochain) -> Cochain:
     return Cochain(mesh, k - 1, structure.factorized_mass(k - 1).solve(rhs))
 
 
-def period_matrix(cochains, cycles) -> np.ndarray:
-    """Entry (j, k): value of cochain k summed over chain j."""
-    chains = cycles.cycles if hasattr(cycles, "cycles") else list(cycles)
-    out = np.zeros((len(chains), len(cochains)))
-    for kk, coch in enumerate(cochains):
-        for j, chain in enumerate(chains):
-            if chain.degree != coch.degree:
-                raise DegreeMismatchError(
-                    f"chain degree {chain.degree} vs cochain degree {coch.degree}"
-                )
-            out[j, kk] = sum(c * coch.values[i] for i, c in chain.coeffs.items())
+def period_matrix(cochains, chains: np.ndarray) -> np.ndarray:
+    """Entry (j, k): the value of cochain k over column j of the (N_k, m) integer chains.
+
+    Each column adds coefficient * value over its nonzeros in ascending
+    simplex id, starting from zero: one bincount over the row-major nonzeros,
+    with no BLAS, so the bits do not depend on the thread count.
+    """
+    rows, cols = np.nonzero(chains)
+    coeffs, out = chains[rows, cols], np.empty((chains.shape[1], len(cochains)))
+    for k, coch in enumerate(cochains):
+        if len(coch.values) != len(chains):
+            raise DegreeMismatchError(
+                f"degree-{coch.degree} cochain has {len(coch.values)} values, "
+                f"chains have {len(chains)} rows")
+        out[:, k] = np.bincount(cols, weights=coeffs * coch.values[rows], minlength=len(out))
     return out
 
 

@@ -49,7 +49,7 @@ from .immersion import (
     calibration_residuals,
     wrapped_frames,
 )
-from .meshes import AbsoluteCycleBasis, Chain, RelativeCycleBasis
+from .meshes import CycleBasis
 
 _LAGRANGIAN_TOL = 1e-9
 _SPECIAL_TOL = 1e-9
@@ -204,9 +204,9 @@ class _FluxPass:
     even samples for the Richardson estimate, and the first failing sample.
     """
 
-    def __init__(self, mesh, n_samples, space, degree, form, cycles, residual, tol):
+    def __init__(self, mesh, n_samples, space, degree, form, chains, residual, tol):
         self.mesh, self.space, self.degree, self.form = mesh, space, degree, form
-        self.cycles, self.residual, self.tol, self.failure = cycles, residual, tol, None
+        self.chains, self.residual, self.tol, self.failure = chains, residual, tol, None
         self.weights, self.rule = _quadrature_weights(n_samples)
         richardson = n_samples % 4 == 1 and n_samples >= 5
         self.halves = _quadrature_weights((n_samples + 1) // 2)[0] if richardson else None
@@ -251,7 +251,8 @@ class _FluxPass:
 
     def result(self, max_lag: float, max_special: float) -> FluxClass:
         raw = Cochain(self.mesh, self.degree, self.raw)
-        periods = period_matrix([raw], self.cycles)[:, 0]
+        periods, coarse = period_matrix([raw, Cochain(self.mesh, self.degree, self.coarse)],
+                                        self.chains).T
         diag = {
             "rule": self.rule,
             "max_lagrangian_residual": max_lag,
@@ -262,14 +263,13 @@ class _FluxPass:
             "raw_boundary_value": _sup(self.raw[self.boundary]),
         }
         if self.halves is not None:
-            coarse = period_matrix([Cochain(self.mesh, self.degree, self.coarse)], self.cycles)
-            diag["richardson_error"] = float(np.abs(periods - coarse[:, 0]).max() / 15.0)
+            diag["richardson_error"] = float(np.abs(periods - coarse).max() / 15.0)
         return FluxClass(self.space, periods, raw, diag)
 
 
 def path_fluxes(model: AmbientModel, path: ImmersionPath,
-                rel_cycles: RelativeCycleBasis | None = None,
-                abs_cycles: AbsoluteCycleBasis | None = None,
+                rel_cycles: CycleBasis | None = None,
+                abs_cycles: CycleBasis | None = None,
                 lagrangian_tol: float = _LAGRANGIAN_TOL,
                 special_tol: float = _SPECIAL_TOL):
     """Relative and dual flux classes of one path, from one pass over its samples.
@@ -281,9 +281,10 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     """
     mesh, n, count = path.family.mesh, path.family.mesh.dim, path.n_samples
     rel_pass = None if rel_cycles is None else _FluxPass(
-        mesh, count, "relative-1", 1, model.omega, rel_cycles, 0, lagrangian_tol)
+        mesh, count, "relative-1", 1, model.omega, rel_cycles.chains, 0, lagrangian_tol)
     abs_pass = None if abs_cycles is None else _FluxPass(
-        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles, 1, special_tol)
+        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles.chains, 1,
+        special_tol)
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
     block = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(n))
@@ -308,13 +309,13 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     return tuple(p and p.result(max_lag, max_special) for p in (rel_pass, abs_pass))
 
 
-def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: RelativeCycleBasis,
+def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis,
                   lagrangian_tol: float = _LAGRANGIAN_TOL) -> FluxClass:
     """Time quadrature of the tangent one-form, projected to periods over relative cycles."""
     return path_fluxes(model, path, cycles, None, lagrangian_tol=lagrangian_tol)[0]
 
 
-def special_flux(model: AmbientModel, path: ImmersionPath, cycles: AbsoluteCycleBasis,
+def special_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis,
                  special_tol: float = _SPECIAL_TOL) -> FluxClass:
     """Time quadrature of the dual (n-1)-form, projected to periods over absolute cycles."""
     return path_fluxes(model, path, None, cycles, special_tol=special_tol)[1]
@@ -348,45 +349,43 @@ def _swept_point_integrals(model: AmbientModel, form: ConstantForm, p: np.ndarra
     return form(steps[..., None, :]).sum(axis=-1)
 
 
-def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
-                    n_steps: int = 256):
-    """Integral of the symplectic form over the surface swept by relative 1-chains.
+def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, chains: np.ndarray,
+                    n_steps: int = 256) -> np.ndarray:
+    """Integrals of the symplectic form over the surfaces swept by relative 1-chains.
 
     path: an ImmersionPath or a Sweep; only its family and curve are read.
-    cycles: one Chain, giving one float, or a cycle basis or sequence of
-    chains, giving an array with one integral per chain.
+    chains: (N_1, c) integer chains, one per column; returns their c integrals.
     """
-    return _swept_integrals(model, path, cycles, model.omega, 1, n_steps,
-                            "relative sweep oracle needs a 1-chain")
+    return _swept_integrals(model, path, chains, model.omega, 1, n_steps,
+                            "relative sweep oracle needs 1-chains")
 
 
-def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, cycles,
-                    n_steps: int = 256):
-    """Integral of the imaginary calibration form over the cylinders swept by cycles.
+def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, chains: np.ndarray,
+                    n_steps: int = 256) -> np.ndarray:
+    """Integrals of the imaginary calibration form over the cylinders swept by cycles.
 
-    cycles: one Chain or a basis / sequence of chains, as in `swept_rf_oracle`.
+    chains: (N_{n-1}, c) integer cycles, one per column, as in `swept_rf_oracle`.
     """
     dim = path.family.mesh.dim
     if dim not in (1, 2):
         raise SlagError("sweep oracle implemented for dim <= 2")
-    return _swept_integrals(model, path, cycles, model.im_omega_hat, dim - 1, n_steps,
-                            f"sweep oracle needs a {dim - 1}-chain on a {dim}-complex")
+    return _swept_integrals(model, path, chains, model.im_omega_hat, dim - 1, n_steps,
+                            f"sweep oracle needs {dim - 1}-chains on a {dim}-complex")
 
 
-def _swept_integrals(model, path, cycles, form, degree, n_steps, degree_error):
-    """Swept integrals of each chain, from one trajectory of their vertices only.
+def _swept_integrals(model, path, chains, form, degree, n_steps, degree_error):
+    """Swept integrals of each chain column, from one trajectory of their vertices only.
 
-    Every chain simplex is integrated once, all at the same time; each chain
-    then adds coeff * integral over its simplices in ascending id order.
+    Every distinct chain simplex is integrated once, all at the same time;
+    each column then adds coeff * integral over its nonzeros in ascending
+    simplex id, starting from zero, as `period_matrix` does.
     """
-    single = isinstance(cycles, Chain)
-    chains = [cycles] if single else list(getattr(cycles, "cycles", cycles))
-    if any(c.degree != degree for c in chains):
+    simplices = path.family.mesh.simplices[degree]
+    if np.ndim(chains) != 2 or len(chains) != len(simplices):
         raise SlagError(degree_error)
-    items = [sorted(chain.coeffs.items()) for chain in chains]
-    ids = np.array([sid for chain in items for sid, _ in chain], dtype=int)
-    sids, where = np.unique(ids, return_inverse=True)
-    corners = path.family.mesh.simplices[degree][sids]
+    rows, cols = np.nonzero(chains)
+    sids, where = np.unique(rows, return_inverse=True)
+    corners = simplices[sids]
     vertex_ids, local = np.unique(corners, return_inverse=True)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     traj = path.family.positions(path.curve(times), vertex_ids)   # (T, chain vertices, 2n)
@@ -395,11 +394,8 @@ def _swept_integrals(model, path, cycles, form, degree, n_steps, degree_error):
         integrals = _swept_edge_integrals(model, form, ends[:, 0], ends[:, 1])
     else:
         integrals = _swept_point_integrals(model, form, ends[:, 0])
-    coeffs = np.array([coeff for chain in items for _, coeff in chain], dtype=float)
-    terms = np.split(coeffs * integrals[where], np.cumsum([len(chain) for chain in items])[:-1])
-    # each chain adds its terms to zero one at a time, in ascending simplex id, as a loop does
-    totals = [float(np.cumsum(np.r_[0.0, chain_terms])[-1]) for chain_terms in terms]
-    return totals[0] if single else np.array(totals)
+    return np.bincount(cols, weights=chains[rows, cols] * integrals[where],
+                       minlength=chains.shape[1])
 
 
 # -- homotopy harness ------------------------------------------------------------------
@@ -416,8 +412,8 @@ def homotopy_invariance_harness(
     model: AmbientModel,
     path_a: ImmersionPath,
     path_b: ImmersionPath,
-    rel_cycles: RelativeCycleBasis,
-    abs_cycles: AbsoluteCycleBasis,
+    rel_cycles: CycleBasis,
+    abs_cycles: CycleBasis,
     homotopy=None,
     n_u: int = 9,
     endpoint_tol: float = 1e-12,
@@ -444,10 +440,8 @@ def homotopy_invariance_harness(
         sf_discrepancy=float(np.abs(sf_a.period_vector - sf_b.period_vector).max()),
     )
     if homotopy is not None:
-        gamma = rel_cycles.cycles[0]
-        us = np.linspace(0.0, 1.0, n_u)
-        curve = np.array([
-            swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma) for u in us
-        ])
+        gamma = rel_cycles.chains[:, :1]
+        curve = np.concatenate([swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma)
+                                for u in np.linspace(0.0, 1.0, n_u)])
         report.sweep_deviation = float(curve.max() - curve.min())
     return report

@@ -26,7 +26,7 @@ the ranks against a Smith-normal-form oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,49 +44,23 @@ from .errors import (
 _PRIME = 2_147_483_647
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Formal integer combination of canonical k-simplices, keyed by simplex id."""
+@dataclass(frozen=True, eq=False)
+class CycleBasis:
+    """Integer cycles of one degree and the integer cocycles dual to them.
 
-    degree: int
-    coeffs: dict[int, int]
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.degree, {i: -c for i, c in self.coeffs.items()})
-
-
-@dataclass(frozen=True)
-class RelativeCycleBasis:
-    """1-chains whose boundary is supported on boundary vertices.
-
-    dual[:, j] is an integer 1-cocycle vanishing on boundary edges with
-    period delta_jk over cycle k.
+    chains[:, j] is cycle j, its coefficient on each canonical simplex; a
+    relative 1-cycle's boundary lies on boundary vertices, an absolute
+    cycle's vanishes.  dual[:, j] is a closed integer cochain with period
+    delta_jk over cycle k; a relative dual vanishes on boundary edges.
     """
 
-    cycles: tuple[Chain, ...]
-    dual: np.ndarray = field(compare=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def degree(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class AbsoluteCycleBasis:
-    """Closed (n-1)-chains; dual[:, j] is an integer (n-1)-cocycle with period
-    delta_jk over cycle k."""
-
-    cycles: tuple[Chain, ...]
     degree: int
-    dual: np.ndarray = field(compare=False)
+    chains: np.ndarray
+    dual: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.cycles)
+        return self.chains.shape[1]
 
 
 @dataclass(frozen=True)
@@ -442,7 +416,7 @@ def betti_profile(mesh: SimplicialMesh) -> BettiProfile:
 # -- cycle bases --------------------------------------------------------------------
 
 
-def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
+def relative_cycle_basis(mesh: SimplicialMesh) -> CycleBasis:
     """Independent relative 1-cycles: 1-chains with boundary on boundary vertices.
 
     Construction: merge all boundary vertices into one virtual node, take a
@@ -454,36 +428,34 @@ def relative_cycle_basis(mesh: SimplicialMesh) -> RelativeCycleBasis:
         raise SlagError("relative cycle basis implemented for dim <= 2")
     m = mesh.betti_profile().b_rel_1
     ids = mesh.interior_simplex_ids(1)
-    chosen, dual = _cycle_generators(mesh, ids, mesh._merged_edges()[ids], [mesh.n_vertices], m)
-    if len(chosen) != m:
-        raise RankDeficientError(f"found {len(chosen)} relative cycles, expected {m}")
-    return RelativeCycleBasis(tuple(chosen), dual)
+    return _basis(1, *_cycle_generators(mesh, ids, mesh._merged_edges()[ids],
+                                        [mesh.n_vertices], m), m, "relative cycles")
 
 
-def absolute_cycle_basis(mesh: SimplicialMesh) -> AbsoluteCycleBasis:
+def absolute_cycle_basis(mesh: SimplicialMesh) -> CycleBasis:
     """Closed (n-1)-chains spanning the top-but-one homology (dim <= 2)."""
-    profile = mesh.betti_profile()
-    m = profile.betti[mesh.dim - 1]
+    m = mesh.betti_profile().betti[mesh.dim - 1]
     if mesh.dim == 1:
         # one generator per connected component (scipy labels them in the order
         # of their lowest vertex): its lowest interior vertex, else its lowest
         # vertex; its dual is the indicator of the component
         comp = _components(mesh.n_vertices, mesh.simplices[1])
         dual = (comp[:, None] == np.arange(comp.max() + 1)).astype(np.int64)
-        chosen = []
-        for group in dual.T.astype(bool):
-            interior = group & ~mesh._in_boundary[0]
-            chosen.append(Chain(0, {int(np.argmax(interior if interior.any() else group)): 1}))
-        if len(chosen) != m:
-            raise RankDeficientError(f"found {len(chosen)} 0-cycles, expected {m}")
-        return AbsoluteCycleBasis(tuple(chosen), 0, dual)
+        interior = dual.astype(bool) & ~mesh._in_boundary[0][:, None]
+        first = np.where(interior.any(axis=0), interior.argmax(axis=0), dual.argmax(axis=0))
+        chains = np.zeros_like(dual)
+        chains[first, np.arange(dual.shape[1])] = 1
+        return _basis(0, chains, dual, m, "0-cycles")
     if mesh.dim != 2:
         raise SlagError("absolute cycle basis implemented for dim <= 2")
-    edges = np.arange(mesh.n_simplices(1))
-    chosen, dual = _cycle_generators(mesh, edges, mesh.simplices[1], [], m)
-    if len(chosen) != m:
-        raise RankDeficientError(f"found {len(chosen)} cycles, expected {m}")
-    return AbsoluteCycleBasis(tuple(chosen), 1, dual)
+    return _basis(1, *_cycle_generators(mesh, np.arange(mesh.n_simplices(1)),
+                                        mesh.simplices[1], [], m), m, "cycles")
+
+
+def _basis(degree: int, chains: np.ndarray, dual: np.ndarray, m: int, what: str) -> CycleBasis:
+    if chains.shape[1] != m:
+        raise RankDeficientError(f"found {chains.shape[1]} {what}, expected {m}")
+    return CycleBasis(degree, chains, dual)
 
 
 def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, roots, m: int):
@@ -506,10 +478,11 @@ def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, 
     cycles, signs and order that greedy elimination of candidates in
     ascending id keeps.
 
-    Returns the cycles and an (N_1, m) integer array whose column j is 1 on
-    generator j and 0 on the tree, on the other generators and on every edge
-    outside eids, with cotree values fixed by closedness (Erickson &
-    Whittlesey, SODA 2005); its period over cycle k is therefore delta_jk.
+    Returns two (N_1, m) integer arrays: column j of the first is cycle j;
+    column j of the second is 1 on generator j and 0 on the tree, on the
+    other generators and on every edge outside eids, with cotree values fixed
+    by closedness (Erickson & Whittlesey, SODA 2005), so its period over
+    cycle k is delta_jk.
     """
     n, k = mesh.n_vertices + 1, len(eids)
     _, pred = _search_forest(n + k, ends.T.ravel(), np.tile(np.arange(n, n + k), 2), roots)
@@ -525,9 +498,10 @@ def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, 
     dual[eids[gens], np.arange(len(gens))] = 1
     if len(cotree) and len(gens):
         _close_over_cotree(mesh, dual, cotree)
-    walk = up_edge.tolist(), up_node.tolist(), up_sign.tolist()
-    return [Chain(1, _fundamental_cycle(*walk, e, a, b))
-            for e, (a, b) in zip(eids[gens].tolist(), ends[gens].tolist())], dual
+    chains, walk = np.zeros_like(dual), (up_edge.tolist(), up_node.tolist(), up_sign.tolist())
+    for column, e, (a, b) in zip(chains.T, eids[gens].tolist(), ends[gens].tolist()):
+        _fundamental_cycle(column, *walk, e, a, b)
+    return chains, dual
 
 
 def _search_forest(n_nodes: int, tails: np.ndarray, heads: np.ndarray, roots):
@@ -592,16 +566,15 @@ def _close_over_cotree(mesh: SimplicialMesh, dual: np.ndarray, cotree: np.ndarra
         raise RankDeficientError("cycle-dual cochains are not closed")
 
 
-def _fundamental_cycle(up_edge, up_node, up_sign, eid, a, b) -> dict[int, int]:
-    """Non-tree edge a -> b closed by the forest paths b -> root -> a.  Node v
-    hangs from up_node[v] by edge up_edge[v] (-1 at a root), traversed
-    up_node[v] -> v in direction up_sign[v]."""
-    chain = {eid: 1}
+def _fundamental_cycle(column, up_edge, up_node, up_sign, eid, a, b) -> None:
+    """Write into the zero `column` the non-tree edge a -> b closed by the
+    forest paths b -> root -> a.  Node v hangs from up_node[v] by edge
+    up_edge[v] (-1 at a root), traversed up_node[v] -> v in direction up_sign[v]."""
+    column[eid] = 1
     for v, sign in ((b, 1), (a, -1)):
         while up_edge[v] >= 0:
-            chain[up_edge[v]] = chain.get(up_edge[v], 0) - sign * up_sign[v]
+            column[up_edge[v]] -= sign * up_sign[v]
             v = up_node[v]
-    return {k: v for k, v in chain.items() if v}
 
 
 # -- serialization --------------------------------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 
 from slaglab.charts import (
     GridSamples,
-    PairingStructure,
     chart_jacobian,
     evaluate_chart,
     hessian_fit,
@@ -51,7 +50,7 @@ EXACTNESS_FLOOR = 1e-10
 
 
 def synthetic_grid(u_axis, v_of_u) -> GridSamples:
-    """Grid with prescribed v(u) map and identity pairing; for negative controls."""
+    """Grid with prescribed v(u) map; for negative controls."""
     m = 2
     pts = len(u_axis)
     shape = (pts,) * m
@@ -151,11 +150,11 @@ def _criterion_flux_oracles(almost_cy=False, n_random=20):
         path = ImmersionPath.straight(ws.fixture.family, amps, n_samples=33)
         rf = relative_flux(model, path, rel)
         sf = special_flux(model, path, ab)
-        for j, gamma in enumerate(rel.cycles):
-            worst = max(worst, abs(swept_rf_oracle(model, path, gamma)
+        for j, gamma in enumerate(rel.chains.T):
+            worst = max(worst, abs(swept_rf_oracle(model, path, gamma[:, None])[0]
                                    - rf.period_vector[j]))
-        for j, sigma in enumerate(ab.cycles):
-            worst = max(worst, abs(swept_sf_oracle(model, path, sigma)
+        for j, sigma in enumerate(ab.chains.T):
+            worst = max(worst, abs(swept_sf_oracle(model, path, sigma[:, None])[0]
                                    - sf.period_vector[j]))
     ws = _workspace("cylinder_translation", almost_cy=almost_cy)
     rel, ab = ws.rel_abs
@@ -165,11 +164,11 @@ def _criterion_flux_oracles(almost_cy=False, n_random=20):
         path = _random_rigid_path(ws, rng, 129)
         rf = relative_flux(model, path, rel)
         sf = special_flux(model, path, ab)
-        for j, gamma in enumerate(rel.cycles):
-            worst = max(worst, abs(swept_rf_oracle(model, path, gamma)
+        for j, gamma in enumerate(rel.chains.T):
+            worst = max(worst, abs(swept_rf_oracle(model, path, gamma[:, None])[0]
                                    - rf.period_vector[j]))
-        for j, sigma in enumerate(ab.cycles):
-            worst = max(worst, abs(swept_sf_oracle(model, path, sigma)
+        for j, sigma in enumerate(ab.chains.T):
+            worst = max(worst, abs(swept_sf_oracle(model, path, sigma[:, None])[0]
                                    - sf.period_vector[j]))
     return worst
 
@@ -292,23 +291,21 @@ def _criterion_embedding(almost_cy=False):
     fx = ws.fixture
     rel, ab = ws.rel_abs
     grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=7)
-    emb = pullback_BW(grid, ws.pairing)
-    hess = hessian_fit(grid, ws.pairing)
+    emb = pullback_BW(grid)
+    hess = hessian_fit(grid)
     b_errors = []
     for level in (1, 2, 4):
         wsl = _workspace("two_handle", level=level, almost_cy=almost_cy)
         rel_l, ab_l = wsl.rel_abs
         grid_l = sample_grid(wsl.fixture.model, wsl.fixture.family, rel_l, ab_l,
                              radius=0.08, points_per_axis=5)
-        emb_l = pullback_BW(grid_l, wsl.pairing)
+        emb_l = pullback_BW(grid_l)
         L2 = l2_gram(wsl.structure, tangent_cochains(wsl.fixture.model, wsl.fixture.family))
         b_errors.append(float(np.abs(emb_l.B_gram - L2).max()
                               / max(np.abs(L2).max(), 1e-300)))
     order = fit_order([1.0, 0.5, 0.25], b_errors)
     curl = hessian_fit(
-        synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]])),
-        PairingStructure(np.eye(2), 0.0),
-    )
+        synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]])))
     curl_rejected = curl.symmetry_residual > DEFAULT_TOLERANCES["hessian_symmetry"]
     return emb.W_max, b_errors, order, hess.symmetry_residual, curl_rejected
 

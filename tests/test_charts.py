@@ -6,12 +6,10 @@ import pytest
 
 from slaglab.charts import (
     GridSamples,
-    PairingStructure,
     chart_jacobian,
     evaluate_chart,
     hessian_fit,
     l2_gram,
-    normalize_cycles_to_identity,
     pairing_structure,
     pullback_BW,
     sample_grid,
@@ -19,15 +17,15 @@ from slaglab.charts import (
     transition_affine_fit,
 )
 from slaglab.dec import HodgeStructure
-from slaglab.errors import InsufficientSamplesError, SingularJacobianError
+from slaglab.errors import InsufficientSamplesError, SingularJacobianError, SlagError
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import ImmersionFamily, pullback_metric, reparametrize
-from slaglab.meshes import absolute_cycle_basis, relative_cycle_basis
+from slaglab.meshes import CycleBasis, absolute_cycle_basis, relative_cycle_basis
 from slaglab.runner import DEFAULT_TOLERANCES
 
 
 def synthetic_grid(u_axis, v_of_u) -> GridSamples:
-    """Grid with prescribed v(u) map and identity pairing; for negative controls."""
+    """Grid with prescribed v(u) map; for negative controls."""
     m = 2
     pts = len(u_axis)
     shape = (pts,) * m
@@ -50,8 +48,7 @@ def cyl():
     ab = absolute_cycle_basis(fx.mesh)
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     pair = pairing_structure(hs, rel, ab)
-    ab, pair = normalize_cycles_to_identity(pair, ab)
-    return fx, rel, ab, hs, pair
+    return fx, rel, pair.absolute, hs, pair
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +58,15 @@ def handles():
     ab = absolute_cycle_basis(fx.mesh)
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     pair = pairing_structure(hs, rel, ab)
-    ab, pair = normalize_cycles_to_identity(pair, ab)
-    return fx, rel, ab, hs, pair
+    return fx, rel, pair.absolute, hs, pair
 
 
 def test_pairing_is_certified_integer(cyl):
     fx, rel, ab, hs, pair = cyl
     assert pair.certification_residual < 1e-10
-    assert np.array_equal(pair.P, np.eye(1))
+    assert pair.P.dtype == np.int64 and np.array_equal(pair.P, -np.eye(1))
+    # the normalized absolute basis pairs to the identity
+    assert np.array_equal(pairing_structure(hs, rel, ab).P, np.eye(1))
 
 
 def test_pairing_interval():
@@ -77,7 +75,30 @@ def test_pairing_interval():
     ab = absolute_cycle_basis(fx.mesh)
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     pair = pairing_structure(hs, rel, ab)
-    assert pair.is_signed_permutation
+    assert abs(round(np.linalg.det(pair.P))) == 1
+    assert np.array_equal(pairing_structure(hs, rel, pair.absolute).P, np.eye(1))
+
+
+def test_pairing_normalizes_a_sheared_basis_to_the_same_basis(handles):
+    """A unimodular change of the absolute basis leaves the normalized basis unchanged."""
+    fx, rel, ab, hs, pair = handles
+    ab = absolute_cycle_basis(fx.mesh)
+    sheared = CycleBasis(1, ab.chains @ np.array([[1, 1], [0, 1]]),
+                         ab.dual @ np.array([[1, 0], [-1, 1]]))
+    assert np.array_equal(sheared.dual.T @ sheared.chains, np.eye(2))
+    plain, skew = pairing_structure(hs, rel, ab), pairing_structure(hs, rel, sheared)
+    assert np.abs(skew.P).sum() == 3  # no signed permutation
+    assert np.array_equal(skew.absolute.chains, plain.absolute.chains)
+    assert np.array_equal(skew.absolute.dual, plain.absolute.dual)
+    assert np.array_equal(plain.absolute.chains, pair.absolute.chains)
+    assert np.array_equal(pairing_structure(hs, rel, skew.absolute).P, np.eye(2))
+
+
+def test_pairing_without_an_integer_inverse_raises(handles):
+    fx, rel, ab, hs, pair = handles
+    doubled = replace(ab, dual=ab.dual * np.array([2, 1]))  # |det P| = 2
+    with pytest.raises(SlagError, match="no integer inverse"):
+        pairing_structure(hs, rel, doubled)
 
 
 @pytest.mark.parametrize("build", [cylinder_translation, two_handle])
@@ -192,7 +213,7 @@ def test_transition_negative_control_nonaffine():
 def test_bw_pullback_and_l2(cyl):
     fx, rel, ab, hs, pair = cyl
     grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.1, points_per_axis=5)
-    emb = pullback_BW(grid, pair)
+    emb = pullback_BW(grid)
     assert emb.W_max == 0.0
     thetas = tangent_cochains(fx.model, fx.family)
     L2 = l2_gram(hs, thetas)
@@ -203,7 +224,7 @@ def test_bw_pullback_and_l2(cyl):
 def test_bw_pullback_two_handles(handles):
     fx, rel, ab, hs, pair = handles
     grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=5)
-    emb = pullback_BW(grid, pair)
+    emb = pullback_BW(grid)
     assert emb.W_max < 1e-14
     thetas = tangent_cochains(fx.model, fx.family)
     L2 = l2_gram(hs, thetas)
@@ -216,7 +237,7 @@ def test_bw_pullback_reads_b_at_the_centre_of_an_even_grid():
     axis = np.linspace(-0.1, 0.1, 6)
     # v = grad(u1^3 + u1 u2^2): dv/du = [[6 u1, 2 u2], [2 u2, 2 u1]] changes sign with u
     grid = synthetic_grid(axis, lambda u: np.array([3 * u[0] ** 2 + u[1] ** 2, 2 * u[0] * u[1]]))
-    emb = pullback_BW(grid, PairingStructure(np.eye(2), 0.0))
+    emb = pullback_BW(grid)
     h = axis[1] - axis[0]
 
     def jacobian(values):
@@ -241,7 +262,7 @@ def test_l2_gram_orthogonal_directions_and_zero_tangent(handles):
 def test_hessian_fit_exact_for_linear_graph(cyl):
     fx, rel, ab, hs, pair = cyl
     grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.1, points_per_axis=7)
-    fit = hessian_fit(grid, pair)
+    fit = hessian_fit(grid)
     assert fit.symmetry_residual == 0.0
     assert fit.gradient_residual < 1e-12
     assert fit.hessian[0, 0] == pytest.approx(2.0, rel=1e-6)
@@ -251,14 +272,14 @@ def test_hessian_fit_exact_for_linear_graph(cyl):
 def test_hessian_fit_two_handles(handles):
     fx, rel, ab, hs, pair = handles
     grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=7)
-    fit = hessian_fit(grid, pair)
+    fit = hessian_fit(grid)
     assert fit.symmetry_residual < 1e-12
     assert np.allclose(fit.hessian, np.diag([2.0, 4.0]), atol=1e-5)
 
 
 def test_hessian_fit_rejects_curl_field():
     grid = synthetic_grid(np.linspace(-0.1, 0.1, 5), lambda u: np.array([u[1], -u[0]]))
-    fit = hessian_fit(grid, PairingStructure(np.eye(2), 0.0))
+    fit = hessian_fit(grid)
     assert fit.symmetry_residual > DEFAULT_TOLERANCES["hessian_symmetry"]
     assert fit.symmetry_residual == 2.0
 
@@ -268,6 +289,6 @@ def test_hessian_fit_accepts_gradient_field():
         np.linspace(-0.1, 0.1, 7),
         lambda u: np.array([2 * u[0] + u[1], u[0] + 3 * u[1]]),  # grad of quadratic
     )
-    fit = hessian_fit(grid, PairingStructure(np.eye(2), 0.0))
+    fit = hessian_fit(grid)
     assert fit.symmetry_residual < 1e-12
     assert np.allclose(fit.hessian, [[2, 1], [1, 3]], atol=1e-6)

@@ -11,6 +11,7 @@ from slaglab.errors import (
     EndpointMismatchError,
     NonLagrangianSampleError,
     NonSpecialSampleError,
+    SlagError,
     VelocityUnavailableError,
 )
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
@@ -31,7 +32,7 @@ from slaglab.immersion import (
     pullback_metric,
     reparametrize,
 )
-from slaglab.meshes import Chain, absolute_cycle_basis, build_mesh, relative_cycle_basis
+from slaglab.meshes import absolute_cycle_basis, build_mesh, relative_cycle_basis
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +48,8 @@ def test_static_path_has_zero_fluxes(cyl):
     path = ImmersionPath.straight(fx.family, [0.0], n_samples=9)
     assert np.abs(relative_flux(fx.model, path, rel).period_vector).max() == 0.0
     assert np.abs(special_flux(fx.model, path, ab).period_vector).max() == 0.0
-    assert swept_rf_oracle(fx.model, path, rel.cycles[0]) == 0.0
-    assert swept_sf_oracle(fx.model, path, ab.cycles[0]) == 0.0
+    assert swept_rf_oracle(fx.model, path, rel.chains).tolist() == [0.0]
+    assert swept_sf_oracle(fx.model, path, ab.chains).tolist() == [0.0]
 
 
 def test_tangent_form_on_fixture_edges(cyl):
@@ -90,10 +91,10 @@ def test_oracle_matches_periods_on_fixture(cyl):
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=33)
     rf = relative_flux(fx.model, path, rel)
     sf = special_flux(fx.model, path, ab)
-    assert swept_rf_oracle(fx.model, path, rel.cycles[0]) == pytest.approx(
+    assert swept_rf_oracle(fx.model, path, rel.chains)[0] == pytest.approx(
         rf.period_vector[0], abs=1e-12
     )
-    assert swept_sf_oracle(fx.model, path, ab.cycles[0]) == pytest.approx(
+    assert swept_sf_oracle(fx.model, path, ab.chains)[0] == pytest.approx(
         sf.period_vector[0], abs=1e-12
     )
 
@@ -104,8 +105,8 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     amp = [0.3, -0.2][:fx.family.n_params]
     path = ImmersionPath.straight(fx.family, amp, n_samples=9)
-    per_chain_rf = [swept_rf_oracle(fx.model, path, g) for g in rel.cycles]
-    per_chain_sf = [swept_sf_oracle(fx.model, path, s) for s in ab.cycles]
+    per_chain_rf = [swept_rf_oracle(fx.model, path, g[:, None])[0] for g in rel.chains.T]
+    per_chain_sf = [swept_sf_oracle(fx.model, path, s[:, None])[0] for s in ab.chains.T]
     trajectories = []
     positions = fx.family.positions
 
@@ -114,19 +115,31 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
         return trajectories[-1]
 
     monkeypatch.setattr(fx.family, "positions", spy)
-    rf = swept_rf_oracle(fx.model, path, rel)
-    sf = swept_sf_oracle(fx.model, path, ab)
+    rf = swept_rf_oracle(fx.model, path, rel.chains)
+    sf = swept_sf_oracle(fx.model, path, ab.chains)
     assert rf.tolist() == per_chain_rf and sf.tolist() == per_chain_sf
     # one trajectory per basis, of the chain vertices only
     for traj, basis, degree in zip(trajectories, (rel, ab), (1, fx.mesh.dim - 1)):
-        sids = [sid for chain in basis.cycles for sid in chain.coeffs]
-        vertices = np.unique(fx.mesh.simplices[degree][sids])
+        vertices = np.unique(fx.mesh.simplices[degree][np.nonzero(basis.chains)[0]])
         assert traj.shape == (257, len(vertices), 2 * fx.model.n)
     assert len(trajectories) == 2
 
 
-def _loop_swept_integrals(model, path, cycles, form, degree, n_steps=256):
-    """The former `_swept_integrals`: every vertex's trajectory, then a loop over chain simplices."""
+def test_oracles_reject_chains_of_another_degree(cyl):
+    """A chain matrix whose row count is not the simplex count of the degree is refused."""
+    fx, rel, ab = cyl
+    path = ImmersionPath.straight(fx.family, [0.3], n_samples=9)
+    vertex_chain = np.zeros((fx.mesh.n_vertices, 1), dtype=np.int64)
+    for oracle in (swept_rf_oracle, swept_sf_oracle):
+        with pytest.raises(SlagError, match="1-chains"):
+            oracle(fx.model, path, vertex_chain)
+        with pytest.raises(SlagError, match="1-chains"):
+            oracle(fx.model, path, rel.chains[:, 0])  # one column is still a matrix
+
+
+def _loop_swept_integrals(model, path, chains, form, degree, n_steps=256):
+    """The former `_swept_integrals`: every vertex's trajectory, then a loop over each
+    chain column's simplices in ascending id."""
 
     def edge_integral(pa, pb):
         w = model.wrap_displacement(pb - pa)
@@ -141,11 +154,9 @@ def _loop_swept_integrals(model, path, cycles, form, degree, n_steps=256):
         steps = p[1:] - p[:-1]
         return float(form(steps[:, None, :]).sum())
 
-    single = isinstance(cycles, Chain)
-    chains = [cycles] if single else list(getattr(cycles, "cycles", cycles))
     simplices = path.family.mesh.simplices[degree]
     integral = edge_integral if degree == 1 else point_integral
-    items = [sorted(chain.coeffs.items()) for chain in chains]
+    items = [[(sid, c) for sid, c in enumerate(column) if c] for column in chains.T.tolist()]
     vertex_ids = sorted({int(v) for chain in items for sid, _ in chain for v in simplices[sid]})
     vpos = {v: i for i, v in enumerate(vertex_ids)}
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -157,7 +168,7 @@ def _loop_swept_integrals(model, path, cycles, form, degree, n_steps=256):
             corners = [traj[:, vpos[int(v)]] for v in simplices[sid]]
             total += coeff * integral(*corners)
         totals.append(total)
-    return totals[0] if single else np.array(totals)
+    return np.array(totals)
 
 
 def _euclidean_cylinder():
@@ -186,16 +197,17 @@ def test_oracles_match_the_per_edge_loop(key):
     s_curve = ImmersionPath.straight(fx.family, amp, n_samples=9, profile=_S_CURVE)
     dim = fx.mesh.dim
     # negative and repeated coefficients, and chains sharing simplices
-    first, last = rel.cycles[0], rel.cycles[-1]
-    odd = Chain(1, {sid: (-2 if i % 2 else 3) * c
-                    for i, (sid, c) in enumerate(sorted(first.coeffs.items()))})
-    merged = Chain(1, {**{sid: -c for sid, c in last.coeffs.items()},
-                       **{sid: 2 * c for sid, c in first.coeffs.items()}})
-    dual_odd = Chain(dim - 1, {sid: -3 * c for sid, c in ab.cycles[0].coeffs.items()})
+    first, last, sigma = rel.chains[:, 0], rel.chains[:, -1], ab.chains[:, 0]
+    support = np.flatnonzero(first)
+    odd = np.zeros_like(first)
+    odd[support] = np.where(np.arange(len(support)) % 2, -2, 3) * first[support]
+    merged = np.where(first != 0, 2 * first, -last)
     cases = [(swept_rf_oracle, fx.model.omega, 1, chains)
-             for chains in (rel, first, odd, [first, odd, merged, first])]
+             for chains in (rel.chains, first[:, None], odd[:, None],
+                            np.stack([first, odd, merged, first], axis=1))]
     cases += [(swept_sf_oracle, fx.model.im_omega_hat, dim - 1, chains)
-              for chains in (ab, ab.cycles[0], [dual_odd, ab.cycles[0], dual_odd])]
+              for chains in (ab.chains, sigma[:, None],
+                             np.stack([-3 * sigma, sigma, -3 * sigma], axis=1))]
     for path in (straight, s_curve):
         for oracle, form, degree, chains in cases:
             got = oracle(fx.model, path, chains)
@@ -401,10 +413,10 @@ def test_interval_flux_and_oracles():
     sf = special_flux(fx.model, path, ab)
     assert rf.period_vector[0] == pytest.approx(-0.25 * 0.5, abs=1e-14)
     assert sf.period_vector[0] == pytest.approx(0.25, abs=1e-14)
-    assert swept_rf_oracle(fx.model, path, rel.cycles[0]) == pytest.approx(
+    assert swept_rf_oracle(fx.model, path, rel.chains)[0] == pytest.approx(
         rf.period_vector[0], abs=1e-14
     )
-    assert swept_sf_oracle(fx.model, path, ab.cycles[0]) == pytest.approx(
+    assert swept_sf_oracle(fx.model, path, ab.chains)[0] == pytest.approx(
         sf.period_vector[0], abs=1e-14
     )
 
@@ -450,7 +462,7 @@ def _reference_flux(model, path, cycles, integrand, degree):
     residuals = np.array([_reference_residuals(model, path.immersion_at(j)) for j in samples])
     weights, rule = _rule(path.n_samples)
     raw = sum(w * v for w, v in zip(weights, values))
-    periods = period_matrix([Cochain(mesh, degree, raw)], cycles)[:, 0]
+    periods = period_matrix([Cochain(mesh, degree, raw)], cycles.chains)[:, 0]
     d_op = mesh.coboundary_operator(degree) if degree < mesh.dim else None
     boundary = mesh.in_boundary(degree)
     diag = {
@@ -469,7 +481,7 @@ def _reference_flux(model, path, cycles, integrand, degree):
     if path.n_samples % 4 == 1:
         halves, _ = _rule((path.n_samples + 1) // 2)
         coarse = sum(w * v for w, v in zip(halves, values[::2]))
-        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles)[:, 0]
+        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles.chains)[:, 0]
         diag["richardson_error"] = np.abs(periods - coarse_periods).max() / 15.0
     return periods, raw, diag
 

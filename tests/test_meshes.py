@@ -18,7 +18,6 @@ from slaglab.errors import (
 )
 from slaglab.fixtures import FIXTURES, build_fixture, cylinder_translation, mobius, pair_of_pants
 from slaglab.meshes import (
-    Chain,
     absolute_cycle_basis,
     betti_profile,
     build_mesh,
@@ -67,17 +66,20 @@ def mesh_to_dict(mesh) -> dict:
     }
 
 
-def chain_boundary(mesh, chain: Chain) -> Chain:
-    if chain.degree == 0:
-        return Chain(-1, {})
-    op = mesh.boundary_operator(chain.degree)
-    out: dict[int, int] = {}
-    for j, c in chain.coeffs.items():
-        col = op.getcol(j).tocoo()
-        for i, v in zip(col.row, col.data):
-            i = int(i)
-            out[i] = out.get(i, 0) + c * int(v)
-    return Chain(chain.degree - 1, {i: v for i, v in out.items() if v})
+def chain_boundary(mesh, basis) -> np.ndarray:
+    """(N_{k-1}, m) boundaries of a basis's chain columns; a 0-chain has none."""
+    if basis.degree == 0:
+        return np.zeros((0, basis.m), dtype=np.int64)
+    return mesh.boundary_operator(basis.degree) @ basis.chains
+
+
+def _chain_matrix(n_rows, chains) -> np.ndarray:
+    """(n_rows, len(chains)) integer columns of chains given as (simplex id, coefficient) pairs."""
+    out = np.zeros((n_rows, len(chains)), dtype=np.int64)
+    for j, chain in enumerate(chains):
+        for sid, c in chain:
+            out[sid, j] = c
+    return out
 
 
 def _interval(n_seg=8):
@@ -180,34 +182,32 @@ def test_relative_basis_interval():
     mesh = interval_mesh()
     basis = relative_cycle_basis(mesh)
     assert basis.m == 1
-    boundary = chain_boundary(mesh, basis.cycles[0])
-    assert all(mesh.in_boundary(0)[v] for v in boundary.coeffs)
+    boundary = chain_boundary(mesh, basis)[:, 0]
+    assert mesh.in_boundary(0)[boundary != 0].all()
 
 
 def test_relative_basis_cylinder_boundary_to_boundary():
     mesh = cylinder_translation(1).mesh
     basis = relative_cycle_basis(mesh)
     assert basis.m == 1
-    boundary = chain_boundary(mesh, basis.cycles[0])
-    assert boundary.coeffs, "a relative generator joins the two boundary circles"
-    assert all(mesh.in_boundary(0)[v] for v in boundary.coeffs)
+    boundary = chain_boundary(mesh, basis)[:, 0]
+    assert boundary.any(), "a relative generator joins the two boundary circles"
+    assert mesh.in_boundary(0)[boundary != 0].all()
 
 
 def test_absolute_basis_closed():
     for mesh in (interval_mesh(), cylinder_translation(1).mesh, pair_of_pants(1).mesh):
         basis = absolute_cycle_basis(mesh)
-        for cycle in basis.cycles:
-            if cycle.degree == 0:
-                continue
-            assert chain_boundary(mesh, cycle).coeffs == {}
+        assert basis.chains.shape == (mesh.n_simplices(basis.degree), basis.m)
+        assert not chain_boundary(mesh, basis).any()
 
 
 def test_absolute_basis_interval_is_interior_vertex():
     mesh = interval_mesh()
     basis = absolute_cycle_basis(mesh)
     assert basis.m == 1
-    (vid, coeff), = basis.cycles[0].coeffs.items()
-    assert coeff == 1
+    (vid,) = np.nonzero(basis.chains[:, 0])[0]
+    assert basis.chains[vid, 0] == 1
     assert not mesh.in_boundary(0)[vid]
 
 
@@ -219,13 +219,7 @@ def test_pants_cycle_bases_independent_modulo_boundaries():
     assert rel.m == 2 and ab.m == 2
     d2 = sympy.Matrix(mesh.boundary_operator(2).toarray().tolist())
     for basis in (rel, ab):
-        cols = []
-        for cycle in basis.cycles:
-            col = [0] * mesh.n_simplices(1)
-            for eid, c in cycle.coeffs.items():
-                col[eid] = c
-            cols.append(col)
-        aug = d2.row_join(sympy.Matrix(cols).T)
+        aug = d2.row_join(sympy.Matrix(basis.chains.tolist()))
         assert aug.rank() == d2.rank() + basis.m
 
 
@@ -336,17 +330,18 @@ def test_tree_cotree_bases_equal_greedy_elimination(name, level):
     rel_bd = (_columns(mesh.boundary_operator(2), ~mesh.in_boundary(1))
               if mesh.dim == 2 else [])
     rel = relative_cycle_basis(mesh)
-    assert [list(c.coeffs.items()) for c in rel.cycles] == _greedy_cycles(
-        rel_edges, [mesh.n_vertices], rel_bd, profile.b_rel_1)
+    assert rel.chains.dtype == np.int64
+    assert np.array_equal(rel.chains, _chain_matrix(mesh.n_simplices(1), _greedy_cycles(
+        rel_edges, [mesh.n_vertices], rel_bd, profile.b_rel_1)))
 
     ab = absolute_cycle_basis(mesh)
     if mesh.dim == 2:
         abs_edges = [(i, int(a), int(b)) for i, (a, b) in enumerate(edges)]
         expected = _greedy_cycles(abs_edges, [], _columns(mesh.boundary_operator(2)),
                                   profile.betti[1])
-        assert [list(c.coeffs.items()) for c in ab.cycles] == expected
+        assert np.array_equal(ab.chains, _chain_matrix(mesh.n_simplices(1), expected))
     else:
-        assert [c.coeffs for c in ab.cycles] == [{1: 1}]
+        assert np.array_equal(ab.chains, _chain_matrix(mesh.n_vertices, [[(1, 1)]]))
 
 
 @pytest.mark.parametrize("name", ["interval_c1", "cylinder_translation", "two_handle",
@@ -361,7 +356,7 @@ def test_cycle_duals_are_closed_integer_cocycles_with_unit_periods(name, level):
         if basis.degree < mesh.dim:
             assert not (mesh.coboundary_operator(basis.degree) @ basis.dual).any()
         duals = [Cochain(mesh, basis.degree, col) for col in basis.dual.T]
-        assert np.array_equal(period_matrix(duals, basis), np.eye(basis.m))
+        assert np.array_equal(period_matrix(duals, basis.chains), np.eye(basis.m))
     assert not rel.dual[mesh.in_boundary(1)].any()
 
 
@@ -461,7 +456,8 @@ def _loop_cycle_generators(mesh, edge_list, roots, m):
     dual[[e[0] for e in generators], range(len(generators))] = 1
     if cotree:
         _loop_close_over_cotree(mesh, dual, cotree)
-    return [Chain(1, _loop_fundamental_cycle(parent_edge, *e)) for e in generators], dual
+    chains = [_loop_fundamental_cycle(parent_edge, *e).items() for e in generators]
+    return _chain_matrix(mesh.n_simplices(1), chains), dual
 
 
 def _thin_annulus():
@@ -527,8 +523,7 @@ def test_array_cycle_generators_equal_loop_reference(build):
         chains, dual = meshes._cycle_generators(mesh, eids, ends, roots, m)
         edge_list = list(zip(eids.tolist(), *ends.T.tolist()))
         ref_chains, ref_dual = _loop_cycle_generators(mesh, edge_list, roots, m)
-        assert [list(c.coeffs.items()) for c in chains] == [
-            list(c.coeffs.items()) for c in ref_chains]
+        assert chains.dtype == ref_chains.dtype and np.array_equal(chains, ref_chains)
         assert dual.dtype == ref_dual.dtype and np.array_equal(dual, ref_dual)
 
 
@@ -557,7 +552,7 @@ _TETRAHEDRON = (4, [(0, 1, 2, 3)], {f: 1 for f in itertools.combinations(range(4
 def test_absolute_basis_of_curve_takes_lowest_interior_vertex_per_component():
     mesh = build_mesh(*_CURVE)
     basis = absolute_cycle_basis(mesh)
-    assert [c.coeffs for c in basis.cycles] == [{1: 1}, {3: 1}]
+    assert np.array_equal(basis.chains, _chain_matrix(5, [[(1, 1)], [(3, 1)]]))
 
 
 def _boundary_of_4_simplex():

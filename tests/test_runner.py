@@ -637,6 +637,40 @@ def test_closed_form_oracles_and_duality_on_each_fixture(fixture, amplitudes):
     assert report.passed, [(c.name, c.residual, c.detail) for c in report.checks]
 
 
+# the width of the cylinder follows the path, so the metric does too; every sample is special
+_STRETCH = {
+    "name": "cylinder-stretch-family",
+    "fixture": {"name": "cylinder_translation", "level": 1},
+    "family": {"expressions": {"x1": "x1*(w0 + eps*sin(2*pi*u1))/w0", "y1": "y1 + u1"},
+               "parameters": ["u1"], "constants": {"w0": 0.5, "eps": 0.1}},
+    "path": {"amplitudes": [0.3], "samples": 33},
+}
+
+
+def test_duality_stars_each_probe_with_its_own_metric(monkeypatch):
+    report = run(scenario_from_dict(dict(_STRETCH, suites=["duality"])))
+    assert report.passed, [(c.name, c.residual) for c in report.checks]
+    # a copy that stars every probe with the base structure fails
+    ws = _Workspace(scenario_from_dict(_STRETCH))
+    original = runner.pullback_metric
+    monkeypatch.setattr(runner, "pullback_metric",
+                        lambda model, immersion: original(model, ws.fixture.base))
+    assert runner._duality_residual(ws) > DEFAULT_TOLERANCES["duality_error"]
+
+
+def test_duality_reuses_the_base_structure_on_a_rigid_path(monkeypatch):
+    built = []
+    original = runner.HodgeStructure
+
+    def counting(mesh, metric):
+        built.append(metric)
+        return original(mesh, metric)
+
+    monkeypatch.setattr(runner, "HodgeStructure", counting)
+    report = run(scenario_from_dict(minimal_scenario(suites=["duality"])))
+    assert report.passed and len(built) == 1
+
+
 @pytest.mark.parametrize("suites, expected", [
     (list(SUITES), ["dirichlet", "neumann"]),
     ([s for s in SUITES if s != "topology"], []),
@@ -680,8 +714,8 @@ def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
     assert report.passed
     assert sorted(shapes) == [(129, 1)] * 2 + [(257, 1)] * 5
     fx = cylinder_translation(1)
-    cycle = relative_cycle_basis(fx.mesh).cycles[0]
-    n_chain = len(np.unique(fx.mesh.simplices[1][list(cycle.coeffs)]))
+    cycle = relative_cycle_basis(fx.mesh).chains[:, 0]
+    n_chain = len(np.unique(fx.mesh.simplices[1][np.flatnonzero(cycle)]))
     assert sorted(lift.shape for lift in lifts) == (
         [(129, fx.mesh.n_vertices, 4)] * 2 + [(257, n_chain, 4)] * 5)
 
@@ -737,6 +771,16 @@ def test_convergence_study_shapes_and_orders():
     assert table.orders["star_involution"] > 0.8
 
 
+def test_interval_convergence_table_has_no_star_involution_column(tmp_path):
+    """The star involution on 1-forms needs dim 2: no column reads a vacuous 0.0."""
+    data = minimal_scenario(fixture={"name": "interval_c1"}, path={"amplitudes": [0.25]})
+    table = convergence_study(scenario_from_dict(data), [1, 2])
+    assert table.quantity_names == ["b_vs_l2", "duality_error"]
+    (path,) = emit_convergence(table, tmp_path)
+    with open(path) as fh:
+        assert fh.readline() == "level,h,b_vs_l2,duality_error\n"
+
+
 def test_quadrature_study_shows_simpson_order():
     from slaglab.runner import quadrature_study
 
@@ -779,6 +823,21 @@ def write_scenario(tmp_path, data, name="scn.json"):
     with open(p, "w") as fh:
         json.dump(data, fh)
     return str(p)
+
+
+def test_nameless_scenario_is_named_by_its_file_stem(tmp_path, capsys):
+    """The same nameless file in two directories writes the same report bytes."""
+    data = minimal_scenario(suites=["closed_form"])
+    del data["name"]
+    reports = []
+    for where in ("a", "b"):
+        os.makedirs(tmp_path / where)
+        p = write_scenario(tmp_path / where, data, name="nameless.json")
+        assert cli_main(["run", p, "--out", str(tmp_path / where / "out")]) == 0
+        with open(tmp_path / where / "out" / "nameless" / "report.json", "rb") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["scenario"] == "nameless"
 
 
 def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
