@@ -217,6 +217,52 @@ class GridSamples:
     S: np.ndarray  # (*shape, m)
 
 
+def _lattice_walk(nodes: np.ndarray):
+    """Parameter curve through the (K + 1, m) nodes: step k for K t in [k, k + 1].
+
+    Each step follows s(tau) = 3 tau^2 - 2 tau^3, whose velocity vanishes at
+    both ends, so a node between two steps in different directions has one
+    velocity, zero.  That velocity is quadratic in tau, so a Simpson panel per
+    step integrates a rigid family's flux exactly.  K t is taken to its
+    nearest half step when within 1e-9 of it, so that every node and midpoint
+    sample of the 2K + 1 sample grid sits exactly on its node or midpoint.
+    Returns the curve and its derivative, as `ImmersionPath` takes them.
+    """
+    steps = np.diff(nodes, axis=0)
+    n_steps = len(steps)
+
+    def split(t):
+        x = t * n_steps
+        half = np.rint(2 * x) / 2
+        x = np.where(np.abs(x - half) <= 1e-9, half, x)
+        k = np.minimum(np.floor(x), n_steps - 1).astype(int)
+        return k, (x - k)[:, None]
+
+    def curve(t):
+        k, tau = split(t)
+        return nodes[k] + tau * tau * (3 - 2 * tau) * steps[k]
+
+    def derivative(t):
+        k, tau = split(t)
+        return 6 * n_steps * tau * (1 - tau) * steps[k]
+
+    return curve, derivative
+
+
+def _boustrophedon(points: int, m: int) -> np.ndarray:
+    """(points^m, m) lattice indices in which consecutive rows differ by one step on one axis.
+
+    The reflected mixed-radix Gray code: the axis-i digit runs backwards
+    whenever the digits of the axes before it sum to an odd number.
+    """
+    digits = np.indices((points,) * m).reshape(m, -1)
+    before = np.zeros(digits.shape[1], dtype=int)
+    for i in range(m):
+        digits[i] = np.where(before % 2, points - 1 - digits[i], digits[i])
+        before += digits[i]
+    return digits.T
+
+
 def sample_grid(
     model: AmbientModel,
     family: ImmersionFamily,
@@ -224,22 +270,35 @@ def sample_grid(
     abs_cycles: CycleBasis,
     radius: float = 0.1,
     points_per_axis: int = 5,
-    n_samples: int = 17,
 ) -> GridSamples:
+    """Chart samples on the points_per_axis^m lattice over [-radius, radius]^m, from one path.
+
+    Flux is additive along concatenated paths, so the chart at a lattice point
+    is the flux along any path to it from the basepoint 0.  One path walks
+    the lattice in boustrophedon order, one Simpson panel per step
+    (`_lattice_walk`), and the chart at each point is the walk's running
+    period vector there minus its running period vector at the basepoint: the
+    centre of an odd lattice, or the walk's first node, prepended, on an
+    even one.
+    """
     m = family.n_params
     axis = np.linspace(-radius, radius, points_per_axis)
-    spacing = np.full(m, axis[1] - axis[0])
     shape = (points_per_axis,) * m
-    u = np.zeros(shape + (m,))
-    R = np.zeros(shape + (rel_cycles.m,))
-    S = np.zeros(shape + (abs_cycles.m,))
-    for idx in itertools.product(range(points_per_axis), repeat=m):
-        uu = np.array([axis[i] for i in idx])
-        sample = evaluate_chart(model, family, uu, rel_cycles, abs_cycles, n_samples)
-        u[idx] = uu
-        R[idx] = sample.R
-        S[idx] = sample.S
-    return GridSamples(shape, spacing, u, R, S)
+    u = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1)
+    lattice = tuple(_boustrophedon(points_per_axis, m).T)
+    nodes = u[lattice]
+    if points_per_axis % 2 == 0:
+        nodes = np.concatenate([np.zeros((1, m)), nodes])
+    base = np.abs(nodes).max(axis=1).argmin()
+    path = ImmersionPath(family, *_lattice_walk(nodes), 2 * len(nodes) - 1)
+    coords = []
+    for flux in path_fluxes(model, path, rel_cycles, abs_cycles):
+        # the running periods at every node: zero at the first, then at each panel's end
+        running = np.vstack([np.zeros_like(flux.period_vector), flux.panel_periods()])
+        values = np.empty(shape + flux.period_vector.shape)
+        values[lattice] = (running - running[base])[-points_per_axis ** m:]
+        coords.append(values)
+    return GridSamples(shape, np.full(m, axis[1] - axis[0]), u, *coords)
 
 
 def _grid_jacobians(grid: GridSamples):
@@ -360,7 +419,9 @@ class AtlasReport:
     """Aggregated chart diagnostics for emission.
 
     transition_fits: mapping pair-label -> AffineFit; per-chart data holds the
-    L2 Gram, the B Gram, the worst W value and the fitted potential.
+    L2 Gram, the B Gram, the worst W value and the fitted potential, with
+    hessian_vs_B, the gap |Hess phi - sym dv/du| at the grid centre between
+    the potential's Hessian and the metric it should equal.
     """
 
     transition_fits: dict
@@ -388,6 +449,7 @@ class AtlasReport:
                 "monomials": self.hessian.monomials.tolist(),
                 "symmetry_residual": self.hessian.symmetry_residual,
                 "gradient_residual": self.hessian.gradient_residual,
+                "hessian_vs_B": self.hessian.hessian_vs_B,
                 "matrix": self.hessian.hessian.tolist(),
             },
         }
@@ -399,4 +461,5 @@ class AtlasReport:
             rows.append(f"transition_det,{label},{float(fit.det)!r}")
         rows.append(f"w_max,,{self.w_max!r}")
         rows.append(f"hessian_symmetry,,{self.hessian.symmetry_residual!r}")
+        rows.append(f"hessian_vs_B,,{self.hessian.hessian_vs_B!r}")
         return rows

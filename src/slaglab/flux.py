@@ -14,6 +14,9 @@ Gram volumes), writes one centroid stack per degree and evaluates each form
 on it coefficient by coefficient.  The block's cochains are weighted as rows
 and added in sample order, so the sums carry the bits of a per-sample loop;
 the Richardson estimate reuses the even samples' cochains from the same pass.
+The pass also keeps each sample's values on the chain simplices, so that the
+running periods at the end of every panel, which the chart grid reads, can be
+summed when asked for.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
@@ -117,11 +120,18 @@ class Sweep(NamedTuple):
 
 @dataclass
 class FluxClass:
-    """Time-integrated tangent cochain with its period representation."""
+    """Time-integrated tangent cochain with its period representation.
+
+    panel_periods() gives the periods of the flux up to the end of each
+    quadrature panel (each pair of Simpson intervals, or each trapezoid
+    interval), one row per panel; the last row is period_vector.  Only the
+    chart grid reads them, so they are summed when asked for.
+    """
 
     space: str                     # "relative-1" or "absolute-(n-1)"
     period_vector: np.ndarray
     raw_cochain: Cochain
+    panel_periods: Callable[[], np.ndarray]
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -201,13 +211,16 @@ class _FluxPass:
     """Time quadrature of one integrand over a path, fed one block of samples at a time.
 
     Keeps the per-sample closedness and boundary sups, the same rule over the
-    even samples for the Richardson estimate, and the first failing sample.
+    even samples for the Richardson estimate, the first failing sample, and
+    each sample's values on the chains' simplices for the panel periods.
     """
 
     def __init__(self, mesh, n_samples, space, degree, form, chains, residual, tol):
         self.mesh, self.space, self.degree, self.form = mesh, space, degree, form
         self.chains, self.residual, self.tol, self.failure = chains, residual, tol, None
         self.weights, self.rule = _quadrature_weights(n_samples)
+        self.chain_rows, self.chain_cols = np.nonzero(chains)
+        self.chain_values = []  # per block, its (B, nonzeros) values on the chain rows
         richardson = n_samples % 4 == 1 and n_samples >= 5
         self.halves = _quadrature_weights((n_samples + 1) // 2)[0] if richardson else None
         self.raw, self.coarse = np.zeros((2, mesh.n_simplices(degree)))
@@ -248,6 +261,26 @@ class _FluxPass:
         # np.maximum keeps a NaN that the builtin max would drop
         self.closedness = float(np.maximum(self.closedness, _sup(self.d_op @ vals.T)))
         self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
+        self.chain_values.append(vals[:, self.chain_rows])
+
+    def panel_periods(self) -> np.ndarray:
+        """(panels, m) periods of the quadrature sum up to the end of each panel.
+
+        The sum up to a panel's last sample j is the fold of the samples before
+        j, each with its weight, plus sample j with the rule's end weight.  On
+        the chain rows np.cumsum folds in sample order, and the periods add in
+        `period_matrix`'s order, so the last row carries its bits.
+        """
+        values = np.concatenate(self.chain_values)
+        folds = np.cumsum(self.weights[:, None] * values, axis=0)
+        width = 2 if self.rule == "simpson" else 1
+        ends = np.arange(width, len(values), width)
+        sums = folds[ends - 1] + self.weights[-1] * values[ends]
+        m = self.chains.shape[1]
+        cols = self.chain_cols + m * np.arange(len(ends))[:, None]
+        coeffs = self.chains[self.chain_rows, self.chain_cols]
+        return np.bincount(cols.ravel(), weights=(coeffs * sums).ravel(),
+                           minlength=m * len(ends)).reshape(len(ends), m)
 
     def result(self, max_lag: float, max_special: float) -> FluxClass:
         raw = Cochain(self.mesh, self.degree, self.raw)
@@ -264,7 +297,7 @@ class _FluxPass:
         }
         if self.halves is not None:
             diag["richardson_error"] = float(np.abs(periods - coarse).max() / 15.0)
-        return FluxClass(self.space, periods, raw, diag)
+        return FluxClass(self.space, periods, raw, self.panel_periods, diag)
 
 
 def path_fluxes(model: AmbientModel, path: ImmersionPath,

@@ -397,16 +397,17 @@ def _suite_tangent_laws(ws: _Workspace):
 def _duality_residual(ws: _Workspace, n_probe: int = 5):
     """Max relative mass-norm error of star(theta) - phi over probe times.
 
-    Each probe is starred with the Hodge structure of its own immersion's
-    metric.  A probe whose top frames equal the base immersion's bit for bit
-    has the base metric bit for bit, so the base structure serves it; the
-    frames cost a tenth of the metric (its Gram products and validation).
+    The probes are the samples of the n_probe-sample straight path, at equally
+    spaced times from 0 to 1.  Each probe is starred with the Hodge structure
+    of its own immersion's metric.  A probe whose top frames equal the base
+    immersion's bit for bit has the base metric bit for bit, so the base
+    structure serves it; the frames cost a tenth of the metric (its Gram
+    products and validation).
     """
-    model, mesh, path = ws.fixture.model, ws.fixture.mesh, ws.straight_path()
+    model, mesh, path = ws.fixture.model, ws.fixture.mesh, ws.straight_path(n_probe)
     base = ws.fixture.base.simplex_frames(model, mesh.dim)
     worst = 0.0
-    idxs = np.linspace(0, path.n_samples - 1, n_probe).astype(int)
-    for j in idxs:
+    for j in range(n_probe):
         sample = path.immersion_at(j)
         structure = (ws.structure if np.array_equal(sample.simplex_frames(model, mesh.dim), base)
                      else HodgeStructure(mesh, pullback_metric(model, sample)))
@@ -862,8 +863,6 @@ def convergence_study(scenario: Scenario, levels) -> ConvergenceTable:
     rows = []
     for level in levels:
         ws = _study_workspace(scenario, level)
-        # the grid first, so that the workspace's cached straight path, which only
-        # the duality probe reads here, is not held through the grid's sampling
         b_vs_l2 = _b_vs_l2(ws, 5)[3]
         residuals = {"duality_error": _duality_residual(ws), "b_vs_l2": b_vs_l2}
         involution = _involution_residual(ws)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slaglab import charts
 from slaglab.charts import (
     GridSamples,
     chart_jacobian,
@@ -208,6 +209,42 @@ def test_transition_negative_control_nonaffine():
     ys = [FakeSample(np.array([x.R[0] ** 3, np.sin(3 * x.R[1])])) for x in xs]
     fit = transition_affine_fit(xs, ys, "R")
     assert fit.residual > 1e-2
+
+
+@pytest.mark.parametrize("points, m", [(7, 2), (6, 2), (4, 3), (5, 1)])
+def test_boustrophedon_visits_every_point_once_by_unit_steps(points, m):
+    order = charts._boustrophedon(points, m)
+    assert len({tuple(idx) for idx in order}) == len(order) == points ** m
+    assert np.all(np.abs(np.diff(order, axis=0)).sum(axis=1) == 1)
+
+
+@pytest.mark.parametrize("which, points, radius", [
+    ("handles", 7, 0.08), ("handles", 6, 0.08), ("cyl", 7, 0.1),
+])
+def test_grid_is_one_flux_pass_matching_per_point_charts(which, points, radius, monkeypatch,
+                                                         request):
+    """The lattice walk's running sums are the straight-path charts, to rounding.
+
+    An odd lattice has its centre at the basepoint; an even one has no node
+    there, so its walk starts from the basepoint.
+    """
+    fx, rel, ab, _, _ = request.getfixturevalue(which)
+    passes = []
+    fluxes = charts.path_fluxes
+
+    def spy(*args, **kwargs):
+        passes.append(args[1].n_samples)
+        return fluxes(*args, **kwargs)
+
+    monkeypatch.setattr(charts, "path_fluxes", spy)
+    grid = sample_grid(fx.model, fx.family, rel, ab, radius=radius, points_per_axis=points)
+    nodes = points ** fx.m + (points % 2 == 0)  # an even lattice's walk starts at 0
+    assert passes == [2 * nodes - 1]  # one Simpson panel per step
+    monkeypatch.undo()
+    for idx in itertools.product(range(points), repeat=fx.m):
+        chart = evaluate_chart(fx.model, fx.family, grid.u[idx], rel, ab, 17)
+        np.testing.assert_allclose(grid.R[idx], chart.R, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grid.S[idx], chart.S, rtol=0, atol=1e-14)
 
 
 def test_bw_pullback_and_l2(cyl):

@@ -318,6 +318,19 @@ def spy_splu(monkeypatch):
     return calls
 
 
+def test_mass_factor_and_kernel_count_share_one_spd_recipe(cylinder, monkeypatch):
+    """Both SuperLU call sites factor an SPD matrix, so both take the same options."""
+    fx, _ = cylinder
+    hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
+    factors = spy_splu(monkeypatch)
+    lu = hs.factorized_mass(1)
+    harmonic_fields(hs, "dirichlet")
+    mass, kernel = factors
+    assert mass == kernel
+    rhs = np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1))
+    np.testing.assert_allclose(hs.mass_matrix(1) @ lu.solve(rhs), rhs, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
 def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch):
     fx, hs = fixture_structure

@@ -640,11 +640,12 @@ def test_block_fold_adds_in_sample_order(cyl, block):
     Blocks of more than 8 samples, and a one-segment mesh whose 1-cochains
     have one column, are where a pairwise sum would part from the loop.
     """
-    fx, rel, _ = cyl
+    fx = cyl[0]
     count = 33  # Simpson with a Richardson estimate over the 17 even samples
     for mesh in (fx.mesh, build_mesh(2, [(1, 0)], {(0,): 1, (1,): 2})):
         vals = np.random.default_rng(5).normal(size=(count, mesh.n_simplices(1)))
-        fold = flux._FluxPass(mesh, count, "relative-1", 1, None, rel, 0, 1e-9)
+        no_chains = np.zeros((mesh.n_simplices(1), 0), dtype=np.int64)  # the fold alone
+        fold = flux._FluxPass(mesh, count, "relative-1", 1, None, no_chains, 0, 1e-9)
         for start in range(0, count, block):
             fold.add(start, vals[start:start + block])
         raw, coarse = np.zeros((2, vals.shape[1]))
@@ -654,3 +655,21 @@ def test_block_fold_adds_in_sample_order(cyl, block):
                 coarse += fold.halves[j // 2] * row
         np.testing.assert_array_equal(fold.raw, raw)
         np.testing.assert_array_equal(fold.coarse, coarse)
+
+
+@pytest.mark.parametrize("n_samples, panels", [(33, 16), (18, 17)])
+def test_panel_periods_run_to_the_period_vector(cyl, n_samples, panels):
+    """One row per Simpson panel (or trapezoid interval); the last is the periods, bit for bit.
+
+    Both sample counts span two blocks of a pass on the level-1 cylinder.  A rigid
+    translation at constant speed adds the same flux on every panel.
+    """
+    fx, rel, ab = cyl
+    path = ImmersionPath.straight(fx.family, [0.3], n_samples=n_samples)
+    assert path.n_samples > flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(2)
+    for f in path_fluxes(fx.model, path, rel, ab):
+        running = f.panel_periods()
+        assert running.shape == (panels, 1)
+        np.testing.assert_array_equal(running[-1], f.period_vector)
+        share = np.arange(1, panels + 1)[:, None] / panels
+        np.testing.assert_allclose(running, share * f.period_vector, rtol=0, atol=1e-15)

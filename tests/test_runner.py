@@ -1,6 +1,7 @@
 import copy
 import glob
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slaglab
-from slaglab import runner
+from slaglab import charts, runner
 from slaglab.cli import main as cli_main
 from slaglab.charts import GridSamples
 from slaglab.errors import ConfigError, DimensionMismatchError, SingularJacobianError
@@ -528,7 +529,7 @@ def test_straight_path_built_once_per_sample_count(monkeypatch):
     monkeypatch.setattr(runner, "ImmersionPath", Counting)
     report = run(scenario_from_dict(minimal_scenario(suites=list(SUITES), grid={"points": 5})))
     assert report.passed
-    assert sorted(built) == [33, 129]
+    assert sorted(built) == [5, 33, 129]  # the duality probes, the path, the smooth path
 
 
 def test_homotopy_ends_at_the_curved_path_it_compares(monkeypatch):
@@ -942,3 +943,50 @@ def test_atlas_emitted_with_embedding_suites(tmp_path):
     assert "basepoint_shift_R" in atlas["transitions"]
     assert atlas["w_max"] <= 1e-10
     np.testing.assert_allclose(atlas["b_gram"], atlas["l2_gram"], atol=1e-10)
+    # the Hessian-metric gap is reported, in both files, with no check of its own
+    assert math.isfinite(atlas["hessian"]["hessian_vs_B"])
+    with open(tmp_path / "atlas.csv") as fh:
+        row, = (line.strip() for line in fh if line.startswith("hessian_vs_B,"))
+    assert float(row.split(",")[2]) == atlas["hessian"]["hessian_vs_B"]
+    assert not any("hessian_vs_B" in c.name for c in report.checks)
+
+
+def test_duality_reads_only_its_probe_samples(monkeypatch):
+    """The probes are the whole n_probe-sample straight path, and nothing more is evaluated."""
+    seen = []
+    for name in ("tangent_one_form", "dual_form"):
+        def spy(model, path, j, form=getattr(runner, name), name=name):
+            seen.append((name, path.n_samples, j))
+            return form(model, path, j)
+
+        monkeypatch.setattr(runner, name, spy)
+    ws = _Workspace(scenario_from_dict(minimal_scenario(suites=["duality"])))
+    assert runner._duality_residual(ws, n_probe=5) < DEFAULT_TOLERANCES["duality_error"]
+    assert sorted(seen) == [(name, 5, j) for name in ("dual_form", "tangent_one_form")
+                            for j in range(5)]
+
+
+def test_transitions_charts_are_independent_straight_paths(monkeypatch):
+    """Every transitions chart runs its own straight path from 0 or from the shift.
+
+    translation_identity is path additivity over a triangle, so charts read
+    off the running sums of one path would pass it vacuously.
+    """
+    starts = []
+
+    class Counting(ImmersionPath):
+        @classmethod
+        def straight(cls, family, target, n_samples=33, profile=None, start=0.0):
+            starts.append(np.broadcast_to(np.asarray(start, dtype=float), np.shape(target)))
+            return super().straight(family, target, n_samples, profile, start)
+
+    monkeypatch.setattr(charts, "ImmersionPath", Counting)
+    data = minimal_scenario(fixture={"name": "two_handle", "level": 1},
+                            path={"amplitudes": [0.3, -0.2]}, suites=["transitions"])
+    report = run(scenario_from_dict(data))
+    assert report.passed
+    m, shift = 2, np.full(2, 0.04)
+    assert len(starts) == 2 * (2 * (m + 1) + 1) + 1
+    from_base = sum(np.array_equal(s, np.zeros(m)) for s in starts)
+    from_shift = sum(np.array_equal(s, shift) for s in starts)
+    assert (from_base, from_shift) == (2 * (m + 1) + 2, 2 * (m + 1) + 1)
