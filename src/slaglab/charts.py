@@ -29,6 +29,10 @@ from .flux import ImmersionPath, path_fluxes, tangent_one_form
 from .immersion import ImmersionFamily
 from .meshes import CycleBasis
 
+_JACOBIAN_STEP = 1e-3     # central-difference step of chart_jacobian, halved once
+_JACOBIAN_SAMPLES = 17    # time samples of each chart that chart_jacobian differences
+_POTENTIAL_DEGREE = 4     # top degree of the monomials in hessian_fit's potential
+
 
 @dataclass
 class ChartSample:
@@ -121,16 +125,13 @@ def chart_jacobian(
     structure: HodgeStructure,
     rel_cycles: CycleBasis,
     abs_cycles: CycleBasis,
-    step: float = 1e-3,
-    n_samples: int = 17,
-    cond_limit: float = 1e12,
 ) -> JacobianReport:
     """Central-difference Jacobians of (R, S) at 0 against their period-matrix predictions.
 
     dR columns should be the periods of the coordinate tangent one-forms over
     the relative cycles; dS columns the periods of their discrete stars over
-    the absolute cycles.  The step is halved once and the fourth-order
-    extrapolation (4 J_{h/2} - J_h) / 3 is returned.
+    the absolute cycles.  The step _JACOBIAN_STEP is halved once and the
+    fourth-order extrapolation (4 J_{h/2} - J_h) / 3 is returned.
     """
 
     def central(h):
@@ -139,22 +140,22 @@ def chart_jacobian(
         for i in range(family.n_params):
             e = np.zeros(family.n_params)
             e[i] = h
-            plus = evaluate_chart(model, family, e, rel_cycles, abs_cycles, n_samples)
-            minus = evaluate_chart(model, family, -e, rel_cycles, abs_cycles, n_samples)
+            plus = evaluate_chart(model, family, e, rel_cycles, abs_cycles, _JACOBIAN_SAMPLES)
+            minus = evaluate_chart(model, family, -e, rel_cycles, abs_cycles, _JACOBIAN_SAMPLES)
             dR[:, i] = (plus.R - minus.R) / (2 * h)
             dS[:, i] = (plus.S - minus.S) / (2 * h)
         return dR, dS
 
-    dR, dS = central(step)
-    dR2, dS2 = central(step / 2)
+    dR, dS = central(_JACOBIAN_STEP)
+    dR2, dS2 = central(_JACOBIAN_STEP / 2)
     dR = (4 * dR2 - dR) / 3
     dS = (4 * dS2 - dS) / 3
     thetas = tangent_cochains(model, family)
-    dR_expected = period_matrix(thetas, rel_cycles.chains)
+    dR_expected = period_matrix(thetas, rel_cycles)
     stars = [hodge_star(structure, th) for th in thetas]
-    dS_expected = period_matrix(stars, abs_cycles.chains)
+    dS_expected = period_matrix(stars, abs_cycles)
     svals = np.linalg.svd(dR, compute_uv=False)
-    if dR.shape[0] != dR.shape[1] or svals[-1] <= svals[0] / cond_limit:
+    if dR.shape[0] != dR.shape[1] or svals[-1] <= svals[0] / 1e12:
         raise SingularJacobianError(
             f"chart derivative is singular (shape {dR.shape}, "
             f"singular values {svals}); family directions do not span the tangent space"
@@ -374,7 +375,7 @@ def _monomial_terms(u: np.ndarray, factor, exponents: np.ndarray) -> np.ndarray:
     return np.where((exponents >= 0).all(axis=-1), term, 0.0)
 
 
-def hessian_fit(grid: GridSamples, degree: int = 4) -> HessianFit:
+def hessian_fit(grid: GridSamples) -> HessianFit:
     """Gradient-graph defect and least-squares potential for v(u)-coordinates.
 
     The dual coordinates v = S must be the gradient of a potential in the
@@ -392,7 +393,7 @@ def hessian_fit(grid: GridSamples, degree: int = 4) -> HessianFit:
     sym_residual = float(defect.max())  # keeps a NaN
 
     m = Ju.shape[-1]
-    E = _monomials(m, degree)
+    E = _monomials(m, _POTENTIAL_DEGREE)
     eye = np.eye(m, dtype=int)
     us = grid.R[inner].reshape(-1, m)
     # row (point, i): d/du_i of every monomial at the point, against v_i there

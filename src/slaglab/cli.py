@@ -54,6 +54,14 @@ def _run_one(path: str, out_dir, tol_scale: float) -> int:
     return 0 if report.passed else 1
 
 
+def _integers(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of a command-line flag."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="slag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,15 +89,15 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "converge":
-            levels = [int(x) for x in args.levels.split(",") if x]
+            levels = _integers("--levels", args.levels)
             if not levels or any(l < 1 for l in levels):
                 raise ConfigError("--levels must be positive integers")
+            counts = _integers("--quadrature", args.quadrature or "")
+            if any(n < 3 for n in counts):
+                raise ConfigError("--quadrature counts must be >= 3")
             scenario = load_scenario(args.file)
             tables = [convergence_study(scenario, levels)]
-            if args.quadrature:
-                counts = [int(x) for x in args.quadrature.split(",") if x]
-                if any(n < 3 for n in counts):
-                    raise ConfigError("--quadrature counts must be >= 3")
+            if counts:
                 tables.append(quadrature_study(scenario, counts))
             for table in tables:
                 header = ["level", "h"] + table.quantity_names

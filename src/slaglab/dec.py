@@ -35,10 +35,9 @@ from .errors import (
     DegenerateMetricError,
     DegreeMismatchError,
     DegreeOutOfRangeError,
-    DimensionMismatchError,
     SolverFailureError,
 )
-from .meshes import SimplicialMesh
+from .meshes import CycleBasis, SimplicialMesh
 
 _KERNEL_GAP = 1e-8
 _MAX_SWEEPS = 30  # block inverse iterations before the kernel count gives up
@@ -68,7 +67,7 @@ class Cochain:
 class MetricField:
     """Per-top-simplex SPD Gram matrix of the edge-vector frame."""
 
-    def __init__(self, mesh: SimplicialMesh, gram: np.ndarray, tol: float = 1e-12):
+    def __init__(self, mesh: SimplicialMesh, gram: np.ndarray):
         gram = np.asarray(gram, dtype=float)
         n = mesh.dim
         if gram.shape != (mesh.n_simplices(n), n, n):
@@ -77,7 +76,7 @@ class MetricField:
         if sym_defect > 1e-10:
             raise DegenerateMetricError(f"gram matrices asymmetric by {sym_defect:.2e}")
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.transpose(0, 2, 1)))
-        if eigs.min() <= tol * max(eigs.max(), 1.0):
+        if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
             raise DegenerateMetricError(
                 f"gram eigenvalue {eigs.min():.3e} below degeneracy tolerance"
             )
@@ -258,33 +257,21 @@ def codifferential(structure: HodgeStructure, cochain: Cochain) -> Cochain:
     return Cochain(mesh, k - 1, structure.factorized_mass(k - 1).solve(rhs))
 
 
-def period_matrix(cochains, chains: np.ndarray) -> np.ndarray:
-    """Entry (j, k): the value of cochain k over column j of the (N_k, m) integer chains.
-
-    Each column adds coefficient * value over its nonzeros in ascending
-    simplex id, starting from zero: one bincount over the row-major nonzeros,
-    with no BLAS, so the bits do not depend on the thread count.
-    """
-    rows, cols = np.nonzero(chains)
-    coeffs, out = chains[rows, cols], np.empty((chains.shape[1], len(cochains)))
-    for k, coch in enumerate(cochains):
-        if len(coch.values) != len(chains):
+def period_matrix(cochains, basis: CycleBasis) -> np.ndarray:
+    """Entry (j, k): the value of cochain k over cycle j, summed by `CycleBasis.periods`."""
+    for coch in cochains:
+        if len(coch.values) != len(basis.chains):
             raise DegreeMismatchError(
                 f"degree-{coch.degree} cochain has {len(coch.values)} values, "
-                f"chains have {len(chains)} rows")
-        out[:, k] = np.bincount(cols, weights=coeffs * coch.values[rows], minlength=len(out))
-    return out
+                f"chains have {len(basis.chains)} rows")
+    values = np.array([coch.values[basis.support] for coch in cochains])
+    return basis.periods(values.reshape(len(cochains), len(basis.support))).T
 
 
 # -- harmonic fields -----------------------------------------------------------------
 
 
-def harmonic_fields(
-    structure: HodgeStructure,
-    flavor: str,
-    expected_dim: int | None = None,
-    kernel_gap: float = _KERNEL_GAP,
-):
+def harmonic_fields(structure: HodgeStructure, flavor: str):
     """Basis of the constrained harmonic space.
 
     flavor "dirichlet": degree-1 fields vanishing on boundary edges, closed,
@@ -293,15 +280,15 @@ def harmonic_fields(
     of all (n-2)-cochains.
 
     The basis is the orthonormal kernel Ritz vectors of the constraint normal
-    matrix (see _small_eigenpairs).  Its size counts the Ritz values below
-    kernel_gap times the largest one computed, without reading expected_dim
-    (default: the Betti number); DimensionMismatchError when the two differ.
+    matrix (see _small_eigenpairs), as many as the Ritz values below
+    _KERNEL_GAP times the largest one computed.  The Betti number only sizes
+    the Ritz window; the caller compares the count against it.
     structure.diagnostics["<flavor>_spectrum"] holds the Ritz values: exact to
     rounding up to the shift |sigma|, upper bounds on the eigenvalues above it.
     """
     mesh = structure.mesh
     n = mesh.dim
-    profile = mesh.betti_profile() if expected_dim is None else None
+    profile = mesh.betti_profile()
     if flavor == "dirichlet":
         degree = 1
         col_ids = mesh.interior_simplex_ids(1)
@@ -311,16 +298,14 @@ def harmonic_fields(
         rows = mesh.interior_simplex_ids(0)
         weak = (exterior_derivative(mesh, 0).T @ structure.mass_matrix(1))[rows][:, col_ids]
         blocks.append(weak)
-        m_expected = profile.b_rel_1 if expected_dim is None else expected_dim
+        betti = profile.b_rel_1
     elif flavor == "neumann":
         degree = n - 1
         col_ids = np.arange(mesh.n_simplices(degree))
         blocks = [exterior_derivative(mesh, degree)]
         if degree >= 1:
             blocks.append(exterior_derivative(mesh, degree - 1).T @ structure.mass_matrix(degree))
-        m_expected = (
-            profile.betti[degree] if expected_dim is None else expected_dim
-        )
+        betti = profile.betti[degree]
     else:
         raise DegreeMismatchError(f"unknown flavor {flavor!r}")
 
@@ -331,20 +316,15 @@ def harmonic_fields(
         scale = abs(block).max() if block.nnz else 1.0
         block = block / max(scale, 1e-300)
         normal = normal + block.T @ block
-    lam, vecs = _small_eigenpairs(normal, m_expected, kernel_gap)
-    kernel_dim = _kernel_dimension(lam, kernel_gap)
-    if kernel_dim != m_expected:
-        raise DimensionMismatchError(
-            f"{flavor} kernel dimension {kernel_dim} != expected {m_expected}; "
-            f"eigenvalues {lam[: m_expected + 2]}"
-        )
+    lam, vecs = _small_eigenpairs(normal, betti)
+    count = _kernel_dimension(lam)
     structure.diagnostics[f"{flavor}_spectrum"] = lam
-    basis = np.zeros((mesh.n_simplices(degree), m_expected))
-    basis[col_ids] = vecs[:, :m_expected]
-    return [Cochain(mesh, degree, basis[:, j]) for j in range(m_expected)]
+    basis = np.zeros((mesh.n_simplices(degree), count))
+    basis[col_ids] = vecs[:, :count]
+    return [Cochain(mesh, degree, basis[:, j]) for j in range(count)]
 
 
-def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float = _KERNEL_GAP):
+def _small_eigenpairs(normal: sp.csr_matrix, betti: int):
     """Smallest Ritz pairs of the PSD normal matrix N, in ascending order.
 
     Block inverse iteration (subspace iteration, Saad 2011, ch. 5) on one
@@ -352,7 +332,7 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
     negative shift.  Each sweep solves for all `want` columns at once and
     orthonormalizes them; a Rayleigh-Ritz step, eigh(X^T N X), then gives the
     ascending Ritz values and the orthonormal Ritz vectors X W.  With
-    cut = kernel_gap * max(theta), the scale of _kernel_dimension's own cut,
+    cut = _KERNEL_GAP * max(theta), the scale of _kernel_dimension's own cut,
     a sweep meets the stopping rule when every pair the count takes has
     |N v - theta v| <= cut and every other pair's residual interval
     theta +- |N v - theta v| stays above the cut.
@@ -368,7 +348,7 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
     Dense eigh where the window spans the matrix (want >= dim - 1).
     """
     dim = normal.shape[0]
-    want = min(dim, max(m_expected + 4, 6))
+    want = min(dim, max(betti + 4, 6))
     try:
         if want >= dim - 1:
             return np.linalg.eigh(normal.toarray())
@@ -382,8 +362,8 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
             image = normal @ block
             theta, rot = np.linalg.eigh(block.T @ image)
             block, image = block @ rot, image @ rot
-            counted = _kernel_dimension(theta, kernel_gap)
-            cut = kernel_gap * theta.max()
+            counted = _kernel_dimension(theta)
+            cut = _KERNEL_GAP * theta.max()
             residual = np.linalg.norm(image - block * theta, axis=0)
             # a window of all-small Ritz values bounds want eigenvalues below
             # the cut, so the count is the whole window whatever sweeps follow
@@ -397,8 +377,8 @@ def _small_eigenpairs(normal: sp.csr_matrix, m_expected: int, kernel_gap: float 
     raise SolverFailureError(f"kernel eigensolve did not converge in {_MAX_SWEEPS} sweeps")
 
 
-def _kernel_dimension(lam: np.ndarray, kernel_gap: float = _KERNEL_GAP) -> int:
-    """Eigenvalues below kernel_gap times the largest computed; all if none tops 1e-10."""
+def _kernel_dimension(lam: np.ndarray) -> int:
+    """Eigenvalues below _KERNEL_GAP times the largest computed; all if none tops 1e-10."""
     lam = np.maximum(lam, 0.0)
     top = lam.max(initial=0.0)
-    return int(np.sum(lam < kernel_gap * top)) if top > 1e-10 else len(lam)
+    return int(np.sum(lam < _KERNEL_GAP * top)) if top > 1e-10 else len(lam)

@@ -37,10 +37,6 @@ class DegenerateMetricError(SlagError):
     """A per-simplex metric tensor is not positive definite."""
 
 
-class DimensionMismatchError(SlagError):
-    """Numerical kernel dimension disagrees with the topological prediction."""
-
-
 class SolverFailureError(SlagError):
     """A linear solve or factorization failed to converge."""
 

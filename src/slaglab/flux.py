@@ -14,17 +14,18 @@ Gram volumes), writes one centroid stack per degree and evaluates each form
 on it coefficient by coefficient.  The block's cochains are weighted as rows
 and added in sample order, so the sums carry the bits of a per-sample loop;
 the Richardson estimate reuses the even samples' cochains from the same pass.
-The pass also keeps each sample's values on the chain simplices, so that the
-running periods at the end of every panel, which the chart grid reads, can be
-summed when asked for.
+The pass also keeps each sample's values on the support of the cycle basis,
+so that the running periods at the end of every panel, which the chart grid
+reads, can be summed when asked for.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
 surface integrals of the constant ambient forms over the piecewise-linear
 surface traced by a cycle, giving an independent cross-check.  An oracle
-evaluates the family at the chain vertices only, once over its time grid, and
-integrates every chain simplex at once; each simplex keeps its slab sum in
-one contiguous row, so it adds in the order of a per-simplex loop.
+evaluates the family at the vertices of the basis support only, once over its
+time grid, and integrates every support simplex at once; each simplex keeps
+its slab sum in one contiguous row, so it adds in the order of a per-simplex
+loop.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from .meshes import CycleBasis
 
 _LAGRANGIAN_TOL = 1e-9
 _SPECIAL_TOL = 1e-9
+_ORACLE_STEPS = 256  # time slabs of a swept-surface oracle
+_HOMOTOPY_STEPS = 5  # values of u at which the homotopy harness runs the oracle
+_ENDPOINT_TOL = 1e-12  # largest endpoint gap between the two paths the homotopy harness compares
 # Top-simplex samples stacked in one block of a flux pass.  It bounds the
 # memory of the stacked frames whatever the mesh size and the number of
 # samples.  An interleaved in-process sweep (9 rounds, 2-core Xeon, BLAS on one
@@ -212,15 +216,14 @@ class _FluxPass:
 
     Keeps the per-sample closedness and boundary sups, the same rule over the
     even samples for the Richardson estimate, the first failing sample, and
-    each sample's values on the chains' simplices for the panel periods.
+    each sample's values on the basis support for the panel periods.
     """
 
-    def __init__(self, mesh, n_samples, space, degree, form, chains, residual, tol):
+    def __init__(self, mesh, n_samples, space, degree, form, basis, residual, tol):
         self.mesh, self.space, self.degree, self.form = mesh, space, degree, form
-        self.chains, self.residual, self.tol, self.failure = chains, residual, tol, None
+        self.basis, self.residual, self.tol, self.failure = basis, residual, tol, None
         self.weights, self.rule = _quadrature_weights(n_samples)
-        self.chain_rows, self.chain_cols = np.nonzero(chains)
-        self.chain_values = []  # per block, its (B, nonzeros) values on the chain rows
+        self.support_values = []  # per block, its (B, support) values
         richardson = n_samples % 4 == 1 and n_samples >= 5
         self.halves = _quadrature_weights((n_samples + 1) // 2)[0] if richardson else None
         self.raw, self.coarse = np.zeros((2, mesh.n_simplices(degree)))
@@ -261,31 +264,26 @@ class _FluxPass:
         # np.maximum keeps a NaN that the builtin max would drop
         self.closedness = float(np.maximum(self.closedness, _sup(self.d_op @ vals.T)))
         self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
-        self.chain_values.append(vals[:, self.chain_rows])
+        self.support_values.append(vals[:, self.basis.support])
 
     def panel_periods(self) -> np.ndarray:
         """(panels, m) periods of the quadrature sum up to the end of each panel.
 
         The sum up to a panel's last sample j is the fold of the samples before
         j, each with its weight, plus sample j with the rule's end weight.  On
-        the chain rows np.cumsum folds in sample order, and the periods add in
-        `period_matrix`'s order, so the last row carries its bits.
+        the support np.cumsum folds in sample order, and `CycleBasis.periods`
+        adds the periods as `period_matrix` does, so the last row carries its bits.
         """
-        values = np.concatenate(self.chain_values)
+        values = np.concatenate(self.support_values)
         folds = np.cumsum(self.weights[:, None] * values, axis=0)
         width = 2 if self.rule == "simpson" else 1
         ends = np.arange(width, len(values), width)
-        sums = folds[ends - 1] + self.weights[-1] * values[ends]
-        m = self.chains.shape[1]
-        cols = self.chain_cols + m * np.arange(len(ends))[:, None]
-        coeffs = self.chains[self.chain_rows, self.chain_cols]
-        return np.bincount(cols.ravel(), weights=(coeffs * sums).ravel(),
-                           minlength=m * len(ends)).reshape(len(ends), m)
+        return self.basis.periods(folds[ends - 1] + self.weights[-1] * values[ends])
 
     def result(self, max_lag: float, max_special: float) -> FluxClass:
         raw = Cochain(self.mesh, self.degree, self.raw)
         periods, coarse = period_matrix([raw, Cochain(self.mesh, self.degree, self.coarse)],
-                                        self.chains).T
+                                        self.basis).T
         diag = {
             "rule": self.rule,
             "max_lagrangian_residual": max_lag,
@@ -314,9 +312,9 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     """
     mesh, n, count = path.family.mesh, path.family.mesh.dim, path.n_samples
     rel_pass = None if rel_cycles is None else _FluxPass(
-        mesh, count, "relative-1", 1, model.omega, rel_cycles.chains, 0, lagrangian_tol)
+        mesh, count, "relative-1", 1, model.omega, rel_cycles, 0, lagrangian_tol)
     abs_pass = None if abs_cycles is None else _FluxPass(
-        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles.chains, 1,
+        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles, 1,
         special_tol)
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
@@ -382,53 +380,47 @@ def _swept_point_integrals(model: AmbientModel, form: ConstantForm, p: np.ndarra
     return form(steps[..., None, :]).sum(axis=-1)
 
 
-def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, chains: np.ndarray,
-                    n_steps: int = 256) -> np.ndarray:
-    """Integrals of the symplectic form over the surfaces swept by relative 1-chains.
+def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, basis: CycleBasis) -> np.ndarray:
+    """Integrals of the symplectic form over the surfaces swept by relative 1-cycles.
 
     path: an ImmersionPath or a Sweep; only its family and curve are read.
-    chains: (N_1, c) integer chains, one per column; returns their c integrals.
+    basis: a degree-1 CycleBasis; returns the integral over each of its m cycles.
     """
-    return _swept_integrals(model, path, chains, model.omega, 1, n_steps,
+    return _swept_integrals(model, path, basis, model.omega, 1,
                             "relative sweep oracle needs 1-chains")
 
 
-def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, chains: np.ndarray,
-                    n_steps: int = 256) -> np.ndarray:
+def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, basis: CycleBasis) -> np.ndarray:
     """Integrals of the imaginary calibration form over the cylinders swept by cycles.
 
-    chains: (N_{n-1}, c) integer cycles, one per column, as in `swept_rf_oracle`.
+    basis: a degree-(n-1) CycleBasis, as in `swept_rf_oracle`.
     """
     dim = path.family.mesh.dim
     if dim not in (1, 2):
         raise SlagError("sweep oracle implemented for dim <= 2")
-    return _swept_integrals(model, path, chains, model.im_omega_hat, dim - 1, n_steps,
+    return _swept_integrals(model, path, basis, model.im_omega_hat, dim - 1,
                             f"sweep oracle needs {dim - 1}-chains on a {dim}-complex")
 
 
-def _swept_integrals(model, path, chains, form, degree, n_steps, degree_error):
-    """Swept integrals of each chain column, from one trajectory of their vertices only.
+def _swept_integrals(model, path, basis, form, degree, degree_error):
+    """Swept integrals of each cycle, from one trajectory of the support's vertices only.
 
-    Every distinct chain simplex is integrated once, all at the same time;
-    each column then adds coeff * integral over its nonzeros in ascending
-    simplex id, starting from zero, as `period_matrix` does.
+    Every support simplex is integrated once, all at the same time, and
+    `CycleBasis.periods` adds them up.
     """
     simplices = path.family.mesh.simplices[degree]
-    if np.ndim(chains) != 2 or len(chains) != len(simplices):
+    if basis.degree != degree or len(basis.chains) != len(simplices):
         raise SlagError(degree_error)
-    rows, cols = np.nonzero(chains)
-    sids, where = np.unique(rows, return_inverse=True)
-    corners = simplices[sids]
+    corners = simplices[basis.support]
     vertex_ids, local = np.unique(corners, return_inverse=True)
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    traj = path.family.positions(path.curve(times), vertex_ids)   # (T, chain vertices, 2n)
+    times = np.linspace(0.0, 1.0, _ORACLE_STEPS + 1)
+    traj = path.family.positions(path.curve(times), vertex_ids)   # (T, support vertices, 2n)
     ends = np.swapaxes(traj, 0, 1)[local.reshape(corners.shape)]  # (simplex, corner, T, 2n)
     if degree == 1:
         integrals = _swept_edge_integrals(model, form, ends[:, 0], ends[:, 1])
     else:
         integrals = _swept_point_integrals(model, form, ends[:, 0])
-    return np.bincount(cols, weights=chains[rows, cols] * integrals[where],
-                       minlength=chains.shape[1])
+    return basis.periods(integrals)
 
 
 # -- homotopy harness ------------------------------------------------------------------
@@ -448,19 +440,18 @@ def homotopy_invariance_harness(
     rel_cycles: CycleBasis,
     abs_cycles: CycleBasis,
     homotopy=None,
-    n_u: int = 9,
-    endpoint_tol: float = 1e-12,
 ) -> HomotopyReport:
     """Fluxes of two end-point sharing paths plus an optional u-sweep of the oracle.
 
     homotopy: optional callable u -> parameter curve of path_a's family, from
     path_a's curve (u=0) to path_b's (u=1) with fixed endpoints; the report then
-    includes the swept integral over the first relative cycle as a function of
-    u.  Only the oracle reads these curves, so no path is sampled along them.
+    includes the swept integral over the first relative cycle at _HOMOTOPY_STEPS
+    equally spaced values of u.  Only the oracle reads these curves, so no path
+    is sampled along them.
     """
     ends = path_a.positions[[0, -1]] - path_b.positions[[0, -1]]
     gap = float(np.abs(model.wrap_displacement(ends)).max())
-    if gap > endpoint_tol:
+    if gap > _ENDPOINT_TOL:
         raise EndpointMismatchError(f"paths differ at endpoints by {gap:.3e}")
     try:
         rf_a, sf_a = path_fluxes(model, path_a, rel_cycles, abs_cycles)
@@ -473,8 +464,8 @@ def homotopy_invariance_harness(
         sf_discrepancy=float(np.abs(sf_a.period_vector - sf_b.period_vector).max()),
     )
     if homotopy is not None:
-        gamma = rel_cycles.chains[:, :1]
+        gamma = CycleBasis(1, rel_cycles.chains[:, :1], rel_cycles.dual[:, :1])
         curve = np.concatenate([swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma)
-                                for u in np.linspace(0.0, 1.0, n_u)])
+                                for u in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS)])
         report.sweep_deviation = float(curve.max() - curve.min())
     return report

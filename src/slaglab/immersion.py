@@ -10,7 +10,7 @@ affine simplices, so the verification chain carries no quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import (
     SlagError,
 )
 from .meshes import SimplicialMesh, sort_sign
+
+_VALIDATION_TOL = 1e-10  # bound on every margin and residual that ValidationReport.ok reads
 
 
 @dataclass
@@ -125,26 +127,21 @@ class ValidationReport:
     transversality_margin: float     # smallest (n+1)-th singular value at the boundary
     lagrangian_residual: float       # max |omega over 2-simplex| / metric volume
     special_residual: float          # max |Im Omega-hat over top simplex| / metric volume
-    tolerances: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        tol = self.tolerances
         return (
-            self.immersion_margin > tol.get("immersion", 1e-10)
-            and self.boundary_distance <= tol.get("placement", 1e-10)
-            and self.transversality_margin > tol.get("transversality", 1e-10)
-            and self.lagrangian_residual <= tol.get("lagrangian", 1e-10)
+            self.immersion_margin > _VALIDATION_TOL
+            and self.boundary_distance <= _VALIDATION_TOL
+            and self.transversality_margin > _VALIDATION_TOL
+            and self.lagrangian_residual <= _VALIDATION_TOL
         )
 
 
-def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=None) -> ValidationReport:
+def validate(model: AmbientModel, immersion: Immersion, lagrangians) -> ValidationReport:
     """Residual report for the immersion, boundary, transversality and calibration conditions."""
     mesh = immersion.mesh
     n = mesh.dim
-    tol = {"immersion": 1e-10, "placement": 1e-10, "transversality": 1e-10,
-           "lagrangian": 1e-10, "special": 1e-10}
-    tol.update(tolerances or {})
 
     frames = {k: immersion.simplex_frames(model, k) for k in {n, min(n, 2)}}
     svals = np.linalg.svd(frames[n], compute_uv=False)
@@ -182,7 +179,6 @@ def validate(model: AmbientModel, immersion: Immersion, lagrangians, tolerances=
         transversality_margin=trans,
         lagrangian_residual=float(lag),
         special_residual=float(special),
-        tolerances=tol,
     )
 
 

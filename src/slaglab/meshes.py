@@ -26,7 +26,9 @@ the ranks against a Smith-normal-form oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +54,7 @@ class CycleBasis:
     relative 1-cycle's boundary lies on boundary vertices, an absolute
     cycle's vanishes.  dual[:, j] is a closed integer cochain with period
     delta_jk over cycle k; a relative dual vanishes on boundary edges.
+    support holds the ascending ids of the simplices that some cycle touches.
     """
 
     degree: int
@@ -61,6 +64,30 @@ class CycleBasis:
     @property
     def m(self) -> int:
         return self.chains.shape[1]
+
+    @cached_property
+    def _terms(self):
+        """(support, slot of each nonzero in support, its column, its coefficient), row-major."""
+        rows, cols = np.nonzero(self.chains)
+        support, slots = np.unique(rows, return_inverse=True)
+        return support, slots, cols, self.chains[rows, cols]
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._terms[0]
+
+    def periods(self, values: np.ndarray) -> np.ndarray:
+        """(..., m) periods of the (..., len(support)) values on the support.
+
+        Each column adds coefficient * value over its nonzeros in ascending
+        simplex id, starting from zero: one bincount over the row-major
+        nonzeros, with no BLAS, so the bits do not depend on the thread count.
+        """
+        _, slots, cols, coeffs = self._terms
+        lead, m = values.shape[:-1], self.m
+        bins = cols + m * np.arange(math.prod(lead)).reshape(lead + (1,))
+        sums = np.bincount(bins.ravel(), (coeffs * values[..., slots]).ravel(), m * math.prod(lead))
+        return sums.reshape(lead + (m,))
 
 
 @dataclass(frozen=True)

@@ -495,8 +495,8 @@ def _suite_flux_oracles(ws: _Workspace):
     model = ws.fixture.model
     path = ws.straight_path()
     rf, sf = ws.straight_fluxes()
-    worst_rf = np.abs(swept_rf_oracle(model, path, rel.chains) - rf.period_vector).max()
-    worst_sf = np.abs(swept_sf_oracle(model, path, ab.chains) - sf.period_vector).max()
+    worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
+    worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
     yield "relative_fixture", worst_rf
     yield "special_fixture", worst_sf
     rng = np.random.default_rng(scenario.seed)
@@ -506,8 +506,8 @@ def _suite_flux_oracles(ws: _Workspace):
         rrf, rsf = path_fluxes(model, rpath, rel, ab)
         worst_rand = float(np.max([
             worst_rand,
-            np.abs(swept_rf_oracle(model, rpath, rel.chains) - rrf.period_vector).max(),
-            np.abs(swept_sf_oracle(model, rpath, ab.chains) - rsf.period_vector).max(),
+            np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
+            np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
         ]))
     yield "random_paths", (worst_rand, f"{scenario.n_random_paths} paths, seed {scenario.seed}")
 
@@ -519,7 +519,6 @@ def _suite_homotopy(ws: _Workspace):
     hom = homotopy_invariance_harness(
         ws.fixture.model, straight, curved, rel, ab,
         homotopy=lambda u: ws.s_curve(strength=ws.scenario.s_curve_strength * u)[0],
-        n_u=5,
     )
     yield "relative_flux", hom.rf_discrepancy
     yield "special_flux", hom.sf_discrepancy

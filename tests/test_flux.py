@@ -32,7 +32,12 @@ from slaglab.immersion import (
     pullback_metric,
     reparametrize,
 )
-from slaglab.meshes import absolute_cycle_basis, build_mesh, relative_cycle_basis
+from slaglab.meshes import CycleBasis, absolute_cycle_basis, build_mesh, relative_cycle_basis
+
+
+def _basis(degree, chains):
+    """A cycle basis of ad-hoc integer chains, whose duals no oracle or pass reads."""
+    return CycleBasis(degree, chains, np.zeros_like(chains))
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +53,8 @@ def test_static_path_has_zero_fluxes(cyl):
     path = ImmersionPath.straight(fx.family, [0.0], n_samples=9)
     assert np.abs(relative_flux(fx.model, path, rel).period_vector).max() == 0.0
     assert np.abs(special_flux(fx.model, path, ab).period_vector).max() == 0.0
-    assert swept_rf_oracle(fx.model, path, rel.chains).tolist() == [0.0]
-    assert swept_sf_oracle(fx.model, path, ab.chains).tolist() == [0.0]
+    assert swept_rf_oracle(fx.model, path, rel).tolist() == [0.0]
+    assert swept_sf_oracle(fx.model, path, ab).tolist() == [0.0]
 
 
 def test_tangent_form_on_fixture_edges(cyl):
@@ -91,10 +96,10 @@ def test_oracle_matches_periods_on_fixture(cyl):
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=33)
     rf = relative_flux(fx.model, path, rel)
     sf = special_flux(fx.model, path, ab)
-    assert swept_rf_oracle(fx.model, path, rel.chains)[0] == pytest.approx(
+    assert swept_rf_oracle(fx.model, path, rel)[0] == pytest.approx(
         rf.period_vector[0], abs=1e-12
     )
-    assert swept_sf_oracle(fx.model, path, ab.chains)[0] == pytest.approx(
+    assert swept_sf_oracle(fx.model, path, ab)[0] == pytest.approx(
         sf.period_vector[0], abs=1e-12
     )
 
@@ -105,8 +110,10 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     amp = [0.3, -0.2][:fx.family.n_params]
     path = ImmersionPath.straight(fx.family, amp, n_samples=9)
-    per_chain_rf = [swept_rf_oracle(fx.model, path, g[:, None])[0] for g in rel.chains.T]
-    per_chain_sf = [swept_sf_oracle(fx.model, path, s[:, None])[0] for s in ab.chains.T]
+    per_chain_rf = [swept_rf_oracle(fx.model, path, _basis(1, g[:, None]))[0]
+                    for g in rel.chains.T]
+    per_chain_sf = [swept_sf_oracle(fx.model, path, _basis(ab.degree, s[:, None]))[0]
+                    for s in ab.chains.T]
     trajectories = []
     positions = fx.family.positions
 
@@ -115,26 +122,28 @@ def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
         return trajectories[-1]
 
     monkeypatch.setattr(fx.family, "positions", spy)
-    rf = swept_rf_oracle(fx.model, path, rel.chains)
-    sf = swept_sf_oracle(fx.model, path, ab.chains)
+    rf = swept_rf_oracle(fx.model, path, rel)
+    sf = swept_sf_oracle(fx.model, path, ab)
     assert rf.tolist() == per_chain_rf and sf.tolist() == per_chain_sf
     # one trajectory per basis, of the chain vertices only
-    for traj, basis, degree in zip(trajectories, (rel, ab), (1, fx.mesh.dim - 1)):
-        vertices = np.unique(fx.mesh.simplices[degree][np.nonzero(basis.chains)[0]])
+    for traj, basis in zip(trajectories, (rel, ab)):
+        vertices = np.unique(fx.mesh.simplices[basis.degree][np.nonzero(basis.chains)[0]])
         assert traj.shape == (257, len(vertices), 2 * fx.model.n)
     assert len(trajectories) == 2
 
 
 def test_oracles_reject_chains_of_another_degree(cyl):
-    """A chain matrix whose row count is not the simplex count of the degree is refused."""
+    """A basis whose degree, or whose row count, is not the oracle's degree is refused."""
     fx, rel, ab = cyl
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=9)
     vertex_chain = np.zeros((fx.mesh.n_vertices, 1), dtype=np.int64)
     for oracle in (swept_rf_oracle, swept_sf_oracle):
         with pytest.raises(SlagError, match="1-chains"):
-            oracle(fx.model, path, vertex_chain)
+            oracle(fx.model, path, _basis(0, vertex_chain))
         with pytest.raises(SlagError, match="1-chains"):
-            oracle(fx.model, path, rel.chains[:, 0])  # one column is still a matrix
+            oracle(fx.model, path, _basis(1, vertex_chain))
+        with pytest.raises(SlagError, match="1-chains"):
+            oracle(fx.model, path, _basis(2, rel.chains))
 
 
 def _loop_swept_integrals(model, path, chains, form, degree, n_steps=256):
@@ -210,7 +219,7 @@ def test_oracles_match_the_per_edge_loop(key):
                              np.stack([-3 * sigma, sigma, -3 * sigma], axis=1))]
     for path in (straight, s_curve):
         for oracle, form, degree, chains in cases:
-            got = oracle(fx.model, path, chains)
+            got = oracle(fx.model, path, _basis(degree, chains))
             ref = _loop_swept_integrals(fx.model, path, chains, form, degree)
             assert type(got) is type(ref)
             assert np.array_equal(got, ref), (key, oracle.__name__)
@@ -413,10 +422,10 @@ def test_interval_flux_and_oracles():
     sf = special_flux(fx.model, path, ab)
     assert rf.period_vector[0] == pytest.approx(-0.25 * 0.5, abs=1e-14)
     assert sf.period_vector[0] == pytest.approx(0.25, abs=1e-14)
-    assert swept_rf_oracle(fx.model, path, rel.chains)[0] == pytest.approx(
+    assert swept_rf_oracle(fx.model, path, rel)[0] == pytest.approx(
         rf.period_vector[0], abs=1e-14
     )
-    assert swept_sf_oracle(fx.model, path, ab.chains)[0] == pytest.approx(
+    assert swept_sf_oracle(fx.model, path, ab)[0] == pytest.approx(
         sf.period_vector[0], abs=1e-14
     )
 
@@ -462,7 +471,7 @@ def _reference_flux(model, path, cycles, integrand, degree):
     residuals = np.array([_reference_residuals(model, path.immersion_at(j)) for j in samples])
     weights, rule = _rule(path.n_samples)
     raw = sum(w * v for w, v in zip(weights, values))
-    periods = period_matrix([Cochain(mesh, degree, raw)], cycles.chains)[:, 0]
+    periods = period_matrix([Cochain(mesh, degree, raw)], cycles)[:, 0]
     d_op = mesh.coboundary_operator(degree) if degree < mesh.dim else None
     boundary = mesh.in_boundary(degree)
     diag = {
@@ -481,7 +490,7 @@ def _reference_flux(model, path, cycles, integrand, degree):
     if path.n_samples % 4 == 1:
         halves, _ = _rule((path.n_samples + 1) // 2)
         coarse = sum(w * v for w, v in zip(halves, values[::2]))
-        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles.chains)[:, 0]
+        coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles)[:, 0]
         diag["richardson_error"] = np.abs(periods - coarse_periods).max() / 15.0
     return periods, raw, diag
 
@@ -644,7 +653,7 @@ def test_block_fold_adds_in_sample_order(cyl, block):
     count = 33  # Simpson with a Richardson estimate over the 17 even samples
     for mesh in (fx.mesh, build_mesh(2, [(1, 0)], {(0,): 1, (1,): 2})):
         vals = np.random.default_rng(5).normal(size=(count, mesh.n_simplices(1)))
-        no_chains = np.zeros((mesh.n_simplices(1), 0), dtype=np.int64)  # the fold alone
+        no_chains = _basis(1, np.zeros((mesh.n_simplices(1), 0), dtype=np.int64))  # the fold alone
         fold = flux._FluxPass(mesh, count, "relative-1", 1, None, no_chains, 0, 1e-9)
         for start in range(0, count, block):
             fold.add(start, vals[start:start + block])
@@ -673,3 +682,25 @@ def test_panel_periods_run_to_the_period_vector(cyl, n_samples, panels):
         np.testing.assert_array_equal(running[-1], f.period_vector)
         share = np.arange(1, panels + 1)[:, None] / panels
         np.testing.assert_allclose(running, share * f.period_vector, rtol=0, atol=1e-15)
+
+
+def test_each_basis_finds_its_nonzeros_once(monkeypatch):
+    """Period matrices, flux passes, panel periods and oracles all read one set of terms."""
+    fx = two_handle(1)
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    scanned = []
+    nonzero = np.nonzero
+
+    def spy(a):
+        scanned.append(a)
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", spy)
+    path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=9)
+    for _ in range(2):
+        for f, basis in zip(path_fluxes(fx.model, path, rel, ab), (rel, ab)):
+            f.panel_periods()
+            period_matrix([f.raw_cochain, f.raw_cochain], basis)
+        swept_rf_oracle(fx.model, path, rel)
+        swept_sf_oracle(fx.model, path, ab)
+    assert [sum(a is basis.chains for a in scanned) for basis in (rel, ab)] == [1, 1]

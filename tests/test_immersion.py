@@ -43,7 +43,7 @@ def pullback_form(model, immersion, form, degree):
 
 
 def special_ok(report) -> bool:
-    return report.ok and report.special_residual <= report.tolerances.get("special", 1e-10)
+    return report.ok and report.special_residual <= 1e-10
 
 
 @pytest.fixture(scope="module")

@@ -356,7 +356,7 @@ def test_cycle_duals_are_closed_integer_cocycles_with_unit_periods(name, level):
         if basis.degree < mesh.dim:
             assert not (mesh.coboundary_operator(basis.degree) @ basis.dual).any()
         duals = [Cochain(mesh, basis.degree, col) for col in basis.dual.T]
-        assert np.array_equal(period_matrix(duals, basis.chains), np.eye(basis.m))
+        assert np.array_equal(period_matrix(duals, basis), np.eye(basis.m))
     assert not rel.dual[mesh.in_boundary(1)].any()
 
 

@@ -73,7 +73,7 @@ def test_exact_relative_periods_vanish(f):
     values[interior] = f[interior]
     exact = apply_d(Cochain(FX.mesh, 0, values))
     scale = max(np.abs(values).max(), 1.0)
-    assert np.abs(period_matrix([exact], REL.chains)).max() <= 1e-11 * scale
+    assert np.abs(period_matrix([exact], REL)).max() <= 1e-11 * scale
 
 
 @settings(max_examples=25, deadline=None)

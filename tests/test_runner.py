@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slaglab
-from slaglab import charts, runner
+from slaglab import charts, dec, runner
 from slaglab.cli import main as cli_main
 from slaglab.charts import GridSamples
-from slaglab.errors import ConfigError, DimensionMismatchError, SingularJacobianError
+from slaglab.errors import ConfigError, SingularJacobianError, SolverFailureError
 from slaglab.fixtures import cylinder_translation
 from slaglab.flux import ImmersionPath
 from slaglab.immersion import ImmersionFamily
@@ -571,7 +571,7 @@ def test_curl_grid_fails_gradient_graph_as_a_check(monkeypatch):
 @pytest.mark.parametrize("target, error, suite, kept", [
     ("hessian_fit", SingularJacobianError, "embedding",
      ["embedding/B_matches_l2", "embedding/W_vanishes"]),
-    ("harmonic_fields", DimensionMismatchError, "topology",
+    ("harmonic_fields", SolverFailureError, "topology",
      ["topology/boundary_squared", "topology/rank_duality"]),
 ])
 def test_checks_yielded_before_a_suite_error_are_reported(monkeypatch, target, error, suite, kept):
@@ -585,6 +585,20 @@ def test_checks_yielded_before_a_suite_error_are_reported(monkeypatch, target, e
     assert checks[f"{suite}/error"].detail == f"{error.__name__}: planted"
     assert all(checks[name].passed for name in kept)
     assert report.atlas is None
+
+
+def test_a_wrong_kernel_count_fails_the_harmonic_counts_check(tmp_path, monkeypatch):
+    """A kernel count one too high is the check table's finding, not a suite error."""
+    count = dec._kernel_dimension
+    monkeypatch.setattr(dec, "_kernel_dimension", lambda lam: count(lam) + 1)
+    p = write_scenario(tmp_path, minimal_scenario(
+        fixture={"name": "two_handle"}, path={"amplitudes": [0.3, -0.2]}, suites=["topology"]))
+    assert cli_main(["run", p, "--out", str(tmp_path / "out")]) == 1
+    with open(tmp_path / "out" / "scn" / "report.json", encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert "topology/error" not in checks
+    assert checks["topology/harmonic_counts"]["passed"] is False
+    assert checks["topology/harmonic_counts"]["detail"] == "dirichlet=3, neumann=3"
 
 
 def test_check_table_reads_every_tolerance_key():
@@ -804,6 +818,17 @@ def test_cli_converge_with_quadrature(tmp_path, capsys):
     assert lines[0] == "level,h,rf_quadrature_error,sf_quadrature_error"
     assert [line.split(",")[0] for line in lines[1:]] == ["9", "17", "33", "order"]
     assert os.path.exists(tmp_path / "convergence.csv")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--levels", "1,a"), ("--levels", "1,1.5"), ("--quadrature", "9,x"),
+])
+def test_cli_converge_refuses_counts_that_are_not_integers(tmp_path, capsys, flag, value):
+    p = write_scenario(tmp_path, minimal_scenario())
+    assert cli_main(["converge", p, "--levels", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag} ")
+    assert captured.out == ""
 
 
 def test_convergence_emit(tmp_path):
