@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ArityMismatchError, NormalizationFailureError, NotKaehlerError
 
 _NORMALIZATION_TOL = 1e-12
+_DISJOINT_TOL = 1e-9  # two boundary Lagrangians closer than this intersect
 
 
 class ConstantForm:
@@ -244,7 +245,7 @@ class AmbientModel:
         pairs = np.array(pairs).reshape(-1, 2, 2 * self.n)
         return float(np.abs(self.omega(pairs)).max(initial=0.0))
 
-    def check_disjoint(self, lagrangians, tol=1e-9) -> None:
+    def check_disjoint(self, lagrangians) -> None:
         offsets = [np.zeros(2 * self.n)]
         if self.lattice is not None:
             rng = [-1, 0, 1]
@@ -260,7 +261,7 @@ class AmbientModel:
                     rhs = lb.basepoint + off - la.basepoint
                     sol, res, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
                     gap = np.linalg.norm(basis @ sol - rhs)
-                    if gap < tol:
+                    if gap < _DISJOINT_TOL:
                         raise NotKaehlerError(
                             f"boundary Lagrangians {la.index} and {lb.index} intersect"
                         )

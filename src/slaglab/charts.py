@@ -102,11 +102,10 @@ def evaluate_chart(
     return ChartSample(u, rf.period_vector, sf.period_vector)
 
 
-def tangent_cochains(model: AmbientModel, family: ImmersionFamily,
-                     directions=None) -> list[Cochain]:
-    """Tangent one-form cochains of the given directions (default: coordinates) at 0."""
-    dirs = np.eye(family.n_params) if directions is None else np.asarray(directions, dtype=float)
-    return [tangent_one_form(model, ImmersionPath.straight(family, d, 3), 0) for d in dirs]
+def tangent_cochains(model: AmbientModel, family: ImmersionFamily) -> list[Cochain]:
+    """Tangent one-form cochains of the coordinate directions at 0."""
+    return [tangent_one_form(model, ImmersionPath.straight(family, d, 3), 0)
+            for d in np.eye(family.n_params)]
 
 
 @dataclass

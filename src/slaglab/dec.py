@@ -59,10 +59,6 @@ class Cochain:
                 f"{self.mesh.n_simplices(self.degree)} values, got {self.values.shape}"
             )
 
-    @classmethod
-    def zeros(cls, mesh: SimplicialMesh, degree: int) -> "Cochain":
-        return cls(mesh, degree, np.zeros(mesh.n_simplices(degree)))
-
 
 class MetricField:
     """Per-top-simplex SPD Gram matrix of the edge-vector frame."""
@@ -152,7 +148,7 @@ class HodgeStructure:
                     for j, vj in enumerate(fb):
                         rb = [v for v in fb if v != vj]
                         minors = H[:, ra, :][:, :, rb]
-                        det = np.linalg.det(minors) if k else np.ones(n_top)
+                        det = np.linalg.det(minors)  # 1.0 for the (N, 0, 0) minors of k = 0
                         acc += ((-1) ** (i + j)) * (1 + (vi == vj)) * pair_weight * det
                 rows.append(table[:, a])
                 cols.append(table[:, b])
@@ -183,10 +179,7 @@ class HodgeStructure:
                     ra = [v for v in fa if v != vi]
                     for j, vj in enumerate(fb):
                         rb = [v for v in fb if v != vj]
-                        block = vecs[ra + rb]
-                        if block.shape[0] != n:
-                            continue
-                        wdet = np.linalg.det(block) if n else 1.0
+                        wdet = np.linalg.det(vecs[ra + rb])  # k + (n - k) = n rows
                         coeff += ((-1) ** (i + j)) * (1 + (vi == vj)) * wdet
                 if coeff == 0.0:
                     continue
@@ -245,16 +238,6 @@ def hodge_star(structure: HodgeStructure, cochain: Cochain) -> Cochain:
     if not np.all(np.isfinite(out)):
         raise SolverFailureError("hodge star solve produced non-finite values")
     return Cochain(mesh, mesh.dim - k, out)
-
-
-def codifferential(structure: HodgeStructure, cochain: Cochain) -> Cochain:
-    """M-adjoint of d: delta = M_{k-1}^{-1} d^T M_k."""
-    mesh = structure.mesh
-    k = cochain.degree
-    if k == 0:
-        raise DegreeOutOfRangeError("no codifferential on 0-forms")
-    rhs = exterior_derivative(mesh, k - 1).T @ (structure.mass_matrix(k) @ cochain.values)
-    return Cochain(mesh, k - 1, structure.factorized_mass(k - 1).solve(rhs))
 
 
 def period_matrix(cochains, basis: CycleBasis) -> np.ndarray:

@@ -104,10 +104,9 @@ def cylinder_translation(level: int = 1, almost_cy: bool = False, width: float =
     model = _torus_model(2, almost_cy)
     tops, labels, n_vertices = _cylinder_mesh(n_axial, n_circ)
     mesh = build_mesh(n_vertices, tops, labels)
-    base = Immersion(mesh, _cylinder_positions(n_axial, n_circ, width, 0.0, 0.0),
-                     label="cylinder")
+    base = Immersion(mesh, _cylinder_positions(n_axial, n_circ, width, 0.0, 0.0))
     e_y1 = np.array([0.0, 1.0, 0.0, 0.0])
-    family = ImmersionFamily.translation(base, [e_y1], label="y1-translation")
+    family = ImmersionFamily.translation(base, [e_y1])
     lams = [
         BoundaryLagrangian(1, np.array([0.0, 0.0, 0.0, 0.0]),
                            np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)),
@@ -127,9 +126,8 @@ def interval_c1(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> 
     mesh = build_mesh(n_seg + 1, segs, {(0,): 1, (n_seg,): 2})
     pos = np.zeros((n_seg + 1, 2))
     pos[:, 0] = np.linspace(0.0, width, n_seg + 1)
-    base = Immersion(mesh, pos, label="interval")
-    family = ImmersionFamily.translation(base, [np.array([0.0, 1.0])],
-                                         label="y-translation")
+    base = Immersion(mesh, pos)
+    family = ImmersionFamily.translation(base, [np.array([0.0, 1.0])])
     lams = [
         BoundaryLagrangian(1, np.array([0.0, 0.0]), np.array([[0.0, 1.0]])),
         BoundaryLagrangian(2, np.array([width, 0.0]), np.array([[0.0, 1.0]])),
@@ -159,12 +157,12 @@ def two_handle(level: int = 1, almost_cy: bool = False,
         _cylinder_positions(a1, c1, w1, 0.0, 0.0),
         _cylinder_positions(a2, c2, w2, 0.5, 0.5),
     ])
-    base = Immersion(mesh, pos, label="two-handle")
+    base = Immersion(mesh, pos)
     dir1 = np.zeros((nv1 + nv2, 4))
     dir1[:nv1, 1] = 1.0
     dir2 = np.zeros((nv1 + nv2, 4))
     dir2[nv1:, 1] = 1.0
-    family = ImmersionFamily.translation(base, [dir1, dir2], label="independent y1")
+    family = ImmersionFamily.translation(base, [dir1, dir2])
     span = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
     lams = [
         BoundaryLagrangian(1, np.array([0.0, 0.0, 0.0, 0.0]), span),

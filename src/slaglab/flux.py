@@ -55,8 +55,6 @@ from .immersion import (
 )
 from .meshes import CycleBasis
 
-_LAGRANGIAN_TOL = 1e-9
-_SPECIAL_TOL = 1e-9
 _ORACLE_STEPS = 256  # time slabs of a swept-surface oracle
 _HOMOTOPY_STEPS = 5  # values of u at which the homotopy harness runs the oracle
 _ENDPOINT_TOL = 1e-12  # largest endpoint gap between the two paths the homotopy harness compares
@@ -110,7 +108,7 @@ class ImmersionPath:
         return len(self.times)
 
     def immersion_at(self, j: int) -> Immersion:
-        return Immersion(self.family.mesh, self.positions[j], label=self.family.label)
+        return Immersion(self.family.mesh, self.positions[j])
 
     def velocity_at(self, j: int) -> np.ndarray:
         return self.family.velocity(self.u[j], self.du[j])
@@ -132,7 +130,6 @@ class FluxClass:
     chart grid reads them, so they are summed when asked for.
     """
 
-    space: str                     # "relative-1" or "absolute-(n-1)"
     period_vector: np.ndarray
     raw_cochain: Cochain
     panel_periods: Callable[[], np.ndarray]
@@ -203,11 +200,16 @@ def _sup(values) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
-# The failure of each check, indexed like the residuals: (Lagrangian, special).
+# The largest symplectic residual of a Lagrangian sample, relative to its volumes, and
+# of a scenario's boundary span, relative to its rows' lengths.
+LAGRANGIAN_GATE = 1e-9
+# The gate of each sample check, indexed like the residuals (Lagrangian, special):
+# the largest residual a sample may have, and the failure beyond it.
 _SAMPLE_FAILURES = (
-    (NonLagrangianSampleError, "sample {j} has symplectic residual {r:.3e} > {tol:.1e}; "
-                               "closedness of the tangent form is not guaranteed"),
-    (NonSpecialSampleError, "sample {j} has calibration residual {r:.3e} > {tol:.1e}"),
+    (LAGRANGIAN_GATE, NonLagrangianSampleError,
+     "sample {j} has symplectic residual {r:.3e} > {tol:.1e}; "
+     "closedness of the tangent form is not guaranteed"),
+    (1e-9, NonSpecialSampleError, "sample {j} has calibration residual {r:.3e} > {tol:.1e}"),
 )
 
 
@@ -219,9 +221,9 @@ class _FluxPass:
     each sample's values on the basis support for the panel periods.
     """
 
-    def __init__(self, mesh, n_samples, space, degree, form, basis, residual, tol):
-        self.mesh, self.space, self.degree, self.form = mesh, space, degree, form
-        self.basis, self.residual, self.tol, self.failure = basis, residual, tol, None
+    def __init__(self, mesh, n_samples, degree, form, basis, residual):
+        self.mesh, self.degree, self.form = mesh, degree, form
+        self.basis, self.residual, self.failure = basis, residual, None
         self.weights, self.rule = _quadrature_weights(n_samples)
         self.support_values = []  # per block, its (B, support) values
         richardson = n_samples % 4 == 1 and n_samples >= 5
@@ -239,12 +241,12 @@ class _FluxPass:
         residual is read, and one among the integrand's simplices after.
         """
         residual = residuals[self.residual]
-        over = ~(residual <= self.tol)  # a NaN residual is over
+        tol, error, message = _SAMPLE_FAILURES[self.residual]
+        over = ~(residual <= tol)  # a NaN residual is over
         failed = np.flatnonzero(degenerate | over | integrand_degenerate)
         if self.failure is None and failed.size:
             i = failed[0]
-            error, message = _SAMPLE_FAILURES[self.residual]
-            self.failure = (error(message.format(j=start + i, r=residual[i], tol=self.tol))
+            self.failure = (error(message.format(j=start + i, r=residual[i], tol=tol))
                             if over[i] and not degenerate[i]
                             else DegenerateSimplexError(TOO_LARGE_TO_LIFT))
 
@@ -295,14 +297,12 @@ class _FluxPass:
         }
         if self.halves is not None:
             diag["richardson_error"] = float(np.abs(periods - coarse).max() / 15.0)
-        return FluxClass(self.space, periods, raw, self.panel_periods, diag)
+        return FluxClass(periods, raw, self.panel_periods, diag)
 
 
 def path_fluxes(model: AmbientModel, path: ImmersionPath,
                 rel_cycles: CycleBasis | None = None,
-                abs_cycles: CycleBasis | None = None,
-                lagrangian_tol: float = _LAGRANGIAN_TOL,
-                special_tol: float = _SPECIAL_TOL):
+                abs_cycles: CycleBasis | None = None):
     """Relative and dual flux classes of one path, from one pass over its samples.
 
     Returns (relative, dual); a flux whose cycle basis is None is skipped and
@@ -312,10 +312,9 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     """
     mesh, n, count = path.family.mesh, path.family.mesh.dim, path.n_samples
     rel_pass = None if rel_cycles is None else _FluxPass(
-        mesh, count, "relative-1", 1, model.omega, rel_cycles, 0, lagrangian_tol)
+        mesh, count, 1, model.omega, rel_cycles, 0)
     abs_pass = None if abs_cycles is None else _FluxPass(
-        mesh, count, f"absolute-{n - 1}", n - 1, model.im_omega_hat, abs_cycles, 1,
-        special_tol)
+        mesh, count, n - 1, model.im_omega_hat, abs_cycles, 1)
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
     block = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(n))
@@ -340,16 +339,14 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     return tuple(p and p.result(max_lag, max_special) for p in (rel_pass, abs_pass))
 
 
-def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis,
-                  lagrangian_tol: float = _LAGRANGIAN_TOL) -> FluxClass:
+def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis) -> FluxClass:
     """Time quadrature of the tangent one-form, projected to periods over relative cycles."""
-    return path_fluxes(model, path, cycles, None, lagrangian_tol=lagrangian_tol)[0]
+    return path_fluxes(model, path, cycles, None)[0]
 
 
-def special_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis,
-                 special_tol: float = _SPECIAL_TOL) -> FluxClass:
+def special_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis) -> FluxClass:
     """Time quadrature of the dual (n-1)-form, projected to periods over absolute cycles."""
-    return path_fluxes(model, path, None, cycles, special_tol=special_tol)[1]
+    return path_fluxes(model, path, None, cycles)[1]
 
 
 # -- swept-surface oracles -----------------------------------------------------------

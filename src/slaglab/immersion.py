@@ -31,7 +31,6 @@ _VALIDATION_TOL = 1e-10  # bound on every margin and residual that ValidationRep
 class Immersion:
     mesh: SimplicialMesh
     positions: np.ndarray  # (V, 2n) continuous lifts
-    label: str = ""
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -209,7 +208,7 @@ def reparametrize(immersion: Immersion, psi) -> Immersion:
     """Compose with a simplicial automorphism: new position at v is the old one at psi(v)."""
     psi = np.asarray(psi, dtype=int)
     check_automorphism(immersion.mesh, psi)
-    return Immersion(immersion.mesh, immersion.positions[psi], label=immersion.label)
+    return Immersion(immersion.mesh, immersion.positions[psi])
 
 
 def permutation_on_cochains(mesh: SimplicialMesh, psi: np.ndarray, degree: int):
@@ -238,17 +237,15 @@ class ImmersionFamily:
     directions to the (..., V, 2n) derivatives along w.
     """
 
-    def __init__(self, mesh: SimplicialMesh, n_params: int, positions_fn, velocity_fn,
-                 label: str = ""):
+    def __init__(self, mesh: SimplicialMesh, n_params: int, positions_fn, velocity_fn):
         self.mesh = mesh
         self.n_params = n_params
         self._positions = positions_fn
         self._velocity = velocity_fn
-        self.label = label
 
     @classmethod
     def from_expressions(cls, base: Immersion, n: int, exprs: dict, parameters,
-                         constants=None, label: str = "") -> "ImmersionFamily":
+                         constants=None) -> "ImmersionFamily":
         """Closed-form family from coordinate expressions; the only path that loads sympy."""
         from .expressions import CoordinateMap
 
@@ -256,10 +253,10 @@ class ImmersionFamily:
         base_pos = base.positions
         return cls(base.mesh, len(cmap.parameters),
                    lambda u, vertices: cmap.positions(base_pos[vertices], u),
-                   lambda u, w: cmap.velocity(base_pos, u, w), label=label)
+                   lambda u, w: cmap.velocity(base_pos, u, w))
 
     @classmethod
-    def translation(cls, base: Immersion, directions, label: str = "") -> "ImmersionFamily":
+    def translation(cls, base: Immersion, directions) -> "ImmersionFamily":
         """Rigid motions: positions + sum_i u_i * direction_i.
 
         A direction is a 2n-vector, or a (V, 2n) field for a motion linear in u.
@@ -274,7 +271,7 @@ class ImmersionFamily:
 
         return cls(base.mesh, len(directions),
                    lambda u, vertices: moved(base_pos[vertices], u, vertices),
-                   lambda u, w: moved(np.zeros(w.shape[:-1] + base_pos.shape), w), label=label)
+                   lambda u, w: moved(np.zeros(w.shape[:-1] + base_pos.shape), w))
 
     def _points(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -407,8 +407,9 @@ def _graph_rank(n_nodes: int, ends: np.ndarray) -> int:
     return n_nodes - len(np.unique(_components(n_nodes, ends)))
 
 
-def _rank_mod_p(mat: sp.spmatrix, p: int = _PRIME) -> int:
-    """Rank over GF(p) by incremental column reduction with lowest-row pivots."""
+def _rank_mod_p(mat: sp.spmatrix) -> int:
+    """Rank over GF(p), p = _PRIME, by incremental column reduction with lowest-row pivots."""
+    p = _PRIME
     csc = sp.csc_matrix(mat)
     pivots: dict[int, dict[int, int]] = {}
     for start, end in zip(csc.indptr[:-1], csc.indptr[1:]):
@@ -456,7 +457,7 @@ def relative_cycle_basis(mesh: SimplicialMesh) -> CycleBasis:
     m = mesh.betti_profile().b_rel_1
     ids = mesh.interior_simplex_ids(1)
     return _basis(1, *_cycle_generators(mesh, ids, mesh._merged_edges()[ids],
-                                        [mesh.n_vertices], m), m, "relative cycles")
+                                        [mesh.n_vertices]), m, "relative cycles")
 
 
 def absolute_cycle_basis(mesh: SimplicialMesh) -> CycleBasis:
@@ -476,7 +477,7 @@ def absolute_cycle_basis(mesh: SimplicialMesh) -> CycleBasis:
     if mesh.dim != 2:
         raise SlagError("absolute cycle basis implemented for dim <= 2")
     return _basis(1, *_cycle_generators(mesh, np.arange(mesh.n_simplices(1)),
-                                        mesh.simplices[1], [], m), m, "cycles")
+                                        mesh.simplices[1], []), m, "cycles")
 
 
 def _basis(degree: int, chains: np.ndarray, dual: np.ndarray, m: int, what: str) -> CycleBasis:
@@ -485,8 +486,8 @@ def _basis(degree: int, chains: np.ndarray, dual: np.ndarray, m: int, what: str)
     return CycleBasis(degree, chains, dual)
 
 
-def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, roots, m: int):
-    """First m fundamental cycles of a BFS forest that are independent modulo
+def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, roots):
+    """The fundamental cycles of a BFS forest that are independent modulo
     2-boundaries, by tree-cotree decomposition, and the cocycles dual to them.
 
     eids: ascending edge ids; ends: their (a, b) end nodes, vertex ids or the
@@ -505,8 +506,10 @@ def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, 
     cycles, signs and order that greedy elimination of candidates in
     ascending id keeps.
 
-    Returns two (N_1, m) integer arrays: column j of the first is cycle j;
-    column j of the second is 1 on generator j and 0 on the tree, on the
+    Returns two (N_1, g) integer arrays with a column for every generator, so
+    that `_basis` sees a surplus as well as a shortfall: column j of the
+    first is cycle j; column j of the second is 1 on generator j and 0 on the
+    tree, on the
     other generators and on every edge outside eids, with cotree values fixed
     by closedness (Erickson & Whittlesey, SODA 2005), so its period over
     cycle k is delta_jk.
@@ -520,7 +523,7 @@ def _cycle_generators(mesh: SimplicialMesh, eids: np.ndarray, ends: np.ndarray, 
     up_sign[child] = np.where(ends[edge, 0] == parent, 1, -1)
     non_tree = np.delete(np.arange(k), edge)
     cotree = _cotree(mesh, eids[non_tree[::-1]]) if mesh.dim == 2 else eids[:0]
-    gens = non_tree[~np.isin(eids[non_tree], cotree)][:m]
+    gens = non_tree[~np.isin(eids[non_tree], cotree)]
     dual = np.zeros((mesh.n_simplices(1), len(gens)), dtype=np.int64)
     dual[eids[gens], np.arange(len(gens))] = 1
     if len(cotree) and len(gens):

@@ -14,6 +14,7 @@ for constant-coefficient data, so the error has nothing to decrease from.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import keyword
@@ -43,6 +44,7 @@ from .dec import Cochain, HodgeStructure, harmonic_fields, hodge_star
 from .errors import ConfigError, SlagError
 from .fixtures import FIXTURES, Fixture, build_fixture
 from .flux import (
+    LAGRANGIAN_GATE,
     ImmersionPath,
     dual_form,
     homotopy_invariance_harness,
@@ -54,7 +56,8 @@ from .flux import (
 from .immersion import ImmersionFamily, pullback_metric, validate
 from .meshes import absolute_cycle_basis, betti_profile, mesh_from_dict, relative_cycle_basis
 
-_EXACTNESS_FLOOR = 1e-10
+_EXACTNESS_FLOOR = 1e-10  # a residual at or below it on every level has order inf
+_DUALITY_PROBES = 5  # samples of the straight path at which the duality residual is read
 
 DEFAULT_TOLERANCES = {
     "tangent_closedness": 1e-12,
@@ -206,6 +209,9 @@ class _Workspace:
                 if spec is not None:
                     raise ConfigError(f"{key}: fixture {self.fixture.name!r} has no ambient "
                                       "model to apply this block to")
+            if scenario.almost_cy:
+                raise ConfigError(f"fixture.almost_cy: fixture {self.fixture.name!r} has no "
+                                  "ambient model to rescale")
             needs = [suite for suite in scenario.suites if suite != "topology"]
             if needs:
                 raise ConfigError(f"suites: fixture {self.fixture.name!r} has no ambient model, "
@@ -228,6 +234,15 @@ class _Workspace:
                 if basepoint.shape != (2 * n,) or span.shape != (n, 2 * n):
                     raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
                                       f"and {n} span rows of {2 * n}")
+                # unit rows, scaled to largest entry 1 first so that no norm overflows
+                rows = span / np.abs(span).max(axis=1, keepdims=True).clip(np.finfo(float).tiny)
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True).clip(np.finfo(float).tiny)
+                rank = np.linalg.matrix_rank(rows)
+                omega = self.fixture.model.lagrangian_residual(
+                    BoundaryLagrangian(lam["index"], basepoint, rows))
+                if rank < n or not omega <= LAGRANGIAN_GATE:
+                    raise ConfigError(f"lagrangians[{i}].span must span a Lagrangian {n}-plane: "
+                                      f"rank {rank}, omega {omega:.3e} on its unit rows")
                 self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
             indices = sorted(lam["index"] for lam in scenario.lagrangian_spec)
             if indices != list(range(1, d + 1)):
@@ -241,38 +256,28 @@ class _Workspace:
             spec = scenario.family_spec
             try:
                 self.fixture.family = ImmersionFamily.from_expressions(
-                    self.fixture.base, self.fixture.model.n,
-                    spec["expressions"], spec["parameters"],
-                    constants=spec.get("constants"), label="scenario-family",
-                )
+                    self.fixture.base, self.fixture.model.n, spec["expressions"],
+                    spec["parameters"], constants=spec.get("constants"))
             except ConfigError as exc:
                 raise ConfigError(f"family: {exc}") from exc
-        self._structure = None
-        self._cycles = None
         self._straight_paths: dict = {}  # sample count -> straight path
-        self._straight_fluxes = None
-        self._amplitudes = None
         self.transition_fits: dict = {}  # set by the transitions suite
         self.atlas = None  # set by the embedding suite
 
-    @property
+    @functools.cached_property
     def rel_abs(self):
-        if self._cycles is None:
-            rel = relative_cycle_basis(self.fixture.mesh)
-            ab = absolute_cycle_basis(self.fixture.mesh)
-            if self.fixture.model is not None:
-                ab = pairing_structure(self.structure, rel, ab).absolute
-            self._cycles = (rel, ab)
-        return self._cycles
+        rel = relative_cycle_basis(self.fixture.mesh)
+        ab = absolute_cycle_basis(self.fixture.mesh)
+        if self.fixture.model is not None:
+            ab = pairing_structure(self.structure, rel, ab).absolute
+        return rel, ab
 
-    @property
+    @functools.cached_property
     def structure(self) -> HodgeStructure:
-        if self._structure is None:
-            fx = self.fixture
-            metric = pullback_metric(fx.model, fx.base)
-            self._structure = HodgeStructure(fx.mesh, metric)
-        return self._structure
+        fx = self.fixture
+        return HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
 
+    @functools.cached_property
     def amplitudes(self) -> np.ndarray:
         """The path amplitudes, one per family parameter, checked on first use.
 
@@ -282,29 +287,27 @@ class _Workspace:
         norm's squares of them do not.  A NaN velocity is the family's own and
         is left to the checks.
         """
-        if self._amplitudes is None:
-            amp = np.asarray(self.scenario.amplitudes, dtype=float)
-            fx = self.fixture
-            m = fx.family.n_params
-            if amp.shape != (m,):
-                raise ConfigError(
-                    f"path.amplitudes needs {m} entries for fixture "
-                    f"{fx.name!r}, got {amp.shape[0]}"
-                )
-            simplices = [fx.mesh.simplices[k] for k in {1, fx.mesh.dim - 1}]
-            with np.errstate(over="ignore", invalid="ignore"):  # one sample at a time
-                sums = (fx.family.velocity(t * amp, amp)[simp].sum(axis=1)
-                        for t in np.linspace(0.0, 1.0, self.scenario.n_samples)
-                        for simp in simplices)
-                overflow = any(np.isinf(np.square(s)).any() for s in sums)
-            if overflow:
-                raise ConfigError(
-                    f"path.amplitudes {amp.tolist()} are too large: the square of the "
-                    "straight path's velocities summed over a simplex overflows"
-                )
-            amp.flags.writeable = False  # every caller shares the checked array
-            self._amplitudes = amp
-        return self._amplitudes
+        amp = np.asarray(self.scenario.amplitudes, dtype=float)
+        fx = self.fixture
+        m = fx.family.n_params
+        if amp.shape != (m,):
+            raise ConfigError(
+                f"path.amplitudes needs {m} entries for fixture "
+                f"{fx.name!r}, got {amp.shape[0]}"
+            )
+        simplices = [fx.mesh.simplices[k] for k in {1, fx.mesh.dim - 1}]
+        with np.errstate(over="ignore", invalid="ignore"):  # one sample at a time
+            sums = (fx.family.velocity(t * amp, amp)[simp].sum(axis=1)
+                    for t in np.linspace(0.0, 1.0, self.scenario.n_samples)
+                    for simp in simplices)
+            overflow = any(np.isinf(np.square(s)).any() for s in sums)
+        if overflow:
+            raise ConfigError(
+                f"path.amplitudes {amp.tolist()} are too large: the square of the "
+                "straight path's velocities summed over a simplex overflows"
+            )
+        amp.flags.writeable = False  # every caller shares the checked array
+        return amp
 
     def straight_path(self, n_samples=None):
         """The straight path 0 -> amplitudes, built once per sample count.
@@ -313,7 +316,7 @@ class _Workspace:
         """
         n_samples = n_samples or self.scenario.n_samples
         if n_samples not in self._straight_paths:
-            path = ImmersionPath.straight(self.fixture.family, self.amplitudes(), n_samples)
+            path = ImmersionPath.straight(self.fixture.family, self.amplitudes, n_samples)
             edges, x = self.fixture.mesh.simplices[1], path.positions
             with np.errstate(over="ignore", invalid="ignore"):
                 # |a - b| <= 2 max |x|, so only a sample above half the largest float can overflow
@@ -325,25 +328,18 @@ class _Workspace:
             self._straight_paths[n_samples] = path
         return self._straight_paths[n_samples]
 
+    @functools.cached_property
     def straight_fluxes(self):
         """(relative, dual) flux classes of the straight path, computed once.
 
-        A failed pass is kept too and raised again for every suite that asks.
+        A failed pass is not kept: it runs, and raises, again for every suite that asks.
         """
-        if self._straight_fluxes is None:
-            rel, ab = self.rel_abs
-            path = self.straight_path()
-            try:
-                self._straight_fluxes = path_fluxes(self.fixture.model, path, rel, ab)
-            except SlagError as exc:
-                self._straight_fluxes = exc
-        if isinstance(self._straight_fluxes, SlagError):
-            raise self._straight_fluxes
-        return self._straight_fluxes
+        rel, ab = self.rel_abs
+        return path_fluxes(self.fixture.model, self.straight_path(), rel, ab)
 
     def s_curve(self, strength=None):
         """S-profiled parameter curve 0 -> amplitudes and its derivative, on (T,) times."""
-        amp = self.amplitudes()
+        amp = self.amplitudes
         if strength is None:
             strength = self.scenario.s_curve_strength
         p = lambda t: t - strength * np.sin(2 * np.pi * t) / (2 * np.pi)
@@ -388,26 +384,26 @@ def _suite_tangent_laws(ws: _Workspace):
     yield "path_samples_valid", (
         all(r.ok for r in endpoint_reports),
         f"worst containment {max(r.boundary_distance for r in endpoint_reports):.2e}")
-    rf, sf = ws.straight_fluxes()
+    rf, sf = ws.straight_fluxes
     yield "theta_closed", rf.diagnostics["max_sample_closedness"]
     yield "theta_boundary", rf.diagnostics["max_sample_boundary_value"]
     yield "phi_closed", sf.diagnostics["max_sample_closedness"]
 
 
-def _duality_residual(ws: _Workspace, n_probe: int = 5):
+def _duality_residual(ws: _Workspace):
     """Max relative mass-norm error of star(theta) - phi over probe times.
 
-    The probes are the samples of the n_probe-sample straight path, at equally
+    The probes are the samples of the _DUALITY_PROBES-sample straight path, at equally
     spaced times from 0 to 1.  Each probe is starred with the Hodge structure
     of its own immersion's metric.  A probe whose top frames equal the base
     immersion's bit for bit has the base metric bit for bit, so the base
     structure serves it; the frames cost a tenth of the metric (its Gram
     products and validation).
     """
-    model, mesh, path = ws.fixture.model, ws.fixture.mesh, ws.straight_path(n_probe)
+    model, mesh, path = ws.fixture.model, ws.fixture.mesh, ws.straight_path(_DUALITY_PROBES)
     base = ws.fixture.base.simplex_frames(model, mesh.dim)
     worst = 0.0
-    for j in range(n_probe):
+    for j in range(_DUALITY_PROBES):
         sample = path.immersion_at(j)
         structure = (ws.structure if np.array_equal(sample.simplex_frames(model, mesh.dim), base)
                      else HodgeStructure(mesh, pullback_metric(model, sample)))
@@ -494,7 +490,7 @@ def _suite_flux_oracles(ws: _Workspace):
     rel, ab = ws.rel_abs
     model = ws.fixture.model
     path = ws.straight_path()
-    rf, sf = ws.straight_fluxes()
+    rf, sf = ws.straight_fluxes
     worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
     worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
     yield "relative_fixture", worst_rf
@@ -526,8 +522,8 @@ def _suite_homotopy(ws: _Workspace):
 
 
 def _suite_closed_form(ws: _Workspace):
-    rf_expect, sf_expect = ws.fixture.expected_fluxes(ws.amplitudes())
-    rf, sf = ws.straight_fluxes()
+    rf_expect, sf_expect = ws.fixture.expected_fluxes(ws.amplitudes)
+    rf, sf = ws.straight_fluxes
     yield "relative_flux", (float(np.abs(rf.period_vector - rf_expect).max()),
                             f"periods {rf.period_vector.tolist()}")
     yield "special_flux", (float(np.abs(sf.period_vector - sf_expect).max()),
@@ -547,13 +543,12 @@ def _suite_transitions(ws: _Workspace):
     m = fx.m
     rng = np.random.default_rng(ws.scenario.seed + 1)
     base_pts = rng.uniform(-0.08, 0.1, size=(2 * (m + 1) + 1, m))
-    samples_1 = [evaluate_chart(fx.model, fx.family, u, rel, ab) for u in base_pts]
+    n = ws.scenario.n_samples
+    samples_1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, n) for u in base_pts]
     shift = np.full(m, 0.04)
-    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab)
-    samples_2 = [
-        evaluate_chart(fx.model, fx.family, u - shift, rel, ab, base_shift=shift)
-        for u in base_pts
-    ]
+    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab, n)
+    samples_2 = [evaluate_chart(fx.model, fx.family, u - shift, rel, ab, n, base_shift=shift)
+                 for u in base_pts]
     worst_identity = worst_res = worst_vol = 0.0
     for coord in ("R", "S"):
         fit = transition_affine_fit(samples_1, samples_2, coord)
@@ -734,6 +729,10 @@ def _walk(data, section: str, where: str, fields: dict) -> None:
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     fields = {"name": default_name}
     _walk(data, "scenario", "scenario", fields)
+    block = data.get("fixture", {})
+    clash = [key for key in ("name", "level", "almost_cy") if key in block]
+    if "mesh_file" in block and clash:
+        raise ConfigError(f"fixture.{clash[0]} cannot be combined with fixture.mesh_file")
     if "fixture" not in fields and "mesh_file" not in fields:
         raise ConfigError("missing field 'fixture.name'")
     return Scenario(**{"fixture": "mesh_file", **fields})
@@ -799,11 +798,11 @@ class ConvergenceTable:
     orders: dict
 
 
-def fit_order(hs, residuals, floor: float = _EXACTNESS_FLOOR):
-    """Least-squares slope of log(residual) vs log(h); inf when pinned at the floor."""
+def fit_order(hs, residuals):
+    """Least-squares slope of log(residual) vs log(h); inf when pinned at _EXACTNESS_FLOOR."""
     res = np.asarray(residuals, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    if np.all(res <= floor):
+    if np.all(res <= _EXACTNESS_FLOOR):
         return float("inf")
     if len(res) < 2:
         return float("nan")
@@ -838,8 +837,8 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     ws = _study_workspace(scenario)
     rel, ab = ws.rel_abs
     model = ws.fixture.model
-    amp = ws.amplitudes()
-    rf_reference, sf_reference = (f.period_vector for f in ws.straight_fluxes())
+    amp = ws.amplitudes
+    rf_reference, sf_reference = (f.period_vector for f in ws.straight_fluxes)
     ramp = (
         lambda t: (np.exp(t) - 1.0) / (math.e - 1.0),
         lambda t: np.exp(t) / (math.e - 1.0),

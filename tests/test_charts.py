@@ -20,6 +20,7 @@ from slaglab.charts import (
 from slaglab.dec import HodgeStructure
 from slaglab.errors import InsufficientSamplesError, SingularJacobianError, SlagError
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
+from slaglab.flux import ImmersionPath, tangent_one_form
 from slaglab.immersion import ImmersionFamily, pullback_metric, reparametrize
 from slaglab.meshes import CycleBasis, absolute_cycle_basis, relative_cycle_basis
 from slaglab.runner import DEFAULT_TOLERANCES
@@ -291,7 +292,8 @@ def test_l2_gram_orthogonal_directions_and_zero_tangent(handles):
     thetas = tangent_cochains(fx.model, fx.family)
     L2 = l2_gram(hs, thetas)
     assert abs(L2[0, 1]) < 1e-14
-    zero = tangent_cochains(fx.model, fx.family, directions=np.zeros((1, 2)))
+    still = ImmersionPath.straight(fx.family, np.zeros(2), 3)  # a zero-amplitude path
+    zero = [tangent_one_form(fx.model, still, 0)]
     Lz = l2_gram(hs, zero)
     assert np.abs(Lz).max() == 0.0
 

@@ -542,7 +542,9 @@ def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
     rel = relative_cycle_basis(fx.mesh)
     ab = absolute_cycle_basis(fx.mesh)
     # no residual gate, so the sheared paths reach the diagnostics
-    rf, sf = path_fluxes(fx.model, path, rel, ab, lagrangian_tol=np.inf, special_tol=np.inf)
+    monkeypatch.setattr(flux, "_SAMPLE_FAILURES",
+                        tuple((np.inf,) + gate[1:] for gate in flux._SAMPLE_FAILURES))
+    rf, sf = path_fluxes(fx.model, path, rel, ab)
     checks = [
         (rf, _reference_flux(fx.model, path, rel, tangent_one_form, 1)),
         (sf, _reference_flux(fx.model, path, ab, dual_form, fx.mesh.dim - 1)),
@@ -556,8 +558,8 @@ def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
             np.testing.assert_allclose(got.diagnostics[name], value, rtol=1e-12, atol=0,
                                        err_msg=name)
     # the single-space wrappers run the same pass
-    rf_only = relative_flux(fx.model, path, rel, lagrangian_tol=np.inf)
-    sf_only = special_flux(fx.model, path, ab, special_tol=np.inf)
+    rf_only = relative_flux(fx.model, path, rel)
+    sf_only = special_flux(fx.model, path, ab)
     np.testing.assert_array_equal(rf_only.period_vector, rf.period_vector)
     np.testing.assert_array_equal(sf_only.period_vector, sf.period_vector)
 
@@ -654,7 +656,7 @@ def test_block_fold_adds_in_sample_order(cyl, block):
     for mesh in (fx.mesh, build_mesh(2, [(1, 0)], {(0,): 1, (1,): 2})):
         vals = np.random.default_rng(5).normal(size=(count, mesh.n_simplices(1)))
         no_chains = _basis(1, np.zeros((mesh.n_simplices(1), 0), dtype=np.int64))  # the fold alone
-        fold = flux._FluxPass(mesh, count, "relative-1", 1, None, no_chains, 0, 1e-9)
+        fold = flux._FluxPass(mesh, count, 1, None, no_chains, 0)
         for start in range(0, count, block):
             fold.add(start, vals[start:start + block])
         raw, coarse = np.zeros((2, vals.shape[1]))

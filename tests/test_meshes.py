@@ -520,7 +520,7 @@ def _generator_cases(mesh):
 def test_array_cycle_generators_equal_loop_reference(build):
     mesh = build()
     for eids, ends, roots, m in _generator_cases(mesh):
-        chains, dual = meshes._cycle_generators(mesh, eids, ends, roots, m)
+        chains, dual = meshes._cycle_generators(mesh, eids, ends, roots)
         edge_list = list(zip(eids.tolist(), *ends.T.tolist()))
         ref_chains, ref_dual = _loop_cycle_generators(mesh, edge_list, roots, m)
         assert chains.dtype == ref_chains.dtype and np.array_equal(chains, ref_chains)

@@ -15,7 +15,6 @@ from slaglab.dec import (
     Cochain,
     HodgeStructure,
     MetricField,
-    codifferential,
     exterior_derivative,
     hodge_star,
     period_matrix,
@@ -42,17 +41,6 @@ def cochain_strategy(degree):
     return arrays(np.float64, (count,), elements=finite).map(
         lambda v: Cochain(FX.mesh, degree, v)
     )
-
-
-@settings(max_examples=20, deadline=None)
-@given(alpha=cochain_strategy(0), beta=cochain_strategy(1))
-def test_adjointness_holds_for_random_cochains(alpha, beta):
-    lhs = HS.inner(apply_d(alpha), beta)
-    rhs = HS.inner(alpha, codifferential(HS, beta))
-    # the mass solve in the codifferential carries roundoff on the scale of
-    # |alpha| |beta|, even when d(alpha) happens to be small
-    scale = max((HS.norm(alpha) + HS.norm(apply_d(alpha))) * HS.norm(beta), 1.0)
-    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 @settings(max_examples=15, deadline=None)

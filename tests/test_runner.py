@@ -14,14 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slaglab
-from slaglab import charts, dec, runner
+from slaglab import charts, dec, meshes, runner
 from slaglab.cli import main as cli_main
 from slaglab.charts import GridSamples
-from slaglab.errors import ConfigError, SingularJacobianError, SolverFailureError
-from slaglab.fixtures import cylinder_translation
+from slaglab.errors import (
+    ConfigError,
+    RankDeficientError,
+    SingularJacobianError,
+    SolverFailureError,
+)
+from slaglab.fixtures import build_fixture, cylinder_translation
 from slaglab.flux import ImmersionPath
 from slaglab.immersion import ImmersionFamily
-from slaglab.meshes import relative_cycle_basis
+from slaglab.meshes import BettiProfile, relative_cycle_basis
 from slaglab.runner import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -278,6 +283,16 @@ _SPAN = [[0, 1, 0, 0], [0, 0, 1, 0]]
     # adjacent vertices at +-1e308: the edge vectors overflow, so no frame is finite
     ({"family": {"expressions": {"y1": "y1 + u1 + c*cos(16*pi*x2)"}, "parameters": ["u1"],
                  "constants": {"c": 1e308}}}, "edge vectors overflow"),
+    # omega(e_x2, e_y2) = 1: the span is not isotropic
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0], "span": _SPAN},
+                      {"index": 2, "basepoint": [0.5, 0, 0, 0],
+                       "span": [[0, 0, 1, 0], [0, 0, 0, 1]]}]},
+     "lagrangians[1].span must span a Lagrangian 2-plane: rank 2, omega 1.000e+00"),
+    # isotropic, but one direction twice
+    ({"lagrangians": [{"index": 1, "basepoint": [0, 0, 0, 0],
+                       "span": [[0, 1, 0, 0], [0, 2, 0, 0]]},
+                      {"index": 2, "basepoint": [0.5, 0, 0, 0], "span": _SPAN}]},
+     "lagrangians[0].span must span a Lagrangian 2-plane: rank 1"),
 ])
 def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys, monkeypatch,
                                                                   overrides, field):
@@ -354,6 +369,19 @@ def test_bad_mesh_file_is_config_error_naming_it(tmp_path, capsys, content, reas
     assert reason in err
 
 
+@pytest.mark.parametrize("key, value", [("name", "two_handle"), ("level", 2),
+                                        ("almost_cy", True), ("almost_cy", False)])
+def test_mesh_file_with_a_fixture_field_is_config_error_naming_it(tmp_path, capsys, key, value):
+    """A mesh file replaces the fixture, so a report would misstate what ran."""
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(mesh_to_dict(cylinder_translation(1).mesh)))
+    data = {"fixture": {"mesh_file": str(mesh), key: value}, "suites": ["topology"]}
+    with pytest.raises(ConfigError, match=f"fixture.{key} cannot be combined"):
+        scenario_from_dict(data)
+    assert cli_main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: fixture.{key}")
+
+
 @pytest.mark.parametrize("command, overrides, field", [
     ("run", {"suites": ["closed_form"]}, "suites"),
     ("run", {}, "suites"),
@@ -365,6 +393,8 @@ def test_bad_mesh_file_is_config_error_naming_it(tmp_path, capsys, content, reas
      "lagrangians"),
     ("converge", {"suites": ["topology"]}, "fixture"),
     ("quadrature", {"suites": ["topology"]}, "fixture"),
+    ("run", {"suites": ["topology"], "fixture": {"name": "pair_of_pants", "almost_cy": True}},
+     "fixture.almost_cy"),
 ])
 def test_model_less_fixture_takes_only_topology(tmp_path, capsys, command, overrides, field):
     """pair_of_pants has a mesh but no ambient model: nothing but topology may pass on it."""
@@ -410,7 +440,7 @@ def test_fuzzed_scenario_value_loads_or_is_config_error(data):
     key = data.draw(st.sampled_from(sorted(_SCHEMA[place])))
     target[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_POOL)))
     try:
-        _Workspace(scenario_from_dict(scenario)).amplitudes()
+        _Workspace(scenario_from_dict(scenario)).amplitudes
     except ConfigError:
         pass
 
@@ -977,7 +1007,7 @@ def test_atlas_emitted_with_embedding_suites(tmp_path):
 
 
 def test_duality_reads_only_its_probe_samples(monkeypatch):
-    """The probes are the whole n_probe-sample straight path, and nothing more is evaluated."""
+    """The probes are the whole 5-sample straight path, and nothing more is evaluated."""
     seen = []
     for name in ("tangent_one_form", "dual_form"):
         def spy(model, path, j, form=getattr(runner, name), name=name):
@@ -986,7 +1016,7 @@ def test_duality_reads_only_its_probe_samples(monkeypatch):
 
         monkeypatch.setattr(runner, name, spy)
     ws = _Workspace(scenario_from_dict(minimal_scenario(suites=["duality"])))
-    assert runner._duality_residual(ws, n_probe=5) < DEFAULT_TOLERANCES["duality_error"]
+    assert runner._duality_residual(ws) < DEFAULT_TOLERANCES["duality_error"]
     assert sorted(seen) == [(name, 5, j) for name in ("dual_form", "tangent_one_form")
                             for j in range(5)]
 
@@ -1015,3 +1045,29 @@ def test_transitions_charts_are_independent_straight_paths(monkeypatch):
     from_base = sum(np.array_equal(s, np.zeros(m)) for s in starts)
     from_shift = sum(np.array_equal(s, shift) for s in starts)
     assert (from_base, from_shift) == (2 * (m + 1) + 2, 2 * (m + 1) + 1)
+
+
+def test_a_surplus_cycle_generator_is_a_suite_error(monkeypatch):
+    """A Betti number planted one low leaves a generator over; the basis refuses it."""
+    true_profile = meshes.SimplicialMesh.betti_profile
+
+    def one_low(mesh):
+        true = true_profile(mesh)
+        return BettiProfile(true.betti, true.b_rel_1 - 1)
+
+    monkeypatch.setattr(meshes.SimplicialMesh, "betti_profile", one_low)
+    with pytest.raises(RankDeficientError, match="found 2 relative cycles, expected 1"):
+        relative_cycle_basis(build_fixture("two_handle", 1).mesh)
+    report = run(scenario_from_dict({"fixture": {"name": "two_handle"},
+                                     "path": {"amplitudes": [0.3, -0.2]}, "random_paths": 1}))
+    names = {c.name for c in report.checks}
+    assert not any(name.endswith("/internal_error") for name in names), names
+    assert {"topology/error", "embedding/error"} <= names
+
+
+def test_transition_charts_take_the_scenario_sample_count():
+    """On a curved family the charts' quadrature error shows in translation_identity."""
+    data = dict(_STRETCH, suites=["transitions"])
+    data["path"] = {"amplitudes": [0.3], "samples": 129}
+    report = run(scenario_from_dict(data))
+    assert report.passed, [(c.name, c.residual) for c in report.checks]
