@@ -85,7 +85,7 @@ def evaluate_chart(
     u,
     rel_cycles: CycleBasis,
     abs_cycles: CycleBasis,
-    n_samples: int = 33,
+    n_samples: int,
     base_shift=0.0,
 ) -> ChartSample:
     """Both flux period vectors along the straight parameter path 0 -> u.
@@ -94,9 +94,6 @@ def evaluate_chart(
     base_shift + u through the same family.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.any(np.abs(u) > 0):
-        m = rel_cycles.m
-        return ChartSample(u, np.zeros(m), np.zeros(m))
     path = ImmersionPath.straight(family, u, n_samples, start=base_shift)
     rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
     return ChartSample(u, rf.period_vector, sf.period_vector)
@@ -181,8 +178,8 @@ class AffineFit:
         return abs(float(self.det) - 1.0)
 
 
-def transition_affine_fit(samples_1, samples_2, coordinate: str = "R") -> AffineFit:
-    """Least-squares affine map from chart-1 to chart-2 coordinates.
+def transition_affine_fit(samples_1, samples_2, coordinate: str) -> AffineFit:
+    """Least-squares affine map from chart-1 to chart-2 values of coordinate "R" or "S".
 
     Needs at least m+1 affinely independent shared parameter points.
     """
@@ -268,8 +265,8 @@ def sample_grid(
     family: ImmersionFamily,
     rel_cycles: CycleBasis,
     abs_cycles: CycleBasis,
-    radius: float = 0.1,
-    points_per_axis: int = 5,
+    radius: float,
+    points_per_axis: int,
 ) -> GridSamples:
     """Chart samples on the points_per_axis^m lattice over [-radius, radius]^m, from one path.
 
@@ -294,7 +291,7 @@ def sample_grid(
     coords = []
     for flux in path_fluxes(model, path, rel_cycles, abs_cycles):
         # the running periods at every node: zero at the first, then at each panel's end
-        running = np.vstack([np.zeros_like(flux.period_vector), flux.panel_periods()])
+        running = np.vstack([np.zeros_like(flux.period_vector), flux.panel_periods])
         values = np.empty(shape + flux.period_vector.shape)
         values[lattice] = (running - running[base])[-points_per_axis ** m:]
         coords.append(values)

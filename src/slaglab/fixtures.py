@@ -47,7 +47,6 @@ class Fixture:
     base: Immersion | None
     lagrangians: list[BoundaryLagrangian]
     family: ImmersionFamily | None
-    m: int
     widths: tuple = ()  # axial width of each translating handle
     slides: tuple = ()  # flux-neutral rigid directions, as 2n-vectors
 
@@ -113,7 +112,7 @@ def cylinder_translation(level: int = 1, almost_cy: bool = False, width: float =
         BoundaryLagrangian(2, np.array([width, 0.0, 0.0, 0.0]),
                            np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)),
     ]
-    return Fixture("cylinder_translation", level, mesh, model, base, lams, family, 1,
+    return Fixture("cylinder_translation", level, mesh, model, base, lams, family,
                    widths=(width,), slides=(_E_X2,))
 
 
@@ -132,8 +131,7 @@ def interval_c1(level: int = 1, almost_cy: bool = False, width: float = 0.5) -> 
         BoundaryLagrangian(1, np.array([0.0, 0.0]), np.array([[0.0, 1.0]])),
         BoundaryLagrangian(2, np.array([width, 0.0]), np.array([[0.0, 1.0]])),
     ]
-    return Fixture("interval_c1", level, mesh, model, base, lams, family, 1,
-                   widths=(width,))
+    return Fixture("interval_c1", level, mesh, model, base, lams, family, widths=(width,))
 
 
 def two_handle(level: int = 1, almost_cy: bool = False,
@@ -170,7 +168,7 @@ def two_handle(level: int = 1, almost_cy: bool = False,
         BoundaryLagrangian(3, np.array([0.0, 0.5, 0.0, 0.5]), span),
         BoundaryLagrangian(4, np.array([w2, 0.5, 0.0, 0.5]), span),
     ]
-    return Fixture("two_handle", level, mesh, model, base, lams, family, 2,
+    return Fixture("two_handle", level, mesh, model, base, lams, family,
                    widths=(w1, w2), slides=(_E_X2,))
 
 
@@ -219,7 +217,7 @@ def pair_of_pants(level: int = 1) -> Fixture:
                 label = 2 + idx
         labels[e] = label
     mesh = build_mesh(len(used), tops, labels)
-    return Fixture("pair_of_pants", level, mesh, None, None, [], None, 2)
+    return Fixture("pair_of_pants", level, mesh, None, None, [], None)
 
 
 def mobius() -> list[tuple]:

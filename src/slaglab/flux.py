@@ -11,12 +11,11 @@ positions (B, V, 2n), B bounded by a fixed budget of top-simplex samples.  Per
 block it wraps each edge once and gathers every frame from the edges (the
 degree-1 frames are a view of them), checks the residuals once (closed-form
 Gram volumes), writes one centroid stack per degree and evaluates each form
-on it coefficient by coefficient.  The block's cochains are weighted as rows
-and added in sample order, so the sums carry the bits of a per-sample loop;
-the Richardson estimate reuses the even samples' cochains from the same pass.
-The pass also keeps each sample's values on the support of the cycle basis,
-so that the running periods at the end of every panel, which the chart grid
-reads, can be summed when asked for.
+on it coefficient by coefficient.  Of each sample's cochain the pass keeps
+its closedness and boundary sups and its values on the support of the cycle
+basis.  At the end one weighted running sum of those values, in sample order,
+gives the periods at the end of every quadrature panel, the last of which is
+the period vector; the even samples' sum gives the Richardson estimate.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
@@ -37,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ambient import AmbientModel, ConstantForm
-from .dec import Cochain, period_matrix
+from .dec import Cochain
 from .errors import (
     DegenerateSimplexError,
     EndpointMismatchError,
@@ -79,7 +78,7 @@ class ImmersionPath:
     are computed where they are used.
     """
 
-    def __init__(self, family: ImmersionFamily, curve, derivative, n_samples: int = 33):
+    def __init__(self, family: ImmersionFamily, curve, derivative, n_samples: int):
         if n_samples < 2:
             raise VelocityUnavailableError("need at least two time samples")
         self.family = family
@@ -90,7 +89,7 @@ class ImmersionPath:
         self.positions = family.positions(self.u)
 
     @classmethod
-    def straight(cls, family: ImmersionFamily, target, n_samples: int = 33,
+    def straight(cls, family: ImmersionFamily, target, n_samples: int,
                  profile=None, start=0.0) -> "ImmersionPath":
         """Path along the straight parameter segment start -> start + target, optionally
         reprofiled.
@@ -122,17 +121,15 @@ class Sweep(NamedTuple):
 
 @dataclass
 class FluxClass:
-    """Time-integrated tangent cochain with its period representation.
+    """Period representation of a time-integrated tangent cochain.
 
-    panel_periods() gives the periods of the flux up to the end of each
+    panel_periods holds the periods of the flux up to the end of each
     quadrature panel (each pair of Simpson intervals, or each trapezoid
-    interval), one row per panel; the last row is period_vector.  Only the
-    chart grid reads them, so they are summed when asked for.
+    interval), one row per panel; the last row is period_vector.
     """
 
     period_vector: np.ndarray
-    raw_cochain: Cochain
-    panel_periods: Callable[[], np.ndarray]
+    panel_periods: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -216,19 +213,18 @@ _SAMPLE_FAILURES = (
 class _FluxPass:
     """Time quadrature of one integrand over a path, fed one block of samples at a time.
 
-    Keeps the per-sample closedness and boundary sups, the same rule over the
-    even samples for the Richardson estimate, the first failing sample, and
-    each sample's values on the basis support for the panel periods.
+    Keeps the per-sample closedness and boundary sups, the first failing
+    sample, and each sample's values on the basis support, which `result`
+    folds into periods.
     """
 
     def __init__(self, mesh, n_samples, degree, form, basis, residual):
-        self.mesh, self.degree, self.form = mesh, degree, form
+        self.degree, self.form = degree, form
         self.basis, self.residual, self.failure = basis, residual, None
         self.weights, self.rule = _quadrature_weights(n_samples)
         self.support_values = []  # per block, its (B, support) values
         richardson = n_samples % 4 == 1 and n_samples >= 5
         self.halves = _quadrature_weights((n_samples + 1) // 2)[0] if richardson else None
-        self.raw, self.coarse = np.zeros((2, mesh.n_simplices(degree)))
         self.d_op = (mesh.coboundary_operator(degree) if degree < mesh.dim
                      else np.zeros((0, mesh.n_simplices(degree))))
         self.boundary = mesh.in_boundary(degree)
@@ -250,54 +246,40 @@ class _FluxPass:
                             if over[i] and not degenerate[i]
                             else DegenerateSimplexError(TOO_LARGE_TO_LIFT))
 
-    def add(self, start, vals: np.ndarray) -> None:
-        """Fold the (B, N_k) cochains of samples start, start + 1, ... into the sums.
-
-        Each row is weighted first and added in sample order, so the sums
-        carry the bits of a per-sample loop.
-        """
-        stop = start + len(vals)
-        for row in self.weights[start:stop, None] * vals:
-            self.raw += row
-        if self.halves is not None:
-            first = start % 2  # the block's first even sample, start + first
-            for row in self.halves[(start + first) // 2:(stop + 1) // 2, None] * vals[first::2]:
-                self.coarse += row
+    def add(self, vals: np.ndarray) -> None:
+        """Keep the sups and the support values of the (B, N_k) cochains of a block."""
         # np.maximum keeps a NaN that the builtin max would drop
         self.closedness = float(np.maximum(self.closedness, _sup(self.d_op @ vals.T)))
         self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
         self.support_values.append(vals[:, self.basis.support])
 
-    def panel_periods(self) -> np.ndarray:
-        """(panels, m) periods of the quadrature sum up to the end of each panel.
+    def result(self, max_lag: float, max_special: float) -> FluxClass:
+        """Fold the support values once, in sample order, into the panel periods.
 
         The sum up to a panel's last sample j is the fold of the samples before
-        j, each with its weight, plus sample j with the rule's end weight.  On
-        the support np.cumsum folds in sample order, and `CycleBasis.periods`
-        adds the periods as `period_matrix` does, so the last row carries its bits.
+        j, each with its weight, plus sample j with the rule's end weight.
+        np.cumsum adds row after row, as a per-sample loop would, and
+        `CycleBasis.periods` sums each cycle from +0.0, so the last panel
+        carries the bits of the loop's period vector.
         """
         values = np.concatenate(self.support_values)
         folds = np.cumsum(self.weights[:, None] * values, axis=0)
         width = 2 if self.rule == "simpson" else 1
         ends = np.arange(width, len(values), width)
-        return self.basis.periods(folds[ends - 1] + self.weights[-1] * values[ends])
-
-    def result(self, max_lag: float, max_special: float) -> FluxClass:
-        raw = Cochain(self.mesh, self.degree, self.raw)
-        periods, coarse = period_matrix([raw, Cochain(self.mesh, self.degree, self.coarse)],
-                                        self.basis).T
+        panels = self.basis.periods(folds[ends - 1] + self.weights[-1] * values[ends])
+        periods = panels[-1]
         diag = {
             "rule": self.rule,
             "max_lagrangian_residual": max_lag,
             "max_special_residual": max_special,
             "max_sample_closedness": self.closedness,
             "max_sample_boundary_value": self.boundary_sup,
-            "raw_closedness": _sup(self.d_op @ self.raw),
-            "raw_boundary_value": _sup(self.raw[self.boundary]),
         }
         if self.halves is not None:
+            coarse = self.basis.periods(
+                np.cumsum(self.halves[:, None] * values[::2], axis=0)[-1])
             diag["richardson_error"] = float(np.abs(periods - coarse).max() / 15.0)
-        return FluxClass(periods, raw, self.panel_periods, diag)
+        return FluxClass(periods, panels, diag)
 
 
 def path_fluxes(model: AmbientModel, path: ImmersionPath,
@@ -332,7 +314,7 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
                   for k in {p.degree for p in passes}}
         for p in passes:
             p.check(start, top_large | two_large, residuals, frames[p.degree][1])
-            p.add(start, _contract(stacks[p.degree], p.form, p.degree))
+            p.add(_contract(stacks[p.degree], p.form, p.degree))
     for p in passes:
         if p.failure is not None:
             raise p.failure
@@ -427,7 +409,7 @@ def _swept_integrals(model, path, basis, form, degree, degree_error):
 class HomotopyReport:
     rf_discrepancy: float
     sf_discrepancy: float
-    sweep_deviation: float | None = None
+    sweep_deviation: float
 
 
 def homotopy_invariance_harness(
@@ -436,15 +418,15 @@ def homotopy_invariance_harness(
     path_b: ImmersionPath,
     rel_cycles: CycleBasis,
     abs_cycles: CycleBasis,
-    homotopy=None,
+    homotopy,
 ) -> HomotopyReport:
-    """Fluxes of two end-point sharing paths plus an optional u-sweep of the oracle.
+    """Fluxes of two end-point sharing paths plus a u-sweep of the oracle.
 
-    homotopy: optional callable u -> parameter curve of path_a's family, from
-    path_a's curve (u=0) to path_b's (u=1) with fixed endpoints; the report then
-    includes the swept integral over the first relative cycle at _HOMOTOPY_STEPS
-    equally spaced values of u.  Only the oracle reads these curves, so no path
-    is sampled along them.
+    homotopy: callable u -> parameter curve of path_a's family, from path_a's
+    curve (u=0) to path_b's (u=1) with fixed endpoints; the report includes
+    the spread of the swept integral over the first relative cycle at
+    _HOMOTOPY_STEPS equally spaced values of u.  Only the oracle reads these
+    curves, so no path is sampled along them.
     """
     ends = path_a.positions[[0, -1]] - path_b.positions[[0, -1]]
     gap = float(np.abs(model.wrap_displacement(ends)).max())
@@ -456,13 +438,11 @@ def homotopy_invariance_harness(
         relative_flux(model, path_b, rel_cycles)  # a failure of path b's relative flux comes first
         raise
     rf_b, sf_b = path_fluxes(model, path_b, rel_cycles, abs_cycles)
-    report = HomotopyReport(
+    gamma = CycleBasis(1, rel_cycles.chains[:, :1], rel_cycles.dual[:, :1])
+    curve = np.concatenate([swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma)
+                            for u in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS)])
+    return HomotopyReport(
         rf_discrepancy=float(np.abs(rf_a.period_vector - rf_b.period_vector).max()),
         sf_discrepancy=float(np.abs(sf_a.period_vector - sf_b.period_vector).max()),
+        sweep_deviation=float(curve.max() - curve.min()),
     )
-    if homotopy is not None:
-        gamma = CycleBasis(1, rel_cycles.chains[:, :1], rel_cycles.dual[:, :1])
-        curve = np.concatenate([swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma)
-                                for u in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS)])
-        report.sweep_deviation = float(curve.max() - curve.min())
-    return report

@@ -198,7 +198,7 @@ class _Workspace:
                     mesh = mesh_from_dict(json.load(fh))
             except (OSError, SlagError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"fixture.mesh_file {scenario.mesh_file!r}: {exc}") from exc
-            self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None, 0)
+            self.fixture = Fixture("mesh_file", 1, mesh, None, None, [], None)
         else:
             self.fixture: Fixture = build_fixture(
                 scenario.fixture, level or scenario.level, almost_cy=scenario.almost_cy
@@ -234,24 +234,13 @@ class _Workspace:
                 if basepoint.shape != (2 * n,) or span.shape != (n, 2 * n):
                     raise ConfigError(f"lagrangians[{i}] needs a basepoint of {2 * n} numbers "
                                       f"and {n} span rows of {2 * n}")
-                # unit rows, scaled to largest entry 1 first so that no norm overflows
-                rows = span / np.abs(span).max(axis=1, keepdims=True).clip(np.finfo(float).tiny)
-                rows /= np.linalg.norm(rows, axis=1, keepdims=True).clip(np.finfo(float).tiny)
-                rank = np.linalg.matrix_rank(rows)
-                omega = self.fixture.model.lagrangian_residual(
-                    BoundaryLagrangian(lam["index"], basepoint, rows))
-                if rank < n or not omega <= LAGRANGIAN_GATE:
-                    raise ConfigError(f"lagrangians[{i}].span must span a Lagrangian {n}-plane: "
-                                      f"rank {rank}, omega {omega:.3e} on its unit rows")
                 self.fixture.lagrangians.append(BoundaryLagrangian(lam["index"], basepoint, span))
             indices = sorted(lam["index"] for lam in scenario.lagrangian_spec)
             if indices != list(range(1, d + 1)):
                 raise ConfigError(f"lagrangians: indices {indices} must be the boundary "
                                   f"labels 1..{d}, each once")
-            try:
-                self.fixture.model.check_disjoint(self.fixture.lagrangians)
-            except SlagError as exc:
-                raise ConfigError(f"lagrangians: {exc}") from exc
+        if scenario.model_spec is not None or scenario.lagrangian_spec is not None:
+            self._check_lagrangians(scenario.lagrangian_spec is not None)
         if scenario.family_spec is not None:
             spec = scenario.family_spec
             try:
@@ -260,9 +249,35 @@ class _Workspace:
                     spec["parameters"], constants=spec.get("constants"))
             except ConfigError as exc:
                 raise ConfigError(f"family: {exc}") from exc
+            got, cycles = self.fixture.family.n_params, self.fixture.mesh.betti_profile().b_rel_1
+            if got != cycles:
+                raise ConfigError(f"family.parameters: got {got}, need one per relative cycle "
+                                  f"of the mesh, {cycles}")
         self._straight_paths: dict = {}  # sample count -> straight path
         self.transition_fits: dict = {}  # set by the transitions suite
         self.atlas = None  # set by the embedding suite
+
+    def _check_lagrangians(self, from_block: bool) -> None:
+        """Refuse spans that are not Lagrangian under the final model, or that meet.
+
+        A failure names the `lagrangians` block if it gave the spans, else `model`.
+        """
+        model, n, tiny = self.fixture.model, self.fixture.model.n, np.finfo(float).tiny
+        for i, lam in enumerate(self.fixture.lagrangians):
+            # unit rows, scaled to largest entry 1 first so that no norm overflows
+            rows = lam.span / np.abs(lam.span).max(axis=1, keepdims=True).clip(tiny)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True).clip(tiny)
+            rank = np.linalg.matrix_rank(rows)
+            omega = model.lagrangian_residual(BoundaryLagrangian(lam.index, lam.basepoint, rows))
+            if rank < n or not omega <= LAGRANGIAN_GATE:
+                name = (f"lagrangians[{i}].span" if from_block
+                        else f"model: boundary {lam.index}'s span")
+                raise ConfigError(f"{name} must span a Lagrangian {n}-plane: "
+                                  f"rank {rank}, omega {omega:.3e} on its unit rows")
+        try:
+            model.check_disjoint(self.fixture.lagrangians)
+        except SlagError as exc:
+            raise ConfigError(f"{'lagrangians' if from_block else 'model'}: {exc}") from exc
 
     @functools.cached_property
     def rel_abs(self):
@@ -455,7 +470,7 @@ def _random_rigid_path(ws: _Workspace, rng: np.random.Generator, n_samples: int)
     Parameter k follows amps[k] * t + coefs[k, 0] sin(pi t) + coefs[k, 1] sin(2 pi t).
     """
     fx = ws.fixture
-    m, slides = fx.m, fx.slides
+    m, slides = fx.family.n_params, fx.slides
     amps = rng.uniform(-0.2, 0.2, size=m)
     coefs = rng.uniform(-0.05, 0.05, size=(m + len(slides), 2))
     amps = np.concatenate([amps, rng.uniform(-0.2, 0.2, size=len(slides))])
@@ -540,7 +555,7 @@ def _suite_chart_derivative(ws: _Workspace):
 def _suite_transitions(ws: _Workspace):
     fx = ws.fixture
     rel, ab = ws.rel_abs
-    m = fx.m
+    m = fx.family.n_params
     rng = np.random.default_rng(ws.scenario.seed + 1)
     base_pts = rng.uniform(-0.08, 0.1, size=(2 * (m + 1) + 1, m))
     n = ws.scenario.n_samples

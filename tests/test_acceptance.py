@@ -194,7 +194,9 @@ def _criterion_homotopy(almost_cy=False):
     rel, ab = ws.rel_abs
     straight = ws.straight_path(n_samples=129)
     curved = ws.s_curve_path(n_samples=129)
-    hom = homotopy_invariance_harness(ws.fixture.model, straight, curved, rel, ab)
+    hom = homotopy_invariance_harness(
+        ws.fixture.model, straight, curved, rel, ab,
+        lambda u: ws.s_curve(strength=ws.scenario.s_curve_strength * u)[0])
     return hom.rf_discrepancy, hom.sf_discrepancy
 
 
@@ -254,8 +256,8 @@ def _criterion_transitions(almost_cy=False):
     rel, ab = ws.rel_abs
     us = [np.array([x]) for x in (-0.08, -0.02, 0.03, 0.07, 0.1)]
     shift = np.array([0.04])
-    s1 = [evaluate_chart(fx.model, fx.family, u, rel, ab) for u in us]
-    s2 = [evaluate_chart(fx.model, fx.family, u - shift, rel, ab, base_shift=shift)
+    s1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, 33) for u in us]
+    s2 = [evaluate_chart(fx.model, fx.family, u - shift, rel, ab, 33, base_shift=shift)
           for u in us]
     worst_res = worst_vol = worst_id = 0.0
     for coordinate in ("R", "S"):
@@ -271,7 +273,7 @@ def _criterion_transitions(almost_cy=False):
     ])
     base2 = reparametrize(fx.base, psi)
     family2 = ImmersionFamily.translation(base2, [np.array([0, 1, 0, 0.0])])
-    s3 = [evaluate_chart(fx.model, family2, u, rel, ab) for u in us]
+    s3 = [evaluate_chart(fx.model, family2, u, rel, ab, 33) for u in us]
     fit = transition_affine_fit(s1, s3, "R")
     worst_res = max(worst_res, fit.residual)
     worst_vol = max(worst_vol, fit.volume_defect)

@@ -278,6 +278,7 @@ def test_kernel_count_does_not_read_the_expected_dimension(fixture_structure, fl
     """A Betti number one off only resizes the Ritz window: the count stays m, and the
     topology check that compares the two fails."""
     fx, hs = fixture_structure
+    m = fx.mesh.betti_profile().b_rel_1
 
     def one_off(mesh):
         true = SimplicialMesh.betti_profile(mesh)
@@ -288,14 +289,14 @@ def test_kernel_count_does_not_read_the_expected_dimension(fixture_structure, fl
         return BettiProfile(tuple(betti), true.b_rel_1)
 
     monkeypatch.setattr(fx.mesh, "betti_profile", lambda: one_off(fx.mesh))
-    assert len(harmonic_fields(hs, flavor)) == fx.m
+    assert len(harmonic_fields(hs, flavor)) == m
     monkeypatch.setattr(runner, "betti_profile", one_off)
     scenario = runner.scenario_from_dict({
         "fixture": {"name": fx.name, "level": fx.level}, "suites": ["topology"]})
     checks = {c.name: c for c in runner.run(scenario).checks}
     assert "topology/error" not in checks
     assert not checks["topology/harmonic_counts"].passed
-    assert checks["topology/harmonic_counts"].detail == f"dirichlet={fx.m}, neumann={fx.m}"
+    assert checks["topology/harmonic_counts"].detail == f"dirichlet={m}, neumann={m}"
 
 
 def spy_eigenpairs(monkeypatch):
@@ -343,7 +344,7 @@ def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch)
     fx, hs = fixture_structure
     solves, factors = spy_eigenpairs(monkeypatch), spy_splu(monkeypatch)
     m = len(harmonic_fields(hs, flavor))
-    assert m == fx.m
+    assert m == fx.mesh.betti_profile().b_rel_1
     (normal, lam), = solves
     assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
                         "panel_size": 1, "options": {"SymmetricMode": True}}]
@@ -408,10 +409,11 @@ def test_eigenvalue_below_the_shift_is_counted(cylinder, flavor, monkeypatch):
     solves = spy_eigenpairs(monkeypatch)
     harmonic_fields(hs, flavor)
     (normal, lam), = solves
-    tiny = 0.1 * dec._KERNEL_GAP * lam[fx.m]
+    m = fx.mesh.betti_profile().b_rel_1
+    tiny = 0.1 * dec._KERNEL_GAP * lam[m]
     assert 0.0 < tiny < 1e-6 * abs(normal).max()
     solve_replaced(monkeypatch, [tiny])
-    assert len(harmonic_fields(hs, flavor)) == fx.m + 1
+    assert len(harmonic_fields(hs, flavor)) == m + 1
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
@@ -419,9 +421,10 @@ def test_kernel_wider_than_the_window_is_refused(cylinder, flavor, monkeypatch):
     """A kernel one wider than the window of max(m + 4, 6) shows as all-small Ritz values,
     counted as the whole window, which the topology check refuses as not m."""
     fx, hs = cylinder
-    want = max(fx.m + 4, 6)
-    solve_replaced(monkeypatch, np.zeros(want + 1 - fx.m))
-    assert len(harmonic_fields(hs, flavor)) == want != fx.m
+    m = fx.mesh.betti_profile().b_rel_1
+    want = max(m + 4, 6)
+    solve_replaced(monkeypatch, np.zeros(want + 1 - m))
+    assert len(harmonic_fields(hs, flavor)) == want != m
 
 
 def test_kernel_count_repeats_bit_for_bit(cylinder, monkeypatch):
@@ -430,7 +433,7 @@ def test_kernel_count_repeats_bit_for_bit(cylinder, monkeypatch):
     first = [c.values for c in harmonic_fields(hs, "dirichlet")]
     second = [c.values for c in harmonic_fields(hs, "dirichlet")]
     (normal, lam_a), (_, lam_b) = solves
-    assert normal.shape[0] > max(fx.m + 4, 6) + 1  # the iterative path ran
+    assert normal.shape[0] > max(fx.mesh.betti_profile().b_rel_1 + 4, 6) + 1  # iterative path
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(lam_a, lam_b)
 

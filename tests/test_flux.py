@@ -370,12 +370,17 @@ def test_homotopy_invariance_and_endpoint_check(cyl):
     quad_profile = (lambda t: t * t * (3 - 2 * t), lambda t: 6 * t * (1 - t))
     curved = ImmersionPath.straight(fx.family, [0.3], n_samples=65,
                                     profile=quad_profile)
-    report = homotopy_invariance_harness(fx.model, straight, curved, rel, ab)
+
+    def homotopy(u):  # the straight profile at u = 0, the curved one at u = 1
+        return lambda t: ((1 - u) * t + u * quad_profile[0](t))[:, None] * 0.3
+
+    report = homotopy_invariance_harness(fx.model, straight, curved, rel, ab, homotopy)
     assert report.rf_discrepancy <= 1e-12
     assert report.sf_discrepancy <= 1e-12
+    assert report.sweep_deviation <= 1e-12
     other_end = ImmersionPath.straight(fx.family, [0.2], n_samples=17)
     with pytest.raises(EndpointMismatchError):
-        homotopy_invariance_harness(fx.model, straight, other_end, rel, ab)
+        homotopy_invariance_harness(fx.model, straight, other_end, rel, ab, homotopy)
 
 
 def test_time_reparametrized_path_same_flux(cyl):
@@ -464,7 +469,7 @@ def _rule(count):
 
 
 def _reference_flux(model, path, cycles, integrand, degree):
-    """Periods, raw cochain and diagnostics from a loop over the per-sample integrand."""
+    """Periods and diagnostics from a loop over the per-sample integrand."""
     mesh = path.family.mesh
     samples = range(path.n_samples)
     values = [integrand(model, path, j).values for j in samples]
@@ -484,15 +489,13 @@ def _reference_flux(model, path, cycles, integrand, degree):
         "max_sample_boundary_value": (
             max(np.abs(v[boundary]).max() for v in values) if boundary.any() else 0.0
         ),
-        "raw_closedness": np.abs(d_op @ raw).max() if d_op is not None else 0.0,
-        "raw_boundary_value": np.abs(raw[boundary]).max() if boundary.any() else 0.0,
     }
     if path.n_samples % 4 == 1:
         halves, _ = _rule((path.n_samples + 1) // 2)
         coarse = sum(w * v for w, v in zip(halves, values[::2]))
         coarse_periods = period_matrix([Cochain(mesh, degree, coarse)], cycles)[:, 0]
         diag["richardson_error"] = np.abs(periods - coarse_periods).max() / 15.0
-    return periods, raw, diag
+    return periods, diag
 
 
 _S_CURVE = (lambda t: t - 0.4 * np.sin(2 * np.pi * t) / (2 * np.pi),
@@ -549,9 +552,8 @@ def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
         (rf, _reference_flux(fx.model, path, rel, tangent_one_form, 1)),
         (sf, _reference_flux(fx.model, path, ab, dual_form, fx.mesh.dim - 1)),
     ]
-    for got, (periods, raw, diag) in checks:
+    for got, (periods, diag) in checks:
         np.testing.assert_allclose(got.period_vector, periods, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.raw_cochain.values, raw, rtol=1e-12, atol=0)
         assert got.diagnostics.keys() == diag.keys()
         assert got.diagnostics["rule"] == diag.pop("rule")
         for name, value in diag.items():
@@ -638,16 +640,18 @@ def test_homotopy_harness_reports_relative_failures_first(cyl):
     fx, rel, ab = cyl
     path_a = _faulty_path(fx, {2: _bend})
     path_b = _faulty_path(fx, {6: _tilt})
+    still = lambda u: path_a.curve  # never read: both calls fail first
     with pytest.raises(NonLagrangianSampleError, match="sample 6 "):
-        homotopy_invariance_harness(fx.model, path_a, path_b, rel, ab)
+        homotopy_invariance_harness(fx.model, path_a, path_b, rel, ab, still)
     with pytest.raises(NonSpecialSampleError, match="sample 2 "):
-        homotopy_invariance_harness(fx.model, path_a, path_a, rel, ab)
+        homotopy_invariance_harness(fx.model, path_a, path_a, rel, ab, still)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4, 9, 17, 33])
 def test_block_fold_adds_in_sample_order(cyl, block):
-    """The quadrature sums of a blocked pass carry the bits of a per-sample loop.
+    """The periods of a blocked pass carry the bits of a per-sample loop.
 
+    Each edge is its own cycle, so the period vector is the quadrature sum.
     Blocks of more than 8 samples, and a one-segment mesh whose 1-cochains
     have one column, are where a pairwise sum would part from the loop.
     """
@@ -655,17 +659,18 @@ def test_block_fold_adds_in_sample_order(cyl, block):
     count = 33  # Simpson with a Richardson estimate over the 17 even samples
     for mesh in (fx.mesh, build_mesh(2, [(1, 0)], {(0,): 1, (1,): 2})):
         vals = np.random.default_rng(5).normal(size=(count, mesh.n_simplices(1)))
-        no_chains = _basis(1, np.zeros((mesh.n_simplices(1), 0), dtype=np.int64))  # the fold alone
-        fold = flux._FluxPass(mesh, count, 1, None, no_chains, 0)
+        edges = _basis(1, np.eye(mesh.n_simplices(1), dtype=np.int64))
+        fold = flux._FluxPass(mesh, count, 1, None, edges, 0)
         for start in range(0, count, block):
-            fold.add(start, vals[start:start + block])
+            fold.add(vals[start:start + block])
+        got = fold.result(0.0, 0.0)
         raw, coarse = np.zeros((2, vals.shape[1]))
         for j, row in enumerate(vals):
             raw += fold.weights[j] * row
             if j % 2 == 0:
                 coarse += fold.halves[j // 2] * row
-        np.testing.assert_array_equal(fold.raw, raw)
-        np.testing.assert_array_equal(fold.coarse, coarse)
+        assert got.period_vector.tobytes() == raw.tobytes()
+        assert got.diagnostics["richardson_error"] == float(np.abs(raw - coarse).max() / 15.0)
 
 
 @pytest.mark.parametrize("n_samples, panels", [(33, 16), (18, 17)])
@@ -679,7 +684,7 @@ def test_panel_periods_run_to_the_period_vector(cyl, n_samples, panels):
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=n_samples)
     assert path.n_samples > flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(2)
     for f in path_fluxes(fx.model, path, rel, ab):
-        running = f.panel_periods()
+        running = f.panel_periods
         assert running.shape == (panels, 1)
         np.testing.assert_array_equal(running[-1], f.period_vector)
         share = np.arange(1, panels + 1)[:, None] / panels
@@ -687,7 +692,7 @@ def test_panel_periods_run_to_the_period_vector(cyl, n_samples, panels):
 
 
 def test_each_basis_finds_its_nonzeros_once(monkeypatch):
-    """Period matrices, flux passes, panel periods and oracles all read one set of terms."""
+    """Period matrices, flux passes and oracles all read one set of terms."""
     fx = two_handle(1)
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     scanned = []
@@ -699,10 +704,11 @@ def test_each_basis_finds_its_nonzeros_once(monkeypatch):
 
     monkeypatch.setattr(np, "nonzero", spy)
     path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=9)
+    ones = Cochain(fx.mesh, 1, np.ones(fx.mesh.n_simplices(1)))
     for _ in range(2):
-        for f, basis in zip(path_fluxes(fx.model, path, rel, ab), (rel, ab)):
-            f.panel_periods()
-            period_matrix([f.raw_cochain, f.raw_cochain], basis)
+        path_fluxes(fx.model, path, rel, ab)
+        period_matrix([ones, ones], rel)
+        period_matrix([ones, ones], ab)
         swept_rf_oracle(fx.model, path, rel)
         swept_sf_oracle(fx.model, path, ab)
     assert [sum(a is basis.chains for a in scanned) for basis in (rel, ab)] == [1, 1]

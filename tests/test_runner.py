@@ -228,6 +228,12 @@ def test_scenario_model_block_dimension_checked():
         run(scenario_from_dict(data))
 
 
+# dx1^dy1 + dx2^dy2 + 0.1 (dx1^dy2 + dx2^dy1) in (x1, y1, x2, y2) order: a Kaehler form
+# under which the cylinder's spans <e_y1, e_x2> are not isotropic
+_SKEWED_MODEL = {"omega": [[0, 1, 0, 0.1], [-1, 0, -0.1, 0], [0, 0.1, 0, 1], [-0.1, 0, -1, 0]],
+                 "rho": 0.99 ** -0.5}
+
+
 @pytest.mark.parametrize("model, field", [
     ({"n": "x"}, "model.n"),
     ({"Omega_scale": "abc"}, "model.Omega_scale"),
@@ -238,6 +244,8 @@ def test_scenario_model_block_dimension_checked():
     ({"rho": 0}, "model.rho"),
     ({"omega": [[0, 1], [-1]]}, "model:"),
     ({"omega": True}, "model: omega must be a 2n x 2n matrix"),
+    (_SKEWED_MODEL, "model: boundary 1's span must span a Lagrangian 2-plane: rank 2, "
+                    "omega 1.000e-01"),
 ])
 def test_bad_model_value_is_config_error_naming_it(tmp_path, capsys, model, field):
     p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form"], model=model))
@@ -293,6 +301,11 @@ _SPAN = [[0, 1, 0, 0], [0, 0, 1, 0]]
                        "span": [[0, 1, 0, 0], [0, 2, 0, 0]]},
                       {"index": 2, "basepoint": [0.5, 0, 0, 0], "span": _SPAN}]},
      "lagrangians[0].span must span a Lagrangian 2-plane: rank 1"),
+    # a chart takes one parameter per relative cycle: one on the cylinder, two on two_handle
+    ({"family": {"expressions": {"y1": "y1 + u1", "y2": "y2 + u2"}, "parameters": ["u1", "u2"]},
+      "path": {"amplitudes": [0.3, 0.2]}}, "family.parameters: got 2, need one per relative"),
+    ({"family": {"expressions": {"y1": "y1 + u1"}, "parameters": ["u1"]},
+      "fixture": {"name": "two_handle", "level": 1}}, "family.parameters: got 1"),
 ])
 def test_bad_family_or_lagrangian_value_is_config_error_naming_it(tmp_path, capsys, monkeypatch,
                                                                   overrides, field):
@@ -552,7 +565,7 @@ def test_straight_path_built_once_per_sample_count(monkeypatch):
 
     class Counting(ImmersionPath):
         @classmethod
-        def straight(cls, family, target, n_samples=33, **kwargs):
+        def straight(cls, family, target, n_samples, **kwargs):
             built.append(n_samples)
             return super().straight(family, target, n_samples, **kwargs)
 
@@ -1031,7 +1044,7 @@ def test_transitions_charts_are_independent_straight_paths(monkeypatch):
 
     class Counting(ImmersionPath):
         @classmethod
-        def straight(cls, family, target, n_samples=33, profile=None, start=0.0):
+        def straight(cls, family, target, n_samples, profile=None, start=0.0):
             starts.append(np.broadcast_to(np.asarray(start, dtype=float), np.shape(target)))
             return super().straight(family, target, n_samples, profile, start)
 
