@@ -13,12 +13,13 @@ products.  The wedge pairing matrix
     P_k[s, t] = \int_L W_s^(k) ^ W_t^(n-k)
 
 is metric independent; the L^2-projection Hodge star is then the mass solve
-star(a) = M_{n-k}^{-1} P_k^T a.  Dirichlet harmonic 1-fields are the kernel of
-{closedness on interior edges} + {M_1-orthogonality to differentials of
-interior-vertex functions}; Neumann (n-1)-fields test against all functions.
-Both kernels have exactly the corresponding Betti dimensions at the discrete
-level, so a dimension mismatch signals solver failure, not discretization;
-counting them cross-checks the combinatorial Betti numbers.
+star(a) = M_{n-k}^{-1} P_k^T a.  Dirichlet harmonic 1-fields are the closed
+cochains on interior edges that are M_1-orthogonal to differentials of
+interior-vertex functions; Neumann (n-1)-fields are orthogonal to the
+differentials of all (n-2)-cochains.  Each space is the image of the discrete
+Hodge projector and has exactly the corresponding Betti dimension at the
+discrete level, so a dimension mismatch signals solver failure, not
+discretization; counting them cross-checks the combinatorial Betti numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 from .meshes import CycleBasis, SimplicialMesh
 
 _KERNEL_GAP = 1e-8
-_MAX_SWEEPS = 30  # block inverse iterations before the kernel count gives up
+_SHIFT = 1e-12  # diagonal regularization of the harmonic projector's SPD matrices
 
 
 @dataclass
@@ -212,10 +213,10 @@ def _spd_factor(matrix):
     An SPD matrix needs no pivoting, so the factor keeps the diagonal pivots
     of a minimum-degree ordering of A + A^T.  relax=1 and panel_size=1 turn
     off supernode relaxation and panel blocking: on these small, sparse mass
-    and normal matrices SuperLU's defaults cost more time and workspace for
-    about the same fill (level-4 cylinder M_1, 6,208 rows: 27,274 nonzeros in
-    L + U against 26,700, half the factor time, and a peak-memory rise of
-    2.6 MB against 6.7 MB).
+    matrices and the harmonic projector's C C^T and E^T M E, SuperLU's
+    defaults cost more time and workspace for about the same fill (level-4
+    cylinder M_1, 6,208 rows: 27,274 nonzeros in L + U against 26,700, half
+    the factor time, and a peak-memory rise of 2.6 MB against 6.7 MB).
     """
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      relax=1, panel_size=1, options={"SymmetricMode": True})
@@ -262,106 +263,58 @@ def harmonic_fields(structure: HodgeStructure, flavor: str):
     flavor "neumann": degree-(n-1) closed fields M-orthogonal to differentials
     of all (n-2)-cochains.
 
-    The basis is the orthonormal kernel Ritz vectors of the constraint normal
-    matrix (see _small_eigenpairs), as many as the Ritz values below
-    _KERNEL_GAP times the largest one computed.  The Betti number only sizes
-    the Ritz window; the caller compares the count against it.
-    structure.diagnostics["<flavor>_spectrum"] holds the Ritz values: exact to
-    rounding up to the shift |sigma|, upper bounds on the eigenvalues above it.
+    The discrete Hodge projector (Arnold, Falk and Winther, Acta Numerica 15,
+    2006) maps a block of max(b + 4, 6) Gaussian columns, b the Betti number,
+    onto that space in two steps, each y <- y - U A^{-1} V^T y with
+    A = V^T U: the Euclidean projection onto closed cochains (U = V = C^T, C
+    the closedness block), then the M-orthogonal removal of exact cochains
+    (U = E, V = M E, E the differentials), which are closed.  Each A is
+    factored once with a diagonal shift of _SHIFT times its largest entry:
+    C C^T and E^T M E may be singular (relative top cohomology, constants),
+    but the right-hand sides lie in their ranges.  The steps run twice, which
+    squares the shift's leak.  The basis is the left singular vectors of the
+    projected block whose singular values exceed _KERNEL_GAP times the 2-norm
+    of the Gaussian block, so an empty space counts 0.  The Betti number only
+    sizes the block; the caller compares the count against it.
+    structure.diagnostics["<flavor>_spectrum"] holds the projected block's
+    singular values relative to that norm.
     """
     mesh = structure.mesh
     n = mesh.dim
     profile = mesh.betti_profile()
     if flavor == "dirichlet":
-        degree = 1
-        col_ids = mesh.interior_simplex_ids(1)
-        blocks = []
-        if n >= 2:
-            blocks.append(exterior_derivative(mesh, 1)[:, col_ids])
-        rows = mesh.interior_simplex_ids(0)
-        weak = (exterior_derivative(mesh, 0).T @ structure.mass_matrix(1))[rows][:, col_ids]
-        blocks.append(weak)
-        betti = profile.b_rel_1
+        degree, betti = 1, profile.b_rel_1
+        cols, rows = mesh.interior_simplex_ids(1), mesh.interior_simplex_ids(0)
     elif flavor == "neumann":
-        degree = n - 1
-        col_ids = np.arange(mesh.n_simplices(degree))
-        blocks = [exterior_derivative(mesh, degree)]
-        if degree >= 1:
-            blocks.append(exterior_derivative(mesh, degree - 1).T @ structure.mass_matrix(degree))
-        betti = profile.betti[degree]
+        degree, betti = n - 1, profile.betti[n - 1]
+        cols = np.arange(mesh.n_simplices(degree))
+        rows = np.arange(mesh.n_simplices(degree - 1) if degree else 0)
     else:
         raise DegreeMismatchError(f"unknown flavor {flavor!r}")
 
-    dim = len(col_ids)
-    normal = sp.csr_matrix((dim, dim))
-    for block in blocks:
-        block = sp.csr_matrix(block)
-        scale = abs(block).max() if block.nnz else 1.0
-        block = block / max(scale, 1e-300)
-        normal = normal + block.T @ block
-    lam, vecs = _small_eigenpairs(normal, betti)
-    count = _kernel_dimension(lam)
-    structure.diagnostics[f"{flavor}_spectrum"] = lam
-    basis = np.zeros((mesh.n_simplices(degree), count))
-    basis[col_ids] = vecs[:, :count]
-    return [Cochain(mesh, degree, basis[:, j]) for j in range(count)]
-
-
-def _small_eigenpairs(normal: sp.csr_matrix, betti: int):
-    """Smallest Ritz pairs of the PSD normal matrix N, in ascending order.
-
-    Block inverse iteration (subspace iteration, Saad 2011, ch. 5) on one
-    SuperLU factor of the SPD N - sigma I (`_spd_factor`), sigma a small
-    negative shift.  Each sweep solves for all `want` columns at once and
-    orthonormalizes them; a Rayleigh-Ritz step, eigh(X^T N X), then gives the
-    ascending Ritz values and the orthonormal Ritz vectors X W.  With
-    cut = _KERNEL_GAP * max(theta), the scale of _kernel_dimension's own cut,
-    a sweep meets the stopping rule when every pair the count takes has
-    |N v - theta v| <= cut and every other pair's residual interval
-    theta +- |N v - theta v| stays above the cut.
-    Sweeps stop when two in a row meet it with the same count; the repeat
-    keeps a first sweep whose kernel pairs still sit above the cut from
-    passing with nothing counted, and leaves the kernel vectors exact to
-    rounding.
-
-    A sweep multiplies the kernel, and any eigenvalue below |sigma|, by at
-    least 1 / (2 |sigma|), far above 1 / lambda_{want+1}, so those directions
-    converge in a few sweeps.  The other Ritz values are upper bounds on the
-    eigenvalues (Cauchy interlacing) and only set the scale of the cut.
-    Dense eigh where the window spans the matrix (want >= dim - 1).
-    """
-    dim = normal.shape[0]
-    want = min(dim, max(betti + 4, 6))
+    steps = []  # (U, V) pairs; M E is gathered on cols after the product, so M is not sliced
+    if degree < n:
+        closed = exterior_derivative(mesh, degree)[:, cols].T
+        steps.append((closed, closed))
+    if len(rows):
+        exact = exterior_derivative(mesh, degree - 1)[:, rows]
+        steps.append((exact[cols], (structure.mass_matrix(degree) @ exact)[cols]))
+    block = np.random.default_rng(0).standard_normal((len(cols), max(betti + 4, 6)))
+    scale = np.linalg.norm(block, 2)
     try:
-        if want >= dim - 1:
-            return np.linalg.eigh(normal.toarray())
-        sigma = -1e-6 * max(abs(normal).max(), 1.0)
-        # in CSC already, so that the shifted CSR copy is freed before SuperLU runs
-        lu = _spd_factor((normal - sigma * sp.identity(dim)).tocsc())
-        block = np.random.default_rng(0).standard_normal((dim, want))
-        held = None
-        for _ in range(_MAX_SWEEPS):
-            block = np.linalg.qr(lu.solve(block))[0]
-            image = normal @ block
-            theta, rot = np.linalg.eigh(block.T @ image)
-            block, image = block @ rot, image @ rot
-            counted = _kernel_dimension(theta)
-            cut = _KERNEL_GAP * theta.max()
-            residual = np.linalg.norm(image - block * theta, axis=0)
-            # a window of all-small Ritz values bounds want eigenvalues below
-            # the cut, so the count is the whole window whatever sweeps follow
-            holds = counted == want or (np.all(residual[:counted] <= cut)
-                                        and np.all(residual[counted:] < theta[counted:] - cut))
-            if holds and held == counted:
-                return theta, block
-            held = counted if holds else None
+        factors = []
+        for U, V in steps:
+            gram = sp.csc_matrix(V.T) @ U  # CSC, as SuperLU takes it
+            factors.append(_spd_factor(gram + _SHIFT * np.abs(gram.data).max()
+                                       * sp.identity(gram.shape[0], format="csc")))
+        for _ in range(2):
+            for (U, V), lu in zip(steps, factors):
+                block = block - U @ lu.solve(V.T @ block)
+        vecs, sigma, _ = np.linalg.svd(block, full_matrices=False)
     except (RuntimeError, ValueError) as exc:  # SuperLU, LinAlgError
-        raise SolverFailureError(f"kernel eigensolve failed: {exc}") from exc
-    raise SolverFailureError(f"kernel eigensolve did not converge in {_MAX_SWEEPS} sweeps")
-
-
-def _kernel_dimension(lam: np.ndarray) -> int:
-    """Eigenvalues below _KERNEL_GAP times the largest computed; all if none tops 1e-10."""
-    lam = np.maximum(lam, 0.0)
-    top = lam.max(initial=0.0)
-    return int(np.sum(lam < _KERNEL_GAP * top)) if top > 1e-10 else len(lam)
+        raise SolverFailureError(f"harmonic projection failed: {exc}") from exc
+    count = int(np.sum(sigma > _KERNEL_GAP * scale))
+    structure.diagnostics[f"{flavor}_spectrum"] = sigma / scale
+    basis = np.zeros((mesh.n_simplices(degree), count))
+    basis[cols] = vecs[:, :count]
+    return [Cochain(mesh, degree, basis[:, j]) for j in range(count)]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from slaglab import dec, runner
@@ -275,8 +274,8 @@ def fixture_structure(request):
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
 def test_kernel_count_does_not_read_the_expected_dimension(fixture_structure, flavor, offset,
                                                            monkeypatch):
-    """A Betti number one off only resizes the Ritz window: the count stays m, and the
-    topology check that compares the two fails."""
+    """A Betti number one off only resizes the projected block: the count stays m, and
+    the topology check that compares the two fails."""
     fx, hs = fixture_structure
     m = fx.mesh.betti_profile().b_rel_1
 
@@ -299,18 +298,8 @@ def test_kernel_count_does_not_read_the_expected_dimension(fixture_structure, fl
     assert checks["topology/harmonic_counts"].detail == f"dirichlet={m}, neumann={m}"
 
 
-def spy_eigenpairs(monkeypatch):
-    """Record (normal matrix, eigenvalues) of every kernel eigensolve."""
-    calls = []
-    solve = dec._small_eigenpairs
-
-    def spy(normal, *args):
-        lam, vecs = solve(normal, *args)
-        calls.append((normal, lam))
-        return lam, vecs
-
-    monkeypatch.setattr(dec, "_small_eigenpairs", spy)
-    return calls
+SPD_RECIPE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
+              "panel_size": 1, "options": {"SymmetricMode": True}}
 
 
 def spy_splu(monkeypatch):
@@ -326,116 +315,155 @@ def spy_splu(monkeypatch):
     return calls
 
 
+def constraint_blocks(hs, flavor):
+    """(free edge ids, closedness block C, weak block E^T M) of a surface's harmonic space.
+
+    A field h on the free edges is harmonic when C h = 0 and E^T M h = 0, E the
+    differentials of interior-vertex functions (dirichlet) or of all functions.
+    """
+    mesh = hs.mesh
+    if flavor == "dirichlet":
+        cols, rows = mesh.interior_simplex_ids(1), mesh.interior_simplex_ids(0)
+    else:
+        cols, rows = np.arange(mesh.n_simplices(1)), np.arange(mesh.n_vertices)
+    closed = exterior_derivative(mesh, 1)[:, cols]
+    weak = (exterior_derivative(mesh, 0)[:, rows].T @ hs.mass_matrix(1))[:, cols]
+    return cols, closed, weak
+
+
+def plant_harmonic_fields(monkeypatch, k):
+    """Zero k face rows of d_1 and k interior-vertex columns of d_0 in dec (surfaces only).
+
+    On a connected orientable surface with boundary, the rows of d_1 on all edges are
+    independent, and on interior edges their one relation has every face in it; the
+    columns of d_0 on all vertices have one relation, constants, and on interior edges
+    the interior-vertex columns are independent.  So each harmonic space gains
+    k + (k - 1) = 2k - 1 dimensions.
+    """
+    derivative = dec.exterior_derivative
+
+    def planted(mesh, degree):
+        op = derivative(mesh, degree).tolil()
+        if degree == 1:
+            op[:k] = 0.0
+        else:
+            op[:, mesh.interior_simplex_ids(0)[:k]] = 0.0
+        return op.tocsr()
+
+    monkeypatch.setattr(dec, "exterior_derivative", planted)
+
+
 def test_mass_factor_and_kernel_count_share_one_spd_recipe(cylinder, monkeypatch):
-    """Both SuperLU call sites factor an SPD matrix, so both take the same options."""
+    """Every SuperLU call site factors an SPD matrix, so all take the same options."""
     fx, _ = cylinder
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     factors = spy_splu(monkeypatch)
     lu = hs.factorized_mass(1)
     harmonic_fields(hs, "dirichlet")
-    mass, kernel = factors
-    assert mass == kernel
+    assert factors == [SPD_RECIPE] * 3  # M_1, then C C^T and E^T M E of the projector
     rhs = np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1))
     np.testing.assert_allclose(hs.mass_matrix(1) @ lu.solve(rhs), rhs, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
 def test_sparse_eigensolve_matches_dense(fixture_structure, flavor, monkeypatch):
+    """The projected basis spans the kernel that a dense eigensolve of the constraint
+    normal matrix N = C^T C + (E^T M)^T E^T M finds, each block scaled to unit entries."""
     fx, hs = fixture_structure
-    solves, factors = spy_eigenpairs(monkeypatch), spy_splu(monkeypatch)
-    m = len(harmonic_fields(hs, flavor))
+    factors = spy_splu(monkeypatch)
+    fields = harmonic_fields(hs, flavor)
+    m = len(fields)
     assert m == fx.mesh.betti_profile().b_rel_1
-    (normal, lam), = solves
-    assert factors == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
-                        "panel_size": 1, "options": {"SymmetricMode": True}}]
-    dense, basis = np.linalg.eigh(normal.toarray())
-    assert dec._kernel_dimension(dense) == dec._kernel_dimension(lam) == m
-    lam, vecs = dec._small_eigenpairs(normal, m)
-    # the kernel Ritz vectors span the dense kernel: sines of the principal angles
+    assert factors == [SPD_RECIPE] * 2
+    cols, closed, weak = constraint_blocks(hs, flavor)
+    normal = sum((block.T @ block) / abs(block).max() ** 2 for block in (closed, weak))
+    lam, vecs = np.linalg.eigh(normal.toarray())
+    assert np.sum(lam < dec._KERNEL_GAP * lam[-1]) == m
+    basis = np.array([field.values for field in fields]).T
+    assert np.all(np.delete(basis, cols, axis=0) == 0.0)
+    basis = basis[cols]
+    np.testing.assert_allclose(basis.T @ basis, np.eye(m), rtol=0, atol=1e-12)
+    # sines of the principal angles between the basis and the dense kernel
     kernel = vecs[:, :m]
-    outside = kernel - basis[:, :m] @ (basis[:, :m].T @ kernel)
+    outside = basis - kernel @ (kernel.T @ basis)
     assert np.linalg.svd(outside, compute_uv=False).max() <= 1e-8
-    # Ritz values bound the eigenvalues from above (Cauchy interlacing), up to rounding
-    assert np.all(lam >= dense[:len(lam)] - 1e-14 * dense[-1])
-    # the stopping rule: counted pairs within the cut of 0, the others' residual
-    # intervals above it
-    cut = dec._KERNEL_GAP * lam.max()
-    residual = np.linalg.norm(normal @ vecs - vecs * lam, axis=0)
-    assert np.all(residual[:m] <= cut)
-    assert np.all(residual[m:] < lam[m:] - cut)
 
 
 @pytest.mark.parametrize("segments", [1, 4])
-def test_window_spanning_matrix_takes_the_dense_path(segments, monkeypatch):
-    """Short intervals: a window of k >= dim - 1 pairs spans the matrix, so eigh counts the kernel.
+def test_short_intervals_count_one_field_each(segments, monkeypatch):
+    """Intervals of 1 and 4 segments have one Dirichlet and one Neumann field each.
 
-    One segment has no interior vertex, so its Dirichlet normal matrix is zero:
-    a window with no gap in it is all kernel.
+    One segment has no interior vertex, so its Dirichlet space is its one edge,
+    with nothing to factor.
     """
     mesh = build_mesh(segments + 1, [(i + 1, i) for i in range(segments)],
                       {(0,): 1, (segments,): 2})
     pos = np.linspace(0.0, 1.0, segments + 1)[:, None]
     hs = HodgeStructure(mesh, metric_from_positions(mesh, pos))
-    solves, factors = spy_eigenpairs(monkeypatch), spy_splu(monkeypatch)
+    factors = spy_splu(monkeypatch)
     assert len(harmonic_fields(hs, "dirichlet")) == len(harmonic_fields(hs, "neumann")) == 1
-    assert [normal.shape[0] for normal, _ in solves] == [segments, segments + 1]
-    assert factors == []
-
-
-def replace_smallest_nonkernel(normal, m, values):
-    """Dense copy of the normal matrix with its eigenvalues m, m + 1, ... set to values."""
-    dense = normal.toarray()
-    lam, vecs = np.linalg.eigh(dense)
-    span = vecs[:, m:m + len(values)]
-    dense += span @ np.diag(np.asarray(values) - lam[m:m + len(values)]) @ span.T
-    return sp.csr_matrix((dense + dense.T) / 2)
-
-
-def solve_replaced(monkeypatch, values):
-    """Make every kernel eigensolve see its matrix with values planted above the kernel."""
-    solve = dec._small_eigenpairs
-
-    def planted(normal, betti):
-        m = dec._kernel_dimension(np.linalg.eigvalsh(normal.toarray()))
-        return solve(replace_smallest_nonkernel(normal, m, values), betti)
-
-    monkeypatch.setattr(dec, "_small_eigenpairs", planted)
+    assert factors == [SPD_RECIPE] * (1 if segments == 1 else 2)
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
-def test_eigenvalue_below_the_shift_is_counted(cylinder, flavor, monkeypatch):
-    """A nonzero eigenvalue below |sigma| and the cut joins the kernel count."""
+def test_planted_harmonic_dimension_is_counted(cylinder, flavor, monkeypatch):
+    """One zeroed face row and one zeroed interior-vertex column add one field to each
+    space, and the count finds it."""
     fx, hs = cylinder
-    solves = spy_eigenpairs(monkeypatch)
-    harmonic_fields(hs, flavor)
-    (normal, lam), = solves
     m = fx.mesh.betti_profile().b_rel_1
-    tiny = 0.1 * dec._KERNEL_GAP * lam[m]
-    assert 0.0 < tiny < 1e-6 * abs(normal).max()
-    solve_replaced(monkeypatch, [tiny])
+    assert len(harmonic_fields(hs, flavor)) == m
+    plant_harmonic_fields(monkeypatch, 1)
     assert len(harmonic_fields(hs, flavor)) == m + 1
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
 def test_kernel_wider_than_the_window_is_refused(cylinder, flavor, monkeypatch):
-    """A kernel one wider than the window of max(m + 4, 6) shows as all-small Ritz values,
-    counted as the whole window, which the topology check refuses as not m."""
+    """A harmonic space wider than the block of max(m + 4, 6) columns counts the whole
+    block, which the topology check refuses as not m."""
     fx, hs = cylinder
     m = fx.mesh.betti_profile().b_rel_1
     want = max(m + 4, 6)
-    solve_replaced(monkeypatch, np.zeros(want + 1 - m))
+    plant_harmonic_fields(monkeypatch, 4)  # m + 7 fields in each space
     assert len(harmonic_fields(hs, flavor)) == want != m
+    scenario = runner.scenario_from_dict({
+        "fixture": {"name": fx.name, "level": fx.level}, "suites": ["topology"]})
+    checks = {c.name: c for c in runner.run(scenario).checks}
+    assert "topology/error" not in checks
+    assert not checks["topology/harmonic_counts"].passed
+    assert checks["topology/harmonic_counts"].detail == f"dirichlet={want}, neumann={want}"
 
 
-def test_kernel_count_repeats_bit_for_bit(cylinder, monkeypatch):
+def test_kernel_count_repeats_bit_for_bit(cylinder):
     fx, hs = cylinder
-    solves = spy_eigenpairs(monkeypatch)
     first = [c.values for c in harmonic_fields(hs, "dirichlet")]
+    spectrum = hs.diagnostics["dirichlet_spectrum"]
     second = [c.values for c in harmonic_fields(hs, "dirichlet")]
-    (normal, lam_a), (_, lam_b) = solves
-    assert normal.shape[0] > max(fx.mesh.betti_profile().b_rel_1 + 4, 6) + 1  # iterative path
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(lam_a, lam_b)
+    np.testing.assert_array_equal(spectrum, hs.diagnostics["dirichlet_spectrum"])
+
+
+@pytest.mark.parametrize("make", [cylinder_translation, two_handle], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_count_ignores_the_metric_but_the_basis_follows_it(make, flavor):
+    """Under a random SPD change of the Gram field the count stays b, each field is
+    closed and M-orthogonal to the exact forms of its own metric, and the span moves."""
+    fx = make(1)
+    base = pullback_metric(fx.model, fx.base)
+    rng = np.random.default_rng(11)
+    root = rng.normal(size=base.gram.shape)
+    gram = base.gram + 0.5 * np.abs(base.gram).max() * root @ root.transpose(0, 2, 1)
+    hs = HodgeStructure(fx.mesh, MetricField(fx.mesh, gram))
+    m = fx.mesh.betti_profile().b_rel_1
+    fields = harmonic_fields(hs, flavor)
+    assert len(fields) == m
+    cols, closed, weak = constraint_blocks(hs, flavor)
+    basis = np.array([field.values for field in fields]).T[cols]
+    assert np.abs(closed @ basis).max() <= 1e-10
+    assert np.abs(weak @ basis).max() <= 1e-10 * abs(hs.mass_matrix(1)).max()
+    reference = np.array([field.values for field in
+                          harmonic_fields(HodgeStructure(fx.mesh, base), flavor)]).T[cols]
+    outside = basis - reference @ (reference.T @ basis)
+    assert np.linalg.svd(outside, compute_uv=False).max() > 1e-2
 
 
 def test_dirichlet_fields_vanish_on_boundary_edges(cylinder):

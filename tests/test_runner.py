@@ -631,9 +631,22 @@ def test_checks_yielded_before_a_suite_error_are_reported(monkeypatch, target, e
 
 
 def test_a_wrong_kernel_count_fails_the_harmonic_counts_check(tmp_path, monkeypatch):
-    """A kernel count one too high is the check table's finding, not a suite error."""
-    count = dec._kernel_dimension
-    monkeypatch.setattr(dec, "_kernel_dimension", lambda lam: count(lam) + 1)
+    """A harmonic count one too high is the check table's finding, not a suite error.
+
+    One zeroed face row of d_1 and one zeroed interior-vertex column of d_0 add one
+    field to each harmonic space of a connected surface with boundary.
+    """
+    derivative = dec.exterior_derivative
+
+    def planted(mesh, degree):
+        op = derivative(mesh, degree).tolil()
+        if degree == 1:
+            op[0] = 0.0
+        else:
+            op[:, mesh.interior_simplex_ids(0)[0]] = 0.0
+        return op.tocsr()
+
+    monkeypatch.setattr(dec, "exterior_derivative", planted)
     p = write_scenario(tmp_path, minimal_scenario(
         fixture={"name": "two_handle"}, path={"amplitudes": [0.3, -0.2]}, suites=["topology"]))
     assert cli_main(["run", p, "--out", str(tmp_path / "out")]) == 1
