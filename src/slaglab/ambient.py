@@ -53,30 +53,38 @@ class ConstantForm:
         self._terms = list(zip(self.coeffs, values))
         self._dtype = np.result_type(values, float)
 
-    def __call__(self, vectors: np.ndarray):
-        """Evaluate on k vectors: array (..., k, dim) or a sequence of k vectors.
+    def __call__(self, vectors):
+        """Evaluate on k vectors, stacked or separate.
 
-        Complex coefficients give complex values, real ones real values.  The
-        sum over coefficients starts from zero and adds them in order, as
-        numpy's sum over fewer than 8 real (4 complex) terms does.
+        vectors is an array (..., k, dim), which is split into k views (a
+        degree-1 form also takes one (dim,) vector), or a list or tuple of k
+        arrays (..., dim) whose leading shapes broadcast; neither is copied.
+        Both give the same bits.  Complex coefficients give complex values,
+        real ones real values.  The sum over coefficients starts from zero and
+        adds them in order, as numpy's sum over fewer than 8 real (4 complex)
+        terms does.
         """
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim == 1 and self.degree == 1:
-            vectors = vectors[None, :]
-        if vectors.shape[-2] != self.degree or vectors.shape[-1] != self.dim:
-            raise ArityMismatchError(
-                f"need {self.degree} vectors in R^{self.dim}, got shape {vectors.shape}"
-            )
-        total = np.zeros(vectors.shape[:-2], self._dtype)
+        if isinstance(vectors, (list, tuple)):
+            parts = [np.asarray(v, dtype=float) for v in vectors]
+        else:
+            stacked = np.asarray(vectors, dtype=float)
+            parts = ([stacked[..., i, :] for i in range(stacked.shape[-2])] if stacked.ndim > 1
+                     else [stacked])  # one vector
+        if len(parts) != self.degree or any(p.shape[-1:] != (self.dim,) for p in parts):
+            raise ArityMismatchError(f"need {self.degree} vectors in R^{self.dim}, got "
+                                     f"shapes {[p.shape for p in parts]}")
+        if len({p.shape for p in parts}) > 1:
+            parts = np.broadcast_arrays(*parts)
+        total = np.zeros(parts[0].shape[:-1], self._dtype)
         for cols, value in self._terms:
             if self.degree == 1:
-                minor = vectors[..., 0, cols[0]]
+                minor = parts[0][..., cols[0]]
             elif self.degree == 2:
-                (i, j), u, v = cols, vectors[..., 0, :], vectors[..., 1, :]
+                (i, j), (u, v) = cols, parts
                 minor = u[..., i] * v[..., j]
                 minor -= u[..., j] * v[..., i]
             else:
-                minor = np.linalg.det(vectors[..., list(cols)])
+                minor = np.linalg.det(np.stack([p[..., list(cols)] for p in parts], axis=-2))
             total += minor * value
         return total
 

@@ -6,25 +6,28 @@ imaginary part of the unit-length top form.  Both are integrated exactly per
 simplex (the integrand is affine in barycentric coordinates when the velocity
 is piecewise linear), and in time by composite Simpson quadrature.
 
-`path_fluxes` computes both in one pass over blocks of stacked sample
-positions (B, V, 2n), B bounded by a fixed budget of top-simplex samples.  Per
-block it wraps each edge once and gathers every frame from the edges (the
-degree-1 frames are a view of them), checks the residuals once (closed-form
-Gram volumes), writes one centroid stack per degree and evaluates each form
-on it coefficient by coefficient.  Of each sample's cochain the pass keeps
-its closedness and boundary sups and its values on the support of the cycle
-basis.  At the end one weighted running sum of those values, in sample order,
-gives the periods at the end of every quadrature panel, the last of which is
-the period vector; the even samples' sum gives the Richardson estimate.
+A path holds its parameter curve, not its samples.  `path_fluxes` computes
+both fluxes in one pass over blocks of B samples, B bounded by a fixed budget
+of top-simplex samples.  Per block it evaluates the family's (B, V, 2n)
+positions and velocities, wraps each edge once and gathers every frame from
+the edges (the degree-1 frames are a view of them), checks the residuals once
+(closed-form Gram volumes), averages one centroid velocity per degree and
+evaluates each form, coefficient by coefficient, on that velocity and views
+of the frame vectors, with no stacked copy.  Of each sample's cochain the
+pass keeps its closedness and boundary sups and its values on the support of
+the cycle basis.  At the end one weighted running sum of those values, in
+sample order, gives the periods at the end of every quadrature panel, the
+last of which is the period vector; the even samples' sum gives the
+Richardson estimate.
 
 The class of the time integral is represented by its period vector against a
 fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
 surface integrals of the constant ambient forms over the piecewise-linear
 surface traced by a cycle, giving an independent cross-check.  An oracle
 evaluates the family at the vertices of the basis support only, once over its
-time grid, and integrates every support simplex at once; each simplex keeps
-its slab sum in one contiguous row, so it adds in the order of a per-simplex
-loop.
+time grid, and integrates every support simplex at once, evaluating the form
+on the unstacked edge vectors of its slabs; each simplex keeps its slab sum in
+one contiguous row, so it adds in the order of a per-simplex loop.
 """
 
 from __future__ import annotations
@@ -57,14 +60,14 @@ from .meshes import CycleBasis
 _ORACLE_STEPS = 256  # time slabs of a swept-surface oracle
 _HOMOTOPY_STEPS = 5  # values of u at which the homotopy harness runs the oracle
 _ENDPOINT_TOL = 1e-12  # largest endpoint gap between the two paths the homotopy harness compares
-# Top-simplex samples stacked in one block of a flux pass.  It bounds the
-# memory of the stacked frames whatever the mesh size and the number of
-# samples.  An interleaved in-process sweep (9 rounds, 2-core Xeon, BLAS on one
-# thread) timed the 133 passes of the level-1 benchmark scenarios at medians of
-# 0.72, 0.57, 0.50 and 0.50 s for 2,048, 4,096, 8,192 and 16,384, and the 12
-# passes of `slag converge --levels 1,2,4` at 0.13, 0.14, 0.12 and 0.13 s.
-# 8,192 is faster still but raised the benchmark's peak memory by 2 % (6,144
-# by 1 %); 4,096 raised it by 0.3 %.
+# Top-simplex samples in one block of a flux pass.  It bounds the memory of a
+# block's positions, velocities and frames whatever the mesh size and the
+# number of samples.  An interleaved in-process sweep (9 rounds, 2-core Xeon,
+# BLAS on one thread) timed the 133 passes of the level-1 benchmark scenarios
+# at medians of 0.72, 0.57, 0.50 and 0.50 s for 2,048, 4,096, 8,192 and
+# 16,384, and the 12 passes of `slag converge --levels 1,2,4` at 0.13, 0.14,
+# 0.12 and 0.13 s.  8,192 is faster still but raised the benchmark's peak
+# memory by 2 % (6,144 by 1 %); 4,096 raised it by 0.3 %.
 _BLOCK_SIMPLEX_SAMPLES = 4096
 
 
@@ -72,10 +75,11 @@ class ImmersionPath:
     """Family restricted to a parameter curve over a uniform time grid.
 
     curve and derivative map a (T,) array of times in [0, 1] to the (T, m)
-    parameter points and their time derivatives.  The path evaluates the
-    family once over its grid and keeps the points `u`, the derivatives `du`
-    and the (T, V, 2n) positions; velocities are exact, from the family, and
-    are computed where they are used.
+    parameter points and their time derivatives.  The path keeps the points
+    `u` and the derivatives `du`, and evaluates nothing: the positions and the
+    exact velocities of its samples come from the family where they are read,
+    a block of samples at a time in a flux pass (`blocks`) and one sample at a
+    time in `immersion_at` and `velocity_at`.
     """
 
     def __init__(self, family: ImmersionFamily, curve, derivative, n_samples: int):
@@ -86,7 +90,6 @@ class ImmersionPath:
         self.times = np.linspace(0.0, 1.0, n_samples)
         self.u = curve(self.times)
         self.du = derivative(self.times)
-        self.positions = family.positions(self.u)
 
     @classmethod
     def straight(cls, family: ImmersionFamily, target, n_samples: int,
@@ -106,8 +109,15 @@ class ImmersionPath:
     def n_samples(self) -> int:
         return len(self.times)
 
+    def blocks(self) -> list:
+        """Slices of consecutive samples, each at most _BLOCK_SIMPLEX_SAMPLES top-simplex
+        samples, that a flux pass evaluates together."""
+        mesh = self.family.mesh
+        size = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(mesh.dim))
+        return [slice(start, start + size) for start in range(0, self.n_samples, size)]
+
     def immersion_at(self, j: int) -> Immersion:
-        return Immersion(self.family.mesh, self.positions[j])
+        return Immersion(self.family.mesh, self.family.positions(self.u[j]))
 
     def velocity_at(self, j: int) -> np.ndarray:
         return self.family.velocity(self.u[j], self.du[j])
@@ -133,28 +143,25 @@ class FluxClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _centroid_stack(mesh, velocities: np.ndarray, frames: np.ndarray, degree: int) -> np.ndarray:
-    """(B, N_k, k + 1, 2n): each simplex's centroid velocity stacked on its frame.
+def _centroid_stack(mesh, velocities: np.ndarray, frames: np.ndarray, degree: int) -> list:
+    """The k + 1 vectors, each (..., N_k, 2n), that a degree-k integrand contracts.
 
-    velocities is (B, V, 2n) and frames (B, N_k, k, 2n); every integrand of
-    this degree contracts the same stack.  It is written into one array laid
-    out (k + 1, B, N_k, 2n), so that each of its vectors is contiguous, and
-    returned as a view in the stack order.
+    velocities is (..., V, 2n) and frames (..., N_k, k, 2n).  The first
+    vector is each simplex's centroid velocity, the only new array; the others
+    are views of the frame's k edges.  Every integrand of this degree reads
+    the same vectors.
     """
     simp = mesh.simplices[degree]
-    stack = np.empty((degree + 1,) + frames.shape[:2] + frames.shape[3:])
-    vmean = stack[0]
-    # the vertex sum starts from zero, so a sum of -0.0 is +0.0
-    np.add(0.0, np.take(velocities, simp[:, 0], axis=1), out=vmean)
+    vmean = np.take(velocities, simp[:, 0], axis=-2)
+    vmean += 0.0  # the vertex sum starts from zero, so a sum of -0.0 is +0.0
     for i in range(1, degree + 1):
-        vmean += np.take(velocities, simp[:, i], axis=1)
+        vmean += np.take(velocities, simp[:, i], axis=-2)
     vmean /= degree + 1
-    stack[1:] = np.moveaxis(frames, 2, 0)
-    return np.moveaxis(stack, 0, 2)
+    return [vmean] + [frames[..., i, :] for i in range(degree)]
 
 
-def _contract(stack: np.ndarray, form: ConstantForm, degree: int) -> np.ndarray:
-    """(B, N_k) exact per-simplex integrals of the pullback of (velocity -| form).
+def _contract(stack: list, form: ConstantForm, degree: int) -> np.ndarray:
+    """(..., N_k) exact per-simplex integrals of the pullback of (velocity -| form).
 
     The integrand is affine in barycentric coordinates, so the integral is its
     value on the centroid stack times the simplex volume fraction 1/degree!.
@@ -167,8 +174,8 @@ def _contract(stack: np.ndarray, form: ConstantForm, degree: int) -> np.ndarray:
 def _sample_cochain(model, path, j, form, degree) -> Cochain:
     mesh = path.family.mesh
     frames = path.immersion_at(j).simplex_frames(model, degree)
-    stack = _centroid_stack(mesh, path.velocity_at(j)[None], frames[None], degree)
-    return Cochain(mesh, degree, _contract(stack, form, degree)[0])
+    stack = _centroid_stack(mesh, path.velocity_at(j), frames, degree)
+    return Cochain(mesh, degree, _contract(stack, form, degree))
 
 
 def tangent_one_form(model: AmbientModel, path: ImmersionPath, j: int) -> Cochain:
@@ -299,11 +306,9 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
         mesh, count, n - 1, model.im_omega_hat, abs_cycles, 1)
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
-    block = max(1, _BLOCK_SIMPLEX_SAMPLES // mesh.n_simplices(n))
     max_lag = max_special = 0.0
-    for start in range(0, count, block):
-        samples = slice(start, start + block)
-        positions = path.positions[samples]
+    for samples in path.blocks():
+        positions = path.family.positions(path.u[samples])
         velocities = path.family.velocity(path.u[samples], path.du[samples])
         frames = wrapped_frames(model, mesh, positions, degrees)
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
@@ -313,7 +318,7 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
         stacks = {k: _centroid_stack(mesh, velocities, frames[k][0], k)
                   for k in {p.degree for p in passes}}
         for p in passes:
-            p.check(start, top_large | two_large, residuals, frames[p.degree][1])
+            p.check(samples.start, top_large | two_large, residuals, frames[p.degree][1])
             p.add(_contract(stacks[p.degree], p.form, p.degree))
     for p in passes:
         if p.failure is not None:
@@ -341,22 +346,21 @@ def _swept_edge_integrals(model: AmbientModel, form: ConstantForm,
     pa and pb are the (E, T, 2n) trajectories of each edge's two ends.  Each
     time slab contributes a quadrilateral, split into two affine triangles;
     corners are lifted coherently around each quad and the square is
-    oriented dt ^ ds.  Each edge's sum over its T - 1 slabs is one
-    contiguous row.
+    oriented dt ^ ds.  The form reads each triangle's two edge vectors as
+    they are, unstacked, and each edge's values over its T - 1 slabs come out
+    in one contiguous row per triangle.
     """
     w = model.wrap_displacement(pb - pa)
     e_t = pa[:, 1:] - pa[:, :-1]        # q3 - q0
     e_d = e_t + w[:, 1:]                # q2 - q0
     e_s = w[:, :-1]                     # q1 - q0
-    tris = np.stack([np.stack([e_t, e_d], axis=2), np.stack([e_d, e_s], axis=2)], axis=1)
-    sums = form(tris).sum(axis=-1)     # (E, 2): each triangle's T - 1 values in one row
-    return 0.5 * (sums[:, 0] + sums[:, 1])
+    return 0.5 * (form((e_t, e_d)).sum(axis=-1) + form((e_d, e_s)).sum(axis=-1))
 
 
 def _swept_point_integrals(model: AmbientModel, form: ConstantForm, p: np.ndarray) -> np.ndarray:
     """Integrals of a constant 1-form along the PL curves traced by the (P, T, 2n) vertices."""
     steps = p[:, 1:] - p[:, :-1]
-    return form(steps[..., None, :]).sum(axis=-1)
+    return form((steps,)).sum(axis=-1)
 
 
 def swept_rf_oracle(model: AmbientModel, path: ImmersionPath, basis: CycleBasis) -> np.ndarray:
@@ -428,7 +432,8 @@ def homotopy_invariance_harness(
     _HOMOTOPY_STEPS equally spaced values of u.  Only the oracle reads these
     curves, so no path is sampled along them.
     """
-    ends = path_a.positions[[0, -1]] - path_b.positions[[0, -1]]
+    ends = (path_a.family.positions(path_a.u[[0, -1]])
+            - path_b.family.positions(path_b.u[[0, -1]]))
     gap = float(np.abs(model.wrap_displacement(ends)).max())
     if gap > _ENDPOINT_TOL:
         raise EndpointMismatchError(f"paths differ at endpoints by {gap:.3e}")

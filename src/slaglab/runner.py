@@ -53,7 +53,7 @@ from .flux import (
     swept_sf_oracle,
     tangent_one_form,
 )
-from .immersion import ImmersionFamily, pullback_metric, validate
+from .immersion import Immersion, ImmersionFamily, pullback_metric, validate
 from .meshes import absolute_cycle_basis, betti_profile, mesh_from_dict, relative_cycle_basis
 
 _EXACTNESS_FLOOR = 1e-10  # a residual at or below it on every level has order inf
@@ -287,10 +287,21 @@ class _Workspace:
             ab = pairing_structure(self.structure, rel, ab).absolute
         return rel, ab
 
+    @property
+    def start(self) -> Immersion:
+        """The family at u = 0, where every path of the suites starts.
+
+        A `family` block may move it away from the fixture's base.  Each read
+        evaluates it, so that no workspace holds a second copy of the vertex
+        positions while it solves for harmonic fields.
+        """
+        family = self.fixture.family
+        return Immersion(self.fixture.mesh, family.positions(np.zeros(family.n_params)))
+
     @functools.cached_property
     def structure(self) -> HodgeStructure:
-        fx = self.fixture
-        return HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
+        """The Hodge structure of the start's pulled-back metric."""
+        return HodgeStructure(self.fixture.mesh, pullback_metric(self.fixture.model, self.start))
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -328,15 +339,18 @@ class _Workspace:
         """The straight path 0 -> amplitudes, built once per sample count.
 
         Edge vectors that overflow are a config error, raised on every call.
+        The check evaluates the path's positions a block at a time, as a flux
+        pass does.
         """
         n_samples = n_samples or self.scenario.n_samples
         if n_samples not in self._straight_paths:
             path = ImmersionPath.straight(self.fixture.family, self.amplitudes, n_samples)
-            edges, x = self.fixture.mesh.simplices[1], path.positions
+            edges, limit = self.fixture.mesh.simplices[1], np.finfo(float).max / 2
+            blocks = (path.family.positions(path.u[block]) for block in path.blocks())
             with np.errstate(over="ignore", invalid="ignore"):
                 # |a - b| <= 2 max |x|, so only a sample above half the largest float can overflow
-                near = x[np.abs(x).max(axis=(1, 2)) > np.finfo(float).max / 2]
-                overflow = any(np.isinf(s[edges[:, 1]] - s[edges[:, 0]]).any() for s in near)
+                overflow = any(np.isinf(s[edges[:, 1]] - s[edges[:, 0]]).any()
+                               for x in blocks for s in x[np.abs(x).max(axis=(1, 2)) > limit])
             if overflow:
                 raise ConfigError("family: the straight path's edge vectors overflow, so its "
                                   "frames are not finite")
@@ -410,17 +424,17 @@ def _duality_residual(ws: _Workspace):
 
     The probes are the samples of the _DUALITY_PROBES-sample straight path, at equally
     spaced times from 0 to 1.  Each probe is starred with the Hodge structure
-    of its own immersion's metric.  A probe whose top frames equal the base
-    immersion's bit for bit has the base metric bit for bit, so the base
-    structure serves it; the frames cost a tenth of the metric (its Gram
-    products and validation).
+    of its own immersion's metric.  A probe whose top frames equal the start
+    immersion's bit for bit has the start's metric bit for bit, so the
+    workspace's structure serves it; the frames cost a tenth of the metric
+    (its Gram products and validation).
     """
     model, mesh, path = ws.fixture.model, ws.fixture.mesh, ws.straight_path(_DUALITY_PROBES)
-    base = ws.fixture.base.simplex_frames(model, mesh.dim)
+    start = ws.start.simplex_frames(model, mesh.dim)
     worst = 0.0
     for j in range(_DUALITY_PROBES):
         sample = path.immersion_at(j)
-        structure = (ws.structure if np.array_equal(sample.simplex_frames(model, mesh.dim), base)
+        structure = (ws.structure if np.array_equal(sample.simplex_frames(model, mesh.dim), start)
                      else HodgeStructure(mesh, pullback_metric(model, sample)))
         theta = tangent_one_form(model, path, j)
         phi = dual_form(model, path, j)
@@ -444,7 +458,7 @@ def _involution_residual(ws: _Workspace):
     if mesh.dim != 2:
         return None
     edges = mesh.simplices[1]
-    pos = fx.base.positions
+    pos = ws.start.positions
     a = pos[edges[:, 0]]
     w = fx.model.wrap_displacement(pos[edges[:, 1]] - pos[edges[:, 0]])
     nodes, weights = np.polynomial.legendre.leggauss(4)

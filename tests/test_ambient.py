@@ -184,6 +184,14 @@ def test_form_evaluation_matches_the_gather_on_shipped_forms(build, almost_cy):
         for lead in ((), (7,), (5, 33), (3, 4, 6)):
             vectors = rng.normal(size=lead + (form.degree, 2 * model.n))
             assert np.array_equal(form(vectors), _gather_call(form, vectors))
+            # the same vectors given separately, and with the first one broadcast
+            separate = [vectors[..., i, :] for i in range(form.degree)]
+            assert np.array_equal(form(separate), form(vectors))
+            if form.degree > 1:
+                separate[0] = vectors[(0,) * len(lead) + (0,)]
+                expected = vectors.copy()
+                expected[..., 0, :] = separate[0]
+                assert np.array_equal(form(separate), _gather_call(form, expected))
 
 
 @pytest.mark.parametrize("n, degree", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3) if k <= 2 * n])
@@ -202,6 +210,7 @@ def test_form_evaluation_matches_the_gather_on_random_forms(n, degree, kind):
     vectors = rng.normal(size=(9, 17, degree, 2 * n))
     got, ref = form(vectors), _gather_call(form, vectors)
     assert got.dtype == ref.dtype
+    assert np.array_equal(form(tuple(vectors[..., i, :] for i in range(degree))), got)
     if len(keys) < (4 if kind is complex else 8):
         assert np.array_equal(got, ref)
     else:

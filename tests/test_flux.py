@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,7 @@ def test_oracles_match_the_per_edge_loop(key):
 @pytest.mark.parametrize("block", [None, 3])
 def test_path_makes_one_positions_call_and_one_velocity_call_per_block(cyl, block,
                                                                         monkeypatch):
+    """Building a path evaluates nothing; a pass evaluates each block once, in order."""
     fx, rel, ab = cyl
     if block is not None:
         monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES",
@@ -235,14 +237,54 @@ def test_path_makes_one_positions_call_and_one_velocity_call_per_block(cyl, bloc
     calls = []
     positions, velocity = fx.family.positions, fx.family.velocity
     monkeypatch.setattr(fx.family, "positions",
-                        lambda u: calls.append("positions") or positions(u))
+                        lambda u: calls.append(("positions", u)) or positions(u))
     monkeypatch.setattr(fx.family, "velocity",
-                        lambda u, w: calls.append("velocity") or velocity(u, w))
+                        lambda u, w: calls.append(("velocity", u)) or velocity(u, w))
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=17)
-    assert calls == ["positions"]
+    assert calls == []
     path_fluxes(fx.model, path, rel, ab)
     per_block = max(1, flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
-    assert calls == ["positions"] + ["velocity"] * math.ceil(17 / per_block)
+    blocks = [path.u[start:start + per_block] for start in range(0, 17, per_block)]
+    assert len(calls) == 2 * len(blocks) == 2 * math.ceil(17 / per_block)
+    assert [name for name, _ in calls] == ["positions", "velocity"] * len(blocks)
+    assert all(np.array_equal(u, blocks[i // 2]) for i, (_, u) in enumerate(calls))
+
+
+def _traced_peak(fn) -> float:
+    """Peak bytes that tracemalloc sees allocated during fn(), after one warm-up call."""
+    fn()  # builds the mesh's cached operators and tables outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pass_memory_does_not_grow_with_path_length(cyl):
+    """A pass holds one block of samples: 8x the samples adds only their support values.
+
+    A path that held its (T, V, 2n) positions, or a pass that stacked every
+    sample's frames, would grow by megabytes (4.4 MB from 129 to 1,025 here).
+    """
+    fx, rel, ab = cyl
+    peaks = [_traced_peak(lambda: path_fluxes(
+        fx.model, ImmersionPath.straight(fx.family, [0.3], n_samples=count), rel, ab))
+        for count in (129, 1025)]
+    assert abs(peaks[1] - peaks[0]) < 0.5e6
+
+
+def test_swept_oracle_evaluates_the_form_without_stacking_triangles():
+    """The oracle's peak stays near its trajectory of the support vertices.
+
+    On level-1 two_handle the trajectory of the dual cycles' ends is about
+    0.5 MB; the peak is about 1.8 MB, where a stack of each slab's two
+    triangles raised it to 3.7 MB.
+    """
+    fx = two_handle(1)
+    ab = absolute_cycle_basis(fx.mesh)
+    path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=129)
+    assert _traced_peak(lambda: swept_sf_oracle(fx.model, path, ab)) < 2.5e6
 
 
 @pytest.mark.parametrize("build, amplitudes, stacks", [

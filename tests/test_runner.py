@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slaglab
-from slaglab import charts, dec, meshes, runner
+from slaglab import charts, dec, flux, meshes, runner
 from slaglab.cli import main as cli_main
 from slaglab.charts import GridSamples
 from slaglab.errors import (
@@ -729,6 +729,36 @@ def test_duality_stars_each_probe_with_its_own_metric(monkeypatch):
     assert runner._duality_residual(ws) > DEFAULT_TOLERANCES["duality_error"]
 
 
+# the shipped cylinder's isometric copy under the lattice map (z1, z2) -> (z1 + z2, z2):
+# omega pushed forward, the base moved by the family, the spans mapped
+_SHEARED = {
+    "name": "cylinder-sheared",
+    "fixture": {"name": "cylinder_translation", "level": 1},
+    "model": {"omega": [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 2], [1, 0, -2, 0]]},
+    "family": {"expressions": {"x1": "x1 + x2", "y1": "y1 + y2 + u1"}, "parameters": ["u1"]},
+    "lagrangians": [
+        {"index": 1, "basepoint": [0, 0, 0, 0], "span": [[0, 1, 0, 0], [1, 0, 1, 0]]},
+        {"index": 2, "basepoint": [0.5, 0, 0, 0], "span": [[0, 1, 0, 0], [1, 0, 1, 0]]},
+    ],
+    "path": {"amplitudes": [0.3]},
+}
+
+
+def test_hodge_structure_is_the_family_start_not_the_fixture_base():
+    """On the sheared cylinder every check passes, as on the shipped one.
+
+    Its family starts away from the fixture's base, so a structure pulled back
+    from the base mismeasures the tangent cochains: dS_periods reads 1.0 and
+    B_matches_l2 0.5 with it.
+    """
+    report = run(scenario_from_dict(_SHEARED))
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+    assert len(report.checks) == 24
+    ws = _Workspace(scenario_from_dict(_SHEARED))
+    assert np.array_equal(ws.start.positions, ws.fixture.family.positions([0.0]))
+    assert not np.array_equal(ws.start.positions, ws.fixture.base.positions)
+
+
 def test_duality_reuses_the_base_structure_on_a_rigid_path(monkeypatch):
     built = []
     original = runner.HodgeStructure
@@ -768,9 +798,13 @@ def test_full_run_builds_each_harmonic_basis_once(monkeypatch, suites, expected)
 
 
 def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
-    """The five sweeps of the homotopy suite each evaluate one oracle trajectory, no path.
+    """The homotopy suite evaluates its two paths a block at a time, never whole.
 
-    A trajectory holds the vertices of the first relative cycle only.
+    The straight path's overflow check and the two flux passes each evaluate
+    every block once, the harness compares the two endpoints of each path,
+    the Hodge structure reads the family's start, and each of the five
+    sweeps evaluates one oracle trajectory of the first relative cycle's
+    vertices only.
     """
     shapes, lifts = [], []
     positions = ImmersionFamily.positions
@@ -783,12 +817,18 @@ def test_homotopy_sweep_samples_only_the_two_compared_paths(monkeypatch):
     monkeypatch.setattr(ImmersionFamily, "positions", spy)
     report = run(scenario_from_dict(minimal_scenario(suites=["homotopy"])))
     assert report.passed
-    assert sorted(shapes) == [(129, 1)] * 2 + [(257, 1)] * 5
     fx = cylinder_translation(1)
+    n_vertices, per_block = fx.mesh.n_vertices, (
+        flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
+    blocks = [min(per_block, 129 - start) for start in range(0, 129, per_block)]
+    assert max(blocks) < 129
     cycle = relative_cycle_basis(fx.mesh).chains[:, 0]
     n_chain = len(np.unique(fx.mesh.simplices[1][np.flatnonzero(cycle)]))
-    assert sorted(lift.shape for lift in lifts) == (
-        [(129, fx.mesh.n_vertices, 4)] * 2 + [(257, n_chain, 4)] * 5)
+    assert sorted(shapes) == sorted(
+        [(1,)] + [(2, 1)] * 2 + [(b, 1) for b in blocks] * 3 + [(257, 1)] * 5)
+    assert sorted(lift.shape for lift in lifts) == sorted(
+        [(n_vertices, 4)] + [(2, n_vertices, 4)] * 2 + [(b, n_vertices, 4) for b in blocks] * 3
+        + [(257, n_chain, 4)] * 5)
 
 
 @pytest.mark.parametrize("amplitude", [1e308, -1e308, 1e200, -1e200])
