@@ -18,6 +18,7 @@ metric g itself in every dimension n, so the metric is g whatever rho is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -162,13 +163,11 @@ class BoundaryLagrangian:
     basepoint: np.ndarray
     span: np.ndarray  # (n, 2n), rows are spanning directions
 
-    def distances(self, points: np.ndarray, model: "AmbientModel") -> np.ndarray:
-        """Distance from each point to the subspace, lattice-aware on a torus."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = model.wrap_displacement(points - self.basepoint)
+    @functools.cached_property
+    def normal_projector(self) -> np.ndarray:
+        """(2n, 2n) orthogonal projector off the span."""
         q, _ = np.linalg.qr(self.span.T)
-        perp = rel - (rel @ q) @ q.T
-        return np.linalg.norm(perp, axis=1)
+        return np.eye(len(q)) - q @ q.T
 
 
 class AmbientModel:

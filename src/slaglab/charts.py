@@ -79,15 +79,9 @@ def pairing_structure(structure: HodgeStructure, rel_cycles: CycleBasis,
 # -- chart evaluation ------------------------------------------------------------------
 
 
-def evaluate_chart(
-    model: AmbientModel,
-    family: ImmersionFamily,
-    u,
-    rel_cycles: CycleBasis,
-    abs_cycles: CycleBasis,
-    n_samples: int,
-    base_shift=0.0,
-) -> ChartSample:
+def evaluate_chart(model: AmbientModel, family: ImmersionFamily, lagrangians, u,
+                   rel_cycles: CycleBasis, abs_cycles: CycleBasis, n_samples: int,
+                   base_shift=0.0) -> ChartSample:
     """Both flux period vectors along the straight parameter path 0 -> u.
 
     base_shift moves the chart basepoint: the path runs from base_shift to
@@ -95,7 +89,7 @@ def evaluate_chart(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     path = ImmersionPath.straight(family, u, n_samples, start=base_shift)
-    rf, sf = path_fluxes(model, path, rel_cycles, abs_cycles)
+    rf, sf = path_fluxes(model, path, lagrangians, rel_cycles, abs_cycles)
     return ChartSample(u, rf.period_vector, sf.period_vector)
 
 
@@ -115,13 +109,9 @@ class JacobianReport:
     dS_error: float
 
 
-def chart_jacobian(
-    model: AmbientModel,
-    family: ImmersionFamily,
-    structure: HodgeStructure,
-    rel_cycles: CycleBasis,
-    abs_cycles: CycleBasis,
-) -> JacobianReport:
+def chart_jacobian(model: AmbientModel, family: ImmersionFamily, lagrangians,
+                   structure: HodgeStructure, rel_cycles: CycleBasis,
+                   abs_cycles: CycleBasis) -> JacobianReport:
     """Central-difference Jacobians of (R, S) at 0 against their period-matrix predictions.
 
     dR columns should be the periods of the coordinate tangent one-forms over
@@ -136,8 +126,8 @@ def chart_jacobian(
         for i in range(family.n_params):
             e = np.zeros(family.n_params)
             e[i] = h
-            plus = evaluate_chart(model, family, e, rel_cycles, abs_cycles, _JACOBIAN_SAMPLES)
-            minus = evaluate_chart(model, family, -e, rel_cycles, abs_cycles, _JACOBIAN_SAMPLES)
+            plus, minus = (evaluate_chart(model, family, lagrangians, step, rel_cycles,
+                                          abs_cycles, _JACOBIAN_SAMPLES) for step in (e, -e))
             dR[:, i] = (plus.R - minus.R) / (2 * h)
             dS[:, i] = (plus.S - minus.S) / (2 * h)
         return dR, dS
@@ -260,14 +250,9 @@ def _boustrophedon(points: int, m: int) -> np.ndarray:
     return digits.T
 
 
-def sample_grid(
-    model: AmbientModel,
-    family: ImmersionFamily,
-    rel_cycles: CycleBasis,
-    abs_cycles: CycleBasis,
-    radius: float,
-    points_per_axis: int,
-) -> GridSamples:
+def sample_grid(model: AmbientModel, family: ImmersionFamily, lagrangians,
+                rel_cycles: CycleBasis, abs_cycles: CycleBasis, radius: float,
+                points_per_axis: int) -> GridSamples:
     """Chart samples on the points_per_axis^m lattice over [-radius, radius]^m, from one path.
 
     Flux is additive along concatenated paths, so the chart at a lattice point
@@ -289,7 +274,7 @@ def sample_grid(
     base = np.abs(nodes).max(axis=1).argmin()
     path = ImmersionPath(family, *_lattice_walk(nodes), 2 * len(nodes) - 1)
     coords = []
-    for flux in path_fluxes(model, path, rel_cycles, abs_cycles):
+    for flux in path_fluxes(model, path, lagrangians, rel_cycles, abs_cycles):
         # the running periods at every node: zero at the first, then at each panel's end
         running = np.vstack([np.zeros_like(flux.period_vector), flux.panel_periods])
         values = np.empty(shape + flux.period_vector.shape)

@@ -23,7 +23,9 @@ norm of the unit tangent form of handle k.
 Slides: translating a cylinder along its own circumference (x2) keeps it
 calibrated and on its boundary Lagrangians and changes neither flux, so the
 cylinder fixtures list e_x2 in `Fixture.slides`; the random oracle paths
-move along the family and these slides.
+move along the family and these slides.  A rigid slide keeps a boundary on
+its Lagrangian only if it lies in that Lagrangian's span, so a scenario's
+set-up keeps only the slides that lie in every boundary span.
 """
 
 from __future__ import annotations

@@ -10,14 +10,15 @@ A path holds its parameter curve, not its samples.  `path_fluxes` computes
 both fluxes in one pass over blocks of B samples, B bounded by a fixed budget
 of top-simplex samples.  Per block it evaluates the family's (B, V, 2n)
 positions and velocities, wraps each edge once and gathers every frame from
-the edges (the degree-1 frames are a view of them), checks the residuals once
-(closed-form Gram volumes), averages one centroid velocity per degree and
-evaluates each form, coefficient by coefficient, on that velocity and views
-of the frame vectors, with no stacked copy.  Of each sample's cochain the
-pass keeps its closedness and boundary sups and its values on the support of
-the cycle basis.  At the end one weighted running sum of those values, in
-sample order, gives the periods at the end of every quadrature panel, the
-last of which is the period vector; the even samples' sum gives the
+the edges (the degree-1 frames are a view of them), measures each sample's
+validity once from them (`immersion.validate`, closed-form Gram entries),
+averages one centroid velocity per degree and evaluates each form,
+coefficient by coefficient, on that velocity and views of the frame vectors,
+with no stacked copy.  Of the validity measures the pass keeps their sups, and
+of each sample's cochain its closedness and boundary sups and its values on
+the support of the cycle basis.  At the end one weighted running sum of those
+values, in sample order, gives the periods at the end of every quadrature
+panel, the last of which is the period vector; the even samples' sum gives the
 Richardson estimate.
 
 The class of the time integral is represented by its period vector against a
@@ -52,7 +53,8 @@ from .immersion import (
     TOO_LARGE_TO_LIFT,
     Immersion,
     ImmersionFamily,
-    calibration_residuals,
+    boundary_spans,
+    validate,
     wrapped_frames,
 )
 from .meshes import CycleBasis
@@ -204,6 +206,10 @@ def _sup(values) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
+# `validate`'s measures in order, each with the reduction that keeps its worst value
+_VALIDITY = (("max_lagrangian_residual", np.maximum), ("max_special_residual", np.maximum),
+             ("max_boundary_distance", np.maximum), ("min_immersion_margin", np.minimum),
+             ("min_transversality_margin", np.minimum))
 # The largest symplectic residual of a Lagrangian sample, relative to its volumes, and
 # of a scenario's boundary span, relative to its rows' lengths.
 LAGRANGIAN_GATE = 1e-9
@@ -260,7 +266,7 @@ class _FluxPass:
         self.boundary_sup = float(np.maximum(self.boundary_sup, _sup(vals[:, self.boundary])))
         self.support_values.append(vals[:, self.basis.support])
 
-    def result(self, max_lag: float, max_special: float) -> FluxClass:
+    def result(self, validity: dict) -> FluxClass:
         """Fold the support values once, in sample order, into the panel periods.
 
         The sum up to a panel's last sample j is the fold of the samples before
@@ -277,8 +283,7 @@ class _FluxPass:
         periods = panels[-1]
         diag = {
             "rule": self.rule,
-            "max_lagrangian_residual": max_lag,
-            "max_special_residual": max_special,
+            **validity,
             "max_sample_closedness": self.closedness,
             "max_sample_boundary_value": self.boundary_sup,
         }
@@ -289,7 +294,7 @@ class _FluxPass:
         return FluxClass(periods, panels, diag)
 
 
-def path_fluxes(model: AmbientModel, path: ImmersionPath,
+def path_fluxes(model: AmbientModel, path: ImmersionPath, lagrangians,
                 rel_cycles: CycleBasis | None = None,
                 abs_cycles: CycleBasis | None = None):
     """Relative and dual flux classes of one path, from one pass over its samples.
@@ -298,6 +303,7 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
     comes back as None.  The relative flux needs Lagrangian samples, the dual
     flux calibrated ones.  Failures are raised as two separate passes would
     raise them: the relative flux's first failing sample before the dual's.
+    Both keep the sups of `immersion.validate` over the samples.
     """
     mesh, n, count = path.family.mesh, path.family.mesh.dim, path.n_samples
     rel_pass = None if rel_cycles is None else _FluxPass(
@@ -306,34 +312,37 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath,
         mesh, count, n - 1, model.im_omega_hat, abs_cycles, 1)
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
-    max_lag = max_special = 0.0
+    spans = boundary_spans(mesh, lagrangians)
+    worst = {key: 0.0 if keep is np.maximum else np.inf for key, keep in _VALIDITY}
     for samples in path.blocks():
         positions = path.family.positions(path.u[samples])
         velocities = path.family.velocity(path.u[samples], path.du[samples])
         frames = wrapped_frames(model, mesh, positions, degrees)
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
-        residuals = calibration_residuals(model, top, two if n >= 2 else None)
-        max_lag = float(np.maximum(max_lag, residuals[0].max()))
-        max_special = float(np.maximum(max_special, residuals[1].max()))
+        measures = validate(model, spans, positions, top, two if n >= 2 else None)
+        for (key, keep), values in zip(_VALIDITY, measures):
+            worst[key] = float(keep(worst[key], keep.reduce(values)))
         stacks = {k: _centroid_stack(mesh, velocities, frames[k][0], k)
                   for k in {p.degree for p in passes}}
         for p in passes:
-            p.check(samples.start, top_large | two_large, residuals, frames[p.degree][1])
+            p.check(samples.start, top_large | two_large, measures, frames[p.degree][1])
             p.add(_contract(stacks[p.degree], p.form, p.degree))
     for p in passes:
         if p.failure is not None:
             raise p.failure
-    return tuple(p and p.result(max_lag, max_special) for p in (rel_pass, abs_pass))
+    return tuple(p and p.result(worst) for p in (rel_pass, abs_pass))
 
 
-def relative_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis) -> FluxClass:
+def relative_flux(model: AmbientModel, path: ImmersionPath, lagrangians,
+                  cycles: CycleBasis) -> FluxClass:
     """Time quadrature of the tangent one-form, projected to periods over relative cycles."""
-    return path_fluxes(model, path, cycles, None)[0]
+    return path_fluxes(model, path, lagrangians, cycles, None)[0]
 
 
-def special_flux(model: AmbientModel, path: ImmersionPath, cycles: CycleBasis) -> FluxClass:
+def special_flux(model: AmbientModel, path: ImmersionPath, lagrangians,
+                 cycles: CycleBasis) -> FluxClass:
     """Time quadrature of the dual (n-1)-form, projected to periods over absolute cycles."""
-    return path_fluxes(model, path, None, cycles)[1]
+    return path_fluxes(model, path, lagrangians, None, cycles)[1]
 
 
 # -- swept-surface oracles -----------------------------------------------------------
@@ -416,14 +425,9 @@ class HomotopyReport:
     sweep_deviation: float
 
 
-def homotopy_invariance_harness(
-    model: AmbientModel,
-    path_a: ImmersionPath,
-    path_b: ImmersionPath,
-    rel_cycles: CycleBasis,
-    abs_cycles: CycleBasis,
-    homotopy,
-) -> HomotopyReport:
+def homotopy_invariance_harness(model: AmbientModel, path_a: ImmersionPath,
+                                path_b: ImmersionPath, lagrangians, rel_cycles: CycleBasis,
+                                abs_cycles: CycleBasis, homotopy) -> HomotopyReport:
     """Fluxes of two end-point sharing paths plus a u-sweep of the oracle.
 
     homotopy: callable u -> parameter curve of path_a's family, from path_a's
@@ -438,11 +442,11 @@ def homotopy_invariance_harness(
     if gap > _ENDPOINT_TOL:
         raise EndpointMismatchError(f"paths differ at endpoints by {gap:.3e}")
     try:
-        rf_a, sf_a = path_fluxes(model, path_a, rel_cycles, abs_cycles)
+        rf_a, sf_a = path_fluxes(model, path_a, lagrangians, rel_cycles, abs_cycles)
     except NonSpecialSampleError:
-        relative_flux(model, path_b, rel_cycles)  # a failure of path b's relative flux comes first
+        relative_flux(model, path_b, lagrangians, rel_cycles)  # b's relative failure first
         raise
-    rf_b, sf_b = path_fluxes(model, path_b, rel_cycles, abs_cycles)
+    rf_b, sf_b = path_fluxes(model, path_b, lagrangians, rel_cycles, abs_cycles)
     gamma = CycleBasis(1, rel_cycles.chains[:, :1], rel_cycles.dual[:, :1])
     curve = np.concatenate([swept_rf_oracle(model, Sweep(path_a.family, homotopy(u)), gamma)
                             for u in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS)])

@@ -24,9 +24,6 @@ from .errors import (
 )
 from .meshes import SimplicialMesh, sort_sign
 
-_VALIDATION_TOL = 1e-10  # bound on every margin and residual that ValidationReport.ok reads
-
-
 @dataclass
 class Immersion:
     mesh: SimplicialMesh
@@ -70,36 +67,28 @@ def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndar
             for k in degrees}
 
 
-def calibration_residuals(model: AmbientModel, top: np.ndarray, two: np.ndarray | None):
-    """Sup norms of the symplectic and calibration pullbacks, volume normalized.
+def _gram_spectrum(frames: np.ndarray, g: np.ndarray | None):
+    """sqrt |det|, and the smallest and largest eigenvalues, of the Gram matrix of every
+    (..., k, 2n) frame under the metric g (Euclidean if None), from one flat matmul by g.
 
-    top holds the (..., N_n, n, 2n) frames of the top simplices and two the
-    (..., N_2, 2, 2n) frames of the 2-simplices (None on curves).  Returns the
-    Lagrangian and the special residual, each of shape (...).
-    """
-    n = top.shape[-2]
-    g = model.metric_matrix()
-    vols = np.maximum(_gram_volumes(top, g) / math.factorial(n), 1e-300)
-    special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / vols, axis=-1)
-    if two is None:
-        return np.zeros_like(special), special
-    # on surfaces the 2-simplices are the top simplices, whose areas are the volumes above
-    areas = vols if two is top else np.maximum(_gram_volumes(two, g) / 2.0, 1e-300)
-    return np.max(np.abs(model.omega(two)) / 2.0 / areas, axis=-1), special
-
-
-def _gram_volumes(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sqrt |det| of the Gram matrix of every (..., k, 2n) frame under the metric g.
-
-    One flat matmul applies g; the 1x1 and 2x2 determinants are closed forms.
+    For k <= 2 all three are closed forms in the Gram entries, the smallest as
+    |det| / largest, which keeps its digits on a thin frame.
     """
     k = frames.shape[-2]
-    fg = (frames.reshape(-1, frames.shape[-1]) @ g).reshape(frames.shape)
+    fg = frames if g is None else (frames.reshape(-1, frames.shape[-1]) @ g).reshape(frames.shape)
     if k > 2:
-        return np.sqrt(np.abs(np.linalg.det(fg @ np.swapaxes(frames, -1, -2))))
+        gram = fg @ np.swapaxes(frames, -1, -2)
+        eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)  # rounding may leave one below 0
+        return np.sqrt(np.abs(np.linalg.det(gram))), eig[..., 0], eig[..., -1]
     gram = lambda i, j: np.einsum("...a,...a->...", fg[..., i, :], frames[..., j, :])
-    det = gram(0, 0) if k == 1 else gram(0, 0) * gram(1, 1) - gram(0, 1) ** 2
-    return np.sqrt(np.abs(det))
+    if k == 1:
+        a = gram(0, 0)
+        return np.sqrt(np.abs(a)), a, a
+    a, b, c = gram(0, 0), gram(0, 1), gram(1, 1)
+    bb = b ** 2
+    det = np.abs(a * c - bb)
+    largest = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * bb))
+    return np.sqrt(det), det / np.maximum(largest, np.finfo(float).tiny), largest
 
 
 # -- pullbacks -----------------------------------------------------------------------
@@ -119,66 +108,63 @@ def pullback_metric(model: AmbientModel, immersion: Immersion) -> MetricField:
 # -- validation ------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    immersion_margin: float          # smallest singular value of any top frame
-    boundary_distance: float         # worst containment distance f(C_i) -> Lambda_i
-    transversality_margin: float     # smallest (n+1)-th singular value at the boundary
-    lagrangian_residual: float       # max |omega over 2-simplex| / metric volume
-    special_residual: float          # max |Im Omega-hat over top simplex| / metric volume
+def boundary_spans(mesh: SimplicialMesh, lagrangians) -> list:
+    """The boundary Lagrangians as `validate` reads them, gathered once per flux pass: one
+    (projector off the span, boundary vertices, their basepoints, tops of boundary faces)
+    per distinct span.  Most fixtures give every component one span, projected once."""
+    by_index = {lam.index: lam for lam in lagrangians}
+    groups: dict = {}  # projector bytes -> the components whose Lagrangians share it
+    for c in range(1, mesh.n_components + 1):
+        if c not in by_index:
+            raise SlagError(f"no boundary Lagrangian supplied for component {c}")
+        groups.setdefault(by_index[c].normal_projector.tobytes(), []).append(c)
+    comp = mesh.boundary_component_of_vertex()
+    table = mesh.face_table(mesh.dim - 1)
+    tops, slots = np.nonzero(mesh.boundary_labels[table] > 0)  # one coface per boundary face
+    labels = mesh.boundary_labels[table[tops, slots]]
+    spans = []
+    for members in groups.values():
+        vertices = np.flatnonzero(np.isin(comp, members))
+        spans.append((by_index[members[0]].normal_projector, vertices,
+                      np.array([by_index[c].basepoint for c in comp[vertices]]),
+                      tops[np.isin(labels, members)]))
+    return spans
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.immersion_margin > _VALIDATION_TOL
-            and self.boundary_distance <= _VALIDATION_TOL
-            and self.transversality_margin > _VALIDATION_TOL
-            and self.lagrangian_residual <= _VALIDATION_TOL
-        )
 
+def validate(model: AmbientModel, spans: list, positions: np.ndarray, top: np.ndarray,
+             two: np.ndarray | None):
+    """Per-sample validity of a block of (..., V, 2n) positions, from the frames of its top
+    and 2-simplices (two is None on curves) and the mesh's `boundary_spans`.
 
-def validate(model: AmbientModel, immersion: Immersion, lagrangians) -> ValidationReport:
-    """Residual report for the immersion, boundary, transversality and calibration conditions."""
-    mesh = immersion.mesh
-    n = mesh.dim
-
-    frames = {k: immersion.simplex_frames(model, k) for k in {n, min(n, 2)}}
-    svals = np.linalg.svd(frames[n], compute_uv=False)
-    immersion_margin = float(svals[:, -1].min())
-    lag, special = calibration_residuals(model, frames[n], frames[2] if n >= 2 else None)
-
-    by_comp = {lam.index: 0.0 for lam in lagrangians}
-    lam_by_index = {lam.index: lam for lam in lagrangians}
-    comp_of_vertex = mesh.boundary_component_of_vertex()
-    for comp in range(1, mesh.n_components + 1):
-        verts = np.nonzero(comp_of_vertex == comp)[0]
-        lam = lam_by_index.get(comp)
-        if lam is None:
-            raise SlagError(f"no boundary Lagrangian supplied for component {comp}")
-        dists = lam.distances(immersion.positions[verts], model)
-        by_comp[comp] = float(dists.max()) if dists.size else 0.0
-    boundary_distance = max(by_comp.values()) if by_comp else 0.0
-
-    margins = []
-    if n >= 1 and mesh.n_components:
-        table = mesh.face_table(n - 1)
-        tops, slots = np.nonzero(mesh.boundary_labels[table] > 0)  # one coface per boundary face
-        labels = mesh.boundary_labels[table[tops, slots]]
-        for label in np.unique(labels):
-            span = lam_by_index[int(label)].span
-            top_frames = frames[n][tops[labels == label]]
-            spans = np.broadcast_to(span, (len(top_frames),) + span.shape)
-            s = np.linalg.svd(np.concatenate([top_frames, spans], axis=1), compute_uv=False)
-            margins.append(float(s[:, n].min()) if s.shape[1] > n else 0.0)
-    trans = min(margins) if margins else float("nan")
-
-    return ValidationReport(
-        immersion_margin=immersion_margin,
-        boundary_distance=boundary_distance,
-        transversality_margin=trans,
-        lagrangian_residual=float(lag),
-        special_residual=float(special),
-    )
+    Returns five arrays of shape (...): the Lagrangian and special residuals
+    (volume-normalized sups of the symplectic and calibration pullbacks); the
+    containment (the largest lattice-aware distance of a boundary vertex from its
+    Lagrangian); the immersion margin (the smallest singular value of a top frame
+    under g, zero exactly on a degenerate simplex); and the transversality margin
+    (the smallest, over boundary tops, largest singular value of the frame
+    projected off its Lagrangian's span, zero exactly where the two are tangent).
+    """
+    n = top.shape[-2]
+    g = model.metric_matrix()
+    vols, smallest, _ = _gram_spectrum(top, g)
+    vols = np.maximum(vols / math.factorial(n), 1e-300)
+    special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / vols, axis=-1)
+    if two is None:
+        lag = np.zeros_like(special)
+    else:
+        # on surfaces the 2-simplices are the top simplices, whose areas are the volumes above
+        areas = vols if two is top else np.maximum(_gram_spectrum(two, g)[0] / 2.0, 1e-300)
+        lag = np.max(np.abs(model.omega(two)) / 2.0 / areas, axis=-1)
+    # squared distances and eigenvalues, each reduced before its root
+    containment, tilt = np.zeros_like(special), np.full_like(special, np.inf)
+    for normal, vertices, basepoints, tops in spans:
+        rel = model.wrap_displacement(np.take(positions, vertices, axis=-2) - basepoints)
+        off = (rel.reshape(-1, rel.shape[-1]) @ normal).reshape(rel.shape)
+        containment = np.maximum(containment, np.einsum("...a,...a->...", off, off).max(-1))
+        frames = np.take(top, tops, axis=-3)
+        projected = (frames.reshape(-1, frames.shape[-1]) @ normal).reshape(frames.shape)
+        tilt = np.minimum(tilt, _gram_spectrum(projected, None)[2].min(axis=-1))
+    return lag, special, np.sqrt(containment), np.sqrt(smallest.min(axis=-1)), np.sqrt(tilt)
 
 
 # -- reparametrization ---------------------------------------------------------------

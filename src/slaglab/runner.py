@@ -53,10 +53,11 @@ from .flux import (
     swept_sf_oracle,
     tangent_one_form,
 )
-from .immersion import Immersion, ImmersionFamily, pullback_metric, validate
+from .immersion import Immersion, ImmersionFamily, pullback_metric
 from .meshes import absolute_cycle_basis, betti_profile, mesh_from_dict, relative_cycle_basis
 
 _EXACTNESS_FLOOR = 1e-10  # a residual at or below it on every level has order inf
+_VALIDATION_TOL = 1e-10  # bound on a pass's validity sups, and on a slide's offset from a span
 _DUALITY_PROBES = 5  # samples of the straight path at which the duality residual is read
 
 DEFAULT_TOLERANCES = {
@@ -253,6 +254,13 @@ class _Workspace:
             if got != cycles:
                 raise ConfigError(f"family.parameters: got {got}, need one per relative cycle "
                                   f"of the mesh, {cycles}")
+        # a slide keeps every boundary on its Lagrangian only if it lies in every span
+        keep = [all(np.linalg.norm(lam.normal_projector @ d) <= _VALIDATION_TOL * np.linalg.norm(d)
+                    for lam in self.fixture.lagrangians) for d in self.fixture.slides]
+        dropped = [d.tolist() for d, k in zip(self.fixture.slides, keep) if not k]
+        self.slide_note = (f"; slides {dropped} dropped, not in every boundary span"
+                           if dropped else "")
+        self.fixture.slides = tuple(d for d, k in zip(self.fixture.slides, keep) if k)
         self._straight_paths: dict = {}  # sample count -> straight path
         self.transition_fits: dict = {}  # set by the transitions suite
         self.atlas = None  # set by the embedding suite
@@ -363,8 +371,8 @@ class _Workspace:
 
         A failed pass is not kept: it runs, and raises, again for every suite that asks.
         """
-        rel, ab = self.rel_abs
-        return path_fluxes(self.fixture.model, self.straight_path(), rel, ab)
+        path = self.straight_path()  # a path that cannot be built is a config error first
+        return path_fluxes(self.fixture.model, path, self.fixture.lagrangians, *self.rel_abs)
 
     def s_curve(self, strength=None):
         """S-profiled parameter curve 0 -> amplitudes and its derivative, on (T,) times."""
@@ -404,16 +412,17 @@ def _suite_topology(ws: _Workspace):
             f"dirichlet={len(dirichlet)}, neumann={len(neumann)}")
 
 
+def _validity(flux):
+    """Whether a pass's samples met their constraints, by its sups (a NaN fails), and why."""
+    d, tol = flux.diagnostics, _VALIDATION_TOL
+    return (bool(d["max_lagrangian_residual"] <= tol and d["max_boundary_distance"] <= tol
+                 and d["min_immersion_margin"] > tol and d["min_transversality_margin"] > tol),
+            f"worst containment {d['max_boundary_distance']:.2e}")
+
+
 def _suite_tangent_laws(ws: _Workspace):
-    path = ws.straight_path()
-    endpoint_reports = [
-        validate(ws.fixture.model, path.immersion_at(j), ws.fixture.lagrangians)
-        for j in (0, path.n_samples // 2, path.n_samples - 1)
-    ]
-    yield "path_samples_valid", (
-        all(r.ok for r in endpoint_reports),
-        f"worst containment {max(r.boundary_distance for r in endpoint_reports):.2e}")
     rf, sf = ws.straight_fluxes
+    yield "path_samples_valid", _validity(rf)
     yield "theta_closed", rf.diagnostics["max_sample_closedness"]
     yield "theta_boundary", rf.diagnostics["max_sample_boundary_value"]
     yield "phi_closed", sf.diagnostics["max_sample_closedness"]
@@ -520,21 +529,23 @@ def _suite_flux_oracles(ws: _Workspace):
     model = ws.fixture.model
     path = ws.straight_path()
     rf, sf = ws.straight_fluxes
-    worst_rf = np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
-    worst_sf = np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
-    yield "relative_fixture", worst_rf
-    yield "special_fixture", worst_sf
+    yield "relative_fixture", np.abs(swept_rf_oracle(model, path, rel) - rf.period_vector).max()
+    yield "special_fixture", np.abs(swept_sf_oracle(model, path, ab) - sf.period_vector).max()
     rng = np.random.default_rng(scenario.seed)
     worst_rand = 0.0
-    for _ in range(scenario.n_random_paths):
+    detail = f"{scenario.n_random_paths} paths, seed {scenario.seed}{ws.slide_note}"
+    for i in range(scenario.n_random_paths):
         rpath = _random_rigid_path(ws, rng, scenario.n_samples_smooth)
-        rrf, rsf = path_fluxes(model, rpath, rel, ab)
+        rrf, rsf = path_fluxes(model, rpath, ws.fixture.lagrangians, rel, ab)
+        valid, containment = _validity(rrf)
+        if not valid and math.isfinite(worst_rand):  # the oracles check nothing on this path
+            worst_rand, detail = math.inf, f"{detail}; path {i} is invalid, {containment}"
         worst_rand = float(np.max([
             worst_rand,
             np.abs(swept_rf_oracle(model, rpath, rel) - rrf.period_vector).max(),
             np.abs(swept_sf_oracle(model, rpath, ab) - rsf.period_vector).max(),
         ]))
-    yield "random_paths", (worst_rand, f"{scenario.n_random_paths} paths, seed {scenario.seed}")
+    yield "random_paths", (worst_rand, detail)
 
 
 def _suite_homotopy(ws: _Workspace):
@@ -542,7 +553,7 @@ def _suite_homotopy(ws: _Workspace):
     straight = ws.straight_path(n_samples=ws.scenario.n_samples_smooth)
     curved = ws.s_curve_path()
     hom = homotopy_invariance_harness(
-        ws.fixture.model, straight, curved, rel, ab,
+        ws.fixture.model, straight, curved, ws.fixture.lagrangians, rel, ab,
         homotopy=lambda u: ws.s_curve(strength=ws.scenario.s_curve_strength * u)[0],
     )
     yield "relative_flux", hom.rf_discrepancy
@@ -561,7 +572,8 @@ def _suite_closed_form(ws: _Workspace):
 
 def _suite_chart_derivative(ws: _Workspace):
     rel, ab = ws.rel_abs
-    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.structure, rel, ab)
+    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.fixture.lagrangians,
+                         ws.structure, rel, ab)
     yield "dR_periods", jac.dR_error
     yield "dS_periods", jac.dS_error
 
@@ -573,11 +585,11 @@ def _suite_transitions(ws: _Workspace):
     rng = np.random.default_rng(ws.scenario.seed + 1)
     base_pts = rng.uniform(-0.08, 0.1, size=(2 * (m + 1) + 1, m))
     n = ws.scenario.n_samples
-    samples_1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, n) for u in base_pts]
+    chart = functools.partial(evaluate_chart, fx.model, fx.family, fx.lagrangians)
+    samples_1 = [chart(u, rel, ab, n) for u in base_pts]
     shift = np.full(m, 0.04)
-    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab, n)
-    samples_2 = [evaluate_chart(fx.model, fx.family, u - shift, rel, ab, n, base_shift=shift)
-                 for u in base_pts]
+    shift_sample = chart(shift, rel, ab, n)
+    samples_2 = [chart(u - shift, rel, ab, n, base_shift=shift) for u in base_pts]
     worst_identity = worst_res = worst_vol = 0.0
     for coord in ("R", "S"):
         fit = transition_affine_fit(samples_1, samples_2, coord)
@@ -597,7 +609,7 @@ def _b_vs_l2(ws: _Workspace, points_per_axis: int):
     fx = ws.fixture
     rel, ab = ws.rel_abs
     grid = sample_grid(
-        fx.model, fx.family, rel, ab,
+        fx.model, fx.family, fx.lagrangians, rel, ab,
         radius=ws.scenario.grid_radius, points_per_axis=points_per_axis,
     )
     emb = pullback_BW(grid)
@@ -875,7 +887,7 @@ def quadrature_study(scenario: Scenario, sample_counts) -> ConvergenceTable:
     rows = []
     for n in sample_counts:
         path = ImmersionPath.straight(ws.fixture.family, amp, n_samples=n, profile=ramp)
-        rf, sf = path_fluxes(model, path, rel, ab)
+        rf, sf = path_fluxes(model, path, ws.fixture.lagrangians, rel, ab)
         rows.append(ConvergenceRow(
             n, 1.0 / (n - 1),
             {

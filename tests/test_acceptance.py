@@ -86,8 +86,8 @@ def _criterion_tangent_laws(almost_cy=False):
     ws = _workspace("cylinder_translation", almost_cy=almost_cy)
     rel, ab = ws.rel_abs
     path = ImmersionPath.straight(ws.fixture.family, [0.3], n_samples=33)
-    rf = relative_flux(ws.fixture.model, path, rel)
-    sf = special_flux(ws.fixture.model, path, ab)
+    rf = relative_flux(ws.fixture.model, path, ws.fixture.lagrangians, rel)
+    sf = special_flux(ws.fixture.model, path, ws.fixture.lagrangians, ab)
     elapsed = time.perf_counter() - start
     residuals = (
         rf.diagnostics["max_sample_closedness"],
@@ -154,8 +154,8 @@ def _criterion_flux_oracles(almost_cy=False, n_random=20):
         rel, ab = ws.rel_abs
         model = ws.fixture.model
         path = ImmersionPath.straight(ws.fixture.family, amps, n_samples=33)
-        rf = relative_flux(model, path, rel)
-        sf = special_flux(model, path, ab)
+        rf = relative_flux(model, path, ws.fixture.lagrangians, rel)
+        sf = special_flux(model, path, ws.fixture.lagrangians, ab)
         for j, gamma in enumerate(_cycles(rel)):
             worst = max(worst, abs(swept_rf_oracle(model, path, gamma)[0]
                                    - rf.period_vector[j]))
@@ -168,8 +168,8 @@ def _criterion_flux_oracles(almost_cy=False, n_random=20):
     rng = np.random.default_rng(20240817)
     for _ in range(n_random):
         path = _random_rigid_path(ws, rng, 129)
-        rf = relative_flux(model, path, rel)
-        sf = special_flux(model, path, ab)
+        rf = relative_flux(model, path, ws.fixture.lagrangians, rel)
+        sf = special_flux(model, path, ws.fixture.lagrangians, ab)
         for j, gamma in enumerate(_cycles(rel)):
             worst = max(worst, abs(swept_rf_oracle(model, path, gamma)[0]
                                    - rf.period_vector[j]))
@@ -195,7 +195,7 @@ def _criterion_homotopy(almost_cy=False):
     straight = ws.straight_path(n_samples=129)
     curved = ws.s_curve_path(n_samples=129)
     hom = homotopy_invariance_harness(
-        ws.fixture.model, straight, curved, rel, ab,
+        ws.fixture.model, straight, curved, ws.fixture.lagrangians, rel, ab,
         lambda u: ws.s_curve(strength=ws.scenario.s_curve_strength * u)[0])
     return hom.rf_discrepancy, hom.sf_discrepancy
 
@@ -214,8 +214,8 @@ def _criterion_closed_form(almost_cy=False):
     ws = _workspace("cylinder_translation", almost_cy=almost_cy)
     rel, ab = ws.rel_abs
     path = ImmersionPath.straight(ws.fixture.family, [0.3], n_samples=33)
-    rf = relative_flux(ws.fixture.model, path, rel).period_vector
-    sf = special_flux(ws.fixture.model, path, ab).period_vector
+    rf = relative_flux(ws.fixture.model, path, ws.fixture.lagrangians, rel).period_vector
+    sf = special_flux(ws.fixture.model, path, ws.fixture.lagrangians, ab).period_vector
     return rf[0], sf[0]
 
 
@@ -236,7 +236,8 @@ def test_criterion_5_closed_form_regression():
 def _criterion_chart_derivative(almost_cy=False):
     ws = _workspace("cylinder_translation", level=4, almost_cy=almost_cy)
     rel, ab = ws.rel_abs
-    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.structure, rel, ab)
+    jac = chart_jacobian(ws.fixture.model, ws.fixture.family, ws.fixture.lagrangians,
+                         ws.structure, rel, ab)
     return jac.dR_error, jac.dS_error
 
 
@@ -256,8 +257,9 @@ def _criterion_transitions(almost_cy=False):
     rel, ab = ws.rel_abs
     us = [np.array([x]) for x in (-0.08, -0.02, 0.03, 0.07, 0.1)]
     shift = np.array([0.04])
-    s1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, 33) for u in us]
-    s2 = [evaluate_chart(fx.model, fx.family, u - shift, rel, ab, 33, base_shift=shift)
+    s1 = [evaluate_chart(fx.model, fx.family, fx.lagrangians, u, rel, ab, 33) for u in us]
+    s2 = [evaluate_chart(fx.model, fx.family, fx.lagrangians, u - shift, rel, ab, 33,
+                         base_shift=shift)
           for u in us]
     worst_res = worst_vol = worst_id = 0.0
     for coordinate in ("R", "S"):
@@ -273,7 +275,7 @@ def _criterion_transitions(almost_cy=False):
     ])
     base2 = reparametrize(fx.base, psi)
     family2 = ImmersionFamily.translation(base2, [np.array([0, 1, 0, 0.0])])
-    s3 = [evaluate_chart(fx.model, family2, u, rel, ab, 33) for u in us]
+    s3 = [evaluate_chart(fx.model, family2, fx.lagrangians, u, rel, ab, 33) for u in us]
     fit = transition_affine_fit(s1, s3, "R")
     worst_res = max(worst_res, fit.residual)
     worst_vol = max(worst_vol, fit.volume_defect)
@@ -298,15 +300,15 @@ def _criterion_embedding(almost_cy=False):
                     amplitudes=[0.3, -0.2], grid_points=7, grid_radius=0.08)
     fx = ws.fixture
     rel, ab = ws.rel_abs
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=7)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=0.08, points_per_axis=7)
     emb = pullback_BW(grid)
     hess = hessian_fit(grid)
     b_errors = []
     for level in (1, 2, 4):
         wsl = _workspace("two_handle", level=level, almost_cy=almost_cy)
         rel_l, ab_l = wsl.rel_abs
-        grid_l = sample_grid(wsl.fixture.model, wsl.fixture.family, rel_l, ab_l,
-                             radius=0.08, points_per_axis=5)
+        grid_l = sample_grid(wsl.fixture.model, wsl.fixture.family, wsl.fixture.lagrangians,
+                             rel_l, ab_l, radius=0.08, points_per_axis=5)
         emb_l = pullback_BW(grid_l)
         L2 = l2_gram(wsl.structure, tangent_cochains(wsl.fixture.model, wsl.fixture.family))
         b_errors.append(float(np.abs(emb_l.B_gram - L2).max()

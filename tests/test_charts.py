@@ -123,21 +123,21 @@ def test_pairing_sees_only_cohomology_classes(build):
 
 def test_chart_at_origin_is_zero(cyl):
     fx, rel, ab, *_ = cyl
-    sample = evaluate_chart(fx.model, fx.family, [0.0], rel, ab, 33)
+    sample = evaluate_chart(fx.model, fx.family, fx.lagrangians, [0.0], rel, ab, 33)
     assert np.abs(sample.R).max() == 0.0 and np.abs(sample.S).max() == 0.0
 
 
 def test_chart_linearity_for_translation_family(cyl):
     fx, rel, ab, *_ = cyl
-    s1 = evaluate_chart(fx.model, fx.family, [0.1], rel, ab, 33)
-    s2 = evaluate_chart(fx.model, fx.family, [0.2], rel, ab, 33)
+    s1 = evaluate_chart(fx.model, fx.family, fx.lagrangians, [0.1], rel, ab, 33)
+    s2 = evaluate_chart(fx.model, fx.family, fx.lagrangians, [0.2], rel, ab, 33)
     assert np.allclose(2 * s1.R, s2.R, atol=1e-14)
     assert np.allclose(2 * s1.S, s2.S, atol=1e-14)
 
 
 def test_jacobian_matches_periods(cyl):
     fx, rel, ab, hs, pair = cyl
-    report = chart_jacobian(fx.model, fx.family, hs, rel, ab)
+    report = chart_jacobian(fx.model, fx.family, fx.lagrangians, hs, rel, ab)
     assert report.dR_error < 1e-12
     assert report.dS_error < 1e-12
     assert report.dR[0, 0] == pytest.approx(-0.5, abs=1e-12)
@@ -149,19 +149,20 @@ def test_singular_jacobian_for_duplicated_direction(cyl):
         fx.base, [np.array([0, 1, 0, 0.0]), np.array([0, 1, 0, 0.0])]
     )
     with pytest.raises(SingularJacobianError):
-        chart_jacobian(fx.model, dup, hs, rel, ab)
+        chart_jacobian(fx.model, dup, fx.lagrangians, hs, rel, ab)
 
 
 def test_transition_translation(cyl):
     fx, rel, ab, *_ = cyl
     us = [np.array([x]) for x in (-0.08, -0.02, 0.05, 0.1)]
     shift = np.array([0.04])
-    s1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, 33) for u in us]
+    s1 = [evaluate_chart(fx.model, fx.family, fx.lagrangians, u, rel, ab, 33) for u in us]
     s2 = [
-        evaluate_chart(fx.model, fx.family, u - shift, rel, ab, 33, base_shift=shift)
+        evaluate_chart(fx.model, fx.family, fx.lagrangians, u - shift, rel, ab, 33,
+                       base_shift=shift)
         for u in us
     ]
-    shift_sample = evaluate_chart(fx.model, fx.family, shift, rel, ab, 33)
+    shift_sample = evaluate_chart(fx.model, fx.family, fx.lagrangians, shift, rel, ab, 33)
     for coord in ("R", "S"):
         fit = transition_affine_fit(s1, s2, coord)
         assert np.abs(fit.A - np.eye(1)).max() < 1e-12
@@ -182,8 +183,8 @@ def test_transition_under_reparametrized_lift(cyl):
     base2 = reparametrize(fx.base, psi)
     family2 = ImmersionFamily.translation(base2, [np.array([0, 1, 0, 0.0])])
     us = [np.array([x]) for x in (-0.06, 0.0, 0.04, 0.09)]
-    s1 = [evaluate_chart(fx.model, fx.family, u, rel, ab, 33) for u in us]
-    s2 = [evaluate_chart(fx.model, family2, u, rel, ab, 33) for u in us]
+    s1 = [evaluate_chart(fx.model, fx.family, fx.lagrangians, u, rel, ab, 33) for u in us]
+    s2 = [evaluate_chart(fx.model, family2, fx.lagrangians, u, rel, ab, 33) for u in us]
     fit = transition_affine_fit(s1, s2, "R")
     assert np.abs(fit.A - np.eye(1)).max() < 1e-12
     assert np.abs(fit.b).max() < 1e-14
@@ -192,7 +193,7 @@ def test_transition_under_reparametrized_lift(cyl):
 
 def test_transition_rejects_degenerate_samples(cyl):
     fx, rel, ab, *_ = cyl
-    one = evaluate_chart(fx.model, fx.family, [0.1], rel, ab, 33)
+    one = evaluate_chart(fx.model, fx.family, fx.lagrangians, [0.1], rel, ab, 33)
     with pytest.raises(InsufficientSamplesError):
         transition_affine_fit([one], [one], "R")
     with pytest.raises(InsufficientSamplesError):
@@ -238,19 +239,20 @@ def test_grid_is_one_flux_pass_matching_per_point_charts(which, points, radius, 
         return fluxes(*args, **kwargs)
 
     monkeypatch.setattr(charts, "path_fluxes", spy)
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=radius, points_per_axis=points)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=radius,
+                       points_per_axis=points)
     nodes = points ** fx.family.n_params + (points % 2 == 0)  # an even lattice's walk starts at 0
     assert passes == [2 * nodes - 1]  # one Simpson panel per step
     monkeypatch.undo()
     for idx in itertools.product(range(points), repeat=fx.family.n_params):
-        chart = evaluate_chart(fx.model, fx.family, grid.u[idx], rel, ab, 17)
+        chart = evaluate_chart(fx.model, fx.family, fx.lagrangians, grid.u[idx], rel, ab, 17)
         np.testing.assert_allclose(grid.R[idx], chart.R, rtol=0, atol=1e-14)
         np.testing.assert_allclose(grid.S[idx], chart.S, rtol=0, atol=1e-14)
 
 
 def test_bw_pullback_and_l2(cyl):
     fx, rel, ab, hs, pair = cyl
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.1, points_per_axis=5)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=0.1, points_per_axis=5)
     emb = pullback_BW(grid)
     assert emb.W_max == 0.0
     thetas = tangent_cochains(fx.model, fx.family)
@@ -261,7 +263,7 @@ def test_bw_pullback_and_l2(cyl):
 
 def test_bw_pullback_two_handles(handles):
     fx, rel, ab, hs, pair = handles
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=5)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=0.08, points_per_axis=5)
     emb = pullback_BW(grid)
     assert emb.W_max < 1e-14
     thetas = tangent_cochains(fx.model, fx.family)
@@ -300,7 +302,7 @@ def test_l2_gram_orthogonal_directions_and_zero_tangent(handles):
 
 def test_hessian_fit_exact_for_linear_graph(cyl):
     fx, rel, ab, hs, pair = cyl
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.1, points_per_axis=7)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=0.1, points_per_axis=7)
     fit = hessian_fit(grid)
     assert fit.symmetry_residual == 0.0
     assert fit.gradient_residual < 1e-12
@@ -310,7 +312,7 @@ def test_hessian_fit_exact_for_linear_graph(cyl):
 
 def test_hessian_fit_two_handles(handles):
     fx, rel, ab, hs, pair = handles
-    grid = sample_grid(fx.model, fx.family, rel, ab, radius=0.08, points_per_axis=7)
+    grid = sample_grid(fx.model, fx.family, fx.lagrangians, rel, ab, radius=0.08, points_per_axis=7)
     fit = hessian_fit(grid)
     assert fit.symmetry_residual < 1e-12
     assert np.allclose(fit.hessian, np.diag([2.0, 4.0]), atol=1e-5)

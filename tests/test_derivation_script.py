@@ -32,8 +32,8 @@ def test_symbolic_derivation_matches_pipeline():
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     ab = pairing_structure(hs, rel, ab).absolute
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=33)
-    rf = relative_flux(fx.model, path, rel).period_vector[0]
-    sf = special_flux(fx.model, path, ab).period_vector[0]
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel).period_vector[0]
+    sf = special_flux(fx.model, path, fx.lagrangians, ab).period_vector[0]
     assert rf == pytest.approx(float(symbolic["rf"]), abs=1e-14)
     assert sf == pytest.approx(float(symbolic["sf"]), abs=1e-14)
     rf_expect, sf_expect = fx.expected_fluxes([0.3])

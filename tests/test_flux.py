@@ -52,8 +52,8 @@ def cyl():
 def test_static_path_has_zero_fluxes(cyl):
     fx, rel, ab = cyl
     path = ImmersionPath.straight(fx.family, [0.0], n_samples=9)
-    assert np.abs(relative_flux(fx.model, path, rel).period_vector).max() == 0.0
-    assert np.abs(special_flux(fx.model, path, ab).period_vector).max() == 0.0
+    assert np.abs(relative_flux(fx.model, path, fx.lagrangians, rel).period_vector).max() == 0.0
+    assert np.abs(special_flux(fx.model, path, fx.lagrangians, ab).period_vector).max() == 0.0
     assert swept_rf_oracle(fx.model, path, rel).tolist() == [0.0]
     assert swept_sf_oracle(fx.model, path, ab).tolist() == [0.0]
 
@@ -73,8 +73,8 @@ def test_fixture_periods_closed_form(cyl):
     fx, rel, ab = cyl
     a = 0.3
     path = ImmersionPath.straight(fx.family, [a], n_samples=33)
-    rf = relative_flux(fx.model, path, rel)
-    sf = special_flux(fx.model, path, ab)
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel)
+    sf = special_flux(fx.model, path, fx.lagrangians, ab)
     assert rf.period_vector[0] == pytest.approx(-a * 0.5, abs=1e-14)
     assert abs(sf.period_vector[0]) == pytest.approx(a, abs=1e-14)
     assert rf.diagnostics["max_sample_closedness"] == 0.0
@@ -87,7 +87,7 @@ def test_fixture_periods_closed_form(cyl):
 def test_even_sample_count_falls_back_to_trapezoid(cyl):
     fx, rel, _ = cyl
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=10)
-    rf = relative_flux(fx.model, path, rel)
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel)
     assert rf.diagnostics["rule"] == "trapezoid"
     assert rf.period_vector[0] == pytest.approx(-0.15, abs=1e-14)
 
@@ -95,8 +95,8 @@ def test_even_sample_count_falls_back_to_trapezoid(cyl):
 def test_oracle_matches_periods_on_fixture(cyl):
     fx, rel, ab = cyl
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=33)
-    rf = relative_flux(fx.model, path, rel)
-    sf = special_flux(fx.model, path, ab)
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel)
+    sf = special_flux(fx.model, path, fx.lagrangians, ab)
     assert swept_rf_oracle(fx.model, path, rel)[0] == pytest.approx(
         rf.period_vector[0], abs=1e-12
     )
@@ -242,7 +242,7 @@ def test_path_makes_one_positions_call_and_one_velocity_call_per_block(cyl, bloc
                         lambda u, w: calls.append(("velocity", u)) or velocity(u, w))
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=17)
     assert calls == []
-    path_fluxes(fx.model, path, rel, ab)
+    path_fluxes(fx.model, path, fx.lagrangians, rel, ab)
     per_block = max(1, flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
     blocks = [path.u[start:start + per_block] for start in range(0, 17, per_block)]
     assert len(calls) == 2 * len(blocks) == 2 * math.ceil(17 / per_block)
@@ -269,7 +269,8 @@ def test_pass_memory_does_not_grow_with_path_length(cyl):
     """
     fx, rel, ab = cyl
     peaks = [_traced_peak(lambda: path_fluxes(
-        fx.model, ImmersionPath.straight(fx.family, [0.3], n_samples=count), rel, ab))
+        fx.model, ImmersionPath.straight(fx.family, [0.3], n_samples=count), fx.lagrangians,
+        rel, ab))
         for count in (129, 1025)]
     assert abs(peaks[1] - peaks[0]) < 0.5e6
 
@@ -294,6 +295,8 @@ def test_swept_oracle_evaluates_the_form_without_stacking_triangles():
 ])
 def test_each_block_wraps_once_and_builds_one_stack_per_degree(build, amplitudes, stacks,
                                                                 monkeypatch):
+    """A block wraps its edges once, and its boundary vertices' offsets from their
+    Lagrangians' basepoints once, for the containment."""
     fx = build(1)
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     path = ImmersionPath.straight(fx.family, amplitudes, n_samples=17)
@@ -303,14 +306,15 @@ def test_each_block_wraps_once_and_builds_one_stack_per_degree(build, amplitudes
     monkeypatch.setattr(flux, "_centroid_stack",
                         lambda *args: calls.append("stack") or stack(*args))
     monkeypatch.setattr(AmbientModel, "wrap_displacement",
-                        lambda self, disp: calls.append("wrap") or wrap(self, disp))
+                        lambda self, disp: calls.append(disp.shape[-2]) or wrap(self, disp))
 
     def refuse(*args):
         raise AssertionError("determinant of a Gram matrix of degree <= 2")
 
     monkeypatch.setattr(np.linalg, "det", refuse)
-    path_fluxes(fx.model, path, rel, ab)
-    assert calls == (["wrap"] + ["stack"] * stacks) * math.ceil(17 / 3)
+    path_fluxes(fx.model, path, fx.lagrangians, rel, ab)
+    wraps = [fx.mesh.n_simplices(1), np.count_nonzero(fx.mesh.boundary_component_of_vertex())]
+    assert calls == (wraps + ["stack"] * stacks) * math.ceil(17 / 3)
 
 
 def test_concatenation_additivity_and_reversal(cyl):
@@ -325,11 +329,11 @@ def test_concatenation_additivity_and_reversal(cyl):
             n_samples=n,
         )
 
-    whole = relative_flux(fx.model, segment(0.0, a), rel).period_vector
-    first = relative_flux(fx.model, segment(0.0, 0.4 * a), rel).period_vector
-    second = relative_flux(fx.model, segment(0.4 * a, a), rel).period_vector
+    whole = relative_flux(fx.model, segment(0.0, a), fx.lagrangians, rel).period_vector
+    first = relative_flux(fx.model, segment(0.0, 0.4 * a), fx.lagrangians, rel).period_vector
+    second = relative_flux(fx.model, segment(0.4 * a, a), fx.lagrangians, rel).period_vector
     assert np.allclose(first + second, whole, atol=1e-14)
-    back = relative_flux(fx.model, segment(a, 0.0), rel).period_vector
+    back = relative_flux(fx.model, segment(a, 0.0), fx.lagrangians, rel).period_vector
     assert np.allclose(whole + back, 0.0, atol=1e-14)
 
 
@@ -350,8 +354,8 @@ def test_reparametrized_path_pulls_back_tangent_form(cyl):
     idx, sgn = permutation_on_cochains(fx.mesh, psi, 1)
     assert np.array_equal(theta2.values, sgn * theta1.values[idx])
     # periods over the cycle basis agree: the rotation acts trivially on classes
-    rf1 = relative_flux(fx.model, path1, rel).period_vector
-    rf2 = relative_flux(fx.model, path2, rel).period_vector
+    rf1 = relative_flux(fx.model, path1, fx.lagrangians, rel).period_vector
+    rf2 = relative_flux(fx.model, path2, fx.lagrangians, rel).period_vector
     assert np.allclose(rf1, rf2, atol=1e-14)
 
 
@@ -381,7 +385,7 @@ def test_non_lagrangian_sample_rejected(cyl):
     family = ImmersionFamily.translation(fx.base, [tilted])
     path = ImmersionPath.straight(family, [0.01], n_samples=5)
     with pytest.raises(NonLagrangianSampleError):
-        relative_flux(fx.model, path, rel)
+        relative_flux(fx.model, path, fx.lagrangians, rel)
 
 
 def test_non_special_sample_rejected(cyl):
@@ -393,10 +397,10 @@ def test_non_special_sample_rejected(cyl):
     family = ImmersionFamily.translation(fx.base, [bent])
     path = ImmersionPath.straight(family, [1e-2], n_samples=5)
     with pytest.raises(NonSpecialSampleError):
-        special_flux(fx.model, path, ab)
+        special_flux(fx.model, path, fx.lagrangians, ab)
     # ... while the relative flux is still legitimate on the same path
     rel = relative_cycle_basis(fx.mesh)
-    rf = relative_flux(fx.model, path, rel)
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel)
     assert rf.diagnostics["max_lagrangian_residual"] <= 1e-12
 
 
@@ -416,13 +420,15 @@ def test_homotopy_invariance_and_endpoint_check(cyl):
     def homotopy(u):  # the straight profile at u = 0, the curved one at u = 1
         return lambda t: ((1 - u) * t + u * quad_profile[0](t))[:, None] * 0.3
 
-    report = homotopy_invariance_harness(fx.model, straight, curved, rel, ab, homotopy)
+    report = homotopy_invariance_harness(fx.model, straight, curved, fx.lagrangians, rel, ab,
+                                         homotopy)
     assert report.rf_discrepancy <= 1e-12
     assert report.sf_discrepancy <= 1e-12
     assert report.sweep_deviation <= 1e-12
     other_end = ImmersionPath.straight(fx.family, [0.2], n_samples=17)
     with pytest.raises(EndpointMismatchError):
-        homotopy_invariance_harness(fx.model, straight, other_end, rel, ab, homotopy)
+        homotopy_invariance_harness(fx.model, straight, other_end, fx.lagrangians, rel, ab,
+                                    homotopy)
 
 
 def test_time_reparametrized_path_same_flux(cyl):
@@ -431,8 +437,8 @@ def test_time_reparametrized_path_same_flux(cyl):
     squared = ImmersionPath.straight(
         fx.family, [0.3], n_samples=33, profile=(lambda t: t * t, lambda t: 2 * t)
     )
-    rf1 = relative_flux(fx.model, straight, rel).period_vector
-    rf2 = relative_flux(fx.model, squared, rel).period_vector
+    rf1 = relative_flux(fx.model, straight, fx.lagrangians, rel).period_vector
+    rf2 = relative_flux(fx.model, squared, fx.lagrangians, rel).period_vector
     assert np.allclose(rf1, rf2, atol=1e-14)
 
 
@@ -453,8 +459,8 @@ def test_two_handle_fluxes_are_componentwise():
     rel = relative_cycle_basis(fx.mesh)
     ab = absolute_cycle_basis(fx.mesh)
     path = ImmersionPath.straight(fx.family, [0.4, 0.0], n_samples=17)
-    rf = relative_flux(fx.model, path, rel).period_vector
-    sf = special_flux(fx.model, path, ab).period_vector
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel).period_vector
+    sf = special_flux(fx.model, path, fx.lagrangians, ab).period_vector
     # only the first handle moves
     assert np.count_nonzero(np.abs(rf) > 1e-14) == 1
     assert np.count_nonzero(np.abs(sf) > 1e-14) == 1
@@ -465,8 +471,8 @@ def test_interval_flux_and_oracles():
     rel = relative_cycle_basis(fx.mesh)
     ab = absolute_cycle_basis(fx.mesh)
     path = ImmersionPath.straight(fx.family, [0.25], n_samples=33)
-    rf = relative_flux(fx.model, path, rel)
-    sf = special_flux(fx.model, path, ab)
+    rf = relative_flux(fx.model, path, fx.lagrangians, rel)
+    sf = special_flux(fx.model, path, fx.lagrangians, ab)
     assert rf.period_vector[0] == pytest.approx(-0.25 * 0.5, abs=1e-14)
     assert sf.period_vector[0] == pytest.approx(0.25, abs=1e-14)
     assert swept_rf_oracle(fx.model, path, rel)[0] == pytest.approx(
@@ -480,9 +486,10 @@ def test_interval_flux_and_oracles():
 # -- batched pass against a per-sample reference ------------------------------------
 
 
-def _reference_residuals(model, immersion):
-    """Lagrangian and special residuals of one immersion, one Gram determinant per simplex."""
-    n = immersion.mesh.dim
+def _reference_residuals(model, immersion, lagrangians):
+    """The validity measures of one immersion, from one Gram determinant per simplex, one
+    distance per boundary vertex and one SVD per frame."""
+    mesh, n = immersion.mesh, immersion.mesh.dim
     g = model.metric_matrix()
 
     def volumes(frames):
@@ -492,10 +499,21 @@ def _reference_residuals(model, immersion):
 
     top = immersion.simplex_frames(model, n)
     special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / volumes(top))
-    if n < 2:
-        return 0.0, special
-    two = immersion.simplex_frames(model, 2)
-    return np.max(np.abs(model.omega(two)) / 2.0 / volumes(two)), special
+    lag = 0.0
+    if n >= 2:
+        two = immersion.simplex_frames(model, 2)
+        lag = np.max(np.abs(model.omega(two)) / 2.0 / volumes(two))
+    margin = np.linalg.svd(top @ np.linalg.cholesky(g), compute_uv=False)[:, -1].min()
+    containment, tilt = 0.0, np.inf
+    comp = mesh.boundary_component_of_vertex()
+    face_labels = mesh.boundary_labels[mesh.face_table(n - 1)]
+    for lam in lagrangians:
+        q = np.linalg.qr(lam.span.T)[0]
+        rel = model.wrap_displacement(immersion.positions[comp == lam.index] - lam.basepoint)
+        containment = max(containment, np.linalg.norm(rel - rel @ q @ q.T, axis=1).max())
+        frames = top[(face_labels == lam.index).any(axis=1)]
+        tilt = min(tilt, np.linalg.svd(frames - frames @ q @ q.T, compute_uv=False)[:, 0].min())
+    return lag, special, containment, margin, tilt
 
 
 def _rule(count):
@@ -510,12 +528,13 @@ def _rule(count):
     return w * h, "trapezoid"
 
 
-def _reference_flux(model, path, cycles, integrand, degree):
+def _reference_flux(model, path, lagrangians, cycles, integrand, degree):
     """Periods and diagnostics from a loop over the per-sample integrand."""
     mesh = path.family.mesh
     samples = range(path.n_samples)
     values = [integrand(model, path, j).values for j in samples]
-    residuals = np.array([_reference_residuals(model, path.immersion_at(j)) for j in samples])
+    residuals = np.array([_reference_residuals(model, path.immersion_at(j), lagrangians)
+                          for j in samples])
     weights, rule = _rule(path.n_samples)
     raw = sum(w * v for w, v in zip(weights, values))
     periods = period_matrix([Cochain(mesh, degree, raw)], cycles)[:, 0]
@@ -525,6 +544,9 @@ def _reference_flux(model, path, cycles, integrand, degree):
         "rule": rule,
         "max_lagrangian_residual": residuals[:, 0].max(),
         "max_special_residual": residuals[:, 1].max(),
+        "max_boundary_distance": residuals[:, 2].max(),
+        "min_immersion_margin": residuals[:, 3].min(),
+        "min_transversality_margin": residuals[:, 4].min(),
         "max_sample_closedness": (
             max(np.abs(d_op @ v).max() for v in values) if d_op is not None else 0.0
         ),
@@ -589,10 +611,10 @@ def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
     # no residual gate, so the sheared paths reach the diagnostics
     monkeypatch.setattr(flux, "_SAMPLE_FAILURES",
                         tuple((np.inf,) + gate[1:] for gate in flux._SAMPLE_FAILURES))
-    rf, sf = path_fluxes(fx.model, path, rel, ab)
+    rf, sf = path_fluxes(fx.model, path, fx.lagrangians, rel, ab)
     checks = [
-        (rf, _reference_flux(fx.model, path, rel, tangent_one_form, 1)),
-        (sf, _reference_flux(fx.model, path, ab, dual_form, fx.mesh.dim - 1)),
+        (rf, _reference_flux(fx.model, path, fx.lagrangians, rel, tangent_one_form, 1)),
+        (sf, _reference_flux(fx.model, path, fx.lagrangians, ab, dual_form, fx.mesh.dim - 1)),
     ]
     for got, (periods, diag) in checks:
         np.testing.assert_allclose(got.period_vector, periods, rtol=1e-12, atol=0)
@@ -602,10 +624,32 @@ def test_path_fluxes_match_per_sample_reference(key, block, monkeypatch):
             np.testing.assert_allclose(got.diagnostics[name], value, rtol=1e-12, atol=0,
                                        err_msg=name)
     # the single-space wrappers run the same pass
-    rf_only = relative_flux(fx.model, path, rel)
-    sf_only = special_flux(fx.model, path, ab)
+    rf_only = relative_flux(fx.model, path, fx.lagrangians, rel)
+    sf_only = special_flux(fx.model, path, fx.lagrangians, ab)
     np.testing.assert_array_equal(rf_only.period_vector, rf.period_vector)
     np.testing.assert_array_equal(sf_only.period_vector, sf.period_vector)
+
+
+def test_validity_sups_do_not_depend_on_the_block_size(monkeypatch):
+    """The stretch family leaves its flat Lambda_2 and moves its margins at every sample:
+    its validity sups are the same bits from blocks of one sample and of the default size."""
+    fx = cylinder_translation(1)
+    family = ImmersionFamily.from_expressions(
+        fx.base, 2, {"x1": "x1*(w0 + eps*sin(2*pi*u1))/w0", "y1": "y1 + u1"}, ["u1"],
+        constants={"w0": 0.5, "eps": 0.1})
+    path = ImmersionPath.straight(family, [0.3], n_samples=33)
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    keys = [key for key, _ in flux._VALIDITY]
+
+    def sups():
+        return [[f.diagnostics[key] for key in keys]
+                for f in path_fluxes(fx.model, path, fx.lagrangians, rel, ab)]
+
+    default = sups()
+    monkeypatch.setattr(flux, "_BLOCK_SIMPLEX_SAMPLES", 1)
+    assert sups() == default
+    assert default[0] == default[1]
+    assert 0.0998 < default[0][keys.index("max_boundary_distance")] < 0.1
 
 
 def _bend(p):  # the graph y1 = 0.1 x1 stays Lagrangian but is not calibrated
@@ -664,9 +708,9 @@ def test_failures_keep_the_order_of_separate_passes(cyl, faults, rel_failure, ab
                             block * fx.mesh.n_simplices(fx.mesh.dim))
     path = _faulty_path(fx, faults)
     calls = [
-        (lambda: relative_flux(fx.model, path, rel), rel_failure),
-        (lambda: special_flux(fx.model, path, ab), abs_failure),
-        (lambda: path_fluxes(fx.model, path, rel, ab), rel_failure or abs_failure),
+        (lambda: relative_flux(fx.model, path, fx.lagrangians, rel), rel_failure),
+        (lambda: special_flux(fx.model, path, fx.lagrangians, ab), abs_failure),
+        (lambda: path_fluxes(fx.model, path, fx.lagrangians, rel, ab), rel_failure or abs_failure),
     ]
     for call, failure in calls:
         if failure is None:
@@ -684,9 +728,9 @@ def test_homotopy_harness_reports_relative_failures_first(cyl):
     path_b = _faulty_path(fx, {6: _tilt})
     still = lambda u: path_a.curve  # never read: both calls fail first
     with pytest.raises(NonLagrangianSampleError, match="sample 6 "):
-        homotopy_invariance_harness(fx.model, path_a, path_b, rel, ab, still)
+        homotopy_invariance_harness(fx.model, path_a, path_b, fx.lagrangians, rel, ab, still)
     with pytest.raises(NonSpecialSampleError, match="sample 2 "):
-        homotopy_invariance_harness(fx.model, path_a, path_a, rel, ab, still)
+        homotopy_invariance_harness(fx.model, path_a, path_a, fx.lagrangians, rel, ab, still)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4, 9, 17, 33])
@@ -705,7 +749,7 @@ def test_block_fold_adds_in_sample_order(cyl, block):
         fold = flux._FluxPass(mesh, count, 1, None, edges, 0)
         for start in range(0, count, block):
             fold.add(vals[start:start + block])
-        got = fold.result(0.0, 0.0)
+        got = fold.result({})
         raw, coarse = np.zeros((2, vals.shape[1]))
         for j, row in enumerate(vals):
             raw += fold.weights[j] * row
@@ -725,7 +769,7 @@ def test_panel_periods_run_to_the_period_vector(cyl, n_samples, panels):
     fx, rel, ab = cyl
     path = ImmersionPath.straight(fx.family, [0.3], n_samples=n_samples)
     assert path.n_samples > flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(2)
-    for f in path_fluxes(fx.model, path, rel, ab):
+    for f in path_fluxes(fx.model, path, fx.lagrangians, rel, ab):
         running = f.panel_periods
         assert running.shape == (panels, 1)
         np.testing.assert_array_equal(running[-1], f.period_vector)
@@ -748,7 +792,7 @@ def test_each_basis_finds_its_nonzeros_once(monkeypatch):
     path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=9)
     ones = Cochain(fx.mesh, 1, np.ones(fx.mesh.n_simplices(1)))
     for _ in range(2):
-        path_fluxes(fx.model, path, rel, ab)
+        path_fluxes(fx.model, path, fx.lagrangians, rel, ab)
         period_matrix([ones, ones], rel)
         period_matrix([ones, ones], ab)
         swept_rf_oracle(fx.model, path, rel)

@@ -17,7 +17,8 @@ from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import (
     Immersion,
     ImmersionFamily,
-    _gram_volumes,
+    _gram_spectrum,
+    boundary_spans,
     permutation_on_cochains,
     pullback_metric,
     reparametrize,
@@ -42,8 +43,21 @@ def pullback_form(model, immersion, form, degree):
     return Cochain(mesh, degree, vals)
 
 
-def special_ok(report) -> bool:
-    return report.ok and report.special_residual <= 1e-10
+def measure(model, immersion, lagrangians):
+    """`validate` on one immersion, as a flux pass calls it on a block of one sample."""
+    mesh, n = immersion.mesh, immersion.mesh.dim
+    positions = immersion.positions[None]
+    frames = wrapped_frames(model, mesh, positions, {n, min(n, 2)})
+    measures = validate(model, boundary_spans(mesh, lagrangians), positions,
+                        frames[n][0], frames[min(n, 2)][0] if n >= 2 else None)
+    names = ("lagrangian", "special", "containment", "immersion", "transversality")
+    return SimpleNamespace(**{name: float(m[0]) for name, m in zip(names, measures)})
+
+
+def assert_valid(m):
+    """Every measure of a valid sample, against the 1e-10 bound of a flux pass."""
+    assert m.lagrangian <= 1e-14 and m.special <= 1e-14 and m.containment <= 1e-14
+    assert m.immersion > 1e-10 and m.transversality > 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +87,17 @@ def cylinder_axial_flip(fx):
 
 
 def test_fixture_validates_cleanly(cyl):
-    report = validate(cyl.model, cyl.base, cyl.lagrangians)
-    assert report.ok and special_ok(report)
-    assert report.lagrangian_residual <= 1e-14
-    assert report.special_residual <= 1e-14
-    assert report.boundary_distance <= 1e-14
-    assert report.transversality_margin > 0.05
+    m = measure(cyl.model, cyl.base, cyl.lagrangians)
+    assert_valid(m)
+    # a right triangle with legs h = 1/16 has a frame (h, 0), (h, h): singular values
+    # h (sqrt(5) -+ 1) / 2; projected off the span only the axial steps, h, remain
+    assert m.immersion == pytest.approx((5 ** 0.5 - 1) / 32, rel=1e-12)
+    assert m.transversality == pytest.approx(1 / 16, rel=1e-12)
 
 
 def test_two_handle_validates():
     fx = two_handle(1)
-    report = validate(fx.model, fx.base, fx.lagrangians)
-    assert report.ok and special_ok(report)
+    assert_valid(measure(fx.model, fx.base, fx.lagrangians))
 
 
 def test_displaced_boundary_detected(cyl):
@@ -92,9 +105,7 @@ def test_displaced_boundary_detected(cyl):
     boundary_circle = np.nonzero(cyl.mesh.boundary_component_of_vertex() == 1)[0]
     positions[boundary_circle, 3] += 1e-3  # off the y2 = 0 subtorus
     moved = Immersion(cyl.mesh, positions)
-    report = validate(cyl.model, moved, cyl.lagrangians)
-    assert report.boundary_distance == pytest.approx(1e-3, rel=1e-6)
-    assert not report.ok
+    assert measure(cyl.model, moved, cyl.lagrangians).containment == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_tangent_boundary_lagrangian_kills_transversality(cyl):
@@ -103,9 +114,7 @@ def test_tangent_boundary_lagrangian_kills_transversality(cyl):
         1, np.zeros(4), np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=float)
     )
     lams = [tangent_lam, cyl.lagrangians[1]]
-    report = validate(cyl.model, cyl.base, lams)
-    assert report.transversality_margin < 1e-12
-    assert not report.ok
+    assert measure(cyl.model, cyl.base, lams).transversality < 1e-12
 
 
 def test_pullback_metric_scaling():
@@ -164,12 +173,13 @@ def test_identity_reparametrization(cyl):
 def test_rotation_preserves_validation_exactly(cyl):
     psi = cylinder_rotation(cyl, steps=3)
     rotated = reparametrize(cyl.base, psi)
-    r1 = validate(cyl.model, cyl.base, cyl.lagrangians)
-    r2 = validate(cyl.model, rotated, cyl.lagrangians)
-    assert r1.lagrangian_residual == r2.lagrangian_residual
-    assert r1.special_residual == r2.special_residual
-    assert r1.boundary_distance == r2.boundary_distance
-    assert r1.transversality_margin == pytest.approx(r2.transversality_margin, abs=1e-14)
+    m1 = measure(cyl.model, cyl.base, cyl.lagrangians)
+    m2 = measure(cyl.model, rotated, cyl.lagrangians)
+    assert m1.lagrangian == m2.lagrangian
+    assert m1.special == m2.special
+    assert m1.containment == m2.containment
+    assert m1.immersion == pytest.approx(m2.immersion, abs=1e-14)
+    assert m1.transversality == pytest.approx(m2.transversality, abs=1e-14)
 
 
 def test_rotation_permutes_pullback_metric(cyl):
@@ -361,11 +371,15 @@ def _gram_frames(k, rng):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gram_volumes_match_the_gram_determinant(k):
+    """The closed-form volumes and extreme eigenvalues against det and the SVD."""
     rng = np.random.default_rng(k)
     a = rng.normal(size=(4, 4))
     g = a @ a.T + 4.0 * np.eye(4)
     frames = _gram_frames(k, rng)
     expected = np.sqrt(np.abs(np.linalg.det(frames @ g @ np.swapaxes(frames, -1, -2))))
-    got = _gram_volumes(frames, g)
-    assert got.shape == (3, 4)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    singular = np.linalg.svd(frames @ np.linalg.cholesky(g), compute_uv=False)
+    volumes, smallest, largest = _gram_spectrum(frames, g)
+    assert volumes.shape == smallest.shape == largest.shape == (3, 4)
+    np.testing.assert_allclose(volumes, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.sqrt(smallest), singular[..., -1], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(np.sqrt(largest), singular[..., 0], rtol=1e-12, atol=0)

@@ -556,8 +556,9 @@ def test_cached_straight_path_failure_fails_every_suite():
     errors = {c.name: c.detail for c in report.checks if c.name.endswith("/error")}
     assert sorted(errors) == ["closed_form/error", "flux_oracles/error", "tangent_laws/error"]
     assert all(d.startswith("NonSpecialSampleError") for d in errors.values())
-    # the check yielded before the failed flux pass is kept next to the error
-    assert "tangent_laws/path_samples_valid" in [c.name for c in report.checks]
+    # sample validity is read from the same pass, so the suite's error is its only entry
+    assert [c.name for c in report.checks if c.name.startswith("tangent_laws/")] == [
+        "tangent_laws/error"]
 
 
 def test_straight_path_built_once_per_sample_count(monkeypatch):
@@ -594,7 +595,7 @@ def test_homotopy_ends_at_the_curved_path_it_compares(monkeypatch):
 
 def test_curl_grid_fails_gradient_graph_as_a_check(monkeypatch):
     """v = (u2, -u1) has antisymmetric dv/du: the check table, not the fit, judges it."""
-    def curl_grid(model, family, rel, ab, radius, points_per_axis):
+    def curl_grid(model, family, lagrangians, rel, ab, radius, points_per_axis):
         axis = np.linspace(-radius, radius, points_per_axis)
         u = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         v = np.stack([u[..., 1], -u[..., 0]], axis=-1)
@@ -757,6 +758,57 @@ def test_hodge_structure_is_the_family_start_not_the_fixture_base():
     ws = _Workspace(scenario_from_dict(_SHEARED))
     assert np.array_equal(ws.start.positions, ws.fixture.family.positions([0.0]))
     assert not np.array_equal(ws.start.positions, ws.fixture.base.positions)
+
+
+def test_path_samples_valid_judges_every_sample_of_the_straight_pass():
+    """The stretch family leaves its flat Lambda_2 by 9.998e-2, at sample 27 of 33.
+
+    Its first, middle and last samples alone read 9.51e-2.
+    """
+    report = run(scenario_from_dict(dict(_STRETCH, suites=["tangent_laws"])))
+    check = {c.name: c for c in report.checks}["tangent_laws/path_samples_valid"]
+    assert not check.passed
+    assert check.detail == "worst containment 1.00e-01"
+
+
+# the shipped cylinder rotated by (z1, z2) -> (z2, -z1), an element of SU(2) and GL(4, Z):
+# the family and the spans rotated, so that e_x2 is normal to both boundary spans
+_ROTATED = {
+    "name": "cylinder-rotated",
+    "fixture": {"name": "cylinder_translation", "level": 1},
+    "family": {"expressions": {"x1": "x2", "y1": "y2", "x2": "-x1", "y2": "-y1 - u1"},
+               "parameters": ["u1"]},
+    "lagrangians": [
+        {"index": 1, "basepoint": [0, 0, 0, 0], "span": [[0, 0, 0, -1], [1, 0, 0, 0]]},
+        {"index": 2, "basepoint": [0, 0, -0.5, 0], "span": [[0, 0, 0, -1], [1, 0, 0, 0]]},
+    ],
+    "path": {"amplitudes": [0.3]},
+}
+
+
+def test_slides_off_a_boundary_span_are_dropped():
+    """A random path that slides the rotated cylinder along e_x2 leaves Lambda by up to 0.197.
+
+    With the slide its random paths fail; set-up drops it, and every check passes.
+    """
+    report = run(scenario_from_dict(_ROTATED))
+    checks = {c.name: c for c in report.checks}
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+    assert len(checks) == 24
+    assert checks["flux_oracles/random_paths"].detail == (
+        "20 paths, seed 20240817; slides [[0.0, 0.0, 1.0, 0.0]] dropped, "
+        "not in every boundary span")
+    ws = _Workspace(scenario_from_dict(_ROTATED))
+    assert ws.fixture.slides == ()
+    ws.fixture.slides, ws.slide_note = build_fixture("cylinder_translation").slides, ""
+    residual, detail = dict(runner._suite_flux_oracles(ws))["random_paths"]
+    assert residual == math.inf
+    assert detail == "20 paths, seed 20240817; path 0 is invalid, worst containment 1.44e-01"
+    # the shipped spans hold e_x2, so the shipped cylinder keeps its slide and its detail
+    shipped = run(scenario_from_dict(minimal_scenario(suites=["flux_oracles"])))
+    assert shipped.passed
+    assert {c.name: c for c in shipped.checks}["flux_oracles/random_paths"].detail == (
+        "2 paths, seed 20240817")
 
 
 def test_duality_reuses_the_base_structure_on_a_rigid_path(monkeypatch):
