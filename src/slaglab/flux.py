@@ -206,10 +206,9 @@ def _sup(values) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
-# `validate`'s measures in order, each with the reduction that keeps its worst value
-_VALIDITY = (("max_lagrangian_residual", np.maximum), ("max_special_residual", np.maximum),
-             ("max_boundary_distance", np.maximum), ("min_immersion_margin", np.minimum),
-             ("min_transversality_margin", np.minimum))
+# `validate`'s rows in order: three sups, then two infs
+_VALIDITY = ("max_lagrangian_residual", "max_special_residual", "max_boundary_distance",
+             "min_immersion_margin", "min_transversality_margin")
 # The largest symplectic residual of a Lagrangian sample, relative to its volumes, and
 # of a scenario's boundary span, relative to its rows' lengths.
 LAGRANGIAN_GATE = 1e-9
@@ -313,15 +312,14 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath, lagrangians,
     passes = [p for p in (rel_pass, abs_pass) if p is not None]
     degrees = {n, min(n, 2)} | {p.degree for p in passes}
     spans = boundary_spans(mesh, lagrangians)
-    worst = {key: 0.0 if keep is np.maximum else np.inf for key, keep in _VALIDITY}
+    sups, infs = np.zeros(3), np.full(2, np.inf)  # np.maximum keeps a NaN
     for samples in path.blocks():
         positions = path.family.positions(path.u[samples])
         velocities = path.family.velocity(path.u[samples], path.du[samples])
         frames = wrapped_frames(model, mesh, positions, degrees)
         (top, top_large), (two, two_large) = frames[n], frames[min(n, 2)]
         measures = validate(model, spans, positions, top, two if n >= 2 else None)
-        for (key, keep), values in zip(_VALIDITY, measures):
-            worst[key] = float(keep(worst[key], keep.reduce(values)))
+        sups, infs = np.maximum(sups, measures[:3].max(-1)), np.minimum(infs, measures[3:].min(-1))
         stacks = {k: _centroid_stack(mesh, velocities, frames[k][0], k)
                   for k in {p.degree for p in passes}}
         for p in passes:
@@ -330,6 +328,7 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath, lagrangians,
     for p in passes:
         if p.failure is not None:
             raise p.failure
+    worst = dict(zip(_VALIDITY, np.concatenate([sups, infs]).tolist()))
     return tuple(p and p.result(worst) for p in (rel_pass, abs_pass))
 
 

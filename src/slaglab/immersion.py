@@ -10,6 +10,7 @@ affine simplices, so the verification chain carries no quadrature error.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,28 +68,34 @@ def wrapped_frames(model: AmbientModel, mesh: SimplicialMesh, positions: np.ndar
             for k in degrees}
 
 
-def _gram_spectrum(frames: np.ndarray, g: np.ndarray | None):
-    """sqrt |det|, and the smallest and largest eigenvalues, of the Gram matrix of every
-    (..., k, 2n) frame under the metric g (Euclidean if None), from one flat matmul by g.
+def _gram_volumes(frames: np.ndarray, g: np.ndarray):
+    """sqrt det G and 1 / tr G^-1, within a factor k below G's smallest eigenvalue, for the
+    Gram matrix G of every (..., k, 2n) frame under g; closed forms for k <= 2.
 
-    For k <= 2 all three are closed forms in the Gram entries, the smallest as
-    |det| / largest, which keeps its digits on a thin frame.
-    """
-    k = frames.shape[-2]
-    fg = frames if g is None else (frames.reshape(-1, frames.shape[-1]) @ g).reshape(frames.shape)
+    a*c - b*b cancels to about eps * a * c, so on a thin frame det is a times the
+    squared length of the second row's residual off the first: a collinear frame
+    reads at the rounding of its entries, as the SVD does."""
+    k, tiny = frames.shape[-2], np.finfo(float).tiny
+    fg = (frames.reshape(-1, frames.shape[-1]) @ g).reshape(frames.shape)
     if k > 2:
-        gram = fg @ np.swapaxes(frames, -1, -2)
-        eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)  # rounding may leave one below 0
-        return np.sqrt(np.abs(np.linalg.det(gram))), eig[..., 0], eig[..., -1]
+        s = np.linalg.svd(frames @ np.linalg.cholesky(g), compute_uv=False)
+        with np.errstate(divide="ignore"):  # a zero singular value gives 1 / inf = 0
+            harmonic = 1.0 / (1.0 / s ** 2).sum(axis=-1)
+        return np.sqrt(np.abs(np.linalg.det(fg @ np.swapaxes(frames, -1, -2)))), harmonic
     gram = lambda i, j: np.einsum("...a,...a->...", fg[..., i, :], frames[..., j, :])
+    a = gram(0, 0)
     if k == 1:
-        a = gram(0, 0)
-        return np.sqrt(np.abs(a)), a, a
-    a, b, c = gram(0, 0), gram(0, 1), gram(1, 1)
-    bb = b ** 2
-    det = np.abs(a * c - bb)
-    largest = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * bb))
-    return np.sqrt(det), det / np.maximum(largest, np.finfo(float).tiny), largest
+        return np.sqrt(np.abs(a)), a
+    b, c = gram(0, 1), gram(1, 1)
+    det, trace = np.abs(a * c - b ** 2), a + c
+    harmonic = det / np.maximum(trace, tiny)
+    thin = harmonic <= 1e-4 * trace  # where a*c - b*b may have lost 4 of 16 digits
+    if thin.any():
+        pair = frames[thin]
+        off = pair[:, 1] - (b[thin] / np.maximum(a[thin], tiny))[:, None] * pair[:, 0]
+        det[thin] = a[thin] * np.einsum("ta,ta->t", off @ g, off)
+        harmonic[thin] = det[thin] / np.maximum(trace[thin], tiny)
+    return np.sqrt(det), harmonic
 
 
 # -- pullbacks -----------------------------------------------------------------------
@@ -108,63 +115,67 @@ def pullback_metric(model: AmbientModel, immersion: Immersion) -> MetricField:
 # -- validation ------------------------------------------------------------------------
 
 
+_SPANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # mesh -> {key: spans}
+
+
 def boundary_spans(mesh: SimplicialMesh, lagrangians) -> list:
-    """The boundary Lagrangians as `validate` reads them, gathered once per flux pass: one
-    (projector off the span, boundary vertices, their basepoints, tops of boundary faces)
-    per distinct span.  Most fixtures give every component one span, projected once."""
-    by_index = {lam.index: lam for lam in lagrangians}
-    groups: dict = {}  # projector bytes -> the components whose Lagrangians share it
-    for c in range(1, mesh.n_components + 1):
-        if c not in by_index:
-            raise SlagError(f"no boundary Lagrangian supplied for component {c}")
-        groups.setdefault(by_index[c].normal_projector.tobytes(), []).append(c)
-    comp = mesh.boundary_component_of_vertex()
-    table = mesh.face_table(mesh.dim - 1)
-    tops, slots = np.nonzero(mesh.boundary_labels[table] > 0)  # one coface per boundary face
-    labels = mesh.boundary_labels[table[tops, slots]]
-    spans = []
-    for members in groups.values():
-        vertices = np.flatnonzero(np.isin(comp, members))
-        spans.append((by_index[members[0]].normal_projector, vertices,
-                      np.array([by_index[c].basepoint for c in comp[vertices]]),
-                      tops[np.isin(labels, members)]))
-    return spans
+    """The boundary Lagrangians as `validate` reads them: one (projector off the span,
+    boundary vertices, their basepoints, tops of boundary faces) per distinct span,
+    gathered once per mesh and Lagrangians (an immutable mesh keeps them while it lives)."""
+    key = tuple((lam.index, np.asarray(lam.basepoint, dtype=float).tobytes(),
+                 lam.normal_projector.tobytes()) for lam in lagrangians)
+    gathers = _SPANS.setdefault(mesh, {})
+    if key not in gathers:
+        by_index = {lam.index: lam for lam in lagrangians}
+        groups: dict = {}  # projector bytes -> the components whose Lagrangians share it
+        for c in range(1, mesh.n_components + 1):
+            if c not in by_index:
+                raise SlagError(f"no boundary Lagrangian supplied for component {c}")
+            groups.setdefault(by_index[c].normal_projector.tobytes(), []).append(c)
+        comp, table = mesh.boundary_component_of_vertex(), mesh.face_table(mesh.dim - 1)
+        tops, slots = np.nonzero(mesh.boundary_labels[table] > 0)  # one coface per boundary face
+        labels = mesh.boundary_labels[table[tops, slots]]
+        gathers[key] = []
+        for members in groups.values():
+            vertices = np.flatnonzero(np.isin(comp, members))
+            gathers[key].append((by_index[members[0]].normal_projector, vertices,
+                                 np.array([by_index[c].basepoint for c in comp[vertices]]),
+                                 tops[np.isin(labels, members)]))
+    return gathers[key]
 
 
 def validate(model: AmbientModel, spans: list, positions: np.ndarray, top: np.ndarray,
-             two: np.ndarray | None):
+             two: np.ndarray | None) -> np.ndarray:
     """Per-sample validity of a block of (..., V, 2n) positions, from the frames of its top
     and 2-simplices (two is None on curves) and the mesh's `boundary_spans`.
 
-    Returns five arrays of shape (...): the Lagrangian and special residuals
-    (volume-normalized sups of the symplectic and calibration pullbacks); the
-    containment (the largest lattice-aware distance of a boundary vertex from its
-    Lagrangian); the immersion margin (the smallest singular value of a top frame
-    under g, zero exactly on a degenerate simplex); and the transversality margin
-    (the smallest, over boundary tops, largest singular value of the frame
+    Returns a (5, ...) array, one row per measure: the Lagrangian and special
+    residuals (volume-normalized sups of the symplectic and calibration pullbacks);
+    the containment (the largest lattice-aware distance of a boundary vertex from its
+    Lagrangian); the immersion margin (the smallest 1 / sqrt(tr G^-1) of a top frame's
+    Gram matrix G under g, zero exactly on a degenerate simplex); and the
+    transversality margin (the smallest Frobenius norm of a boundary top's frame
     projected off its Lagrangian's span, zero exactly where the two are tangent).
     """
-    n = top.shape[-2]
-    g = model.metric_matrix()
-    vols, smallest, _ = _gram_spectrum(top, g)
+    n, g = top.shape[-2], model.metric_matrix()
+    vols, harmonic = _gram_volumes(top, g)
     vols = np.maximum(vols / math.factorial(n), 1e-300)
-    special = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / vols, axis=-1)
-    if two is None:
-        lag = np.zeros_like(special)
-    else:
+    out = np.zeros((5,) + vols.shape[:-1])
+    if two is not None:
         # on surfaces the 2-simplices are the top simplices, whose areas are the volumes above
-        areas = vols if two is top else np.maximum(_gram_spectrum(two, g)[0] / 2.0, 1e-300)
-        lag = np.max(np.abs(model.omega(two)) / 2.0 / areas, axis=-1)
-    # squared distances and eigenvalues, each reduced before its root
-    containment, tilt = np.zeros_like(special), np.full_like(special, np.inf)
+        areas = vols if two is top else np.maximum(_gram_volumes(two, g)[0] / 2.0, 1e-300)
+        out[0] = np.max(np.abs(model.omega(two)) / 2.0 / areas, axis=-1)
+    out[1] = np.max(np.abs(model.im_omega_hat(top)) / math.factorial(n) / vols, axis=-1)
+    out[3], out[4] = harmonic.min(axis=-1), np.inf  # squares until the root
     for normal, vertices, basepoints, tops in spans:
         rel = model.wrap_displacement(np.take(positions, vertices, axis=-2) - basepoints)
         off = (rel.reshape(-1, rel.shape[-1]) @ normal).reshape(rel.shape)
-        containment = np.maximum(containment, np.einsum("...a,...a->...", off, off).max(-1))
+        np.maximum(out[2], np.einsum("...a,...a->...", off, off).max(-1), out=out[2])
         frames = np.take(top, tops, axis=-3)
-        projected = (frames.reshape(-1, frames.shape[-1]) @ normal).reshape(frames.shape)
-        tilt = np.minimum(tilt, _gram_spectrum(projected, None)[2].min(axis=-1))
-    return lag, special, np.sqrt(containment), np.sqrt(smallest.min(axis=-1)), np.sqrt(tilt)
+        off = (frames.reshape(-1, frames.shape[-1]) @ normal).reshape(frames.shape)
+        np.minimum(out[4], np.einsum("...ia,...ia->...", off, off).min(-1), out=out[4])
+    np.sqrt(out[2:], out=out[2:])
+    return out
 
 
 # -- reparametrization ---------------------------------------------------------------

@@ -14,10 +14,11 @@ from slaglab.errors import (
 )
 from slaglab.expressions import CoordinateMap, parse_expression
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
+from slaglab.flux import ImmersionPath, path_fluxes
 from slaglab.immersion import (
     Immersion,
     ImmersionFamily,
-    _gram_spectrum,
+    _gram_volumes,
     boundary_spans,
     permutation_on_cochains,
     pullback_metric,
@@ -25,8 +26,8 @@ from slaglab.immersion import (
     validate,
     wrapped_frames,
 )
-from slaglab.meshes import build_mesh
-from slaglab.runner import _random_rigid_path
+from slaglab.meshes import build_mesh, relative_cycle_basis
+from slaglab.runner import _random_rigid_path, _validity
 
 
 def pullback_form(model, immersion, form, degree):
@@ -52,6 +53,14 @@ def measure(model, immersion, lagrangians):
                         frames[n][0], frames[min(n, 2)][0] if n >= 2 else None)
     names = ("lagrangian", "special", "containment", "immersion", "transversality")
     return SimpleNamespace(**{name: float(m[0]) for name, m in zip(names, measures)})
+
+
+def verdict(fx, positions, lagrangians):
+    """`runner._validity` of a relative flux pass over a path that stays at positions."""
+    still = ImmersionFamily.translation(Immersion(fx.mesh, positions), [np.zeros(4)])
+    path = ImmersionPath.straight(still, [0.0], 5)
+    rf, _ = path_fluxes(fx.model, path, lagrangians, relative_cycle_basis(fx.mesh))
+    return _validity(rf)
 
 
 def assert_valid(m):
@@ -89,9 +98,10 @@ def cylinder_axial_flip(fx):
 def test_fixture_validates_cleanly(cyl):
     m = measure(cyl.model, cyl.base, cyl.lagrangians)
     assert_valid(m)
-    # a right triangle with legs h = 1/16 has a frame (h, 0), (h, h): singular values
-    # h (sqrt(5) -+ 1) / 2; projected off the span only the axial steps, h, remain
-    assert m.immersion == pytest.approx((5 ** 0.5 - 1) / 32, rel=1e-12)
+    # a right triangle with legs h = 1/16 has a frame (h, 0), (h, h): its Gram matrix
+    # h^2 [[1, 1], [1, 2]] has det h^4 and trace 3 h^2, so 1 / tr G^-1 = h^2 / 3;
+    # projected off the span only the axial steps, h, remain
+    assert m.immersion == pytest.approx(1 / (16 * 3 ** 0.5), rel=1e-12)
     assert m.transversality == pytest.approx(1 / 16, rel=1e-12)
 
 
@@ -106,6 +116,9 @@ def test_displaced_boundary_detected(cyl):
     positions[boundary_circle, 3] += 1e-3  # off the y2 = 0 subtorus
     moved = Immersion(cyl.mesh, positions)
     assert measure(cyl.model, moved, cyl.lagrangians).containment == pytest.approx(1e-3, rel=1e-6)
+    # the pass gates tilted samples first, so its verdict sees the whole cylinder moved off
+    shifted = cyl.base.positions + np.array([0.0, 0.0, 0.0, 1e-3])
+    assert verdict(cyl, shifted, cyl.lagrangians) == (False, "worst containment 1.00e-03")
 
 
 def test_tangent_boundary_lagrangian_kills_transversality(cyl):
@@ -114,7 +127,47 @@ def test_tangent_boundary_lagrangian_kills_transversality(cyl):
         1, np.zeros(4), np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=float)
     )
     lams = [tangent_lam, cyl.lagrangians[1]]
-    assert measure(cyl.model, cyl.base, lams).transversality < 1e-12
+    m = measure(cyl.model, cyl.base, lams)
+    assert m.transversality < 1e-12
+    # every other measure passes, so the verdict fails on transversality alone
+    assert m.lagrangian <= 1e-14 and m.containment <= 1e-14 and m.immersion > 1e-10
+    assert verdict(cyl, cyl.base.positions, lams) == (False, "worst containment 0.00e+00")
+
+
+def test_the_fixture_passes_the_verdict(cyl):
+    assert verdict(cyl, cyl.base.positions, cyl.lagrangians) == (True, "worst containment 0.00e+00")
+
+
+def _interior_top(fx):
+    """A top of interior vertices away from the seam of the circle, and its first vertex."""
+    comp, tops = fx.mesh.boundary_component_of_vertex(), fx.mesh.simplices[2]
+    inner = (comp[tops] == 0).all(axis=1) & (fx.base.positions[tops, 2] < 0.9).all(axis=1)
+    top = tops[np.argmax(inner)]
+    return top, top[0]
+
+
+def test_degenerate_simplex_fails_the_verdict(cyl):
+    # an interior vertex moved to the midpoint of its top's other two vertices: dyadic
+    # positions keep that top's frame exactly collinear and every form on it exactly 0
+    top, v = _interior_top(cyl)
+    positions = cyl.base.positions.copy()
+    positions[v] = positions[top[top != v]].mean(axis=0)
+    m = measure(cyl.model, Immersion(cyl.mesh, positions), cyl.lagrangians)
+    assert m.immersion == 0.0
+    assert m.lagrangian == 0.0 and m.containment == 0.0 and m.transversality > 1e-10
+    assert verdict(cyl, positions, cyl.lagrangians) == (False, "worst containment 0.00e+00")
+
+
+def test_lagrangian_residual_between_the_bounds_fails_the_verdict(cyl):
+    # an interior vertex lifted off the Lagrangian plane: the pass's 1e-9 gate lets the
+    # samples through, the verdict's 1e-10 bound does not
+    _, v = _interior_top(cyl)
+    positions = cyl.base.positions.copy()
+    positions[v, 1] += 2e-11
+    m = measure(cyl.model, Immersion(cyl.mesh, positions), cyl.lagrangians)
+    assert 1e-10 < m.lagrangian <= 1e-9
+    assert m.containment == 0.0 and m.immersion > 1e-10 and m.transversality > 1e-10
+    assert verdict(cyl, positions, cyl.lagrangians) == (False, "worst containment 0.00e+00")
 
 
 def test_pullback_metric_scaling():
@@ -369,17 +422,31 @@ def _gram_frames(k, rng):
     return frames
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "random"])
+def test_collinear_frames_read_a_zero_immersion_margin(metric):
+    """a*c - b*b of a frame whose second edge is 1.7 times its first cancels to about
+    eps * h**4, a margin up to about 1e-9 at h = 1/16; the residual of the second edge
+    off the first reads the margin at the rounding of the entries, as the SVD does."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4))
+    g = np.eye(4) if metric == "euclidean" else a @ a.T + 4.0 * np.eye(4)
+    first = rng.normal(size=(2000, 4)) / 16
+    frames = np.stack([first, 1.7 * first], axis=1)
+    volumes, harmonic = _gram_volumes(frames, g)
+    assert np.sqrt(harmonic).max() <= 1e-15 and volumes.max() <= 1e-15
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gram_volumes_match_the_gram_determinant(k):
-    """The closed-form volumes and extreme eigenvalues against det and the SVD."""
+    """The closed-form volumes against det, and 1 / tr G^-1 against the SVD."""
     rng = np.random.default_rng(k)
     a = rng.normal(size=(4, 4))
     g = a @ a.T + 4.0 * np.eye(4)
     frames = _gram_frames(k, rng)
     expected = np.sqrt(np.abs(np.linalg.det(frames @ g @ np.swapaxes(frames, -1, -2))))
     singular = np.linalg.svd(frames @ np.linalg.cholesky(g), compute_uv=False)
-    volumes, smallest, largest = _gram_spectrum(frames, g)
-    assert volumes.shape == smallest.shape == largest.shape == (3, 4)
+    volumes, harmonic = _gram_volumes(frames, g)
+    assert volumes.shape == harmonic.shape == (3, 4)
     np.testing.assert_allclose(volumes, expected, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(np.sqrt(smallest), singular[..., -1], rtol=1e-9, atol=0)
-    np.testing.assert_allclose(np.sqrt(largest), singular[..., 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(harmonic, 1.0 / (1.0 / singular ** 2).sum(axis=-1),
+                               rtol=1e-9, atol=0)
