@@ -119,6 +119,8 @@ def main(argv=None) -> int:
         # run
         if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
             raise ConfigError(f"--tol-scale must be a positive finite number, got {args.tol_scale}")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
         if args.jobs > 1 and len(args.files) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_run_one, args.files, itertools.repeat(args.out),

@@ -266,18 +266,21 @@ def harmonic_fields(structure: HodgeStructure, flavor: str):
     The discrete Hodge projector (Arnold, Falk and Winther, Acta Numerica 15,
     2006) maps a block of max(b + 4, 6) Gaussian columns, b the Betti number,
     onto that space in two steps, each y <- y - U A^{-1} V^T y with
-    A = V^T U: the Euclidean projection onto closed cochains (U = V = C^T, C
-    the closedness block), then the M-orthogonal removal of exact cochains
-    (U = E, V = M E, E the differentials), which are closed.  Each A is
-    factored once with a diagonal shift of _SHIFT times its largest entry:
-    C C^T and E^T M E may be singular (relative top cohomology, constants),
-    but the right-hand sides lie in their ranges.  The steps run twice, which
-    squares the shift's leak.  The basis is the left singular vectors of the
-    projected block whose singular values exceed _KERNEL_GAP times the 2-norm
-    of the Gaussian block, so an empty space counts 0.  The Betti number only
-    sizes the block; the caller compares the count against it.
-    structure.diagnostics["<flavor>_spectrum"] holds the projected block's
-    singular values relative to that norm.
+    A = V^T U: first the Euclidean projection onto closed cochains (U = V =
+    C^T, C the closedness block), then the M-orthogonal removal of exact
+    cochains (U = E, V = M E, E the differentials).  Each A is factored with
+    a diagonal shift of _SHIFT times its largest entry: C C^T and E^T M E may
+    be singular (relative top cohomology, constants), but the right-hand
+    sides lie in their ranges.  Each step runs twice before the next begins,
+    which squares its shift's leak, and its matrices and factor are released
+    before the next step's are built, so one SuperLU factor is live at a
+    time.  Finishing the closed step first loses nothing: the exact step
+    subtracts exact cochains E x, which are closed.  The basis is the left
+    singular vectors of the projected block whose singular values exceed
+    _KERNEL_GAP times the 2-norm of the Gaussian block, so an empty space
+    counts 0.  The Betti number only sizes the block; the caller compares the
+    count against it.  structure.diagnostics["<flavor>_spectrum"] holds the
+    projected block's singular values relative to that norm.
     """
     mesh = structure.mesh
     n = mesh.dim
@@ -292,29 +295,37 @@ def harmonic_fields(structure: HodgeStructure, flavor: str):
     else:
         raise DegreeMismatchError(f"unknown flavor {flavor!r}")
 
-    steps = []  # (U, V) pairs; M E is gathered on cols after the product, so M is not sliced
-    if degree < n:
-        closed = exterior_derivative(mesh, degree)[:, cols].T
-        steps.append((closed, closed))
-    if len(rows):
-        exact = exterior_derivative(mesh, degree - 1)[:, rows]
-        steps.append((exact[cols], (structure.mass_matrix(degree) @ exact)[cols]))
     block = np.random.default_rng(0).standard_normal((len(cols), max(betti + 4, 6)))
     scale = np.linalg.norm(block, 2)
+    if degree < n:
+        closed = exterior_derivative(mesh, degree)[:, cols].T
+        _project_out(block, closed, closed)
+        del closed  # freed before the exact step's matrices are built
+    if len(rows):
+        exact = exterior_derivative(mesh, degree - 1)[:, rows]
+        # M E is gathered on cols after the product, so M is not sliced
+        _project_out(block, exact[cols], (structure.mass_matrix(degree) @ exact)[cols])
     try:
-        factors = []
-        for U, V in steps:
-            gram = sp.csc_matrix(V.T) @ U  # CSC, as SuperLU takes it
-            factors.append(_spd_factor(gram + _SHIFT * np.abs(gram.data).max()
-                                       * sp.identity(gram.shape[0], format="csc")))
-        for _ in range(2):
-            for (U, V), lu in zip(steps, factors):
-                block = block - U @ lu.solve(V.T @ block)
         vecs, sigma, _ = np.linalg.svd(block, full_matrices=False)
-    except (RuntimeError, ValueError) as exc:  # SuperLU, LinAlgError
+    except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"harmonic projection failed: {exc}") from exc
     count = int(np.sum(sigma > _KERNEL_GAP * scale))
     structure.diagnostics[f"{flavor}_spectrum"] = sigma / scale
     basis = np.zeros((mesh.n_simplices(degree), count))
     basis[cols] = vecs[:, :count]
     return [Cochain(mesh, degree, basis[:, j]) for j in range(count)]
+
+
+def _project_out(block, U, V):
+    """block <- block - U A^{-1} V^T block, twice and in place, with A = V^T U shifted.
+
+    The factor of A lives only in this call.
+    """
+    try:
+        gram = sp.csc_matrix(V.T) @ U  # CSC, as SuperLU takes it
+        lu = _spd_factor(gram + _SHIFT * np.abs(gram.data).max()
+                         * sp.identity(gram.shape[0], format="csc"))
+        for _ in range(2):
+            block -= U @ lu.solve(V.T @ block)
+    except (RuntimeError, ValueError) as exc:  # SuperLU, LinAlgError
+        raise SolverFailureError(f"harmonic projection failed: {exc}") from exc

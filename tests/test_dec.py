@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -363,6 +365,34 @@ def test_mass_factor_and_kernel_count_share_one_spd_recipe(cylinder, monkeypatch
     assert factors == [SPD_RECIPE] * 3  # M_1, then C C^T and E^T M E of the projector
     rhs = np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1))
     np.testing.assert_allclose(hs.mass_matrix(1) @ lu.solve(rhs), rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+def test_projector_holds_one_factor_at_a_time(flavor, monkeypatch):
+    """Each projection step releases its factor before the next step factors: on
+    level-1 two_handle, which has two steps per space, no earlier factor of the call
+    is alive when a new one is made."""
+    fx = two_handle(1)
+    hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
+    factor = dec._spd_factor
+    made, alive_before = [], []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+    def spy(matrix):
+        alive_before.append(sum(ref() is not None for ref in made))
+        wrapped = Factor(factor(matrix))
+        made.append(weakref.ref(wrapped))
+        return wrapped
+
+    monkeypatch.setattr(dec, "_spd_factor", spy)
+    assert len(harmonic_fields(hs, flavor)) == fx.mesh.betti_profile().b_rel_1
+    assert alive_before == [0, 0]
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])

@@ -1059,6 +1059,14 @@ def test_cli_run_jobs_matches_serial(tmp_path, capsys):
     assert len(trees[0]) == 4 and trees[0] == trees[1]
 
 
+def test_cli_run_refuses_jobs_below_one(tmp_path, capsys):
+    p = write_scenario(tmp_path, minimal_scenario(suites=["closed_form"]))
+    for jobs in ("0", "-5"):
+        assert cli_main(["run", p, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_scenarios_run_without_sympy():
     code = (
         "import sys\n"
