@@ -26,9 +26,12 @@ fixed cycle basis.  Swept-surface oracles recompute the same periods as plain
 surface integrals of the constant ambient forms over the piecewise-linear
 surface traced by a cycle, giving an independent cross-check.  An oracle
 evaluates the family at the vertices of the basis support only, once over its
-time grid, and integrates every support simplex at once, evaluating the form
+time grid, and integrates the support simplices a chunk at a time, each chunk
+as many slabs as a pass's block has top-simplex samples, evaluating the form
 on the unstacked edge vectors of its slabs; each simplex keeps its slab sum in
-one contiguous row, so it adds in the order of a per-simplex loop.
+one contiguous row, so it adds in the order of a per-simplex loop.  A pass
+frees each block before it evaluates the next, and an oracle each chunk, so
+neither holds more than one besides the oracle's trajectory.
 """
 
 from __future__ import annotations
@@ -325,6 +328,8 @@ def path_fluxes(model: AmbientModel, path: ImmersionPath, lagrangians,
         for p in passes:
             p.check(samples.start, top_large | two_large, measures, frames[p.degree][1])
             p.add(_contract(stacks[p.degree], p.form, p.degree))
+        # free the block before the next one is evaluated, so a pass holds one block
+        del positions, velocities, frames, top, top_large, two, two_large, measures, stacks
     for p in passes:
         if p.failure is not None:
             raise p.failure
@@ -396,7 +401,8 @@ def swept_sf_oracle(model: AmbientModel, path: ImmersionPath, basis: CycleBasis)
 def _swept_integrals(model, path, basis, form, degree, degree_error):
     """Swept integrals of each cycle, from one trajectory of the support's vertices only.
 
-    Every support simplex is integrated once, all at the same time, and
+    Every support simplex is integrated once, a chunk of simplices at a time,
+    each chunk as many slabs as a flux pass's block has top-simplex samples;
     `CycleBasis.periods` adds them up.
     """
     simplices = path.family.mesh.simplices[degree]
@@ -406,11 +412,14 @@ def _swept_integrals(model, path, basis, form, degree, degree_error):
     vertex_ids, local = np.unique(corners, return_inverse=True)
     times = np.linspace(0.0, 1.0, _ORACLE_STEPS + 1)
     traj = path.family.positions(path.curve(times), vertex_ids)   # (T, support vertices, 2n)
-    ends = np.swapaxes(traj, 0, 1)[local.reshape(corners.shape)]  # (simplex, corner, T, 2n)
-    if degree == 1:
-        integrals = _swept_edge_integrals(model, form, ends[:, 0], ends[:, 1])
-    else:
-        integrals = _swept_point_integrals(model, form, ends[:, 0])
+    local = local.reshape(corners.shape)
+    integrals = np.empty(len(corners))
+    size = max(1, _BLOCK_SIMPLEX_SAMPLES // _ORACLE_STEPS)
+    for start in range(0, len(corners), size):
+        chunk = slice(start, start + size)
+        ends = np.swapaxes(traj, 0, 1)[local[chunk]]  # (simplex, corner, T, 2n)
+        integrals[chunk] = (_swept_edge_integrals(model, form, ends[:, 0], ends[:, 1])
+                            if degree == 1 else _swept_point_integrals(model, form, ends[:, 0]))
     return basis.periods(integrals)
 
 

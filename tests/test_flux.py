@@ -105,9 +105,15 @@ def test_oracle_matches_periods_on_fixture(cyl):
     )
 
 
-@pytest.mark.parametrize("build", [two_handle, interval_c1])
-def test_oracles_integrate_a_basis_from_one_trajectory(build, monkeypatch):
-    fx = build(1)
+@pytest.mark.parametrize("build, level", [
+    pytest.param(two_handle, 1, id="two_handle"),
+    pytest.param(interval_c1, 1, id="interval_c1"),
+    # a cycle's support spans several of the oracle's chunks of simplices
+    pytest.param(two_handle, 2, id="two_handle-l2"),
+    pytest.param(interval_c1, 2, id="interval_c1-l2"),
+])
+def test_oracles_integrate_a_basis_from_one_trajectory(build, level, monkeypatch):
+    fx = build(level)
     rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
     amp = [0.3, -0.2][:fx.family.n_params]
     path = ImmersionPath.straight(fx.family, amp, n_samples=9)
@@ -262,7 +268,7 @@ def _traced_peak(fn) -> float:
 
 
 def test_pass_memory_does_not_grow_with_path_length(cyl):
-    """A pass holds one block of samples: 8x the samples adds only their support values.
+    """A pass holds blocks of bounded size: 8x the samples adds only their support values.
 
     A path that held its (T, V, 2n) positions, or a pass that stacked every
     sample's frames, would grow by megabytes (4.4 MB from 129 to 1,025 here).
@@ -275,17 +281,53 @@ def test_pass_memory_does_not_grow_with_path_length(cyl):
     assert abs(peaks[1] - peaks[0]) < 0.5e6
 
 
+@pytest.mark.parametrize("build", [cylinder_translation, two_handle])
+def test_pass_holds_one_block(build):
+    """A block is freed before the next is evaluated: two blocks peak as one does.
+
+    Holding the previous block while building the next added 0.4 MB here.
+    """
+    fx = build(1)
+    rel, ab = relative_cycle_basis(fx.mesh), absolute_cycle_basis(fx.mesh)
+    amplitudes = [0.3, -0.2][:fx.family.n_params]
+    per_block = max(1, flux._BLOCK_SIMPLEX_SAMPLES // fx.mesh.n_simplices(fx.mesh.dim))
+    paths = [ImmersionPath.straight(fx.family, amplitudes, n_samples=count)
+             for count in (per_block, 2 * per_block)]
+    assert [len(path.blocks()) for path in paths] == [1, 2]
+    peaks = [_traced_peak(lambda: path_fluxes(fx.model, path, fx.lagrangians, rel, ab))
+             for path in paths]
+    assert abs(peaks[1] - peaks[0]) < 0.1e6
+
+
 def test_swept_oracle_evaluates_the_form_without_stacking_triangles():
     """The oracle's peak stays near its trajectory of the support vertices.
 
     On level-1 two_handle the trajectory of the dual cycles' ends is about
-    0.5 MB; the peak is about 1.8 MB, where a stack of each slab's two
+    0.5 MB; the peak is about 1.06 MB, where a stack of each slab's two
     triangles raised it to 3.7 MB.
     """
     fx = two_handle(1)
     ab = absolute_cycle_basis(fx.mesh)
     path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=129)
     assert _traced_peak(lambda: swept_sf_oracle(fx.model, path, ab)) < 2.5e6
+
+
+def test_swept_oracle_peak_grows_only_with_its_trajectory():
+    """Beyond its trajectory an oracle holds one chunk of support simplices.
+
+    From level 1 to level 2 of two_handle the support doubles, 32 to 64 edges;
+    integrating all of them at once grew the peak by 1.78 MB against 0.26 MB
+    of trajectory.
+    """
+    peaks, trajectories = [], []
+    for level in (1, 2):
+        fx = two_handle(level)
+        ab = absolute_cycle_basis(fx.mesh)
+        path = ImmersionPath.straight(fx.family, [0.3, -0.2], n_samples=129)
+        vertices = np.unique(fx.mesh.simplices[ab.degree][ab.support])
+        trajectories.append((flux._ORACLE_STEPS + 1) * len(vertices) * 2 * fx.model.n * 8)
+        peaks.append(_traced_peak(lambda: swept_sf_oracle(fx.model, path, ab)))
+    assert peaks[1] - peaks[0] <= trajectories[1] - trajectories[0] + 0.15e6
 
 
 @pytest.mark.parametrize("build, amplitudes, stacks", [
