@@ -13,7 +13,8 @@ products.  The wedge pairing matrix
     P_k[s, t] = \int_L W_s^(k) ^ W_t^(n-k)
 
 is metric independent; the L^2-projection Hodge star is then the mass solve
-star(a) = M_{n-k}^{-1} P_k^T a.  Dirichlet harmonic 1-fields are the closed
+star(a) = M_{n-k}^{-1} P_k^T a, run by Jacobi-preconditioned conjugate
+gradients, which hold no factor.  Dirichlet harmonic 1-fields are the closed
 cochains on interior edges that are M_1-orthogonal to differentials of
 interior-vertex functions; Neumann (n-1)-fields are orthogonal to the
 differentials of all (n-2)-cochains.  Each space is the image of the discrete
@@ -82,7 +83,7 @@ class MetricField:
 
 
 class HodgeStructure:
-    """Mass matrices, wedge pairings and solver caches."""
+    """Mass matrices and wedge pairings, each assembled once per degree."""
 
     def __init__(self, mesh: SimplicialMesh, metric: MetricField):
         if metric.mesh is not mesh:
@@ -103,7 +104,6 @@ class HodgeStructure:
         self._grad_products = H
         self._mass: dict[int, sp.csr_matrix] = {}
         self._wedge: dict[int, sp.csr_matrix] = {}
-        self._factors: dict[int, object] = {}
         self.diagnostics: dict = {}
 
     # -- assembly ------------------------------------------------------------
@@ -123,13 +123,12 @@ class HodgeStructure:
             self._wedge[k] = self._assemble_wedge(k)
         return self._wedge[k]
 
-    def factorized_mass(self, k: int):
-        if k not in self._factors:
-            try:
-                self._factors[k] = _spd_factor(self.mass_matrix(k))
-            except RuntimeError as exc:
-                raise SolverFailureError(f"mass factorization failed in degree {k}") from exc
-        return self._factors[k]
+    def factorized_mass(self, k: int) -> _JacobiCG:
+        """Solver of M_k x = b, run by Jacobi-preconditioned CG; it holds no factor.
+
+        The name is older than the solver: benchmark/spans.py times this call.
+        """
+        return _JacobiCG(self.mass_matrix(k), k)
 
     def _assemble_mass(self, k: int) -> sp.csr_matrix:
         mesh, n = self.mesh, self.mesh.dim
@@ -149,7 +148,9 @@ class HodgeStructure:
                     for j, vj in enumerate(fb):
                         rb = [v for v in fb if v != vj]
                         minors = H[:, ra, :][:, :, rb]
-                        det = np.linalg.det(minors)  # 1.0 for the (N, 0, 0) minors of k = 0
+                        # a 1x1 minor is its entry: det would round it through exp(log|a|);
+                        # det is 1.0 for the (N, 0, 0) minors of k = 0
+                        det = minors[:, 0, 0] if k == 1 else np.linalg.det(minors)
                         acc += ((-1) ** (i + j)) * (1 + (vi == vj)) * pair_weight * det
                 rows.append(table[:, a])
                 cols.append(table[:, b])
@@ -201,22 +202,70 @@ class HodgeStructure:
     def inner(self, a: Cochain, b: Cochain) -> float:
         if a.degree != b.degree:
             raise DegreeMismatchError("inner product needs equal degrees")
-        return float(a.values @ (self.mass_matrix(a.degree) @ b.values))
+        # a reduction, not BLAS ddot, whose sum order follows the thread count
+        return float(np.add.reduce(a.values * (self.mass_matrix(a.degree) @ b.values)))
 
     def norm(self, a: Cochain) -> float:
         return math.sqrt(max(self.inner(a, a), 0.0))
 
 
+@dataclass(frozen=True)
+class _JacobiCG:
+    """Conjugate gradients (Hestenes and Stiefel, J. Res. NBS 49, 1952) on an SPD
+    mass matrix, preconditioned by its diagonal D.
+
+    Scaled by its diagonal, a Whitney mass matrix is well conditioned (Wathen,
+    IMA J. Numer. Anal. 7, 1987): kappa(D^-1 M_1) = 3.0 on the surface
+    fixtures, so a solve reaches rounding level in 17-28 iterations at levels 1
+    to 8 and holds a few vectors, where a SuperLU factor of M_1 holds about 400
+    bytes per row.  Every inner product is np.add.reduce of an elementwise
+    product, not BLAS ddot, which splits long vectors across threads, so the
+    solution's bytes do not depend on the BLAS thread count.
+    """
+
+    matrix: sp.csr_matrix
+    degree: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x from x = 0 until (r, D^-1 r) <= eps^2 (b, D^-1 b), r = b - M x.
+
+        The iterations stop at the row count, CG's finite-termination bound;
+        a missed bound or a non-finite value raises SolverFailureError.
+        """
+        with np.errstate(all="ignore"):
+            diag = self.matrix.diagonal()
+            x = np.zeros(len(rhs))
+            r = np.array(rhs, dtype=float)
+            p = z = r / diag
+            rz = np.add.reduce(r * z)
+            bound = np.finfo(float).eps ** 2 * rz
+            for _ in range(len(r)):
+                if not rz > bound:
+                    break
+                q = self.matrix @ p
+                alpha = rz / np.add.reduce(p * q)
+                x += alpha * p
+                r -= alpha * q
+                z = r / diag
+                rz, rz_old = np.add.reduce(r * z), rz
+                p = z + (rz / rz_old) * p
+        if not (np.isfinite(rz) and 0.0 <= rz <= bound and np.all(np.isfinite(x))):
+            raise SolverFailureError(
+                f"mass solve in degree {self.degree} reached (r, D^-1 r) = {rz:.3e}, "
+                f"bound {bound:.3e}")
+        return x
+
+
 def _spd_factor(matrix):
     """SuperLU factor of a sparse SPD matrix in symmetric mode.
 
-    An SPD matrix needs no pivoting, so the factor keeps the diagonal pivots
-    of a minimum-degree ordering of A + A^T.  relax=1 and panel_size=1 turn
-    off supernode relaxation and panel blocking: on these small, sparse mass
-    matrices and the harmonic projector's C C^T and E^T M E, SuperLU's
-    defaults cost more time and workspace for about the same fill (level-4
-    cylinder M_1, 6,208 rows: 27,274 nonzeros in L + U against 26,700, half
-    the factor time, and a peak-memory rise of 2.6 MB against 6.7 MB).
+    Only the harmonic projector factors: its C C^T and E^T M E are singular,
+    shifted and ill-conditioned, where the star's mass matrices are solved by
+    _JacobiCG.  An SPD matrix needs no pivoting, so the factor keeps the
+    diagonal pivots of a minimum-degree ordering of A + A^T.  relax=1 and
+    panel_size=1 turn off supernode relaxation and panel blocking, which on
+    these small, sparse matrices cost more time and workspace for about the
+    same fill.
     """
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      relax=1, panel_size=1, options={"SymmetricMode": True})
@@ -234,10 +283,7 @@ def hodge_star(structure: HodgeStructure, cochain: Cochain) -> Cochain:
     mesh = structure.mesh
     k = cochain.degree
     rhs = structure.wedge_matrix(k).T @ cochain.values
-    lu = structure.factorized_mass(mesh.dim - k)
-    out = lu.solve(rhs)
-    if not np.all(np.isfinite(out)):
-        raise SolverFailureError("hodge star solve produced non-finite values")
+    out = structure.factorized_mass(mesh.dim - k).solve(rhs)
     return Cochain(mesh, mesh.dim - k, out)
 
 

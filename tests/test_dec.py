@@ -18,6 +18,7 @@ from slaglab.errors import (
     DegenerateMetricError,
     DegreeMismatchError,
     DegreeOutOfRangeError,
+    SolverFailureError,
 )
 from slaglab.fixtures import cylinder_translation, interval_c1, two_handle
 from slaglab.immersion import pullback_metric
@@ -29,6 +30,7 @@ from slaglab.meshes import (
     build_mesh,
     relative_cycle_basis,
 )
+from test_runner import _SHEARED
 
 
 def apply_d(cochain):
@@ -355,16 +357,61 @@ def plant_harmonic_fields(monkeypatch, k):
     monkeypatch.setattr(dec, "exterior_derivative", planted)
 
 
-def test_mass_factor_and_kernel_count_share_one_spd_recipe(cylinder, monkeypatch):
-    """Every SuperLU call site factors an SPD matrix, so all take the same options."""
+def test_star_makes_no_factor_and_the_projector_keeps_the_spd_recipe(cylinder, monkeypatch):
+    """The star's mass solve runs CG and calls no SuperLU, so the structure holds no
+    factor; the harmonic projector still factors C C^T and E^T M E with the one SPD
+    recipe."""
     fx, _ = cylinder
     hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
     factors = spy_splu(monkeypatch)
-    lu = hs.factorized_mass(1)
+    theta = Cochain(fx.mesh, 1, np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1)))
+    hodge_star(hs, hodge_star(hs, theta))
+    assert factors == []
     harmonic_fields(hs, "dirichlet")
-    assert factors == [SPD_RECIPE] * 3  # M_1, then C C^T and E^T M E of the projector
-    rhs = np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1))
-    np.testing.assert_allclose(hs.mass_matrix(1) @ lu.solve(rhs), rhs, rtol=0, atol=1e-12)
+    assert factors == [SPD_RECIPE] * 2
+
+
+def dense_solve_deviation(hs, k):
+    """Largest deviation of factorized_mass(k).solve from numpy's dense solve, relative
+    to the dense solution's largest entry."""
+    mass = hs.mass_matrix(k)
+    rhs = np.random.default_rng(k).normal(size=mass.shape[0])
+    dense = np.linalg.solve(mass.toarray(), rhs)
+    return np.abs(hs.factorized_mass(k).solve(rhs) - dense).max() / np.abs(dense).max()
+
+
+def test_mass_solve_matches_a_dense_solve(fixture_structure):
+    fx, hs = fixture_structure
+    for k in range(fx.mesh.dim + 1):
+        assert dense_solve_deviation(hs, k) <= 1e-14
+
+
+def test_mass_solve_matches_a_dense_solve_on_a_curve_and_a_sheared_metric(interval):
+    """M_0 of a curve, and every degree of the sheared cylinder, whose structure is
+    pulled back from its family's start through a pushed-forward omega."""
+    _, hs = interval
+    assert dense_solve_deviation(hs, 0) <= 1e-14
+    sheared = runner._Workspace(runner.scenario_from_dict(_SHEARED)).structure
+    for k in range(3):
+        assert dense_solve_deviation(sheared, k) <= 1e-14
+
+
+@pytest.mark.parametrize("plant", ["nan_off_diagonal", "zero_diagonal"])
+def test_star_refuses_a_broken_mass_matrix(cylinder, plant):
+    """A NaN entry or a zero diagonal of M_1 raises SolverFailureError naming the degree;
+    it never warns or returns non-finite values."""
+    fx, _ = cylinder
+    hs = HodgeStructure(fx.mesh, pullback_metric(fx.model, fx.base))
+    mass = hs.mass_matrix(1).tolil()
+    if plant == "zero_diagonal":
+        mass[3, 3] = 0.0
+    else:
+        j = mass.rows[3][0] if mass.rows[3][0] != 3 else mass.rows[3][1]
+        mass[3, j] = mass[j, 3] = np.nan
+    hs._mass[1] = mass.tocsr()
+    theta = Cochain(fx.mesh, 1, np.random.default_rng(0).normal(size=fx.mesh.n_simplices(1)))
+    with pytest.raises(SolverFailureError, match="mass solve in degree 1"):
+        hodge_star(hs, theta)
 
 
 @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
